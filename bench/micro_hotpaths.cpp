@@ -449,7 +449,7 @@ void BM_MprSelection(benchmark::State& state) {
   proto::MprState st;
   for (std::uint32_t i = 1; i <= n; ++i) {
     net::Addr nb = net::addr_for_index(i);
-    st.note_heard(nb, TimePoint{0});
+    st.note_heard(nb);
     st.set_symmetric(nb, true);
     std::set<net::Addr> two_hop;
     for (std::uint32_t j = 0; j < 4; ++j) {

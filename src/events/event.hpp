@@ -127,8 +127,6 @@ class AttrMap {
 
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
-  /// Drops all entries but keeps the flat vector's capacity (arena reuse).
-  void clear() { entries_.clear(); }
   const_iterator begin() const { return entries_.begin(); }
   const_iterator end() const { return entries_.end(); }
 
@@ -190,18 +188,6 @@ class Event {
   bool has_attr(std::string_view key) const { return attrs_.contains(key); }
 
   const AttrMap& attrs() const { return attrs_; }
-
-  /// Returns the event to a default-constructed state (new type `type`),
-  /// releasing the carried message but keeping the attr vector's capacity.
-  /// Used by core::EventArena when recycling pooled events.
-  void reset(EventTypeId type = kInvalidEventType) {
-    type_ = type;
-    from = 0;
-    local = 0;
-    raised_at = TimePoint{};
-    msg_.reset();
-    attrs_.clear();
-  }
 
  private:
   EventTypeId type_ = kInvalidEventType;

@@ -10,6 +10,12 @@ ForwardingEngine::ForwardingEngine(NetworkDevice& device,
 
 bool ForwardingEngine::send(Addr dst, std::uint16_t payload_size,
                             std::uint8_t ttl) {
+  if (!device_.is_up()) {
+    // A crashed node originates nothing: no route lookup, no discovery
+    // request into protocols that may be stopped.
+    ++stats_.send_failures;
+    return false;
+  }
   DataHeader hdr;
   hdr.src = self();
   hdr.dst = dst;

@@ -48,7 +48,8 @@ class ForwardingEngine {
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
   /// Originates a data packet to `dst`. Returns true if transmitted or
-  /// buffered by a hook; false if dropped.
+  /// buffered by a hook; false if dropped (a down device counts a send
+  /// failure and originates nothing).
   bool send(Addr dst, std::uint16_t payload_size, std::uint8_t ttl = 64);
 
   /// Re-injects a previously buffered packet (NetLink's ROUTE_FOUND path).

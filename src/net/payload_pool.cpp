@@ -1,97 +1,25 @@
 #include "net/payload_pool.hpp"
 
-#include <mutex>
-
-#include "util/assert.hpp"
 #include "util/mem.hpp"
 
 namespace mk::net {
 
 namespace {
 
-struct Slot {
-  PayloadBuffer buf;
-  std::uint64_t canary = 0;
-  Slot* next = nullptr;
-};
+void clear_bytes(PayloadBuffer& buf) { buf.clear(); }
 
-struct Pool {
-  std::mutex mu;
-  Slot* free_head = nullptr;
-  mem::PoolStats stats;
-
-  Pool() { mem::register_pool("net.payload", &stats); }
-};
-
-Pool& pool() {
-  static Pool p;
-  return p;
+/// Poisons the bytes in place (capacity survives; size is dropped on the
+/// next acquire). A stale reader sees 0xA5 filler, not the last packet.
+void poison_bytes(PayloadBuffer& buf) {
+  for (auto& b : buf) b = mem::kPoisonByte;
 }
-
-void release(Slot* s) noexcept {
-  Pool& p = pool();
-  // Poison the bytes in place (capacity survives; size is dropped on the
-  // next acquire). A stale reader sees 0xA5 filler, not the last packet.
-  for (auto& b : s->buf) b = mem::kPoisonByte;
-  s->canary = mem::kPoisonCanary;
-  {
-    std::lock_guard lock(p.mu);
-    s->next = p.free_head;
-    p.free_head = s;
-  }
-  p.stats.outstanding.fetch_sub(1, std::memory_order_relaxed);
-}
-
-struct SlotDeleter {
-  Slot* slot;
-  void operator()(PayloadBuffer*) const noexcept { release(slot); }
-};
 
 }  // namespace
 
 std::shared_ptr<PayloadBuffer> acquire_payload() {
-  if (mem::backend() == MemBackend::kHeap) {
-    return std::make_shared<PayloadBuffer>();
-  }
-  Pool& p = pool();
-  Slot* s;
-  {
-    std::lock_guard lock(p.mu);
-    s = p.free_head;
-    if (s != nullptr) p.free_head = s->next;
-  }
-  if (s != nullptr) {
-    MK_ASSERT(s->canary == mem::kPoisonCanary, "payload pool slot corrupted");
-    s->canary = 0;
-    s->next = nullptr;
-    s->buf.clear();
-    p.stats.hits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    s = new Slot();
-    p.stats.misses.fetch_add(1, std::memory_order_relaxed);
-  }
-  p.stats.outstanding.fetch_add(1, std::memory_order_relaxed);
-  return std::shared_ptr<PayloadBuffer>(&s->buf, SlotDeleter{s},
-                                        mem::BlockAllocator<PayloadBuffer>{});
-}
-
-std::int64_t payload_pool_outstanding() {
-  return pool().stats.outstanding.load(std::memory_order_relaxed);
-}
-
-void payload_pool_trim() {
-  Pool& p = pool();
-  Slot* head;
-  {
-    std::lock_guard lock(p.mu);
-    head = p.free_head;
-    p.free_head = nullptr;
-  }
-  while (head != nullptr) {
-    Slot* next = head->next;
-    delete head;
-    head = next;
-  }
+  static mem::Pool<PayloadBuffer> pool("net.payload", clear_bytes,
+                                       poison_bytes);
+  return pool.acquire();
 }
 
 }  // namespace mk::net

@@ -22,10 +22,4 @@ namespace mk::net {
 /// copy drops it.
 std::shared_ptr<PayloadBuffer> acquire_payload();
 
-/// Live handles not yet returned to the pool (kPool acquires only).
-std::int64_t payload_pool_outstanding();
-
-/// Frees every slot currently in the free list (test hygiene).
-void payload_pool_trim();
-
 }  // namespace mk::net

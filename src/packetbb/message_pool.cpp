@@ -1,32 +1,10 @@
 #include "packetbb/message_pool.hpp"
 
-#include <mutex>
-
-#include "util/assert.hpp"
 #include "util/mem.hpp"
 
 namespace mk::pbb {
 
 namespace {
-
-struct Slot {
-  Message msg;
-  std::uint64_t canary = 0;
-  Slot* next = nullptr;
-};
-
-struct Pool {
-  std::mutex mu;
-  Slot* free_head = nullptr;
-  mem::PoolStats stats;
-
-  Pool() { mem::register_pool("pbb.message", &stats); }
-};
-
-Pool& pool() {
-  static Pool p;
-  return p;
-}
 
 /// Resets the scalar shell to default-constructed values. The tlvs and
 /// addr_blocks vectors are left stale-warm on purpose.
@@ -39,76 +17,22 @@ void reset_shell(Message& m) {
   m.seqnum.reset();
 }
 
-void release(Slot* s) noexcept {
-  Pool& p = pool();
-  // Poison the shell so a stale handle reads 0xA5 garbage, not recycled
-  // protocol state; the canary trips the assert in acquire_message if the
-  // free list itself is corrupted.
-  s->msg.type = mem::kPoisonByte;
-  s->msg.originator.reset();
-  s->msg.has_hops = false;
-  s->msg.hop_limit = mem::kPoisonByte;
-  s->msg.hop_count = mem::kPoisonByte;
-  s->msg.seqnum.reset();
-  s->canary = mem::kPoisonCanary;
-  {
-    std::lock_guard lock(p.mu);
-    s->next = p.free_head;
-    p.free_head = s;
-  }
-  p.stats.outstanding.fetch_sub(1, std::memory_order_relaxed);
+/// Poisons the shell so a stale handle reads 0xA5 garbage, not recycled
+/// protocol state.
+void poison_shell(Message& m) {
+  m.type = mem::kPoisonByte;
+  m.originator.reset();
+  m.has_hops = false;
+  m.hop_limit = mem::kPoisonByte;
+  m.hop_count = mem::kPoisonByte;
+  m.seqnum.reset();
 }
-
-struct SlotDeleter {
-  Slot* slot;
-  void operator()(Message*) const noexcept { release(slot); }
-};
 
 }  // namespace
 
 std::shared_ptr<Message> acquire_message() {
-  if (mem::backend() == MemBackend::kHeap) {
-    return std::make_shared<Message>();
-  }
-  Pool& p = pool();
-  Slot* s;
-  {
-    std::lock_guard lock(p.mu);
-    s = p.free_head;
-    if (s != nullptr) p.free_head = s->next;
-  }
-  if (s != nullptr) {
-    MK_ASSERT(s->canary == mem::kPoisonCanary, "message pool slot corrupted");
-    s->canary = 0;
-    s->next = nullptr;
-    reset_shell(s->msg);
-    p.stats.hits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    s = new Slot();
-    p.stats.misses.fetch_add(1, std::memory_order_relaxed);
-  }
-  p.stats.outstanding.fetch_add(1, std::memory_order_relaxed);
-  return std::shared_ptr<Message>(&s->msg, SlotDeleter{s},
-                                  mem::BlockAllocator<Message>{});
-}
-
-std::int64_t message_pool_outstanding() {
-  return pool().stats.outstanding.load(std::memory_order_relaxed);
-}
-
-void message_pool_trim() {
-  Pool& p = pool();
-  Slot* head;
-  {
-    std::lock_guard lock(p.mu);
-    head = p.free_head;
-    p.free_head = nullptr;
-  }
-  while (head != nullptr) {
-    Slot* next = head->next;
-    delete head;
-    head = next;
-  }
+  static mem::Pool<Message> pool("pbb.message", reset_shell, poison_shell);
+  return pool.acquire();
 }
 
 }  // namespace mk::pbb

@@ -2,7 +2,7 @@
 //
 // Every shared message in the event hot path (Event::set_msg, the COW clone
 // in Event::mutable_msg, the System CF's RX demux) funnels through
-// acquire_message(), which recycles Message slots through a free list under
+// acquire_message(), which recycles Message slots through a mem::Pool under
 // mem::MemBackend::kPool and degenerates to plain make_shared under kHeap
 // (the conformance oracle).
 //
@@ -27,12 +27,5 @@ namespace mk::pbb {
 /// A recycled (or, under MemBackend::kHeap, freshly heap-allocated) Message.
 /// Contents are unspecified — see the stale-warm contract above.
 std::shared_ptr<Message> acquire_message();
-
-/// Live handles not yet returned to the pool (kPool acquires only).
-std::int64_t message_pool_outstanding();
-
-/// Frees every slot currently sitting in the free list (test hygiene; live
-/// handles are unaffected and still return to the pool on release).
-void message_pool_trim();
 
 }  // namespace mk::pbb

@@ -151,7 +151,7 @@ class AodvHandler final : public core::EventHandler {
     if (st.update_route(dest, seq, seq_valid, next_hop, hops, ctx.now(),
                         params_.active_route_timeout)) {
       install_route(ctx, dest, next_hop, hops);
-      st.finish_pending(dest);
+      st.pending().finish(dest);
       if (auto* s = soft(ctx)) s->drop(aodv_sets::kPending, dest);
       emit_route_found(ctx, dest);
     }
@@ -297,8 +297,8 @@ class AodvNoRouteHandler final : public core::EventHandler {
       emit_route_found(ctx, dest);
       return;
     }
-    if (st.has_pending(dest)) return;
-    st.start_pending(dest, ctx.now(), params_.rreq_wait);
+    if (st.pending().has(dest)) return;
+    st.pending().start(dest, params_.rreq_wait);
     if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
     if (soft_ != nullptr) {
       soft_->touch_at(aodv_sets::kPending, dest, ctx.now() + params_.rreq_wait);
@@ -477,7 +477,7 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
         AodvState& st = aodv_state_of(ctx);
         auto dest = static_cast<net::Addr>(key);
         bool invalidated = false;
-        auto next = st.expire_one(dest, ctx.now(), invalidated);
+        auto next = st.lapse_route(dest, ctx.now(), invalidated);
         if (invalidated) remove_route(ctx, dest);
         if (next) {
           if (auto* s = core::soft_expiry_of(ctx)) {
@@ -497,8 +497,8 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
       [params](std::uint64_t key, core::ProtocolContext& ctx) {
         AodvState& st = aodv_state_of(ctx);
         auto dest = static_cast<net::Addr>(key);
-        bool had = st.has_pending(dest);
-        if (auto next = st.retry_pending(dest, ctx.now())) {
+        bool had = st.pending().has(dest);
+        if (auto next = st.pending().retry(dest, ctx.now())) {
           send_rreq_for(ctx, dest, params);
           if (auto* s = core::soft_expiry_of(ctx)) {
             s->touch_at(aodv_sets::kPending, dest, *next);
@@ -511,7 +511,7 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
       [raw]() {
         std::vector<std::uint64_t> keys;
         if (AodvState* st = aodv_state(*raw)) {
-          for (net::Addr dest : st->pending_dests()) keys.push_back(dest);
+          for (net::Addr dest : st->pending().dests()) keys.push_back(dest);
         }
         return keys;
       });
@@ -571,8 +571,8 @@ void aodv_discover(core::ManetProtocolCf& cf, net::Addr target,
   auto lock = cf.quiesce();
   auto& ctx = cf.context();
   AodvState& st = aodv_state_of(ctx);
-  if (st.has_pending(target)) return;
-  st.start_pending(target, ctx.now(), params.rreq_wait);
+  if (st.pending().has(target)) return;
+  st.pending().start(target, params.rreq_wait);
   if (auto* soft = core::soft_expiry_of(ctx)) {
     soft->touch_at(aodv_sets::kPending, target, ctx.now() + params.rreq_wait);
   }

@@ -82,30 +82,9 @@ void AodvState::extend_lifetime(net::Addr dest, TimePoint now,
   }
 }
 
-std::vector<net::Addr> AodvState::expire(TimePoint now) {
-  std::vector<net::Addr> out;
-  for (auto it = routes_.begin(); it != routes_.end();) {
-    AodvRoute& r = it->second;
-    if (r.expires >= now) {
-      ++it;
-      continue;
-    }
-    if (r.valid) {
-      // Phase 1: stop using it, keep the seqnum memory for DELETE_PERIOD.
-      r.valid = false;
-      ++r.dest_seq;
-      r.expires = now + kAodvDeletePeriod;
-      out.push_back(it->first);
-      ++it;
-    } else {
-      it = routes_.erase(it);
-    }
-  }
-  return out;
-}
-
-std::optional<TimePoint> AodvState::expire_one(net::Addr dest, TimePoint now,
-                                               bool& invalidated) {
+std::optional<TimePoint> AodvState::lapse_route(net::Addr dest,
+                                                TimePoint now,
+                                                bool& invalidated) {
   invalidated = false;
   auto it = routes_.find(dest);
   if (it == routes_.end()) return std::nullopt;
@@ -137,67 +116,6 @@ bool AodvState::check_rreq_seen(net::Addr origin, std::uint32_t rreq_id,
     return true;
   }
   return false;
-}
-
-void AodvState::expire_rreq_cache(TimePoint now, Duration hold) {
-  for (auto it = rreq_seen_.begin(); it != rreq_seen_.end();) {
-    it = (now - it->second > hold) ? rreq_seen_.erase(it) : std::next(it);
-  }
-}
-
-bool AodvState::has_pending(net::Addr dest) const {
-  return pending_.find(dest) != pending_.end();
-}
-
-void AodvState::start_pending(net::Addr dest, TimePoint now, Duration wait) {
-  pending_[dest] = Pending{1, now + wait, wait};
-}
-
-std::vector<net::Addr> AodvState::due_retries(TimePoint now,
-                                              std::vector<net::Addr>& gave_up) {
-  std::vector<net::Addr> retry;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    Pending& p = it->second;
-    if (p.next_retry > now) {
-      ++it;
-      continue;
-    }
-    if (p.tries >= kMaxTries) {
-      gave_up.push_back(it->first);
-      it = pending_.erase(it);
-      continue;
-    }
-    ++p.tries;
-    p.backoff = p.backoff * 2;
-    p.next_retry = now + p.backoff;
-    retry.push_back(it->first);
-    ++it;
-  }
-  return retry;
-}
-
-std::optional<TimePoint> AodvState::retry_pending(net::Addr dest,
-                                                  TimePoint now) {
-  auto it = pending_.find(dest);
-  if (it == pending_.end()) return std::nullopt;
-  Pending& p = it->second;
-  if (p.tries >= kMaxTries) {
-    pending_.erase(it);
-    return std::nullopt;
-  }
-  ++p.tries;
-  p.backoff = p.backoff * 2;
-  p.next_retry = now + p.backoff;
-  return p.next_retry;
-}
-
-void AodvState::finish_pending(net::Addr dest) { pending_.erase(dest); }
-
-std::vector<net::Addr> AodvState::pending_dests() const {
-  std::vector<net::Addr> out;
-  out.reserve(pending_.size());
-  for (const auto& [dest, _] : pending_) out.push_back(dest);
-  return out;
 }
 
 bool AodvState::drop_rreq_seen(net::Addr origin, std::uint32_t rreq_id_low24) {

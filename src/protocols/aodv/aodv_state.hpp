@@ -15,6 +15,7 @@
 #include "core/state_codec.hpp"
 #include "net/address.hpp"
 #include "opencom/component.hpp"
+#include "protocols/pending_discoveries.hpp"
 #include "util/time.hpp"
 
 namespace mk::proto {
@@ -60,19 +61,14 @@ class AodvState : public oc::Component,
   std::optional<std::uint16_t> invalidate(net::Addr dest);
   void extend_lifetime(net::Addr dest, TimePoint now, Duration lifetime);
 
-  /// Two-phase expiry (RFC 3561): lapsed *valid* routes become invalid (and
-  /// are returned for kernel-route removal, with their seqnum memory kept);
-  /// entries invalid for longer than kAodvDeletePeriod are finally deleted.
-  std::vector<net::Addr> expire(TimePoint now);
-
-  /// Single-entry two-phase expiry (soft-state layer). Phase 1 — a *valid*
+  /// Two-phase expiry (RFC 3561, soft-state layer). Phase 1 — a *valid*
   /// entry lapsed: mark invalid, bump dest_seq, keep the seqnum memory for
   /// kAodvDeletePeriod and return the retention deadline with `invalidated`
   /// set (caller removes the kernel route). Phase 2 — an *invalid* entry
   /// lapsed: delete it outright, returns nullopt. If the deadline moved into
   /// the future meanwhile, returns it untouched so the caller can re-arm.
-  std::optional<TimePoint> expire_one(net::Addr dest, TimePoint now,
-                                      bool& invalidated);
+  std::optional<TimePoint> lapse_route(net::Addr dest, TimePoint now,
+                                       bool& invalidated);
 
   std::optional<AodvRoute> route_to(net::Addr dest) const override;
   std::size_t route_count() const override { return routes_.size(); }
@@ -84,7 +80,6 @@ class AodvState : public oc::Component,
 
   /// RREQ duplicate cache keyed by (originator, rreq id).
   bool check_rreq_seen(net::Addr origin, std::uint32_t rreq_id, TimePoint now);
-  void expire_rreq_cache(TimePoint now, Duration hold);
   /// Removes one cache tuple by originator and the rreq id's *low 24 bits*
   /// (the soft-state key only carries those; ids are monotonic per node, so
   /// the truncation cannot collide within rreq_id_hold). Returns true if a
@@ -95,17 +90,7 @@ class AodvState : public oc::Component,
 
   // -- pending discoveries (same discipline as DYMO) ---------------------------
   static constexpr std::uint8_t kMaxTries = 2;  // RREQ_RETRIES in RFC 3561
-  bool has_pending(net::Addr dest) const;
-  void start_pending(net::Addr dest, TimePoint now, Duration wait);
-  std::vector<net::Addr> due_retries(TimePoint now,
-                                     std::vector<net::Addr>& gave_up);
-  /// Advances one pending discovery whose retry deadline lapsed: bumps the
-  /// try-counter, doubles the backoff and returns the new retry deadline.
-  /// Returns nullopt if the discovery is absent or just gave up (dropped).
-  std::optional<TimePoint> retry_pending(net::Addr dest, TimePoint now);
-  void finish_pending(net::Addr dest);
-  /// Destinations with discoveries in flight (expiry re-seeding).
-  std::vector<net::Addr> pending_dests() const;
+  PendingDiscoveries& pending() { return pending_; }
 
   std::string describe() const override;
 
@@ -118,16 +103,11 @@ class AodvState : public oc::Component,
   void reset_state() override;
 
  private:
-  struct Pending {
-    std::uint8_t tries = 1;
-    TimePoint next_retry{};
-    Duration backoff{};
-  };
   std::map<net::Addr, AodvRoute> routes_;
   std::uint16_t own_seq_ = 1;
   std::uint32_t rreq_id_ = 0;
   std::map<std::pair<net::Addr, std::uint32_t>, TimePoint> rreq_seen_;
-  std::map<net::Addr, Pending> pending_;
+  PendingDiscoveries pending_{kMaxTries};
 };
 
 }  // namespace mk::proto

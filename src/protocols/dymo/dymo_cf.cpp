@@ -165,7 +165,7 @@ void ReHandler::learn(const ev::Event& event, core::ProtocolContext& ctx) {
     if (st.update_route(dest, seq, event.from, hops, now,
                         params_.route_lifetime)) {
       dymo_install_kernel_route(ctx, dest, event.from, hops);
-      st.finish_pending(dest);
+      st.pending().finish(dest);
       if (auto* s = soft(ctx)) s->drop(dymo_sets::kPending, dest);
       dymo_emit_route_found(ctx, dest);
     }
@@ -227,7 +227,7 @@ bool ReHandler::should_relay_rreq(const ev::Event&, core::ProtocolContext&) {
 void ReHandler::on_rrep_at_origin(const ev::Event& event,
                                   core::ProtocolContext& ctx) {
   net::Addr dest = *event.msg()->originator;
-  dymo_state_of(ctx).finish_pending(dest);
+  dymo_state_of(ctx).pending().finish(dest);
   if (auto* s = soft(ctx)) s->drop(dymo_sets::kPending, dest);
 }
 
@@ -369,8 +369,8 @@ void NoRouteHandler::handle(const ev::Event& event,
     return;
   }
   if (try_local_knowledge(dest, ctx)) return;
-  if (st.has_pending(dest)) return;  // discovery already in flight
-  st.start_pending(dest, ctx.now(), params_.rreq_wait);
+  if (st.pending().has(dest)) return;  // discovery already in flight
+  st.pending().start(dest, params_.rreq_wait);
   if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
   if (soft_ != nullptr) {
     soft_->touch_at(dymo_sets::kPending, dest, ctx.now() + params_.rreq_wait);
@@ -479,8 +479,8 @@ std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
       [params](std::uint64_t key, core::ProtocolContext& ctx) {
         DymoState& st = dymo_state_of(ctx);
         auto dest = static_cast<net::Addr>(key);
-        bool had = st.has_pending(dest);
-        if (auto next = st.retry_pending(dest, ctx.now())) {
+        bool had = st.pending().has(dest);
+        if (auto next = st.pending().retry(dest, ctx.now())) {
           dymo_send_rreq(ctx, dest, params);
           if (auto* s = core::soft_expiry_of(ctx)) {
             s->touch_at(dymo_sets::kPending, dest, *next);
@@ -493,7 +493,7 @@ std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
       [raw]() {
         std::vector<std::uint64_t> keys;
         if (DymoState* st = dymo_state(*raw)) {
-          for (net::Addr dest : st->pending_dests()) keys.push_back(dest);
+          for (net::Addr dest : st->pending().dests()) keys.push_back(dest);
         }
         return keys;
       });
@@ -547,8 +547,8 @@ void dymo_discover(core::ManetProtocolCf& cf, net::Addr target,
   auto lock = cf.quiesce();
   auto& ctx = cf.context();
   DymoState& st = dymo_state_of(ctx);
-  if (st.has_pending(target)) return;
-  st.start_pending(target, ctx.now(), params.rreq_wait);
+  if (st.pending().has(target)) return;
+  st.pending().start(target, params.rreq_wait);
   if (auto* soft = core::soft_expiry_of(ctx)) {
     soft->touch_at(dymo_sets::kPending, target, ctx.now() + params.rreq_wait);
   }

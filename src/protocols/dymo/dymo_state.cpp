@@ -76,19 +76,6 @@ void DymoState::extend_lifetime(net::Addr dest, TimePoint now,
   }
 }
 
-std::vector<net::Addr> DymoState::expire(TimePoint now) {
-  std::vector<net::Addr> out;
-  for (auto it = routes_.begin(); it != routes_.end();) {
-    if (it->second.expires < now) {
-      out.push_back(it->first);
-      it = routes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return out;
-}
-
 std::optional<DymoRoute> DymoState::route_to(net::Addr dest) const {
   auto it = routes_.find(dest);
   if (it == routes_.end()) return std::nullopt;
@@ -100,61 +87,6 @@ DymoRoute* DymoState::mutable_route(net::Addr dest) {
   return it == routes_.end() ? nullptr : &it->second;
 }
 
-bool DymoState::has_pending(net::Addr dest) const {
-  return pending_.find(dest) != pending_.end();
-}
-
-void DymoState::start_pending(net::Addr dest, TimePoint now, Duration wait) {
-  pending_[dest] = Pending{1, now + wait, wait};
-}
-
-std::vector<net::Addr> DymoState::due_retries(TimePoint now,
-                                              std::vector<net::Addr>& gave_up) {
-  std::vector<net::Addr> retry;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    Pending& p = it->second;
-    if (p.next_retry > now) {
-      ++it;
-      continue;
-    }
-    if (p.tries >= kMaxTries) {
-      gave_up.push_back(it->first);
-      it = pending_.erase(it);
-      continue;
-    }
-    ++p.tries;
-    p.backoff = p.backoff * 2;  // binary exponential backoff
-    p.next_retry = now + p.backoff;
-    retry.push_back(it->first);
-    ++it;
-  }
-  return retry;
-}
-
-std::optional<TimePoint> DymoState::retry_pending(net::Addr dest,
-                                                  TimePoint now) {
-  auto it = pending_.find(dest);
-  if (it == pending_.end()) return std::nullopt;
-  Pending& p = it->second;
-  if (p.tries >= kMaxTries) {
-    pending_.erase(it);
-    return std::nullopt;
-  }
-  ++p.tries;
-  p.backoff = p.backoff * 2;  // binary exponential backoff
-  p.next_retry = now + p.backoff;
-  return p.next_retry;
-}
-
-void DymoState::finish_pending(net::Addr dest) { pending_.erase(dest); }
-
-std::vector<net::Addr> DymoState::pending_dests() const {
-  std::vector<net::Addr> out;
-  out.reserve(pending_.size());
-  for (const auto& [dest, _] : pending_) out.push_back(dest);
-  return out;
-}
-
 bool DymoState::check_duplicate(net::Addr origin, std::uint16_t seq,
                                 TimePoint now) {
   auto key = std::make_pair(origin, seq);
@@ -164,12 +96,6 @@ bool DymoState::check_duplicate(net::Addr origin, std::uint16_t seq,
     return true;
   }
   return false;
-}
-
-void DymoState::expire_duplicates(TimePoint now, Duration hold) {
-  for (auto it = duplicates_.begin(); it != duplicates_.end();) {
-    it = (now - it->second > hold) ? duplicates_.erase(it) : std::next(it);
-  }
 }
 
 bool DymoState::drop_duplicate(net::Addr origin, std::uint16_t seq) {

@@ -19,6 +19,7 @@
 #include "core/state_codec.hpp"
 #include "net/address.hpp"
 #include "opencom/component.hpp"
+#include "protocols/pending_discoveries.hpp"
 #include "util/time.hpp"
 
 namespace mk::proto {
@@ -68,9 +69,6 @@ class DymoState : public oc::Component,
 
   void extend_lifetime(net::Addr dest, TimePoint now, Duration lifetime);
 
-  /// Drops expired routes; returns their destinations (for kernel cleanup).
-  std::vector<net::Addr> expire(TimePoint now);
-
   /// Removes one route outright (soft-state expiry); returns true if it was
   /// present.
   bool drop_route(net::Addr dest) { return routes_.erase(dest) > 0; }
@@ -86,26 +84,10 @@ class DymoState : public oc::Component,
 
   // -- pending discoveries --------------------------------------------------------------
   static constexpr std::uint8_t kMaxTries = 3;
-
-  bool has_pending(net::Addr dest) const;
-  void start_pending(net::Addr dest, TimePoint now, Duration wait);
-  /// Destinations whose retry timer elapsed; bumps their try-counter and
-  /// doubles the backoff. Entries past kMaxTries are dropped and reported in
-  /// `gave_up`.
-  std::vector<net::Addr> due_retries(TimePoint now,
-                                     std::vector<net::Addr>& gave_up);
-  /// Advances one pending discovery whose retry deadline lapsed: bumps the
-  /// try-counter, doubles the backoff and returns the new retry deadline.
-  /// Returns nullopt if the discovery is absent or just gave up (dropped).
-  std::optional<TimePoint> retry_pending(net::Addr dest, TimePoint now);
-  void finish_pending(net::Addr dest);
-  /// Destinations with discoveries in flight (expiry re-seeding).
-  std::vector<net::Addr> pending_dests() const;
-  std::size_t pending_count() const { return pending_.size(); }
+  PendingDiscoveries& pending() { return pending_; }
 
   // -- RREQ duplicate set ------------------------------------------------------------------
   bool check_duplicate(net::Addr origin, std::uint16_t seq, TimePoint now);
-  void expire_duplicates(TimePoint now, Duration hold);
   /// Removes one tuple (soft-state expiry); returns true if it was present.
   bool drop_duplicate(net::Addr origin, std::uint16_t seq);
   /// All live tuples (expiry re-seeding).
@@ -125,13 +107,8 @@ class DymoState : public oc::Component,
   std::map<net::Addr, DymoRoute> routes_;
 
  private:
-  struct Pending {
-    std::uint8_t tries = 1;
-    TimePoint next_retry{};
-    Duration backoff{};
-  };
   std::uint16_t own_seq_ = 1;
-  std::map<net::Addr, Pending> pending_;
+  PendingDiscoveries pending_{kMaxTries};
   std::map<std::pair<net::Addr, std::uint16_t>, TimePoint> duplicates_;
 };
 

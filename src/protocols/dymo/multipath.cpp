@@ -56,7 +56,7 @@ class MultipathReHandler final : public ReHandler {
     st.add_alternate_path(
         dest, event.from,
         static_cast<std::uint8_t>(event.msg()->hop_count + 1));
-    st.finish_pending(dest);
+    st.pending().finish(dest);
     if (auto* s = core::soft_expiry_of(ctx)) {
       s->drop(dymo_sets::kPending, dest);
     }

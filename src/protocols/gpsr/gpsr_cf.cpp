@@ -73,7 +73,7 @@ class PositionBeacon final : public oc::Component {
           auto* st = dynamic_cast<GpsrState*>(proto->state_component());
           if (st == nullptr) return;
           auto& ctx = proto->context();
-          st->note_position(from, *pos, ctx.now());
+          st->note_position(from, *pos);
           if (auto* soft = core::soft_expiry_of(ctx)) {
             soft->touch(gpsr_sets::kPosition, from);
           }
@@ -238,17 +238,6 @@ GpsrState::GpsrState() : oc::Component("gpsr.GpsrState") {
   provide("IState", static_cast<core::IState*>(this));
 }
 
-void GpsrState::note_position(net::Addr a, net::Position p, TimePoint now) {
-  positions_[a] = Entry{p, now};
-}
-
-void GpsrState::expire(TimePoint now, Duration hold) {
-  for (auto it = positions_.begin(); it != positions_.end();) {
-    it = (now - it->second.heard > hold) ? positions_.erase(it)
-                                         : std::next(it);
-  }
-}
-
 std::vector<net::Addr> GpsrState::position_addrs() const {
   std::vector<net::Addr> out;
   out.reserve(positions_.size());
@@ -259,7 +248,7 @@ std::vector<net::Addr> GpsrState::position_addrs() const {
 std::optional<net::Position> GpsrState::position_of(net::Addr a) const {
   auto it = positions_.find(a);
   if (it == positions_.end()) return std::nullopt;
-  return it->second.pos;
+  return it->second;
 }
 
 std::string GpsrState::describe() const {

@@ -62,8 +62,7 @@ class GpsrState : public oc::Component, public core::IState, public IGpsrState {
  public:
   GpsrState();
 
-  void note_position(net::Addr a, net::Position p, TimePoint now);
-  void expire(TimePoint now, Duration hold);
+  void note_position(net::Addr a, net::Position p) { positions_[a] = p; }
   /// Forgets one neighbour position (soft-state expiry); true if present.
   bool drop_position(net::Addr a) { return positions_.erase(a) > 0; }
   /// Addresses with known positions (expiry re-seeding).
@@ -78,11 +77,7 @@ class GpsrState : public oc::Component, public core::IState, public IGpsrState {
   std::string describe() const override;
 
  private:
-  struct Entry {
-    net::Position pos;
-    TimePoint heard{};
-  };
-  std::map<net::Addr, Entry> positions_;
+  std::map<net::Addr, net::Position> positions_;
   std::map<net::Addr, TimePoint> active_;
 };
 

@@ -106,7 +106,7 @@ class FloodOutHandler final : public core::EventHandler {
       msg.hop_limit = 255;
       msg.hop_count = 0;
     }
-    mpr_state_of(ctx).check_duplicate(*msg.originator, *msg.seqnum, ctx.now());
+    mpr_state_of(ctx).check_duplicate(*msg.originator, *msg.seqnum);
     if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
     if (soft_ != nullptr) {
       soft_->touch(mpr_sets::kDuplicate,
@@ -146,7 +146,7 @@ class FloodRelayHandler final : public core::EventHandler {
     if (*msg.originator == ctx.self()) return;
 
     MprState& st = mpr_state_of(ctx);
-    bool dup = st.check_duplicate(*msg.originator, *msg.seqnum, ctx.now());
+    bool dup = st.check_duplicate(*msg.originator, *msg.seqnum);
     if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
     if (soft_ != nullptr) {
       // Every sighting refreshes the tuple's holding time (RFC 3626 §3.4).

@@ -61,7 +61,7 @@ void MprHelloHandler::handle(const ev::Event& event,
   if (from == ctx.self()) return;
 
   MprState& st = mpr_state_of(ctx);
-  st.note_heard(from, ctx.now());
+  st.note_heard(from);
   if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
   if (soft_ != nullptr) soft_->touch(mpr_sets::kLink, from);
   st.set_willingness_of(from, effective_willingness(msg, ctx));
@@ -97,7 +97,7 @@ void MprHelloHandler::handle(const ev::Event& event,
   if (msg.find_tlv(wire::kTlvMprAware) != nullptr) {
     bool was_selector = st.is_mpr_selector(from);
     if (our_code.has_value() && *our_code == wire::LinkCode::kMpr) {
-      st.note_selector(from, ctx.now());
+      st.note_selector(from);
       if (soft_ != nullptr) soft_->touch(mpr_sets::kSelector, from);
     } else {
       st.drop_selector(from);

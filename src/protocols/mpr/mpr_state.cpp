@@ -24,41 +24,14 @@ bool MprState::set_mprs(std::set<net::Addr> mprs) {
   return true;
 }
 
-void MprState::note_selector(net::Addr a, TimePoint now) { selectors_[a] = now; }
-
-void MprState::drop_selector(net::Addr a) { selectors_.erase(a); }
-
-void MprState::expire_selectors(TimePoint now, Duration hold) {
-  for (auto it = selectors_.begin(); it != selectors_.end();) {
-    it = (now - it->second > hold) ? selectors_.erase(it) : std::next(it);
-  }
-}
-
-std::set<net::Addr> MprState::mpr_selectors() const {
-  std::set<net::Addr> out;
-  for (const auto& [a, _] : selectors_) out.insert(a);
-  return out;
-}
-
 bool MprState::is_mpr_selector(net::Addr a) const {
-  return selectors_.find(a) != selectors_.end();
+  return selectors_.count(a) > 0;
 }
 
-bool MprState::check_duplicate(net::Addr origin, std::uint16_t seq,
-                               TimePoint now) {
-  auto key = std::make_pair(origin, seq);
-  auto [it, inserted] = duplicates_.emplace(key, now);
-  if (!inserted) {
-    it->second = now;
-    return true;
-  }
-  return false;
-}
-
-void MprState::expire_duplicates(TimePoint now, Duration hold) {
-  for (auto it = duplicates_.begin(); it != duplicates_.end();) {
-    it = (now - it->second > hold) ? duplicates_.erase(it) : std::next(it);
-  }
+bool MprState::check_duplicate(net::Addr origin, std::uint16_t seq) {
+  // insert, not emplace: set::emplace allocates a node before the lookup,
+  // and most flooded messages arrive as duplicates.
+  return !duplicates_.insert({origin, seq}).second;
 }
 
 bool MprState::drop_duplicate(net::Addr origin, std::uint16_t seq) {
@@ -67,10 +40,7 @@ bool MprState::drop_duplicate(net::Addr origin, std::uint16_t seq) {
 
 std::vector<std::pair<net::Addr, std::uint16_t>> MprState::duplicate_entries()
     const {
-  std::vector<std::pair<net::Addr, std::uint16_t>> out;
-  out.reserve(duplicates_.size());
-  for (const auto& [key, _] : duplicates_) out.push_back(key);
-  return out;
+  return {duplicates_.begin(), duplicates_.end()};
 }
 
 std::string MprState::describe() const {

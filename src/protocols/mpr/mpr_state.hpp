@@ -45,16 +45,14 @@ class MprState : public NeighborTable, public IMprState {
   bool is_mpr(net::Addr a) const { return mprs_.count(a) > 0; }
 
   // -- MPR selector set -------------------------------------------------------------
-  void note_selector(net::Addr a, TimePoint now);
-  void drop_selector(net::Addr a);
-  void expire_selectors(TimePoint now, Duration hold);
-  std::set<net::Addr> mpr_selectors() const override;
+  void note_selector(net::Addr a) { selectors_.insert(a); }
+  void drop_selector(net::Addr a) { selectors_.erase(a); }
+  std::set<net::Addr> mpr_selectors() const override { return selectors_; }
   bool is_mpr_selector(net::Addr a) const override;
 
   // -- duplicate set (flooding) --------------------------------------------------------
   /// Returns true if (origin, seq) was already seen; notes it otherwise.
-  bool check_duplicate(net::Addr origin, std::uint16_t seq, TimePoint now);
-  void expire_duplicates(TimePoint now, Duration hold);
+  bool check_duplicate(net::Addr origin, std::uint16_t seq);
   /// Removes one tuple (soft-state expiry); returns true if it was present.
   bool drop_duplicate(net::Addr origin, std::uint16_t seq);
   /// All live tuples (expiry re-seeding after restart).
@@ -67,8 +65,8 @@ class MprState : public NeighborTable, public IMprState {
   std::map<net::Addr, std::uint8_t> willingness_;
   std::uint8_t own_willingness_ = wire::kWillDefault;
   std::set<net::Addr> mprs_;
-  std::map<net::Addr, TimePoint> selectors_;
-  std::map<std::pair<net::Addr, std::uint16_t>, TimePoint> duplicates_;
+  std::set<net::Addr> selectors_;
+  std::set<std::pair<net::Addr, std::uint16_t>> duplicates_;
 };
 
 /// Optional link-hysteresis plug-in (RFC 3626 §14): a link must prove itself

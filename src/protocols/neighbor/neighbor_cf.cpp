@@ -89,7 +89,7 @@ class HelloHandler final : public core::EventHandler {
 
     if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
     NeighborTable* nt = table_of(ctx);
-    nt->note_heard(from, ctx.now());
+    nt->note_heard(from);
     if (soft_ != nullptr) soft_->touch(link_set_, from);
 
     // Symmetry: the sender lists every neighbour it hears; if we are listed
@@ -145,7 +145,7 @@ class LinkLayerFeedback final : public oc::Component {
           auto* soft = core::soft_expiry_of(ctx);
           bool changed;
           if (up) {
-            nt->note_heard(other, ctx.now());
+            nt->note_heard(other);
             if (soft != nullptr) soft->touch(0, other);
             changed = nt->set_symmetric(other, true);
           } else {

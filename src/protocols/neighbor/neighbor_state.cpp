@@ -24,9 +24,7 @@ NeighborTable::NeighborTable() : oc::Component("neighbor.NeighborTable") {
   provide("IState", static_cast<core::IState*>(this));
 }
 
-void NeighborTable::note_heard(net::Addr a, TimePoint now) {
-  entries_[a].last_heard = now;
-}
+void NeighborTable::note_heard(net::Addr a) { entries_.try_emplace(a); }
 
 bool NeighborTable::set_symmetric(net::Addr a, bool sym) {
   auto& e = entries_[a];
@@ -62,22 +60,6 @@ void NeighborTable::set_two_hop(net::Addr a,
   }
   while (it != cur.end()) it = cur.erase(it);
   for (; sit != sorted.end(); ++sit) cur.insert(cur.end(), *sit);
-}
-
-std::vector<net::Addr> NeighborTable::expire(TimePoint now, Duration hold) {
-  std::vector<net::Addr> lost;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (now - it->second.last_heard > hold) {
-      if (it->second.symmetric) {
-        lost.push_back(it->first);
-        sorted_erase(sym_cache_, it->first);
-      }
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return lost;
 }
 
 bool NeighborTable::remove(net::Addr a) {

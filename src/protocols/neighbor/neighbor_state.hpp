@@ -40,7 +40,7 @@ class NeighborTable : public oc::Component, public INeighborState {
   NeighborTable();
 
   // -- updates (from the HELLO handler) -----------------------------------------
-  void note_heard(net::Addr a, TimePoint now);
+  void note_heard(net::Addr a);
   /// Returns true if the symmetric status changed.
   bool set_symmetric(net::Addr a, bool sym);
   void set_two_hop(net::Addr a, std::set<net::Addr> nbrs);
@@ -48,10 +48,6 @@ class NeighborTable : public oc::Component, public INeighborState {
   /// stored set is diffed against it, so an unchanged advertisement (the
   /// steady state between topology changes) allocates nothing.
   void set_two_hop(net::Addr a, std::span<const net::Addr> sorted);
-
-  /// Removes entries not heard within `hold`; returns the lost symmetric
-  /// neighbours (for NHOOD_CHANGE down-notifications).
-  std::vector<net::Addr> expire(TimePoint now, Duration hold);
 
   /// Forced removal (LOST link code); returns true if it was symmetric.
   bool remove(net::Addr a);
@@ -88,7 +84,6 @@ class NeighborTable : public oc::Component, public INeighborState {
 
  private:
   struct Entry {
-    TimePoint last_heard{};
     bool symmetric = false;
     std::set<net::Addr> two_hop;
   };

@@ -35,19 +35,6 @@ bool OlsrState::update_topology(net::Addr origin, std::uint16_t ansn,
   return true;
 }
 
-bool OlsrState::expire_topology(TimePoint now) {
-  bool changed = false;
-  for (auto it = topology_.begin(); it != topology_.end();) {
-    if (it->second.expires < now) {
-      it = topology_.erase(it);
-      changed = true;
-    } else {
-      ++it;
-    }
-  }
-  return changed;
-}
-
 std::vector<net::Addr> OlsrState::topology_origins() const {
   std::vector<net::Addr> out;
   out.reserve(topology_.size());

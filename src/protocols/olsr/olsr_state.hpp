@@ -38,9 +38,6 @@ class OlsrState : public oc::Component,
                        const std::set<net::Addr>& advertised, TimePoint now,
                        Duration hold);
 
-  /// Removes expired entries; returns true if anything was removed.
-  bool expire_topology(TimePoint now);
-
   /// Removes one origin's advertisements (soft-state expiry); returns true
   /// if the origin was present.
   bool drop_topology(net::Addr origin) { return topology_.erase(origin) > 0; }

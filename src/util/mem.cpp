@@ -25,8 +25,8 @@ Registry& registry() {
 // store the next pointer in their first word and poison in the rest.
 //
 // The block pool recycles unconditionally — the MemBackend switch lives at
-// the object-pool layer (MessagePool / EventArena / payload pool), whose
-// kHeap paths use plain make_shared and never reach this allocator. Keeping
+// the object-pool layer (Pool<T>), whose kHeap path uses plain make_shared
+// and never reaches this allocator. Keeping
 // one discipline here avoids mixed-provenance frees when the backend flips.
 constexpr std::size_t kNumClasses = kBlockMaxBytes / kBlockClassBytes;
 

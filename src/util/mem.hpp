@@ -1,7 +1,6 @@
 // Memory-discipline primitives for the allocation-free steady state.
 //
-// Three pieces, shared by every pool in the tree (pbb::MessagePool,
-// core::EventArena, net payload pool, executor batch pools):
+// Four pieces:
 //
 //  * MemBackend — a process-wide switch between pooled allocation (kPool,
 //    the default) and plain heap allocation (kHeap). kHeap is the
@@ -10,12 +9,16 @@
 //    journal digests (third instance of the wheel/heap and grid/reference
 //    oracle pattern).
 //
-//  * Poison constants — freed pool objects have their scalar shell filled
-//    with 0xA5 and a canary word stamped, so use-after-free through a stale
-//    handle trips asserts (and the poison/fuzz test) instead of silently
-//    reading recycled state. Nested vectors are deliberately kept "stale
-//    warm": their buffers stay allocated so the next acquire reuses the
-//    capacity. Acquirers must therefore fully overwrite every field.
+//  * Poison constants — freed pool objects are poisoned with 0xA5 and a
+//    canary word is stamped, so use-after-free through a stale handle trips
+//    asserts (and the poison/fuzz test) instead of silently reading recycled
+//    state. Nested vectors are deliberately kept "stale warm": their buffers
+//    stay allocated so the next acquire reuses the capacity. Acquirers must
+//    therefore fully overwrite every field.
+//
+//  * Pool<T> — the one slot free list in the tree, behind plain shared_ptr
+//    handles. Its users (pbb::acquire_message, net::acquire_payload) supply
+//    only the reset and poison steps for their type.
 //
 //  * BlockPool / BlockAllocator — size-class free lists for small control
 //    structures (shared_ptr control blocks chiefly), so a pooled handle's
@@ -24,16 +27,17 @@
 //
 // Pools register a PoolStats record under a stable name; pool_snapshots()
 // feeds the mem.pool.* gauges (see obs) so leaked handles are observable.
-//
-// NOTE: nothing in this header (or any pool built on it) may reference
-// mk::memtrack — the bench defines its own counting operator new and must
-// not pull memtrack's interposer out of the mk_util archive.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <vector>
+
+#include "util/assert.hpp"
 
 namespace mk::mem {
 
@@ -120,6 +124,84 @@ struct BlockAllocator {
   friend bool operator==(const BlockAllocator&, const BlockAllocator&) {
     return true;
   }
+};
+
+// -- object pool -----------------------------------------------------------------
+
+/// A recycling pool of T slots. Released slots go onto a free list, poisoned
+/// and canary-stamped; acquire pops one (asserting the canary), runs the
+/// user's reset step and hands it out again. Handles are plain shared_ptr:
+/// the deleter returns the slot and the control block comes from
+/// BlockAllocator, so a warm acquire/release cycle allocates nothing. Under
+/// MemBackend::kHeap acquire is plain make_shared. Pools live for the whole
+/// process (function-local statics), since handles may outlive any scope.
+template <class T>
+class Pool {
+ public:
+  using Step = void (*)(T&);
+
+  /// `reset` runs on a recycled slot before it is handed out again (fresh
+  /// slots are value-initialised); `poison` runs on release. `name` must
+  /// have static storage duration.
+  Pool(const char* name, Step reset, Step poison)
+      : name_(name), reset_(reset), poison_(poison) {
+    register_pool(name, &stats_);
+  }
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
+  std::shared_ptr<T> acquire() {
+    if (backend() == MemBackend::kHeap) return std::make_shared<T>();
+    Slot* s;
+    {
+      std::lock_guard lock(mu_);
+      s = free_head_;
+      if (s != nullptr) free_head_ = s->next;
+    }
+    if (s != nullptr) {
+      MK_ASSERT(s->canary == kPoisonCanary,
+                std::string(name_) + " pool slot corrupted");
+      s->canary = 0;
+      s->next = nullptr;
+      reset_(s->value);
+      stats_.hits.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      s = new Slot();
+      stats_.misses.fetch_add(1, std::memory_order_relaxed);
+    }
+    stats_.outstanding.fetch_add(1, std::memory_order_relaxed);
+    return std::shared_ptr<T>(&s->value, Deleter{this, s}, BlockAllocator<T>{});
+  }
+
+ private:
+  struct Slot {
+    T value{};
+    std::uint64_t canary = 0;
+    Slot* next = nullptr;
+  };
+  struct Deleter {
+    Pool* pool;
+    Slot* slot;
+    void operator()(T*) const noexcept { pool->release(slot); }
+  };
+
+  void release(Slot* s) noexcept {
+    poison_(s->value);
+    s->canary = kPoisonCanary;
+    {
+      std::lock_guard lock(mu_);
+      s->next = free_head_;
+      free_head_ = s;
+    }
+    stats_.outstanding.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  const char* name_;
+  Step reset_;
+  Step poison_;
+  std::mutex mu_;
+  Slot* free_head_ = nullptr;
+  PoolStats stats_;
 };
 
 }  // namespace mk::mem

@@ -85,70 +85,4 @@ std::size_t SimScheduler::run_all(std::size_t max_events) {
   return n;
 }
 
-// ----------------------------------------------------------- RealTimeScheduler
-
-RealTimeScheduler::RealTimeScheduler()
-    : epoch_(std::chrono::steady_clock::now()), thread_([this] { run(); }) {}
-
-RealTimeScheduler::~RealTimeScheduler() {
-  {
-    std::scoped_lock lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-}
-
-TimePoint RealTimeScheduler::now() const {
-  auto d = std::chrono::steady_clock::now() - epoch_;
-  return TimePoint{
-      std::chrono::duration_cast<std::chrono::microseconds>(d).count()};
-}
-
-TimerId RealTimeScheduler::schedule_at(TimePoint t, std::function<void()> fn) {
-  MK_ASSERT(fn != nullptr);
-  TimerId id;
-  {
-    std::scoped_lock lock(mutex_);
-    Key key{t.us, next_seq_++};
-    id = key.seq;
-    queue_.emplace(key, std::move(fn));
-    by_id_.emplace(id, key);
-  }
-  cv_.notify_all();
-  return id;
-}
-
-bool RealTimeScheduler::cancel(TimerId id) {
-  std::scoped_lock lock(mutex_);
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) return false;
-  queue_.erase(it->second);
-  by_id_.erase(it);
-  return true;
-}
-
-void RealTimeScheduler::run() {
-  std::unique_lock lock(mutex_);
-  while (!stop_) {
-    if (queue_.empty()) {
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      continue;
-    }
-    auto deadline = epoch_ + std::chrono::microseconds(queue_.begin()->first.us);
-    if (std::chrono::steady_clock::now() < deadline) {
-      cv_.wait_until(lock, deadline);
-      continue;
-    }
-    auto it = queue_.begin();
-    Key key = it->first;
-    auto fn = std::move(it->second);
-    queue_.erase(it);
-    by_id_.erase(key.seq);
-    lock.unlock();
-    fn();
-    lock.lock();
-  }
-}
-
 }  // namespace mk

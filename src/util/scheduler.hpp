@@ -1,20 +1,13 @@
 // Scheduler abstraction: the only clock/timer facility protocol code may use.
-//
-// Two implementations:
-//  * SimScheduler       — deterministic discrete-event queue (canonical for
-//                         tests, examples and simulation benches).
-//  * RealTimeScheduler  — background thread against steady_clock, for live
-//                         deployments and the threaded-concurrency benches.
+// SimScheduler, the deterministic discrete-event queue, is its one
+// implementation (tests, examples and every bench run in simulated time).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
-#include <thread>
 
 #include "util/time.hpp"
 #include "util/timer_wheel.hpp"
@@ -111,38 +104,6 @@ class SimScheduler final : public Scheduler {
   std::map<TimerId, Key> by_id_;
   FireHook fire_hook_;
   FaultTrap fault_trap_;
-};
-
-/// Wall-clock scheduler: one background thread fires callbacks at deadlines.
-class RealTimeScheduler final : public Scheduler {
- public:
-  RealTimeScheduler();
-  ~RealTimeScheduler() override;
-
-  RealTimeScheduler(const RealTimeScheduler&) = delete;
-  RealTimeScheduler& operator=(const RealTimeScheduler&) = delete;
-
-  TimePoint now() const override;
-  TimerId schedule_at(TimePoint t, std::function<void()> fn) override;
-  bool cancel(TimerId id) override;
-
- private:
-  struct Key {
-    std::int64_t us;
-    std::uint64_t seq;
-    friend auto operator<=>(const Key&, const Key&) = default;
-  };
-
-  void run();
-
-  std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::uint64_t next_seq_ = 1;
-  std::map<Key, std::function<void()>> queue_;
-  std::map<TimerId, Key> by_id_;
-  std::thread thread_;
 };
 
 }  // namespace mk

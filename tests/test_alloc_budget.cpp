@@ -13,10 +13,11 @@
 //                         instance of the wheel/heap and grid/reference
 //                         oracle pattern). Runs everywhere, sanitizers
 //                         included.
-//  * PoolPoison.*       — randomized acquire/release churn against the
-//                         message pool and event arena: live handles must
-//                         never observe recycled (0xA5-poisoned) state, and
-//                         outstanding counts must return to zero.
+//  * PoolPoison.*       — randomized acquire/release churn against both
+//                         mem::Pool users (messages and frame payloads):
+//                         live handles must never observe recycled
+//                         (0xA5-poisoned) state, and outstanding counts must
+//                         return to their baseline.
 //  * MemPoolObservability.* — mem.pool.* gauges expose hit/miss/outstanding.
 #include <gtest/gtest.h>
 
@@ -24,11 +25,12 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <string_view>
 #include <vector>
 
-#include "core/event_arena.hpp"
 #include "events/event.hpp"
 #include "fault/plan.hpp"
+#include "net/payload_pool.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "packetbb/message_pool.hpp"
@@ -213,29 +215,36 @@ TEST(MemBackendParity, ChaosCellDigestsMatchPooledVsHeap) {
 
 // ----------------------------------------------------------- pool poisoning
 
-/// Randomized acquire/stamp/verify/release churn. Every live handle carries
-/// a token written at acquire; if recycling ever handed the same slot to two
-/// live handles, or poisoned a live slot, the token check fails (freed slots
-/// are filled with mem::kPoisonByte, so corruption shows up as 0xA5 bytes,
-/// not as a plausible stale value).
+/// Live handles of the pool registered as `name` (mem.pool.* source).
+std::int64_t pool_outstanding(std::string_view name) {
+  for (const mem::PoolSnapshot& p : mem::pool_snapshots()) {
+    if (name == p.name) return p.outstanding;
+  }
+  return 0;
+}
+
+/// Randomized acquire/stamp/verify/release churn over both mem::Pool users.
+/// Every live handle carries a token written at acquire; if recycling ever
+/// handed the same slot to two live handles, or poisoned a live slot, the
+/// token check fails (freed slots are filled with mem::kPoisonByte, so
+/// corruption shows up as 0xA5 bytes, not as a plausible stale value).
 TEST(PoolPoison, RandomizedRecyclingNeverExposesPoisonedState) {
   mem::BackendGuard backend(mem::MemBackend::kPool);
-  std::int64_t msgs_before = pbb::message_pool_outstanding();
-  std::int64_t events_before = core::event_arena_outstanding();
+  std::int64_t msgs_before = pool_outstanding("pbb.message");
+  std::int64_t payloads_before = pool_outstanding("net.payload");
 
   std::mt19937 rng(0xA5A5);
-  ev::EventTypeId fuzz_type = ev::etype("AB_FUZZ");
 
   struct LiveMsg {
     std::shared_ptr<pbb::Message> m;
     std::uint32_t token;
   };
-  struct LiveEvent {
-    std::shared_ptr<ev::Event> e;
+  struct LivePayload {
+    std::shared_ptr<net::PayloadBuffer> p;
     std::uint32_t token;
   };
   std::vector<LiveMsg> msgs;
-  std::vector<LiveEvent> events;
+  std::vector<LivePayload> payloads;
   std::uint32_t next_token = 1;
 
   auto stamp_msg = [](pbb::Message& m, std::uint32_t token) {
@@ -255,10 +264,18 @@ TEST(PoolPoison, RandomizedRecyclingNeverExposesPoisonedState) {
     ASSERT_EQ(lm.m->tlvs.size(), 1u);
     ASSERT_EQ(lm.m->tlvs[0].as_u32(), lm.token);
   };
-  auto verify_event = [fuzz_type](const LiveEvent& le) {
-    ASSERT_EQ(le.e->type(), fuzz_type);
-    ASSERT_EQ(le.e->get_int("tok", -1),
-              static_cast<std::int64_t>(le.token));
+  // Payload bytes spell the token (low byte 0x7F-masked, never 0xA5), and
+  // the length varies so recycled buffers shrink and grow.
+  auto payload_len = [](std::uint32_t token) { return 1 + token % 61; };
+  auto stamp_payload = [&](net::PayloadBuffer& p, std::uint32_t token) {
+    ASSERT_TRUE(p.empty()) << "acquired payload must come back empty";
+    p.assign(payload_len(token), static_cast<std::uint8_t>(token & 0x7F));
+  };
+  auto verify_payload = [&](const LivePayload& lp) {
+    ASSERT_EQ(lp.p->size(), payload_len(lp.token));
+    for (std::uint8_t b : *lp.p) {
+      ASSERT_EQ(b, static_cast<std::uint8_t>(lp.token & 0x7F));
+    }
   };
 
   for (int step = 0; step < 20'000; ++step) {
@@ -277,39 +294,37 @@ TEST(PoolPoison, RandomizedRecyclingNeverExposesPoisonedState) {
         msgs.pop_back();
         break;
       }
-      case 2: {  // acquire + stamp an event
-        LiveEvent le{core::acquire_event(fuzz_type), next_token++};
-        le.e->set_int("tok", static_cast<std::int64_t>(le.token));
-        events.push_back(std::move(le));
+      case 2: {  // acquire + stamp a payload
+        LivePayload lp{net::acquire_payload(), next_token++};
+        stamp_payload(*lp.p, lp.token);
+        payloads.push_back(std::move(lp));
         break;
       }
-      case 3: {  // release a random event
-        if (events.empty()) break;
-        std::size_t i = rng() % events.size();
-        verify_event(events[i]);
-        std::swap(events[i], events.back());
-        events.pop_back();
+      case 3: {  // release a random payload
+        if (payloads.empty()) break;
+        std::size_t i = rng() % payloads.size();
+        verify_payload(payloads[i]);
+        std::swap(payloads[i], payloads.back());
+        payloads.pop_back();
         break;
       }
       default: {  // periodic sweep over everything still live
         if (step % 512 != 4) break;
         for (const LiveMsg& lm : msgs) verify_msg(lm);
-        for (const LiveEvent& le : events) verify_event(le);
+        for (const LivePayload& lp : payloads) verify_payload(lp);
         break;
       }
     }
   }
   for (const LiveMsg& lm : msgs) verify_msg(lm);
-  for (const LiveEvent& le : events) verify_event(le);
+  for (const LivePayload& lp : payloads) verify_payload(lp);
 
   msgs.clear();
-  events.clear();
-  EXPECT_EQ(pbb::message_pool_outstanding(), msgs_before)
+  payloads.clear();
+  EXPECT_EQ(pool_outstanding("pbb.message"), msgs_before)
       << "message handles leaked (outstanding must return to its baseline)";
-  EXPECT_EQ(core::event_arena_outstanding(), events_before)
-      << "event handles leaked (outstanding must return to its baseline)";
-  pbb::message_pool_trim();
-  core::event_arena_trim();
+  EXPECT_EQ(pool_outstanding("net.payload"), payloads_before)
+      << "payload handles leaked (outstanding must return to its baseline)";
 }
 
 // ----------------------------------------------------------- observability

@@ -40,7 +40,9 @@ TEST(AodvState, RreqCache) {
   AodvState st;
   EXPECT_FALSE(st.check_rreq_seen(1, 100, TimePoint{0}));
   EXPECT_TRUE(st.check_rreq_seen(1, 100, TimePoint{0}));
-  st.expire_rreq_cache(TimePoint{sec(10).count()}, sec(6));
+  // The soft-state key carries only the id's low 24 bits.
+  EXPECT_FALSE(st.drop_rreq_seen(1, 101));
+  EXPECT_TRUE(st.drop_rreq_seen(1, 100));
   EXPECT_FALSE(st.check_rreq_seen(1, 100, TimePoint{sec(10).count()}));
 }
 
@@ -140,7 +142,7 @@ TEST(AodvIntegration, UnreachableTargetGivesUp) {
   world.node(0).forwarding().send(net::addr_for_index(66), 64);
   world.run_for(sec(12));
   auto* st = aodv_state(*world.kit(0).protocol("aodv"));
-  EXPECT_FALSE(st->has_pending(net::addr_for_index(66)));
+  EXPECT_FALSE(st->pending().has(net::addr_for_index(66)));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "protocols/dymo/dymo_cf.hpp"
+#include "protocols/aodv/aodv_state.hpp"
 #include "protocols/dymo/dymo_state.hpp"
 
 namespace mk::proto {
@@ -37,9 +38,7 @@ TEST(DymoState, SameInfoRefreshesLifetime) {
   // Same route repeated later: not an "update", but lifetime extends.
   EXPECT_FALSE(st.update_route(10, 5, 20, 3, TimePoint{sec(4).count()},
                                sec(5)));
-  EXPECT_TRUE(st.expire(TimePoint{sec(6).count()}).empty());
-  auto expired = st.expire(TimePoint{sec(10).count()});
-  EXPECT_EQ(expired, std::vector<net::Addr>{10});
+  EXPECT_EQ(st.route_to(10)->expires, TimePoint{sec(9).count()});
 }
 
 TEST(DymoState, InvalidRouteReacceptsSameSeq) {
@@ -65,25 +64,39 @@ TEST(DymoState, InvalidateViaReportsDestSeqPairs) {
   EXPECT_TRUE(st.invalidate_via(99).empty());
 }
 
-TEST(DymoState, PendingBackoffDoublesAndGivesUp) {
-  DymoState st;
-  st.start_pending(10, TimePoint{0}, sec(1));
-  EXPECT_TRUE(st.has_pending(10));
+/// The shared pending-discovery table as each protocol's S element owns it
+/// (parameter: the protocol's try limit): the soft-state deadline lapses,
+/// retry() doubles the wait until the limit is reached, and the next lapse
+/// gives up.
+class PendingBackoff : public ::testing::TestWithParam<int> {};
 
-  std::vector<net::Addr> gave_up;
-  // t=0.5s: not due yet.
-  EXPECT_TRUE(st.due_retries(TimePoint{msec(500).count()}, gave_up).empty());
-  // t=1s: first retry; backoff doubles to 2s.
-  EXPECT_EQ(st.due_retries(TimePoint{sec(1).count()}, gave_up).size(), 1u);
-  // t=2s: next retry due at 1+2=3s.
-  EXPECT_TRUE(st.due_retries(TimePoint{sec(2).count()}, gave_up).empty());
-  // t=3s: second retry (tries=3 == kMaxTries now).
-  EXPECT_EQ(st.due_retries(TimePoint{sec(3).count()}, gave_up).size(), 1u);
-  // t=7s (3+4): exhausted -> gives up.
-  EXPECT_TRUE(st.due_retries(TimePoint{sec(7).count()}, gave_up).empty());
-  EXPECT_EQ(gave_up, std::vector<net::Addr>{10});
-  EXPECT_FALSE(st.has_pending(10));
+TEST_P(PendingBackoff, DoublesThenGivesUpAtTheTryLimit) {
+  const int limit = GetParam();
+  DymoState dymo;
+  AodvState aodv;
+  PendingDiscoveries& p =
+      limit == DymoState::kMaxTries ? dymo.pending() : aodv.pending();
+  p.start(10, sec(1));
+  EXPECT_TRUE(p.has(10));
+
+  TimePoint now{0};
+  Duration wait = sec(1);
+  for (int tries = 1; tries < limit; ++tries) {
+    now = now + wait;
+    auto next = p.retry(10, now);
+    ASSERT_TRUE(next.has_value()) << "gave up after " << tries;
+    wait = wait * 2;
+    EXPECT_EQ(*next, now + wait);
+  }
+  EXPECT_FALSE(p.retry(10, now + wait).has_value());
+  EXPECT_FALSE(p.has(10));
+  EXPECT_TRUE(p.dests().empty());
+  EXPECT_FALSE(p.retry(10, now + wait).has_value());  // absent: no-op
 }
+
+INSTANTIATE_TEST_SUITE_P(TryLimits, PendingBackoff,
+                         ::testing::Values(int{DymoState::kMaxTries},
+                                           int{AodvState::kMaxTries}));
 
 TEST(RmCodec, RreqRoundTripWithAccumulation) {
   auto msg = rm::build_rreq(/*self=*/1, /*seq=*/9, /*target=*/5, 10);

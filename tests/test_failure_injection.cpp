@@ -108,7 +108,7 @@ TEST(FailureInjection, PartitionAndHealDymo) {
   world.run_for(sec(15));
   EXPECT_EQ(world.node(5).deliveries().size(), 1u);
   auto* st = proto::dymo_state(*world.kit(0).protocol("dymo"));
-  EXPECT_EQ(st->pending_count(), 0u);
+  EXPECT_EQ(st->pending().size(), 0u);
 
   // Heal: traffic flows again.
   world.medium().set_link(world.addr(2), world.addr(3), true);

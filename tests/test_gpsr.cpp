@@ -20,9 +20,9 @@ void place_line(testbed::SimWorld& world, double spacing, double range) {
 
 TEST(GpsrUnit, GreedyPicksStrictlyCloserNeighbor) {
   GpsrState st;
-  st.note_position(10, {100, 0}, TimePoint{0});
-  st.note_position(11, {50, 0}, TimePoint{0});
-  st.note_position(12, {0, 80}, TimePoint{0});
+  st.note_position(10, {100, 0});
+  st.note_position(11, {50, 0});
+  st.note_position(12, {0, 80});
 
   net::Addr hop = greedy_next_hop(st, {0, 0}, {200, 0}, {10, 11, 12});
   EXPECT_EQ(hop, 10u);  // closest to dest among the candidates
@@ -34,7 +34,7 @@ TEST(GpsrUnit, GreedyPicksStrictlyCloserNeighbor) {
 
 TEST(GpsrUnit, UnknownPositionsAreSkipped) {
   GpsrState st;
-  st.note_position(10, {100, 0}, TimePoint{0});
+  st.note_position(10, {100, 0});
   // 11 has no known position: ignored even though it might be closer.
   net::Addr hop = greedy_next_hop(st, {0, 0}, {200, 0}, {10, 11});
   EXPECT_EQ(hop, 10u);
@@ -42,8 +42,11 @@ TEST(GpsrUnit, UnknownPositionsAreSkipped) {
 
 TEST(GpsrUnit, PositionsExpire) {
   GpsrState st;
-  st.note_position(10, {1, 1}, TimePoint{0});
-  st.expire(TimePoint{sec(10).count()}, sec(6));
+  st.note_position(10, {1, 1});
+  EXPECT_EQ(st.position_addrs(), std::vector<net::Addr>{10});
+  // The gpsr.position loss fn (hold-time lapse: test_soft_state.cpp).
+  EXPECT_TRUE(st.drop_position(10));
+  EXPECT_FALSE(st.drop_position(10));
   EXPECT_FALSE(st.position_of(10).has_value());
   EXPECT_EQ(st.known_positions(), 0u);
 }

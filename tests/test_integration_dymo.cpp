@@ -111,7 +111,7 @@ TEST(DymoIntegration, DiscoveryGivesUpForUnreachableTarget) {
 
   auto* st = proto::dymo_state(*world.kit(0).protocol("dymo"));
   ASSERT_NE(st, nullptr);
-  EXPECT_EQ(st->pending_count(), 0u);
+  EXPECT_EQ(st->pending().size(), 0u);
   EXPECT_FALSE(world.has_route(0, ghost));
 }
 

@@ -19,7 +19,7 @@ std::unique_ptr<MprState> make_state(
     const std::vector<std::pair<net::Addr, std::set<net::Addr>>>& nbrs) {
   auto st = std::make_unique<MprState>();
   for (const auto& [addr, two_hop] : nbrs) {
-    st->note_heard(addr, TimePoint{0});
+    st->note_heard(addr);
     st->set_symmetric(addr, true);
     st->set_two_hop(addr, two_hop);
   }
@@ -28,24 +28,26 @@ std::unique_ptr<MprState> make_state(
 
 TEST(MprState, SelectorLifecycle) {
   MprState st;
-  st.note_selector(10, TimePoint{0});
+  st.note_selector(10);
+  st.note_selector(11);
   EXPECT_TRUE(st.is_mpr_selector(10));
-  st.expire_selectors(TimePoint{sec(10).count()}, sec(6));
-  EXPECT_FALSE(st.is_mpr_selector(10));
+  EXPECT_EQ(st.mpr_selectors(), (std::set<net::Addr>{10, 11}));
 
-  st.note_selector(11, TimePoint{0});
   st.drop_selector(11);
   EXPECT_FALSE(st.is_mpr_selector(11));
+  EXPECT_EQ(st.mpr_selectors(), (std::set<net::Addr>{10}));
 }
 
 TEST(MprState, DuplicateSet) {
   MprState st;
-  EXPECT_FALSE(st.check_duplicate(10, 1, TimePoint{0}));
-  EXPECT_TRUE(st.check_duplicate(10, 1, TimePoint{0}));
-  EXPECT_FALSE(st.check_duplicate(10, 2, TimePoint{0}));
-  EXPECT_FALSE(st.check_duplicate(11, 1, TimePoint{0}));
-  st.expire_duplicates(TimePoint{sec(60).count()}, sec(30));
-  EXPECT_FALSE(st.check_duplicate(10, 1, TimePoint{sec(60).count()}));
+  EXPECT_FALSE(st.check_duplicate(10, 1));
+  EXPECT_TRUE(st.check_duplicate(10, 1));
+  EXPECT_FALSE(st.check_duplicate(10, 2));
+  EXPECT_FALSE(st.check_duplicate(11, 1));
+  EXPECT_EQ(st.duplicate_count(), 3u);
+  EXPECT_TRUE(st.drop_duplicate(10, 1));
+  EXPECT_FALSE(st.drop_duplicate(10, 1));
+  EXPECT_FALSE(st.check_duplicate(10, 1));
 }
 
 TEST(MprCalculator, EmptyNeighborhoodYieldsEmptySet) {

@@ -14,7 +14,7 @@ namespace {
 
 TEST(NeighborTable, SymmetryAndTwoHop) {
   NeighborTable t;
-  t.note_heard(10, TimePoint{0});
+  t.note_heard(10);
   EXPECT_FALSE(t.is_sym_neighbor(10));
   EXPECT_TRUE(t.set_symmetric(10, true));
   EXPECT_FALSE(t.set_symmetric(10, true));  // no change
@@ -25,19 +25,22 @@ TEST(NeighborTable, SymmetryAndTwoHop) {
   EXPECT_EQ(t.strict_two_hop(1), (std::set<net::Addr>{20, 30}));
 
   // A 2-hop node that is also a direct sym neighbour is not strict 2-hop.
-  t.note_heard(20, TimePoint{0});
+  t.note_heard(20);
   t.set_symmetric(20, true);
   EXPECT_EQ(t.strict_two_hop(1), (std::set<net::Addr>{30}));
 }
 
 TEST(NeighborTable, ExpiryReportsLostSymNeighbors) {
   NeighborTable t;
-  t.note_heard(10, TimePoint{0});
+  t.note_heard(10);
   t.set_symmetric(10, true);
-  t.note_heard(11, TimePoint{0});  // asym — lost silently
-  auto lost = t.expire(TimePoint{sec(10).count()}, sec(3));
-  EXPECT_EQ(lost, std::vector<net::Addr>{10});
+  t.note_heard(11);  // asym — lost silently
+  // remove() is the neighbor.link loss fn's step: it reports whether the
+  // lapsed link was symmetric (NHOOD_CHANGE down-notification).
+  EXPECT_TRUE(t.remove(10));
+  EXPECT_FALSE(t.remove(11));
   EXPECT_TRUE(t.heard_neighbors().empty());
+  EXPECT_TRUE(t.sym_neighbors().empty());
 }
 
 TEST(NeighborTable, PiggybackProvidersAndObservers) {

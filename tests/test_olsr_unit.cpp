@@ -32,8 +32,10 @@ TEST(OlsrState, AnsnWraparound) {
 TEST(OlsrState, TopologyExpiry) {
   OlsrState st;
   st.update_topology(10, 1, {20}, TimePoint{0}, sec(15));
-  EXPECT_FALSE(st.expire_topology(TimePoint{sec(10).count()}));
-  EXPECT_TRUE(st.expire_topology(TimePoint{sec(20).count()}));
+  EXPECT_EQ(st.topology_origins(), std::vector<net::Addr>{10});
+  // The olsr.topology loss fn (hold-time lapse: test_soft_state.cpp).
+  EXPECT_TRUE(st.drop_topology(10));
+  EXPECT_FALSE(st.drop_topology(10));
   EXPECT_EQ(st.topology_size(), 0u);
 }
 

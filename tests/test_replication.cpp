@@ -13,6 +13,8 @@
 //  * Determinism.* — every strategy (none / checkpoint / hot-standby) is
 //    digest-identical across same-seed reruns, and checkpoint runs are
 //    digest-identical across MemBackend::kPool vs kHeap.
+//  * CrashSend.* — a crashed node's local sends never reach its stopped
+//    protocol CFs.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -258,6 +260,35 @@ TEST(Determinism, PooledAndHeapBackendsDigestIdentical) {
   EXPECT_EQ(pooled, heap)
       << "pooled allocation changed observable replication behaviour";
   EXPECT_GT(pooled.total, 0u);
+}
+
+// ------------------------------------------- local send from a crashed node
+
+/// A crash stops every protocol CF. A local send from the crashed node must
+/// not reach them (DYMO's NO_ROUTE handler would touch its stopped
+/// soft-state layer and abort): the down device originates nothing and
+/// counts a send failure. After the restart the node sends again.
+TEST(CrashSend, LocalSendFromCrashedNodeOriginatesNothing) {
+  testbed::SimWorld world(4, chaos_seed());
+  world.enable_replication();
+  world.linear();
+  world.deploy_all("dymo");
+  world.run_for(sec(5));
+
+  world.crash_node(0);
+  net::ForwardingEngine& fwd = world.node(0).forwarding();
+  const net::ForwardingStats before = fwd.stats();
+  EXPECT_FALSE(fwd.send(world.addr(3), 128));
+  EXPECT_EQ(fwd.stats().send_failures, before.send_failures + 1);
+  EXPECT_EQ(fwd.stats().originated, before.originated);
+  EXPECT_EQ(fwd.stats().buffered, before.buffered);
+  world.run_for(sec(2));
+
+  world.restart_node(0);
+  world.run_for(sec(5));
+  EXPECT_TRUE(fwd.send(world.addr(3), 128));
+  world.run_for(sec(3));
+  EXPECT_EQ(world.node(3).deliveries().size(), 1u);
 }
 
 // ------------------------------------------------------- hot-standby deltas

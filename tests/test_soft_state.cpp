@@ -1,15 +1,26 @@
-// The unified soft-state expiry layer (ISSUE 6): per-entry deadlines on the
-// scheduler replace the protocols' periodic sweep loops, so partition-severed
-// state lapses at its exact RFC holding time — journaled as kSoftExpire and
-// followed by kRouteDel — instead of lingering until a heal. Also the
-// heap-vs-wheel conformance bar: both scheduler backends must produce
-// bit-identical ordered trace digests for the same seed.
+// The unified soft-state expiry layer: per-entry deadlines on the scheduler
+// are the protocols' only expiry path (no periodic sweeps), so
+// partition-severed state lapses at its exact RFC holding time — journaled
+// as kSoftExpire and followed by kRouteDel — instead of lingering until a
+// heal. One parameterised case per protocol set checks the lapse in a live
+// world. Also the heap-vs-wheel conformance bar: both scheduler backends must
+// produce bit-identical ordered trace digests for the same seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <string_view>
 
 #include "obs/journal.hpp"
+#include "protocols/aodv/aodv_cf.hpp"
+#include "protocols/aodv/aodv_state.hpp"
+#include "protocols/dymo/dymo_cf.hpp"
+#include "protocols/dymo/dymo_state.hpp"
+#include "protocols/gpsr/gpsr_cf.hpp"
+#include "protocols/mpr/mpr_cf.hpp"
 #include "protocols/neighbor/neighbor_cf.hpp"
+#include "protocols/olsr/olsr_cf.hpp"
+#include "protocols/olsr/olsr_state.hpp"
 #include "testbed/world.hpp"
 #include "util/scheduler.hpp"
 
@@ -55,6 +66,126 @@ TEST(SoftState, SilentNeighborLapsesAtItsHoldTimeWithoutSweeps) {
       << "entry outlived its holding time";
   EXPECT_GT(count_kind(*world.journal(), obs::RecordKind::kSoftExpire), 0u);
 }
+
+// ------------------------------------------------ per-set hold-time lapse
+
+/// One protocol soft-state set. In a 3-node line, node `observer` holds an
+/// entry keyed by node `key`'s address (after a 0 -> 2 data send for the
+/// reactive protocols); then the radio goes silent. The entry's last refresh
+/// came at most `refresh` before the silence, so it must still be live at
+/// silence + hold - refresh, gone at silence + hold, and its lapse journaled
+/// as kSoftExpire at the observer in between.
+struct LapseCase {
+  const char* label;
+  const char* set;
+  const char* protocol;
+  std::size_t observer;
+  std::size_t key;
+  Duration hold;
+  Duration refresh;
+  bool send_data;
+  bool (*live)(testbed::SimWorld&, std::size_t node, net::Addr key);
+};
+
+/// A periodic emitter with 10% jitter refreshes at most this far apart.
+constexpr Duration jittered(Duration interval) {
+  return interval + interval / 10;
+}
+
+core::ManetProtocolCf& cf(testbed::SimWorld& w, std::size_t i,
+                          const char* name) {
+  return *w.kit(i).protocol(name);
+}
+
+const LapseCase kLapseCases[] = {
+    {"olsr_topology", "olsr.topology", "olsr", 0, 1,
+     proto::OlsrParams{}.topology_hold,
+     jittered(proto::OlsrParams{}.tc_interval), false,
+     [](testbed::SimWorld& w, std::size_t i, net::Addr k) {
+       auto origins = proto::olsr_state(cf(w, i, "olsr"))->topology_origins();
+       return std::find(origins.begin(), origins.end(), k) != origins.end();
+     }},
+    {"mpr_selector", "mpr.selector", "olsr", 1, 0,
+     proto::MprParams{}.selector_hold,
+     jittered(proto::MprParams{}.hello_interval), false,
+     [](testbed::SimWorld& w, std::size_t i, net::Addr k) {
+       return proto::mpr_state(cf(w, i, "mpr"))->is_mpr_selector(k);
+     }},
+    {"dymo_route", "dymo.route", "dymo", 0, 2,
+     proto::DymoParams{}.route_lifetime, msec(500), true,
+     [](testbed::SimWorld& w, std::size_t i, net::Addr k) {
+       return proto::dymo_state(cf(w, i, "dymo"))->route_to(k).has_value();
+     }},
+    // AODV is two-phase (RFC 3561): the valid route lapses into an invalid
+    // entry at the active-route timeout, which is deleted DELETE_PERIOD
+    // later. HELLO piggybacking may refresh the route up to the silence.
+    {"aodv_route_invalidate", "aodv.route", "aodv", 0, 2,
+     proto::AodvParams{}.active_route_timeout,
+     jittered(proto::NeighborParams{}.hello_interval), true,
+     [](testbed::SimWorld& w, std::size_t i, net::Addr k) {
+       auto r = proto::aodv_state(cf(w, i, "aodv"))->route_to(k);
+       return r.has_value() && r->valid;
+     }},
+    {"aodv_route_delete", "aodv.route", "aodv", 0, 2,
+     proto::AodvParams{}.active_route_timeout + proto::kAodvDeletePeriod,
+     jittered(proto::NeighborParams{}.hello_interval), true,
+     [](testbed::SimWorld& w, std::size_t i, net::Addr k) {
+       return proto::aodv_state(cf(w, i, "aodv"))->route_to(k).has_value();
+     }},
+    {"gpsr_position", "gpsr.position", "gpsr", 0, 1,
+     proto::GpsrParams{}.position_hold,
+     jittered(proto::NeighborParams{}.hello_interval), false,
+     [](testbed::SimWorld& w, std::size_t i, net::Addr k) {
+       return proto::gpsr_state(cf(w, i, "gpsr"))->position_of(k).has_value();
+     }},
+};
+
+/// Names each instance by its label in test listings.
+void PrintTo(const LapseCase& c, std::ostream* os) { *os << c.label; }
+
+class HoldTimeLapse : public ::testing::TestWithParam<LapseCase> {};
+
+TEST_P(HoldTimeLapse, EntryLapsesAtItsHoldTime) {
+  const LapseCase& c = GetParam();
+  testbed::SimWorld world(3);
+  const obs::Journal& journal = world.enable_tracing();
+  world.linear();
+  if (std::string_view(c.protocol) == "gpsr") world.register_gpsr_oracle();
+  world.deploy_all(c.protocol);
+  world.run_for(sec(10));
+  if (c.send_data) {
+    ASSERT_TRUE(world.node(0).forwarding().send(world.addr(2), 128));
+    world.run_for(msec(500));
+  }
+  const net::Addr key = world.addr(c.key);
+  ASSERT_TRUE(c.live(world, c.observer, key))
+      << c.set << " entry never formed";
+
+  // Total radio silence: nothing refreshes the entry any more, so only its
+  // soft-state deadline can remove it. Frames already in flight land within
+  // a millisecond.
+  world.medium().set_loss_probability(1.0);
+  const TimePoint silent = world.now();
+  const TimePoint earliest = silent + c.hold - c.refresh;
+  world.run_until(earliest - usec(1));
+  EXPECT_TRUE(c.live(world, c.observer, key))
+      << c.set << " entry lapsed before its holding time";
+  world.run_until(silent + c.hold + msec(1));
+  EXPECT_FALSE(c.live(world, c.observer, key))
+      << c.set << " entry outlived its holding time";
+
+  const std::uint64_t set_hash = obs::fnv1a_str(c.set);
+  const std::vector<obs::Record> records = journal.snapshot();
+  const bool journaled = std::any_of(
+      records.begin(), records.end(), [&](const obs::Record& r) {
+        return r.kind == obs::RecordKind::kSoftExpire &&
+               r.node == world.addr(c.observer) && r.a == set_hash &&
+               r.b == key && r.time_us >= earliest.us;
+      });
+  EXPECT_TRUE(journaled) << c.set << " lapse was not journaled";
+}
+
+INSTANTIATE_TEST_SUITE_P(Sets, HoldTimeLapse, ::testing::ValuesIn(kLapseCases));
 
 // ------------------------------------------------------ heap/wheel parity
 

@@ -1,7 +1,5 @@
-// SimScheduler / RealTimeScheduler / PeriodicTimer / OneShotTimer.
+// SimScheduler / PeriodicTimer / OneShotTimer.
 #include <gtest/gtest.h>
-
-#include <atomic>
 
 #include "util/scheduler.hpp"
 #include "util/timer.hpp"
@@ -82,26 +80,6 @@ TEST(SimScheduler, RunAllGuardsAgainstRunaway) {
   std::function<void()> forever = [&] { sched.schedule_after(usec(1), forever); };
   sched.schedule_after(usec(1), forever);
   EXPECT_EQ(sched.run_all(1000), 1000u);
-}
-
-TEST(RealTimeScheduler, FiresCallbacks) {
-  RealTimeScheduler sched;
-  std::atomic<int> count{0};
-  sched.schedule_after(msec(1), [&] { ++count; });
-  sched.schedule_after(msec(2), [&] { ++count; });
-  for (int i = 0; i < 200 && count.load() < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(RealTimeScheduler, CancelWorks) {
-  RealTimeScheduler sched;
-  std::atomic<bool> ran{false};
-  TimerId id = sched.schedule_after(msec(50), [&] { ran = true; });
-  EXPECT_TRUE(sched.cancel(id));
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_FALSE(ran.load());
 }
 
 TEST(PeriodicTimer, FiresRepeatedly) {

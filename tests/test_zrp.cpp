@@ -25,7 +25,7 @@ TEST(Zrp, IntraZoneRoutesAreProactive) {
   // No pending discovery was ever needed.
   auto* st = dymo_state(*world.kit(0).protocol("zrp"));
   ASSERT_NE(st, nullptr);
-  EXPECT_EQ(st->pending_count(), 0u);
+  EXPECT_EQ(st->pending().size(), 0u);
 }
 
 TEST(Zrp, InterZoneDiscoveryStillWorks) {
