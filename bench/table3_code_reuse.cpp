@@ -12,7 +12,7 @@
 int main() {
   using namespace mk::testbed;
 
-  std::string root = find_repo_root(".");
+  std::string root = repo_root();
   auto entries = manifest();
   count_manifest(entries, root);
 

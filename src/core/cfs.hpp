@@ -8,11 +8,18 @@
 //                       critical section) and may emit further events.
 //  * EventSource      — timer-driven emitters (HELLO generation, TC
 //                       diffusion, expiry sweeps).
-//  * ProtocolContext  — the services handlers/sources reach: event emission,
-//                       the scheduler, the System CF's S element, and the
-//                       protocol's own S element.
+//  * ProtocolContext  — the one door through which handlers, sources and
+//                       soft-state loss callbacks reach their protocol's
+//                       services: event emission, the scheduler and clock,
+//                       the protocol's own S element (typed, asserted), the
+//                       soft-state layer, kernel routes (through the System
+//                       CF's S element), and the metrics registry. Sibling
+//                       CFs are not reached through it: code that needs one
+//                       looks it up with Manetkit::protocol(name) at use, so
+//                       a restarted sibling is always the live instance.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -44,6 +51,7 @@ class CfsUnit {
 };
 
 class ManetProtocolCf;
+class SoftExpiry;
 
 /// Execution context handed to handlers and sources.
 class ProtocolContext {
@@ -69,12 +77,24 @@ class ProtocolContext {
   /// The owning protocol's S element (null if none installed).
   oc::Component* state();
 
-  /// Typed access to the protocol's S element interface.
+  /// The owning protocol's S element as its concrete type; asserts that one
+  /// of that type is installed.
   template <typename T>
-  T* state_as(std::string_view iface) {
-    oc::Component* s = state();
-    return s == nullptr ? nullptr : s->interface_as<T>(iface);
+  T& state_as() {
+    auto* s = dynamic_cast<T*>(state());
+    if (s == nullptr) missing_state();
+    return *s;
   }
+
+  /// The protocol's started soft-state layer (SoftExpiry::start records it,
+  /// stop() clears it); null when the composition has none or it is stopped.
+  SoftExpiry* soft() { return soft_; }
+
+  /// Installs or replaces the kernel route to `dest`, stamped now(). Does
+  /// nothing without a System CF S element (handler unit tests).
+  void set_route(net::Addr dest, net::Addr next_hop, std::uint32_t metric);
+  /// Withdraws the kernel route to `dest`, if any.
+  void remove_route(net::Addr dest);
 
   ManetProtocolCf& protocol() { return proto_; }
 
@@ -85,10 +105,16 @@ class ProtocolContext {
   obs::MetricsRegistry& metrics();
 
  private:
+  /// state_as's failure path, kept out of line: aborts naming the unit.
+  [[noreturn]] void missing_state() const;
+
   ManetProtocolCf& proto_;
   Scheduler& sched_;
   net::Addr self_;
   ISysState* sys_;
+  SoftExpiry* soft_ = nullptr;
+
+  friend class SoftExpiry;  // records itself on start, clears on stop
 };
 
 /// Plug-in event-processing component (the protocol logic lives here).

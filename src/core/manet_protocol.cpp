@@ -280,6 +280,27 @@ void ProtocolContext::emit(ev::Event event) { proto_.emit(std::move(event)); }
 
 oc::Component* ProtocolContext::state() { return proto_.state_component(); }
 
+void ProtocolContext::missing_state() const {
+  detail::assert_fail("state_as", __FILE__, __LINE__,
+                      proto_.unit_name() +
+                          " has no S element of the type its plug-ins use");
+}
+
+void ProtocolContext::set_route(net::Addr dest, net::Addr next_hop,
+                                std::uint32_t metric) {
+  if (sys_ == nullptr) return;
+  net::RouteEntry entry;
+  entry.dest = dest;
+  entry.next_hop = next_hop;
+  entry.metric = metric;
+  entry.installed_at = now();
+  sys_->kernel_table().set_route(entry);
+}
+
+void ProtocolContext::remove_route(net::Addr dest) {
+  if (sys_ != nullptr) sys_->kernel_table().remove_route(dest);
+}
+
 obs::MetricsRegistry& ProtocolContext::metrics() {
   return proto_.metrics_registry();
 }

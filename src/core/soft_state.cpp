@@ -21,18 +21,18 @@ constexpr std::uint64_t kKeyMask = (std::uint64_t{1} << kKeyBits) - 1;
 
 SoftExpiry::SoftExpiry() : EventSource("core.SoftExpiry") {
   set_instance_name("SoftExpiry");
-  provide("ISoftExpiry", this);
 }
 
 void SoftExpiry::start(ProtocolContext& ctx) {
   ctx_ = &ctx;
+  ctx.soft_ = this;
   // Re-arm deadlines for state carried across a supervised restart: the
   // rebuilt source starts empty while the S element may not, and entries
   // nobody re-arms would regress to the never-expires bug.
   for (std::size_t i = 0; i < sets_.size(); ++i) {
     if (!sets_[i].seed) continue;
     const auto id = static_cast<SetId>(i);
-    for (std::uint64_t key : sets_[i].seed()) touch(id, key);
+    for (std::uint64_t key : sets_[i].seed(ctx)) touch(id, key);
   }
 }
 
@@ -44,6 +44,7 @@ void SoftExpiry::stop() {
       }
       set.entries.clear();
     }
+    if (ctx_->soft_ == this) ctx_->soft_ = nullptr;
   }
   ctx_ = nullptr;
 }
@@ -135,13 +136,6 @@ void SoftExpiry::fire(SetId set_id, std::uint64_t key) {
                                 key, set.entries.size()});
   }
   set.on_expire(key, *ctx_);
-}
-
-SoftExpiry* soft_expiry_of(ProtocolContext& ctx) {
-  for (EventSource* source : ctx.protocol().control().sources()) {
-    if (auto* soft = dynamic_cast<SoftExpiry*>(source)) return soft;
-  }
-  return nullptr;
 }
 
 }  // namespace mk::core

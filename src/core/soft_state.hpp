@@ -13,6 +13,11 @@
 // per-key deadlines armed directly on the scheduler — one timer per entry,
 // which the hierarchical timer wheel makes O(1) to arm and cancel.
 //
+// Handlers, loss callbacks and seeds all reach the layer and the protocol's
+// S element through the ProtocolContext they are handed: start() records
+// the source on the context (ctx.soft()), stop() clears it, and seeds
+// receive the same context, so no plug-in caches either pointer.
+//
 // Refreshes are lazy: touch() on an already-armed entry just records the new
 // deadline, and the timer re-arms itself when the stale deadline fires. A
 // link refreshed every HELLO therefore costs a map-update per HELLO but only
@@ -31,64 +36,50 @@
 #include <vector>
 
 #include "core/cfs.hpp"
-#include "opencom/interface.hpp"
 #include "util/time.hpp"
 
 namespace mk::core {
 
-/// Introspection interface of the soft-state layer (provided as
-/// "ISoftExpiry" on the SoftExpiry source component).
-struct ISoftExpiry : oc::Interface {
+/// The soft-state Event Source. Build-time: protocols define their sets
+/// when the CF is composed; run-time: handlers touch()/drop() keys as
+/// protocol messages arrive, and loss callbacks fire from the scheduler.
+class SoftExpiry final : public EventSource {
+ public:
   using SetId = std::uint8_t;
 
   /// Invoked when an entry's holding time lapses (after the entry is gone).
   using LossFn = std::function<void(std::uint64_t key, ProtocolContext& ctx)>;
   /// Enumerates keys to re-arm when the source (re)starts over carried
   /// state; each gets a fresh default hold.
-  using SeedFn = std::function<std::vector<std::uint64_t>()>;
+  using SeedFn =
+      std::function<std::vector<std::uint64_t>(ProtocolContext& ctx)>;
 
-  /// Registers a soft-state set; returns its id (stable for this instance).
-  virtual SetId define_set(std::string name, Duration hold, LossFn on_expire,
-                           SeedFn seed = nullptr) = 0;
-
-  /// Arms or refreshes `key` to expire at now() + the set's holding time.
-  virtual void touch(SetId set, std::uint64_t key) = 0;
-
-  /// Arms or refreshes `key` with an explicit deadline (reactive routes
-  /// carry per-entry lifetimes).
-  virtual void touch_at(SetId set, std::uint64_t key, TimePoint deadline) = 0;
-
-  /// Forgets `key` without a loss event (explicit removal, e.g. LOST link
-  /// codes). Returns false if the key was not tracked.
-  virtual bool drop(SetId set, std::uint64_t key) = 0;
-
-  virtual bool contains(SetId set, std::uint64_t key) const = 0;
-
-  /// Tracked entries (== armed deadlines) in one set / across all sets.
-  virtual std::size_t size(SetId set) const = 0;
-  virtual std::size_t armed() const = 0;
-};
-
-/// The Event Source implementation. Build-time: protocols define their sets
-/// when the CF is composed; run-time: handlers touch()/drop() keys as
-/// protocol messages arrive, and loss callbacks fire from the scheduler.
-class SoftExpiry final : public EventSource, public ISoftExpiry {
- public:
   SoftExpiry();
 
   // -- EventSource ------------------------------------------------------------
   void start(ProtocolContext& ctx) override;
   void stop() override;
 
-  // -- ISoftExpiry ------------------------------------------------------------
+  /// Registers a soft-state set; returns its id (stable for this instance).
   SetId define_set(std::string name, Duration hold, LossFn on_expire,
-                   SeedFn seed = nullptr) override;
-  void touch(SetId set, std::uint64_t key) override;
-  void touch_at(SetId set, std::uint64_t key, TimePoint deadline) override;
-  bool drop(SetId set, std::uint64_t key) override;
-  bool contains(SetId set, std::uint64_t key) const override;
-  std::size_t size(SetId set) const override;
-  std::size_t armed() const override;
+                   SeedFn seed = nullptr);
+
+  /// Arms or refreshes `key` to expire at now() + the set's holding time.
+  void touch(SetId set, std::uint64_t key);
+
+  /// Arms or refreshes `key` with an explicit deadline (reactive routes
+  /// carry per-entry lifetimes).
+  void touch_at(SetId set, std::uint64_t key, TimePoint deadline);
+
+  /// Forgets `key` without a loss event (explicit removal, e.g. LOST link
+  /// codes). Returns false if the key was not tracked.
+  bool drop(SetId set, std::uint64_t key);
+
+  bool contains(SetId set, std::uint64_t key) const;
+
+  /// Tracked entries (== armed deadlines) in one set / across all sets.
+  std::size_t size(SetId set) const;
+  std::size_t armed() const;
 
  private:
   struct Entry {
@@ -112,9 +103,11 @@ class SoftExpiry final : public EventSource, public ISoftExpiry {
   std::vector<Set> sets_;
 };
 
-/// The protocol's SoftExpiry source, or null if the composition has none.
-/// Handlers cache the pointer (sources outlive handlers only within one
-/// composition epoch; a rebuilt CF re-resolves).
-SoftExpiry* soft_expiry_of(ProtocolContext& ctx);
+/// A seed's keys from a range of addresses (or other integer keys), in
+/// range order.
+template <typename Range>
+std::vector<std::uint64_t> seed_keys(const Range& keys) {
+  return std::vector<std::uint64_t>(keys.begin(), keys.end());
+}
 
 }  // namespace mk::core

@@ -46,12 +46,6 @@ class ReconfigState final : public oc::Component, public core::IState {
   OriginEpochMap latest_;
 };
 
-ReconfigState& state_of(core::ProtocolContext& ctx) {
-  auto* s = dynamic_cast<ReconfigState*>(ctx.state());
-  MK_ASSERT(s != nullptr, "coordinator has no ReconfigState");
-  return *s;
-}
-
 pbb::Message build_command(net::Addr self, std::uint16_t epoch,
                            const std::string& action) {
   pbb::Message m;
@@ -83,7 +77,7 @@ class ReconfigHandler final : public core::EventHandler {
     const pbb::Message& msg = *event.msg();
     if (*msg.originator == ctx.self()) return;
 
-    ReconfigState& st = state_of(ctx);
+    ReconfigState& st = ctx.state_as<ReconfigState>();
     if (st.seen(*msg.originator, *msg.seqnum)) return;
 
     const auto* name_tlv = msg.find_tlv(kTlvActionName);
@@ -141,7 +135,7 @@ void register_action(core::ManetProtocolCf& coordinator, std::string name,
                      CoordinatedAction action) {
   MK_ASSERT(action != nullptr);
   auto lock = coordinator.quiesce();
-  state_of(coordinator.context()).actions[std::move(name)] =
+  coordinator.context().state_as<ReconfigState>().actions[std::move(name)] =
       std::move(action);
 }
 
@@ -153,7 +147,7 @@ std::uint16_t initiate(core::ManetProtocolCf& coordinator,
   {
     auto lock = coordinator.quiesce();
     auto& ctx = coordinator.context();
-    ReconfigState& st = state_of(ctx);
+    ReconfigState& st = ctx.state_as<ReconfigState>();
     auto it = st.actions.find(action_name);
     MK_ENSURE(it != st.actions.end(),
               "unknown coordinated action: " + action_name);
@@ -176,7 +170,7 @@ std::uint16_t initiate(core::ManetProtocolCf& coordinator,
 
 std::uint64_t commands_executed(core::ManetProtocolCf& coordinator) {
   auto lock = coordinator.quiesce();
-  return state_of(coordinator.context()).executed;
+  return coordinator.context().state_as<ReconfigState>().executed;
 }
 
 }  // namespace mk::policy

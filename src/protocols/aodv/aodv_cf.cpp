@@ -4,7 +4,6 @@
 #include "core/soft_state.hpp"
 #include "protocols/neighbor/neighbor_cf.hpp"
 #include "protocols/wire.hpp"
-#include "util/assert.hpp"
 #include "util/bytebuffer.hpp"
 #include "util/log.hpp"
 
@@ -17,27 +16,6 @@ using core::attrs::kNeighbor;
 using core::attrs::kNextHop;
 using core::attrs::kUnicastTo;
 using core::attrs::kUp;
-
-AodvState& aodv_state_of(core::ProtocolContext& ctx) {
-  auto* s = dynamic_cast<AodvState*>(ctx.state());
-  MK_ASSERT(s != nullptr, "AODV CF has no AodvState S element");
-  return *s;
-}
-
-void install_route(core::ProtocolContext& ctx, net::Addr dest,
-                   net::Addr next_hop, std::uint8_t hops) {
-  if (ctx.sys() == nullptr) return;
-  net::RouteEntry entry;
-  entry.dest = dest;
-  entry.next_hop = next_hop;
-  entry.metric = hops;
-  entry.installed_at = ctx.now();
-  ctx.sys()->kernel_table().set_route(entry);
-}
-
-void remove_route(core::ProtocolContext& ctx, net::Addr dest) {
-  if (ctx.sys() != nullptr) ctx.sys()->kernel_table().remove_route(dest);
-}
 
 void emit_route_found(core::ProtocolContext& ctx, net::Addr dest) {
   ev::Event e(ev::types::ROUTE_FOUND);
@@ -99,7 +77,7 @@ pbb::Message build_rerr(
 
 void send_rreq_for(core::ProtocolContext& ctx, net::Addr target,
                    const AodvParams& params) {
-  AodvState& st = aodv_state_of(ctx);
+  AodvState& st = ctx.state_as<AodvState>();
   ev::Event e(ev::etype(ev::types::AODV_OUT));
   e.set_msg(build_rreq(st, ctx.self(), target, params));
   ctx.emit(std::move(e));
@@ -137,28 +115,24 @@ class AodvHandler final : public core::EventHandler {
 
  private:
   obs::Counter* msgs_in_ = nullptr;  // cached: interned once, then atomic inc
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
-
-  core::SoftExpiry* soft(core::ProtocolContext& ctx) {
-    if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-    return soft_;
-  }
 
   void learn(core::ProtocolContext& ctx, net::Addr dest, std::uint16_t seq,
              bool seq_valid, net::Addr next_hop, std::uint8_t hops) {
     if (dest == ctx.self()) return;
-    AodvState& st = aodv_state_of(ctx);
+    AodvState& st = ctx.state_as<AodvState>();
     if (st.update_route(dest, seq, seq_valid, next_hop, hops, ctx.now(),
                         params_.active_route_timeout)) {
-      install_route(ctx, dest, next_hop, hops);
+      ctx.set_route(dest, next_hop, hops);
       st.pending().finish(dest);
-      if (auto* s = soft(ctx)) s->drop(aodv_sets::kPending, dest);
+      if (auto* s = ctx.soft()) s->drop(aodv_sets::kPending, dest);
       emit_route_found(ctx, dest);
     }
     // Track the deadline even when the update was a same-info refresh
     // (update_route extends the lifetime without reporting change).
     if (auto r = st.route_to(dest)) {
-      if (auto* s = soft(ctx)) s->touch_at(aodv_sets::kRoute, dest, r->expires);
+      if (auto* s = ctx.soft()) {
+        s->touch_at(aodv_sets::kRoute, dest, r->expires);
+      }
     }
   }
 
@@ -171,7 +145,7 @@ class AodvHandler final : public core::EventHandler {
         msg.addr_blocks[0].addrs.empty()) {
       return;
     }
-    AodvState& st = aodv_state_of(ctx);
+    AodvState& st = ctx.state_as<AodvState>();
 
     // Reverse route to the originator.
     learn(ctx, *msg.originator, *msg.seqnum, true, event.from,
@@ -179,7 +153,7 @@ class AodvHandler final : public core::EventHandler {
 
     // Every sighting refreshes the tuple's holding time.
     bool dup = st.check_rreq_seen(*msg.originator, id_tlv->as_u32(), ctx.now());
-    if (auto* s = soft(ctx)) {
+    if (auto* s = ctx.soft()) {
       s->touch(aodv_sets::kRreqId,
                aodv_rreq_key(*msg.originator, id_tlv->as_u32()));
     }
@@ -240,7 +214,7 @@ class AodvHandler final : public core::EventHandler {
     net::Addr rreq_origin = msg.addr_blocks[0].addrs[0];
     if (rreq_origin == ctx.self()) return;  // discovery complete
 
-    AodvState& st = aodv_state_of(ctx);
+    AodvState& st = ctx.state_as<AodvState>();
     auto reverse = st.route_to(rreq_origin);
     if (!reverse || !reverse->valid) return;
     st.add_precursor(*msg.originator, reverse->next_hop);
@@ -257,7 +231,7 @@ class AodvHandler final : public core::EventHandler {
 
   void on_rerr(const ev::Event& event, core::ProtocolContext& ctx) {
     const pbb::Message& msg = *event.msg();
-    AodvState& st = aodv_state_of(ctx);
+    AodvState& st = ctx.state_as<AodvState>();
     std::vector<std::pair<net::Addr, std::uint16_t>> propagate;
     for (const auto& block : msg.addr_blocks) {
       for (std::size_t i = 0; i < block.addrs.size(); ++i) {
@@ -265,7 +239,7 @@ class AodvHandler final : public core::EventHandler {
         auto route = st.route_to(dest);
         if (!route || !route->valid || route->next_hop != event.from) continue;
         if (auto seq = st.invalidate(dest)) {
-          remove_route(ctx, dest);
+          ctx.remove_route(dest);
           propagate.emplace_back(dest, *seq);
         }
       }
@@ -291,7 +265,7 @@ class AodvNoRouteHandler final : public core::EventHandler {
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     auto dest = static_cast<net::Addr>(event.get_int(kDest));
     if (dest == net::kNoAddr) return;
-    AodvState& st = aodv_state_of(ctx);
+    AodvState& st = ctx.state_as<AodvState>();
     auto route = st.route_to(dest);
     if (route && route->valid) {
       emit_route_found(ctx, dest);
@@ -299,9 +273,8 @@ class AodvNoRouteHandler final : public core::EventHandler {
     }
     if (st.pending().has(dest)) return;
     st.pending().start(dest, params_.rreq_wait);
-    if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-    if (soft_ != nullptr) {
-      soft_->touch_at(aodv_sets::kPending, dest, ctx.now() + params_.rreq_wait);
+    if (auto* s = ctx.soft()) {
+      s->touch_at(aodv_sets::kPending, dest, ctx.now() + params_.rreq_wait);
     }
     ctx.metrics().counter("aodv.discoveries").inc();
     send_rreq_for(ctx, dest, params_);
@@ -309,7 +282,6 @@ class AodvNoRouteHandler final : public core::EventHandler {
 
  private:
   AodvParams params_;
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
 };
 
 class AodvRouteUpdateHandler final : public core::EventHandler {
@@ -323,19 +295,17 @@ class AodvRouteUpdateHandler final : public core::EventHandler {
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     auto dest = static_cast<net::Addr>(event.get_int(kDest));
-    AodvState& st = aodv_state_of(ctx);
+    AodvState& st = ctx.state_as<AodvState>();
     st.extend_lifetime(dest, ctx.now(), params_.active_route_timeout);
     if (auto r = st.route_to(dest)) {
-      if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-      if (soft_ != nullptr) {
-        soft_->touch_at(aodv_sets::kRoute, dest, r->expires);
+      if (auto* s = ctx.soft()) {
+        s->touch_at(aodv_sets::kRoute, dest, r->expires);
       }
     }
   }
 
  private:
   AodvParams params_;
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
 };
 
 class AodvInvalidationHandler final : public core::EventHandler {
@@ -356,9 +326,9 @@ class AodvInvalidationHandler final : public core::EventHandler {
       hop = static_cast<net::Addr>(event.get_int(kNeighbor));
     }
     if (hop == net::kNoAddr) return;
-    AodvState& st = aodv_state_of(ctx);
+    AodvState& st = ctx.state_as<AodvState>();
     auto unreachable = st.invalidate_via(hop);
-    for (const auto& [dest, _] : unreachable) remove_route(ctx, dest);
+    for (const auto& [dest, _] : unreachable) ctx.remove_route(dest);
     if (!unreachable.empty()) {
       ev::Event out(ev::etype(ev::types::AODV_OUT));
       out.set_msg(build_rerr(unreachable));
@@ -402,7 +372,6 @@ class PiggybackBridge final : public oc::Component {
         ++n;
       }
       if (n == 0) return std::nullopt;
-      if (n == 0) return std::nullopt;
       return pbb::Tlv{wire::kTlvPiggyback, w.take()};
     });
 
@@ -413,7 +382,7 @@ class PiggybackBridge final : public oc::Component {
           auto* st = dynamic_cast<AodvState*>(proto->state_component());
           if (st == nullptr) return;
           auto& ctx = proto->context();
-          auto* soft = core::soft_expiry_of(ctx);
+          auto* soft = ctx.soft();
           ByteReader r(tlv.value);
           try {
             while (r.remaining() >= 11) {
@@ -428,8 +397,7 @@ class PiggybackBridge final : public oc::Component {
               if (st->update_route(dest, seq, true, from,
                                    static_cast<std::uint8_t>(hops + 1),
                                    ctx.now(), params_copy.active_route_timeout)) {
-                install_route(ctx, dest, from,
-                              static_cast<std::uint8_t>(hops + 1));
+                ctx.set_route(dest, from, static_cast<std::uint8_t>(hops + 1));
               }
               if (soft != nullptr) {
                 if (auto learned = st->route_to(dest)) {
@@ -470,37 +438,34 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
   // fn invalidates a lapsed valid entry and re-arms it for DELETE_PERIOD
   // (seqnum memory), then lets the second lapse delete it.
   auto soft = std::make_unique<core::SoftExpiry>();
-  core::ManetProtocolCf* raw = cf.get();
   soft->define_set(
       "aodv.route", params.active_route_timeout,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
-        AodvState& st = aodv_state_of(ctx);
+        AodvState& st = ctx.state_as<AodvState>();
         auto dest = static_cast<net::Addr>(key);
         bool invalidated = false;
         auto next = st.lapse_route(dest, ctx.now(), invalidated);
-        if (invalidated) remove_route(ctx, dest);
+        if (invalidated) ctx.remove_route(dest);
         if (next) {
-          if (auto* s = core::soft_expiry_of(ctx)) {
-            s->touch_at(aodv_sets::kRoute, dest, *next);
-          }
+          if (auto* s = ctx.soft()) s->touch_at(aodv_sets::kRoute, dest, *next);
         }
       },
-      [raw]() {
+      [](core::ProtocolContext& ctx) {
         std::vector<std::uint64_t> keys;
-        if (AodvState* st = aodv_state(*raw)) {
-          for (const auto& [dest, _] : st->all_routes()) keys.push_back(dest);
+        for (const auto& [dest, _] : ctx.state_as<AodvState>().all_routes()) {
+          keys.push_back(dest);
         }
         return keys;
       });
   soft->define_set(
       "aodv.pending", params.rreq_wait,
       [params](std::uint64_t key, core::ProtocolContext& ctx) {
-        AodvState& st = aodv_state_of(ctx);
+        AodvState& st = ctx.state_as<AodvState>();
         auto dest = static_cast<net::Addr>(key);
         bool had = st.pending().has(dest);
         if (auto next = st.pending().retry(dest, ctx.now())) {
           send_rreq_for(ctx, dest, params);
-          if (auto* s = core::soft_expiry_of(ctx)) {
+          if (auto* s = ctx.soft()) {
             s->touch_at(aodv_sets::kPending, dest, *next);
           }
         } else if (had) {
@@ -508,26 +473,21 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
                    " gave up after ", int{AodvState::kMaxTries}, " tries");
         }
       },
-      [raw]() {
-        std::vector<std::uint64_t> keys;
-        if (AodvState* st = aodv_state(*raw)) {
-          for (net::Addr dest : st->pending().dests()) keys.push_back(dest);
-        }
-        return keys;
+      [](core::ProtocolContext& ctx) {
+        return core::seed_keys(ctx.state_as<AodvState>().pending().dests());
       });
   soft->define_set(
       "aodv.rreq_id", params.rreq_id_hold,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
-        aodv_state_of(ctx).drop_rreq_seen(
+        ctx.state_as<AodvState>().drop_rreq_seen(
             static_cast<net::Addr>(key >> 24),
             static_cast<std::uint32_t>(key & 0xFFFFFF));
       },
-      [raw]() {
+      [](core::ProtocolContext& ctx) {
         std::vector<std::uint64_t> keys;
-        if (AodvState* st = aodv_state(*raw)) {
-          for (const auto& [origin, id] : st->rreq_seen_entries()) {
-            keys.push_back(aodv_rreq_key(origin, id));
-          }
+        for (const auto& [origin, id] :
+             ctx.state_as<AodvState>().rreq_seen_entries()) {
+          keys.push_back(aodv_rreq_key(origin, id));
         }
         return keys;
       });
@@ -570,10 +530,10 @@ void aodv_discover(core::ManetProtocolCf& cf, net::Addr target,
                    AodvParams params) {
   auto lock = cf.quiesce();
   auto& ctx = cf.context();
-  AodvState& st = aodv_state_of(ctx);
+  AodvState& st = ctx.state_as<AodvState>();
   if (st.pending().has(target)) return;
   st.pending().start(target, params.rreq_wait);
-  if (auto* soft = core::soft_expiry_of(ctx)) {
+  if (auto* soft = ctx.soft()) {
     soft->touch_at(aodv_sets::kPending, target, ctx.now() + params.rreq_wait);
   }
   send_rreq_for(ctx, target, params);

@@ -36,9 +36,9 @@ struct AodvParams {
 /// Soft-state set ids of the AODV CF, fixed by definition order in
 /// build_aodv_cf.
 namespace aodv_sets {
-inline constexpr core::ISoftExpiry::SetId kRoute = 0;
-inline constexpr core::ISoftExpiry::SetId kPending = 1;
-inline constexpr core::ISoftExpiry::SetId kRreqId = 2;
+inline constexpr core::SoftExpiry::SetId kRoute = 0;
+inline constexpr core::SoftExpiry::SetId kPending = 1;
+inline constexpr core::SoftExpiry::SetId kRreqId = 2;
 }  // namespace aodv_sets
 
 /// Packs an RREQ duplicate-cache tuple into SoftExpiry's 56-bit key space.

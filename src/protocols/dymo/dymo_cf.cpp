@@ -15,12 +15,6 @@ using core::attrs::kNextHop;
 using core::attrs::kUnicastTo;
 using core::attrs::kUp;
 
-DymoState& dymo_state_of(core::ProtocolContext& ctx) {
-  auto* s = dynamic_cast<DymoState*>(ctx.state());
-  MK_ASSERT(s != nullptr, "DYMO CF has no DymoState S element");
-  return *s;
-}
-
 }  // namespace
 
 void dymo_emit_route_found(core::ProtocolContext& ctx, net::Addr dest) {
@@ -31,27 +25,11 @@ void dymo_emit_route_found(core::ProtocolContext& ctx, net::Addr dest) {
 
 void dymo_send_rreq(core::ProtocolContext& ctx, net::Addr target,
                     const DymoParams& params) {
-  DymoState& st = dymo_state_of(ctx);
+  DymoState& st = ctx.state_as<DymoState>();
   ev::Event e(ev::etype("RM_OUT"));
   e.set_msg(rm::build_rreq(ctx.self(), st.bump_seq(), target,
                            params.rreq_hop_limit));
   ctx.emit(std::move(e));
-}
-
-void dymo_install_kernel_route(core::ProtocolContext& ctx, net::Addr dest,
-                               net::Addr next_hop, std::uint8_t hops) {
-  if (ctx.sys() == nullptr) return;
-  net::RouteEntry entry;
-  entry.dest = dest;
-  entry.next_hop = next_hop;
-  entry.metric = hops;
-  entry.installed_at = ctx.now();
-  ctx.sys()->kernel_table().set_route(entry);
-}
-
-void dymo_remove_kernel_route(core::ProtocolContext& ctx, net::Addr dest) {
-  if (ctx.sys() == nullptr) return;
-  ctx.sys()->kernel_table().remove_route(dest);
 }
 
 // ------------------------------------------------------------------ RM codec
@@ -150,29 +128,24 @@ ReHandler::ReHandler(std::string type_name, DymoParams params)
   set_instance_name("ReHandler");
 }
 
-core::SoftExpiry* ReHandler::soft(core::ProtocolContext& ctx) {
-  if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-  return soft_;
-}
-
 void ReHandler::learn(const ev::Event& event, core::ProtocolContext& ctx) {
   const pbb::Message& msg = *event.msg();
-  DymoState& st = dymo_state_of(ctx);
+  DymoState& st = ctx.state_as<DymoState>();
   TimePoint now = ctx.now();
 
   auto accept = [&](net::Addr dest, std::uint16_t seq, std::uint8_t hops) {
     if (dest == ctx.self()) return;
     if (st.update_route(dest, seq, event.from, hops, now,
                         params_.route_lifetime)) {
-      dymo_install_kernel_route(ctx, dest, event.from, hops);
+      ctx.set_route(dest, event.from, hops);
       st.pending().finish(dest);
-      if (auto* s = soft(ctx)) s->drop(dymo_sets::kPending, dest);
+      if (auto* s = ctx.soft()) s->drop(dymo_sets::kPending, dest);
       dymo_emit_route_found(ctx, dest);
     }
     // Track the route's deadline even when the update was a same-info
     // refresh (update_route extends the lifetime without reporting change).
     if (auto r = st.route_to(dest)) {
-      if (auto* s = soft(ctx)) {
+      if (auto* s = ctx.soft()) {
         s->touch_at(dymo_sets::kRoute, dest, r->expires);
       }
     }
@@ -202,7 +175,7 @@ void ReHandler::learn(const ev::Event& event, core::ProtocolContext& ctx) {
 void ReHandler::send_rrep(const ev::Event& rreq_event,
                           core::ProtocolContext& ctx, bool bump_seq) {
   const pbb::Message& rreq = *rreq_event.msg();
-  DymoState& st = dymo_state_of(ctx);
+  DymoState& st = ctx.state_as<DymoState>();
   ev::Event out(ev::etype("RM_OUT"));
   out.set_msg(rm::build_rrep(ctx.self(),
                              bump_seq ? st.bump_seq() : st.own_seq(),
@@ -227,8 +200,8 @@ bool ReHandler::should_relay_rreq(const ev::Event&, core::ProtocolContext&) {
 void ReHandler::on_rrep_at_origin(const ev::Event& event,
                                   core::ProtocolContext& ctx) {
   net::Addr dest = *event.msg()->originator;
-  dymo_state_of(ctx).pending().finish(dest);
-  if (auto* s = soft(ctx)) s->drop(dymo_sets::kPending, dest);
+  ctx.state_as<DymoState>().pending().finish(dest);
+  if (auto* s = ctx.soft()) s->drop(dymo_sets::kPending, dest);
 }
 
 void ReHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
@@ -241,13 +214,13 @@ void ReHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
 
   learn(event, ctx);
 
-  DymoState& st = dymo_state_of(ctx);
+  DymoState& st = ctx.state_as<DymoState>();
   net::Addr target = rm::target(msg);
   if (target == net::kNoAddr) return;
 
   if (rm::kind(msg) == rm::Kind::kRreq) {
     bool dup = st.check_duplicate(*msg.originator, *msg.seqnum, ctx.now());
-    if (auto* s = soft(ctx)) {
+    if (auto* s = ctx.soft()) {
       s->touch(dymo_sets::kDuplicate, dymo_dup_key(*msg.originator, *msg.seqnum));
     }
     if (target == ctx.self()) {
@@ -310,10 +283,10 @@ RouteInvalidationHandler::RouteInvalidationHandler(std::string type_name,
 
 std::vector<std::pair<net::Addr, std::uint16_t>>
 RouteInvalidationHandler::fail_via(net::Addr hop, core::ProtocolContext& ctx) {
-  DymoState& st = dymo_state_of(ctx);
+  DymoState& st = ctx.state_as<DymoState>();
   auto unreachable = st.invalidate_via(hop);
   for (const auto& [dest, _] : unreachable) {
-    dymo_remove_kernel_route(ctx, dest);
+    ctx.remove_route(dest);
   }
   return unreachable;
 }
@@ -361,7 +334,7 @@ void NoRouteHandler::handle(const ev::Event& event,
                             core::ProtocolContext& ctx) {
   auto dest = static_cast<net::Addr>(event.get_int(kDest));
   if (dest == net::kNoAddr) return;
-  DymoState& st = dymo_state_of(ctx);
+  DymoState& st = ctx.state_as<DymoState>();
   auto route = st.route_to(dest);
   if (route && route->valid) {
     // Route already known (e.g. learned since the packet was buffered).
@@ -371,9 +344,8 @@ void NoRouteHandler::handle(const ev::Event& event,
   if (try_local_knowledge(dest, ctx)) return;
   if (st.pending().has(dest)) return;  // discovery already in flight
   st.pending().start(dest, params_.rreq_wait);
-  if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-  if (soft_ != nullptr) {
-    soft_->touch_at(dymo_sets::kPending, dest, ctx.now() + params_.rreq_wait);
+  if (auto* s = ctx.soft()) {
+    s->touch_at(dymo_sets::kPending, dest, ctx.now() + params_.rreq_wait);
   }
   ctx.metrics().counter("dymo.discoveries").inc();
   dymo_send_rreq(ctx, dest, params_);
@@ -388,11 +360,10 @@ RouteUpdateHandler::RouteUpdateHandler(DymoParams params)
 void RouteUpdateHandler::handle(const ev::Event& event,
                                 core::ProtocolContext& ctx) {
   auto dest = static_cast<net::Addr>(event.get_int(kDest));
-  DymoState& st = dymo_state_of(ctx);
+  DymoState& st = ctx.state_as<DymoState>();
   st.extend_lifetime(dest, ctx.now(), params_.route_lifetime);
   if (auto r = st.route_to(dest)) {
-    if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-    if (soft_ != nullptr) soft_->touch_at(dymo_sets::kRoute, dest, r->expires);
+    if (auto* s = ctx.soft()) s->touch_at(dymo_sets::kRoute, dest, r->expires);
   }
 }
 
@@ -407,12 +378,10 @@ void RerrHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
     return;
   }
   const pbb::Message& msg = *event.msg();
-  DymoState& st = dymo_state_of(ctx);
+  DymoState& st = ctx.state_as<DymoState>();
   bool dup = st.check_duplicate(*msg.originator, *msg.seqnum, ctx.now());
-  if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-  if (soft_ != nullptr) {
-    soft_->touch(dymo_sets::kDuplicate,
-                 dymo_dup_key(*msg.originator, *msg.seqnum));
+  if (auto* s = ctx.soft()) {
+    s->touch(dymo_sets::kDuplicate, dymo_dup_key(*msg.originator, *msg.seqnum));
   }
   if (dup) return;
 
@@ -424,7 +393,7 @@ void RerrHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
       if (!route || !route->valid || route->active() == nullptr) continue;
       if (route->active()->next_hop != event.from) continue;
       if (auto seq = st.invalidate(dest)) {
-        dymo_remove_kernel_route(ctx, dest);
+        ctx.remove_route(dest);
         still_unreachable.emplace_back(dest, *seq);
       }
     }
@@ -458,31 +427,30 @@ std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
   // per-entry, so a route lapses — and its kernel entry goes — at its exact
   // lifetime, and RREQ retries fire at their exact backoff deadline.
   auto soft = std::make_unique<core::SoftExpiry>();
-  core::ManetProtocolCf* raw = cf.get();
   soft->define_set(
       "dymo.route", params.route_lifetime,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
         auto dest = static_cast<net::Addr>(key);
-        if (dymo_state_of(ctx).drop_route(dest)) {
-          dymo_remove_kernel_route(ctx, dest);
+        if (ctx.state_as<DymoState>().drop_route(dest)) {
+          ctx.remove_route(dest);
         }
       },
-      [raw]() {
+      [](core::ProtocolContext& ctx) {
         std::vector<std::uint64_t> keys;
-        if (DymoState* st = dymo_state(*raw)) {
-          for (const auto& [dest, _] : st->all_routes()) keys.push_back(dest);
+        for (const auto& [dest, _] : ctx.state_as<DymoState>().all_routes()) {
+          keys.push_back(dest);
         }
         return keys;
       });
   soft->define_set(
       "dymo.pending", params.rreq_wait,
       [params](std::uint64_t key, core::ProtocolContext& ctx) {
-        DymoState& st = dymo_state_of(ctx);
+        DymoState& st = ctx.state_as<DymoState>();
         auto dest = static_cast<net::Addr>(key);
         bool had = st.pending().has(dest);
         if (auto next = st.pending().retry(dest, ctx.now())) {
           dymo_send_rreq(ctx, dest, params);
-          if (auto* s = core::soft_expiry_of(ctx)) {
+          if (auto* s = ctx.soft()) {
             s->touch_at(dymo_sets::kPending, dest, *next);
           }
         } else if (had) {
@@ -490,26 +458,21 @@ std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
                    " gave up after ", int{DymoState::kMaxTries}, " tries");
         }
       },
-      [raw]() {
-        std::vector<std::uint64_t> keys;
-        if (DymoState* st = dymo_state(*raw)) {
-          for (net::Addr dest : st->pending().dests()) keys.push_back(dest);
-        }
-        return keys;
+      [](core::ProtocolContext& ctx) {
+        return core::seed_keys(ctx.state_as<DymoState>().pending().dests());
       });
   soft->define_set(
       "dymo.duplicate", params.duplicate_hold,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
-        dymo_state_of(ctx).drop_duplicate(
+        ctx.state_as<DymoState>().drop_duplicate(
             static_cast<net::Addr>(key >> 16),
             static_cast<std::uint16_t>(key & 0xFFFF));
       },
-      [raw]() {
+      [](core::ProtocolContext& ctx) {
         std::vector<std::uint64_t> keys;
-        if (DymoState* st = dymo_state(*raw)) {
-          for (const auto& [origin, seq] : st->duplicate_entries()) {
-            keys.push_back(dymo_dup_key(origin, seq));
-          }
+        for (const auto& [origin, seq] :
+             ctx.state_as<DymoState>().duplicate_entries()) {
+          keys.push_back(dymo_dup_key(origin, seq));
         }
         return keys;
       });
@@ -546,10 +509,10 @@ void dymo_discover(core::ManetProtocolCf& cf, net::Addr target,
                    DymoParams params) {
   auto lock = cf.quiesce();
   auto& ctx = cf.context();
-  DymoState& st = dymo_state_of(ctx);
+  DymoState& st = ctx.state_as<DymoState>();
   if (st.pending().has(target)) return;
   st.pending().start(target, params.rreq_wait);
-  if (auto* soft = core::soft_expiry_of(ctx)) {
+  if (auto* soft = ctx.soft()) {
     soft->touch_at(dymo_sets::kPending, target, ctx.now() + params.rreq_wait);
   }
   dymo_send_rreq(ctx, target, params);

@@ -37,9 +37,9 @@ struct DymoParams {
 /// Soft-state set ids of the DYMO CF (and its ZRP/multipath/gossip
 /// derivatives), fixed by definition order in build_dymo_cf.
 namespace dymo_sets {
-inline constexpr core::ISoftExpiry::SetId kRoute = 0;
-inline constexpr core::ISoftExpiry::SetId kPending = 1;
-inline constexpr core::ISoftExpiry::SetId kDuplicate = 2;
+inline constexpr core::SoftExpiry::SetId kRoute = 0;
+inline constexpr core::SoftExpiry::SetId kPending = 1;
+inline constexpr core::SoftExpiry::SetId kDuplicate = 2;
 }  // namespace dymo_sets
 
 /// Packs an RM duplicate-set tuple into a soft-state key.
@@ -111,16 +111,9 @@ class ReHandler : public core::EventHandler {
   void send_rrep(const ev::Event& rreq_event, core::ProtocolContext& ctx,
                  bool bump_seq = true);
 
-  /// The CF's shared soft-state layer (lazily resolved, may be null in
-  /// stripped-down test compositions).
-  core::SoftExpiry* soft(core::ProtocolContext& ctx);
-
   DymoParams params_;
   obs::Counter* rm_in_ = nullptr;      // cached "dymo.rm_in"
   obs::Counter* rrep_sent_ = nullptr;  // cached "dymo.rrep_sent"
-
- private:
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
 };
 
 /// Shared invalidation logic for SEND_ROUTE_ERR and NHOOD_CHANGE(down):
@@ -166,9 +159,6 @@ class NoRouteHandler : public core::EventHandler {
   virtual bool try_local_knowledge(net::Addr dest, core::ProtocolContext& ctx);
 
   DymoParams params_;
-
- private:
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
 };
 
 /// ROUTE_UPDATE from NetLink: data-plane usage extends route lifetimes.
@@ -179,7 +169,6 @@ class RouteUpdateHandler final : public core::EventHandler {
 
  private:
   DymoParams params_;
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
 };
 
 /// RERR processing: invalidate matching routes and propagate.
@@ -190,13 +179,7 @@ class RerrHandler final : public core::EventHandler {
 
  private:
   DymoParams params_;
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
 };
-
-/// Kernel-table sync helpers used by all DYMO handlers.
-void dymo_install_kernel_route(core::ProtocolContext& ctx, net::Addr dest,
-                               net::Addr next_hop, std::uint8_t hops);
-void dymo_remove_kernel_route(core::ProtocolContext& ctx, net::Addr dest);
 
 /// Emission helpers shared with the zone-hybrid protocol.
 void dymo_emit_route_found(core::ProtocolContext& ctx, net::Addr dest);

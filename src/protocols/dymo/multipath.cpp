@@ -10,12 +10,6 @@ namespace {
 
 using core::attrs::kDest;
 
-MultipathDymoState& mp_state_of(core::ProtocolContext& ctx) {
-  auto* s = dynamic_cast<MultipathDymoState*>(ctx.state());
-  MK_ASSERT(s != nullptr, "multipath DYMO has no MultipathDymoState");
-  return *s;
-}
-
 /// RE handler mining duplicates for link-disjoint paths.
 class MultipathReHandler final : public ReHandler {
  public:
@@ -27,7 +21,7 @@ class MultipathReHandler final : public ReHandler {
   /// the originator learns one RREP per disjoint approach direction.
   void on_duplicate_rreq_at_target(const ev::Event& event,
                                    core::ProtocolContext& ctx) override {
-    MultipathDymoState& st = mp_state_of(ctx);
+    MultipathDymoState& st = ctx.state_as<MultipathDymoState>();
     net::Addr orig = *event.msg()->originator;
     // Record the alternate reverse path first, then reply along it.
     bool added = st.add_alternate_path(
@@ -42,7 +36,7 @@ class MultipathReHandler final : public ReHandler {
   /// path, do not rebroadcast (the first copy already did).
   void on_duplicate_rreq(const ev::Event& event,
                          core::ProtocolContext& ctx) override {
-    mp_state_of(ctx).add_alternate_path(
+    ctx.state_as<MultipathDymoState>().add_alternate_path(
         *event.msg()->originator, event.from,
         static_cast<std::uint8_t>(event.msg()->hop_count + 1));
   }
@@ -51,18 +45,14 @@ class MultipathReHandler final : public ReHandler {
   /// first hop contribute alternate forward paths.
   void on_rrep_at_origin(const ev::Event& event,
                          core::ProtocolContext& ctx) override {
-    MultipathDymoState& st = mp_state_of(ctx);
+    MultipathDymoState& st = ctx.state_as<MultipathDymoState>();
     net::Addr dest = *event.msg()->originator;  // the RREP sender == target
     st.add_alternate_path(
         dest, event.from,
         static_cast<std::uint8_t>(event.msg()->hop_count + 1));
     st.pending().finish(dest);
-    if (auto* s = core::soft_expiry_of(ctx)) {
-      s->drop(dymo_sets::kPending, dest);
-    }
+    if (auto* s = ctx.soft()) s->drop(dymo_sets::kPending, dest);
   }
-
- private:
 };
 
 /// Route-error handler that fails over before reporting.
@@ -74,7 +64,7 @@ class MultipathInvalidationHandler final : public RouteInvalidationHandler {
  protected:
   std::vector<std::pair<net::Addr, std::uint16_t>> fail_via(
       net::Addr hop, core::ProtocolContext& ctx) override {
-    MultipathDymoState& st = mp_state_of(ctx);
+    MultipathDymoState& st = ctx.state_as<MultipathDymoState>();
     std::vector<std::pair<net::Addr, std::uint16_t>> unreachable;
 
     // Collect destinations whose *active* path uses the broken hop, then try
@@ -88,7 +78,7 @@ class MultipathInvalidationHandler final : public RouteInvalidationHandler {
     }
     for (net::Addr dest : affected) {
       if (auto alt = st.fail_over(dest)) {
-        dymo_install_kernel_route(ctx, dest, alt->next_hop, alt->hops);
+        ctx.set_route(dest, alt->next_hop, alt->hops);
         // Flush anything NetLink buffered meanwhile.
         ev::Event e(ev::types::ROUTE_FOUND);
         e.set_int(kDest, dest);
@@ -97,7 +87,7 @@ class MultipathInvalidationHandler final : public RouteInvalidationHandler {
                  pbb::addr_to_string(alt->next_hop));
       } else {
         auto route = st.route_to(dest);
-        dymo_remove_kernel_route(ctx, dest);
+        ctx.remove_route(dest);
         unreachable.emplace_back(dest, route ? route->seqnum : 0);
       }
     }

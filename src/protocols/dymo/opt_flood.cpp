@@ -11,18 +11,18 @@ namespace {
 /// Relaying: only relay floods from neighbours that selected us as MPR.
 class OptFloodReHandler final : public ReHandler {
  public:
-  OptFloodReHandler(DymoParams params, core::ManetProtocolCf* mpr_cf)
-      : ReHandler("dymo.OptFloodReHandler", params), mpr_cf_(mpr_cf) {}
+  OptFloodReHandler(DymoParams params, core::Manetkit& kit)
+      : ReHandler("dymo.OptFloodReHandler", params), kit_(kit) {}
 
  protected:
   bool should_relay_rreq(const ev::Event& event,
                          core::ProtocolContext&) override {
-    MprState* st = mpr_state(*mpr_cf_);
+    MprState* st = mpr_state(kit_);
     return st == nullptr || st->is_mpr_selector(event.from);
   }
 
  private:
-  core::ManetProtocolCf* mpr_cf_;
+  core::Manetkit& kit_;
 };
 
 }  // namespace
@@ -33,7 +33,7 @@ void apply_dymo_optimized_flooding(core::Manetkit& kit, DymoParams params) {
   if (is_dymo_optimized_flooding(kit)) return;
 
   if (!kit.has_builder("mpr")) register_mpr(kit);
-  core::ManetProtocolCf* mpr = kit.deploy("mpr");  // shared if OLSR has one
+  kit.deploy("mpr");  // shared if OLSR has one
 
   // MPR subsumes the Neighbour Detection CF's role (it also provides
   // NHOOD_CHANGE), so the latter is replaced by it.
@@ -42,7 +42,7 @@ void apply_dymo_optimized_flooding(core::Manetkit& kit, DymoParams params) {
   }
 
   dymo->replace_handler("ReHandler",
-                        std::make_unique<OptFloodReHandler>(params, mpr));
+                        std::make_unique<OptFloodReHandler>(params, kit));
 }
 
 void remove_dymo_optimized_flooding(core::Manetkit& kit, DymoParams params) {

@@ -27,12 +27,6 @@ double dist(net::Position a, net::Position b) {
   return std::sqrt(dx * dx + dy * dy);
 }
 
-GpsrState& state_of(core::ProtocolContext& ctx) {
-  auto* s = dynamic_cast<GpsrState*>(ctx.state());
-  MK_ASSERT(s != nullptr, "GPSR CF has no GpsrState S element");
-  return *s;
-}
-
 pbb::Tlv encode_position(net::Position p) {
   ByteWriter w;
   w.put_u32(static_cast<std::uint32_t>(p.x * 100.0 + 0.5));
@@ -74,9 +68,7 @@ class PositionBeacon final : public oc::Component {
           if (st == nullptr) return;
           auto& ctx = proto->context();
           st->note_position(from, *pos);
-          if (auto* soft = core::soft_expiry_of(ctx)) {
-            soft->touch(gpsr_sets::kPosition, from);
-          }
+          if (auto* soft = ctx.soft()) soft->touch(gpsr_sets::kPosition, from);
         });
   }
 
@@ -90,12 +82,11 @@ class PositionBeacon final : public oc::Component {
 class GreedyRouteHandler final : public core::EventHandler {
  public:
   GreedyRouteHandler(GpsrParams params, LocationService locate,
-                     core::ManetProtocolCf* neighbor_cf, net::SimNode& node)
+                     core::Manetkit& kit)
       : core::EventHandler("gpsr.GreedyRouteHandler", {ev::types::NO_ROUTE}),
         params_(params),
         locate_(std::move(locate)),
-        neighbor_cf_(neighbor_cf),
-        node_(node) {
+        kit_(kit) {
     set_instance_name("GreedyRouteHandler");
   }
 
@@ -118,26 +109,21 @@ class GreedyRouteHandler final : public core::EventHandler {
       MK_TRACE("gpsr", "no location for ", pbb::addr_to_string(dest));
       return false;
     }
-    INeighborState* ns = neighbor_state(*neighbor_cf_);
+    INeighborState* ns = neighbor_state(kit_);
     if (ns == nullptr) return false;
 
-    GpsrState& st = state_of(ctx);
-    net::Addr hop =
-        greedy_next_hop(st, node_.position(), *dest_pos, ns->sym_neighbors());
+    GpsrState& st = ctx.state_as<GpsrState>();
+    net::Addr hop = greedy_next_hop(st, kit_.node().position(), *dest_pos,
+                                    ns->sym_neighbors());
     if (dest != net::kNoAddr && ns->is_sym_neighbor(dest)) hop = dest;
     if (hop == net::kNoAddr) return false;
 
-    net::RouteEntry entry;
-    entry.dest = dest;
-    entry.next_hop = hop;
-    entry.metric = 1;  // geographic routing has no hop-count estimate
-    entry.installed_at = ctx.now();
-    ctx.sys()->kernel_table().set_route(entry);
+    // Geographic routing has no hop-count estimate: metric 1.
+    ctx.set_route(dest, hop, 1);
     TimePoint deadline = ctx.now() + params_.route_lifetime;
     st.active_dests()[dest] = deadline;
-    if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-    if (soft_ != nullptr) {
-      soft_->touch_at(gpsr_sets::kActive, dest, deadline);
+    if (auto* soft = ctx.soft()) {
+      soft->touch_at(gpsr_sets::kActive, dest, deadline);
     }
     ctx.metrics().counter("gpsr.greedy_installs").inc();
     return true;
@@ -146,9 +132,7 @@ class GreedyRouteHandler final : public core::EventHandler {
  private:
   GpsrParams params_;
   LocationService locate_;
-  core::ManetProtocolCf* neighbor_cf_;
-  net::SimNode& node_;
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
+  core::Manetkit& kit_;
 };
 
 /// Re-evaluates greedy choices for active destinations (mobility!). Stale
@@ -175,7 +159,7 @@ class GpsrMaintenance final : public core::EventSource {
 
  private:
   void fire() {
-    GpsrState& st = state_of(*ctx_);
+    GpsrState& st = ctx_->state_as<GpsrState>();
     for (auto& [dest, _] : st.active_dests()) {
       greedy_->try_install(dest, *ctx_);
     }
@@ -199,15 +183,15 @@ class GpsrEventHandler final : public core::EventHandler {
   }
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
-    GpsrState& st = state_of(ctx);
-    if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
+    GpsrState& st = ctx.state_as<GpsrState>();
+    core::SoftExpiry* soft = ctx.soft();
     if (event.type() == ev::etype(ev::types::ROUTE_UPDATE)) {
       auto dest = static_cast<net::Addr>(event.get_int(kDest));
       auto it = st.active_dests().find(dest);
       if (it != st.active_dests().end()) {
         it->second = ctx.now() + params_.route_lifetime;
-        if (soft_ != nullptr) {
-          soft_->touch_at(gpsr_sets::kActive, dest, it->second);
+        if (soft != nullptr) {
+          soft->touch_at(gpsr_sets::kActive, dest, it->second);
         }
       }
       return;
@@ -216,16 +200,15 @@ class GpsrEventHandler final : public core::EventHandler {
     auto lost = static_cast<net::Addr>(event.get_int(kNeighbor));
     if (ctx.sys() == nullptr) return;
     for (net::Addr dest : ctx.sys()->kernel_table().dests_via(lost)) {
-      ctx.sys()->kernel_table().remove_route(dest);
+      ctx.remove_route(dest);
       st.active_dests().erase(dest);
-      if (soft_ != nullptr) soft_->drop(gpsr_sets::kActive, dest);
+      if (soft != nullptr) soft->drop(gpsr_sets::kActive, dest);
       ctx.metrics().counter("gpsr.routes_torn_down").inc();
     }
   }
 
  private:
   GpsrParams params_;
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
 };
 
 }  // namespace
@@ -292,44 +275,35 @@ std::unique_ptr<core::ManetProtocolCf> build_gpsr_cf(core::Manetkit& kit,
   // Per-entry soft-state expiry for positions and greedily installed routes
   // (set ids fixed by definition order — see gpsr_sets).
   auto soft = std::make_unique<core::SoftExpiry>();
-  core::ManetProtocolCf* raw = cf.get();
   soft->define_set(
       "gpsr.position", params.position_hold,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
-        state_of(ctx).drop_position(static_cast<net::Addr>(key));
+        ctx.state_as<GpsrState>().drop_position(static_cast<net::Addr>(key));
       },
-      [raw]() {
-        std::vector<std::uint64_t> keys;
-        if (GpsrState* st = gpsr_state(*raw)) {
-          for (net::Addr a : st->position_addrs()) keys.push_back(a);
-        }
-        return keys;
+      [](core::ProtocolContext& ctx) {
+        return core::seed_keys(ctx.state_as<GpsrState>().position_addrs());
       });
   soft->define_set(
       "gpsr.active", params.route_lifetime,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
-        GpsrState& st = state_of(ctx);
+        GpsrState& st = ctx.state_as<GpsrState>();
         auto dest = static_cast<net::Addr>(key);
         auto it = st.active_dests().find(dest);
         if (it == st.active_dests().end()) return;
         st.active_dests().erase(it);
-        if (ctx.sys() != nullptr) {
-          ctx.sys()->kernel_table().remove_route(dest);
-        }
+        ctx.remove_route(dest);
       },
-      [raw]() {
+      [](core::ProtocolContext& ctx) {
         std::vector<std::uint64_t> keys;
-        if (GpsrState* st = gpsr_state(*raw)) {
-          for (const auto& [dest, _] : st->active_dests()) {
-            keys.push_back(dest);
-          }
+        for (const auto& [dest, _] : ctx.state_as<GpsrState>().active_dests()) {
+          keys.push_back(dest);
         }
         return keys;
       });
   cf->add_source(std::move(soft));
 
-  auto greedy = std::make_unique<GreedyRouteHandler>(
-      params, std::move(locate), neighbor, kit.node());
+  auto greedy =
+      std::make_unique<GreedyRouteHandler>(params, std::move(locate), kit);
   GreedyRouteHandler* greedy_raw = greedy.get();
   cf->add_handler(std::move(greedy));
   cf->add_handler(std::make_unique<GpsrEventHandler>(params));

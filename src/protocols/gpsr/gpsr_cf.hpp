@@ -49,8 +49,8 @@ struct GpsrParams {
 /// Soft-state set ids of the GPSR CF, fixed by definition order in
 /// build_gpsr_cf.
 namespace gpsr_sets {
-inline constexpr core::ISoftExpiry::SetId kPosition = 0;
-inline constexpr core::ISoftExpiry::SetId kActive = 1;
+inline constexpr core::SoftExpiry::SetId kPosition = 0;
+inline constexpr core::SoftExpiry::SetId kActive = 1;
 }  // namespace gpsr_sets
 
 struct IGpsrState : oc::Interface {

@@ -38,7 +38,7 @@ class MprHelloSource final : public core::EventSource {
 
  private:
   void fire() {
-    MprState& st = mpr_state_of(*ctx_);
+    MprState& st = ctx_->state_as<MprState>();
     links_scratch_.clear();
     st.for_each_neighbor([&](net::Addr a, bool sym) {
       wire::LinkCode code = wire::LinkCode::kAsym;
@@ -77,7 +77,7 @@ class PowerStatusHandler final : public core::EventHandler {
   }
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
-    MprState& st = mpr_state_of(ctx);
+    MprState& st = ctx.state_as<MprState>();
     auto w = willingness_from_battery(event.get_double(kBattery, 1.0));
     if (w != st.own_willingness()) {
       st.set_own_willingness(w);
@@ -106,11 +106,10 @@ class FloodOutHandler final : public core::EventHandler {
       msg.hop_limit = 255;
       msg.hop_count = 0;
     }
-    mpr_state_of(ctx).check_duplicate(*msg.originator, *msg.seqnum);
-    if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-    if (soft_ != nullptr) {
-      soft_->touch(mpr_sets::kDuplicate,
-                   mpr_dup_key(*msg.originator, *msg.seqnum));
+    ctx.state_as<MprState>().check_duplicate(*msg.originator, *msg.seqnum);
+    if (auto* soft = ctx.soft()) {
+      soft->touch(mpr_sets::kDuplicate,
+                  mpr_dup_key(*msg.originator, *msg.seqnum));
     }
     ctx.emit(std::move(out));
   }
@@ -121,9 +120,6 @@ class FloodOutHandler final : public core::EventHandler {
     for (const auto& b : bases) out.push_back(b + "_OUT");
     return out;
   }
-
- private:
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
 };
 
 /// Inbound leg: retransmits a received flood message iff the previous hop
@@ -145,13 +141,12 @@ class FloodRelayHandler final : public core::EventHandler {
     if (!msg.originator || !msg.seqnum) return;
     if (*msg.originator == ctx.self()) return;
 
-    MprState& st = mpr_state_of(ctx);
+    MprState& st = ctx.state_as<MprState>();
     bool dup = st.check_duplicate(*msg.originator, *msg.seqnum);
-    if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-    if (soft_ != nullptr) {
+    if (auto* soft = ctx.soft()) {
       // Every sighting refreshes the tuple's holding time (RFC 3626 §3.4).
-      soft_->touch(mpr_sets::kDuplicate,
-                   mpr_dup_key(*msg.originator, *msg.seqnum));
+      soft->touch(mpr_sets::kDuplicate,
+                  mpr_dup_key(*msg.originator, *msg.seqnum));
     }
     if (dup) return;
     if (!st.is_mpr_selector(event.from)) return;  // we are not its relay
@@ -177,7 +172,6 @@ class FloodRelayHandler final : public core::EventHandler {
 
  private:
   std::map<ev::EventTypeId, ev::EventTypeId> out_for_in_;
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
 };
 
 /// Direct-call flooding service (the F element), for callers holding an
@@ -219,7 +213,7 @@ class HysteresisTick final : public core::EventSource {
 
  private:
   void fire() {
-    MprState& st = mpr_state_of(*ctx_);
+    MprState& st = ctx_->state_as<MprState>();
     if (auto* hyst_comp = ctx_->protocol().find("Hysteresis")) {
       if (auto* hyst = hyst_comp->interface_as<IHysteresis>("IHysteresis")) {
         for (net::Addr a : st.heard_neighbors()) hyst->on_interval(a);
@@ -279,58 +273,46 @@ std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit,
   // drops it and propagates the loss (NHOOD_CHANGE / MPR_CHANGE) at the
   // entry's own deadline instead of at sweep granularity.
   auto soft = std::make_unique<core::SoftExpiry>();
-  core::ManetProtocolCf* raw = cf.get();
   soft->define_set(
       "mpr.link", params.hold_time,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
-        MprState& st = mpr_state_of(ctx);
+        MprState& st = ctx.state_as<MprState>();
         auto addr = static_cast<net::Addr>(key);
-        if (auto* s = core::soft_expiry_of(ctx)) {
-          s->drop(mpr_sets::kSelector, addr);
-        }
+        if (auto* s = ctx.soft()) s->drop(mpr_sets::kSelector, addr);
         bool was_selector = st.is_mpr_selector(addr);
         st.drop_selector(addr);
         if (st.remove(addr)) emit_nhood_change(ctx, addr, false);
         if (was_selector) ctx.emit(ev::Event(ev::types::MPR_CHANGE));
         recompute_mprs(ctx);
       },
-      [raw]() {
-        std::vector<std::uint64_t> keys;
-        if (MprState* st = mpr_state(*raw)) {
-          for (net::Addr a : st->heard_neighbors()) keys.push_back(a);
-        }
-        return keys;
+      [](core::ProtocolContext& ctx) {
+        return core::seed_keys(ctx.state_as<MprState>().heard_neighbors());
       });
   soft->define_set(
       "mpr.selector", params.selector_hold,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
-        MprState& st = mpr_state_of(ctx);
+        MprState& st = ctx.state_as<MprState>();
         auto addr = static_cast<net::Addr>(key);
         if (st.is_mpr_selector(addr)) {
           st.drop_selector(addr);
           ctx.emit(ev::Event(ev::types::MPR_CHANGE));
         }
       },
-      [raw]() {
-        std::vector<std::uint64_t> keys;
-        if (MprState* st = mpr_state(*raw)) {
-          for (net::Addr a : st->mpr_selectors()) keys.push_back(a);
-        }
-        return keys;
+      [](core::ProtocolContext& ctx) {
+        return core::seed_keys(ctx.state_as<MprState>().mpr_selectors());
       });
   soft->define_set(
       "mpr.duplicate", params.duplicate_hold,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
-        mpr_state_of(ctx).drop_duplicate(
+        ctx.state_as<MprState>().drop_duplicate(
             static_cast<net::Addr>(key >> 16),
             static_cast<std::uint16_t>(key & 0xFFFF));
       },
-      [raw]() {
+      [](core::ProtocolContext& ctx) {
         std::vector<std::uint64_t> keys;
-        if (MprState* st = mpr_state(*raw)) {
-          for (const auto& [origin, seq] : st->duplicate_entries()) {
-            keys.push_back(mpr_dup_key(origin, seq));
-          }
+        for (const auto& [origin, seq] :
+             ctx.state_as<MprState>().duplicate_entries()) {
+          keys.push_back(mpr_dup_key(origin, seq));
         }
         return keys;
       });
@@ -382,6 +364,11 @@ void mpr_add_flood_type(core::Manetkit& kit, core::ManetProtocolCf& mpr_cf,
 
 MprState* mpr_state(core::ManetProtocolCf& cf) {
   return dynamic_cast<MprState*>(cf.state_component());
+}
+
+MprState* mpr_state(core::Manetkit& kit) {
+  core::ManetProtocolCf* cf = kit.protocol("mpr");
+  return cf == nullptr ? nullptr : mpr_state(*cf);
 }
 
 void recompute_mprs(core::ManetProtocolCf& cf) {

@@ -5,15 +5,8 @@
 #include "core/attrs.hpp"
 #include "protocols/hello_codec.hpp"
 #include "protocols/mpr/mpr_calculator.hpp"
-#include "util/assert.hpp"
 
 namespace mk::proto {
-
-MprState& mpr_state_of(core::ProtocolContext& ctx) {
-  auto* s = dynamic_cast<MprState*>(ctx.state());
-  MK_ASSERT(s != nullptr, "MPR CF has no MprState S element");
-  return *s;
-}
 
 void emit_nhood_change(core::ProtocolContext& ctx, net::Addr neighbor, bool up) {
   ev::Event e(ev::types::NHOOD_CHANGE);
@@ -23,7 +16,7 @@ void emit_nhood_change(core::ProtocolContext& ctx, net::Addr neighbor, bool up) 
 }
 
 void recompute_mprs(core::ProtocolContext& ctx) {
-  MprState& st = mpr_state_of(ctx);
+  MprState& st = ctx.state_as<MprState>();
   auto* calc_comp = ctx.protocol().find("MprCalculator");
   if (calc_comp == nullptr) return;
   auto* calc = calc_comp->interface_as<IMprCalculator>("IMprCalculator");
@@ -60,10 +53,10 @@ void MprHelloHandler::handle(const ev::Event& event,
   net::Addr from = event.from;
   if (from == ctx.self()) return;
 
-  MprState& st = mpr_state_of(ctx);
+  MprState& st = ctx.state_as<MprState>();
   st.note_heard(from);
-  if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-  if (soft_ != nullptr) soft_->touch(mpr_sets::kLink, from);
+  core::SoftExpiry* soft = ctx.soft();
+  if (soft != nullptr) soft->touch(mpr_sets::kLink, from);
   st.set_willingness_of(from, effective_willingness(msg, ctx));
 
   // Optional hysteresis plug-in gates link establishment.
@@ -77,9 +70,9 @@ void MprHelloHandler::handle(const ev::Event& event,
 
   auto our_code = hello::code_for(msg, ctx.self());
   if (our_code.has_value() && *our_code == wire::LinkCode::kLost) {
-    if (soft_ != nullptr) {
-      soft_->drop(mpr_sets::kSelector, from);
-      soft_->drop(mpr_sets::kLink, from);
+    if (soft != nullptr) {
+      soft->drop(mpr_sets::kSelector, from);
+      soft->drop(mpr_sets::kLink, from);
     }
     st.drop_selector(from);
     if (st.remove(from)) emit_nhood_change(ctx, from, false);
@@ -98,10 +91,10 @@ void MprHelloHandler::handle(const ev::Event& event,
     bool was_selector = st.is_mpr_selector(from);
     if (our_code.has_value() && *our_code == wire::LinkCode::kMpr) {
       st.note_selector(from);
-      if (soft_ != nullptr) soft_->touch(mpr_sets::kSelector, from);
+      if (soft != nullptr) soft->touch(mpr_sets::kSelector, from);
     } else {
       st.drop_selector(from);
-      if (soft_ != nullptr) soft_->drop(mpr_sets::kSelector, from);
+      if (soft != nullptr) soft->drop(mpr_sets::kSelector, from);
     }
     // Relay selection changed from the selector side too: protocols above
     // (OLSR's triggered TC) need to hear about it.

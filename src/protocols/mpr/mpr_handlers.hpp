@@ -15,18 +15,15 @@ namespace mk::proto {
 /// Soft-state set ids of the MPR CF, fixed by definition order in
 /// build_mpr_cf.
 namespace mpr_sets {
-inline constexpr core::ISoftExpiry::SetId kLink = 0;
-inline constexpr core::ISoftExpiry::SetId kSelector = 1;
-inline constexpr core::ISoftExpiry::SetId kDuplicate = 2;
+inline constexpr core::SoftExpiry::SetId kLink = 0;
+inline constexpr core::SoftExpiry::SetId kSelector = 1;
+inline constexpr core::SoftExpiry::SetId kDuplicate = 2;
 }  // namespace mpr_sets
 
 /// Packs a flooding duplicate-set tuple into a soft-state key.
 inline std::uint64_t mpr_dup_key(net::Addr origin, std::uint16_t seq) {
   return (static_cast<std::uint64_t>(origin) << 16) | seq;
 }
-
-/// The MPR CF's S element, asserted present.
-MprState& mpr_state_of(core::ProtocolContext& ctx);
 
 void emit_nhood_change(core::ProtocolContext& ctx, net::Addr neighbor, bool up);
 
@@ -52,7 +49,6 @@ class MprHelloHandler : public core::EventHandler {
                                              core::ProtocolContext& ctx);
 
  private:
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
   // Advertised 2-hop addresses of the HELLO being handled, reused across
   // deliveries so link-list extraction is allocation-free.
   std::vector<net::Addr> two_hop_scratch_;

@@ -6,7 +6,6 @@
 #include "core/soft_state.hpp"
 #include "protocols/hello_codec.hpp"
 #include "protocols/wire.hpp"
-#include "util/assert.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -16,12 +15,6 @@ namespace {
 
 using core::attrs::kNeighbor;
 using core::attrs::kUp;
-
-NeighborTable* table_of(core::ProtocolContext& ctx) {
-  auto* t = dynamic_cast<NeighborTable*>(ctx.state());
-  MK_ASSERT(t != nullptr, "neighbor CF has no NeighborTable S element");
-  return t;
-}
 
 void emit_nhood_change(core::ProtocolContext& ctx, net::Addr neighbor, bool up) {
   ev::Event e(ev::types::NHOOD_CHANGE);
@@ -51,18 +44,18 @@ class HelloSource final : public core::EventSource {
 
  private:
   void fire() {
-    NeighborTable* nt = table_of(*ctx_);
+    NeighborTable& nt = ctx_->state_as<NeighborTable>();
 
     std::vector<hello::Link> links;
-    for (net::Addr a : nt->heard_neighbors()) {
+    for (net::Addr a : nt.heard_neighbors()) {
       links.push_back(hello::Link{
-          a, nt->is_sym_neighbor(a) ? wire::LinkCode::kSym
-                                    : wire::LinkCode::kAsym});
+          a, nt.is_sym_neighbor(a) ? wire::LinkCode::kSym
+                                   : wire::LinkCode::kAsym});
     }
 
     ev::Event e(ev::types::HELLO_OUT);
     e.set_msg(hello::build(ctx_->self(), seq_++, links, wire::kWillDefault,
-                           nt->collect_piggyback()));
+                           nt.collect_piggyback()));
     ctx_->emit(std::move(e));
   }
 
@@ -75,7 +68,7 @@ class HelloSource final : public core::EventSource {
 /// Link sensing from received HELLOs.
 class HelloHandler final : public core::EventHandler {
  public:
-  explicit HelloHandler(core::ISoftExpiry::SetId link_set)
+  explicit HelloHandler(core::SoftExpiry::SetId link_set)
       : core::EventHandler("neighbor.HelloHandler", {ev::types::HELLO_IN}),
         link_set_(link_set) {
     set_instance_name("HelloHandler");
@@ -87,19 +80,19 @@ class HelloHandler final : public core::EventHandler {
     net::Addr from = event.from;
     if (from == ctx.self()) return;
 
-    if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-    NeighborTable* nt = table_of(ctx);
-    nt->note_heard(from);
-    if (soft_ != nullptr) soft_->touch(link_set_, from);
+    core::SoftExpiry* soft = ctx.soft();
+    NeighborTable& nt = ctx.state_as<NeighborTable>();
+    nt.note_heard(from);
+    if (soft != nullptr) soft->touch(link_set_, from);
 
     // Symmetry: the sender lists every neighbour it hears; if we are listed
     // (and not LOST) the link is bidirectional.
     auto our_code = hello::code_for(msg, ctx.self());
     bool sym = our_code.has_value() && *our_code != wire::LinkCode::kLost;
     if (our_code.has_value() && *our_code == wire::LinkCode::kLost) {
-      if (soft_ != nullptr) soft_->drop(link_set_, from);
-      if (nt->remove(from)) emit_nhood_change(ctx, from, false);
-    } else if (nt->set_symmetric(from, sym)) {
+      if (soft != nullptr) soft->drop(link_set_, from);
+      if (nt.remove(from)) emit_nhood_change(ctx, from, false);
+    } else if (nt.set_symmetric(from, sym)) {
       emit_nhood_change(ctx, from, sym);
     }
 
@@ -110,16 +103,15 @@ class HelloHandler final : public core::EventHandler {
         two_hop.insert(l.addr);
       }
     }
-    nt->set_two_hop(from, std::move(two_hop));
+    nt.set_two_hop(from, std::move(two_hop));
 
     for (const pbb::Tlv& t : hello::piggyback(msg)) {
-      nt->dispatch_piggyback(from, t);
+      nt.dispatch_piggyback(from, t);
     }
   }
 
  private:
-  core::ISoftExpiry::SetId link_set_;
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
+  core::SoftExpiry::SetId link_set_;
 };
 
 /// Alternative sensing mechanism: link-layer feedback straight from the
@@ -142,7 +134,7 @@ class LinkLayerFeedback final : public oc::Component {
           auto* nt = dynamic_cast<NeighborTable*>(proto->state_component());
           if (nt == nullptr) return;
           // Set 0 is "neighbor.link" — the CF's only soft-state set.
-          auto* soft = core::soft_expiry_of(ctx);
+          auto* soft = ctx.soft();
           bool changed;
           if (up) {
             nt->note_heard(other);
@@ -177,20 +169,16 @@ std::unique_ptr<core::ManetProtocolCf> build_neighbor_cf(core::Manetkit& kit,
   // link-layer up notification) re-arms the sender's holding time; lapse
   // removes the entry and, if it was symmetric, emits NHOOD_CHANGE down.
   auto soft = std::make_unique<core::SoftExpiry>();
-  core::ManetProtocolCf* raw = cf.get();
   auto link_set = soft->define_set(
       "neighbor.link", params.hold_time,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
         auto addr = static_cast<net::Addr>(key);
-        if (table_of(ctx)->remove(addr)) emit_nhood_change(ctx, addr, false);
-      },
-      [raw]() {
-        std::vector<std::uint64_t> keys;
-        auto* nt = dynamic_cast<NeighborTable*>(raw->state_component());
-        if (nt != nullptr) {
-          for (net::Addr a : nt->heard_neighbors()) keys.push_back(a);
+        if (ctx.state_as<NeighborTable>().remove(addr)) {
+          emit_nhood_change(ctx, addr, false);
         }
-        return keys;
+      },
+      [](core::ProtocolContext& ctx) {
+        return core::seed_keys(ctx.state_as<NeighborTable>().heard_neighbors());
       });
   cf->add_source(std::move(soft));
 
@@ -217,6 +205,11 @@ void enable_link_layer_feedback(core::Manetkit& kit,
 INeighborState* neighbor_state(core::ManetProtocolCf& cf) {
   oc::Component* s = cf.state_component();
   return s == nullptr ? nullptr : s->interface_as<INeighborState>("INeighborState");
+}
+
+INeighborState* neighbor_state(core::Manetkit& kit, const std::string& unit) {
+  core::ManetProtocolCf* cf = kit.protocol(unit);
+  return cf == nullptr ? nullptr : neighbor_state(*cf);
 }
 
 }  // namespace mk::proto

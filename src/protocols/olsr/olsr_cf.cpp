@@ -4,7 +4,6 @@
 #include "protocols/mpr/mpr_cf.hpp"
 #include "protocols/olsr/route_calculator.hpp"
 #include "protocols/wire.hpp"
-#include "util/assert.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -32,19 +31,13 @@ pbb::Message build(net::Addr self, std::uint16_t seq, std::uint16_t ansn,
 
 namespace {
 
-OlsrState& olsr_state_of(core::ProtocolContext& ctx) {
-  auto* s = dynamic_cast<OlsrState*>(ctx.state());
-  MK_ASSERT(s != nullptr, "OLSR CF has no OlsrState S element");
-  return *s;
-}
-
 /// Builds and emits this node's TC (advertising its MPR-selector set),
 /// bumping the ANSN when the advertised set changed. Shared by the periodic
 /// generator and the triggered path. Returns false when there is nothing to
 /// advertise (and nothing was previously advertised).
-bool emit_tc(core::ProtocolContext& ctx, core::ManetProtocolCf* mpr_cf) {
-  OlsrState& st = olsr_state_of(ctx);
-  auto* mpr = mpr_state(*mpr_cf);
+bool emit_tc(core::ProtocolContext& ctx, core::Manetkit& kit) {
+  OlsrState& st = ctx.state_as<OlsrState>();
+  auto* mpr = mpr_state(kit);
   if (mpr == nullptr) return false;
   std::set<net::Addr> selectors = mpr->mpr_selectors();
   if (selectors.empty() && st.last_advertised().empty()) return false;
@@ -73,10 +66,8 @@ void recompute_routes(core::ProtocolContext& ctx) {
 /// soft-state layer, not swept here.
 class TcGenerator final : public core::EventSource {
  public:
-  TcGenerator(OlsrParams params, core::ManetProtocolCf* mpr_cf)
-      : core::EventSource("olsr.TcGenerator"),
-        params_(params),
-        mpr_cf_(mpr_cf) {
+  TcGenerator(OlsrParams params, core::Manetkit& kit)
+      : core::EventSource("olsr.TcGenerator"), params_(params), kit_(kit) {
     set_instance_name("TcGenerator");
   }
 
@@ -91,10 +82,10 @@ class TcGenerator final : public core::EventSource {
   void stop() override { timer_.reset(); }
 
  private:
-  void fire() { emit_tc(*ctx_, mpr_cf_); }
+  void fire() { emit_tc(*ctx_, kit_); }
 
   OlsrParams params_;
-  core::ManetProtocolCf* mpr_cf_;
+  core::Manetkit& kit_;
   core::ProtocolContext* ctx_ = nullptr;
   std::unique_ptr<PeriodicTimer> timer_;
 };
@@ -102,11 +93,11 @@ class TcGenerator final : public core::EventSource {
 /// Applies received Topology Change messages to the topology set.
 class TcHandler final : public core::EventHandler {
  public:
-  TcHandler(OlsrParams params, core::ManetProtocolCf* mpr_cf,
-            core::ISoftExpiry::SetId topo_set)
+  TcHandler(OlsrParams params, core::Manetkit& kit,
+            core::SoftExpiry::SetId topo_set)
       : core::EventHandler("olsr.TcHandler", {ev::types::TC_IN}),
         params_(params),
-        mpr_cf_(mpr_cf),
+        kit_(kit),
         topo_set_(topo_set) {
     set_instance_name("TcHandler");
   }
@@ -120,7 +111,7 @@ class TcHandler final : public core::EventHandler {
     if (*msg.originator == ctx.self()) return;
 
     // RFC 3626: process TCs only from symmetric neighbours.
-    auto* mpr = mpr_state(*mpr_cf_);
+    auto* mpr = mpr_state(kit_);
     if (mpr != nullptr && !mpr->is_sym_neighbor(event.from)) return;
 
     const auto* ansn_tlv = msg.find_tlv(wire::kTlvAnsn);
@@ -130,20 +121,18 @@ class TcHandler final : public core::EventHandler {
     for (const auto& block : msg.addr_blocks) {
       advertised.insert(block.addrs.begin(), block.addrs.end());
     }
-    OlsrState& st = olsr_state_of(ctx);
+    OlsrState& st = ctx.state_as<OlsrState>();
     if (st.update_topology(*msg.originator, ansn_tlv->as_u16(), advertised,
                            ctx.now(), params_.topology_hold)) {
-      if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-      if (soft_ != nullptr) soft_->touch(topo_set_, *msg.originator);
+      if (auto* soft = ctx.soft()) soft->touch(topo_set_, *msg.originator);
       recompute_routes(ctx);
     }
   }
 
  private:
   OlsrParams params_;
-  core::ManetProtocolCf* mpr_cf_;
-  core::ISoftExpiry::SetId topo_set_;
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
+  core::Manetkit& kit_;
+  core::SoftExpiry::SetId topo_set_;
   obs::Counter* tc_in_ = nullptr;  // cached: interned once, then atomic inc
 };
 
@@ -159,11 +148,11 @@ class TopologyChangeHandler final : public core::EventHandler {
   static constexpr Duration kMinTriggeredGap = sec(1);
   static constexpr Duration kReemitDelay = sec(3);  // > one HELLO interval
 
-  TopologyChangeHandler(core::ManetProtocolCf* mpr_cf, Scheduler& sched)
+  explicit TopologyChangeHandler(core::Manetkit& kit)
       : core::EventHandler("olsr.TopologyChangeHandler",
                            {ev::types::NHOOD_CHANGE, ev::types::MPR_CHANGE}),
-        mpr_cf_(mpr_cf),
-        reemit_(sched) {
+        kit_(kit),
+        reemit_(kit.scheduler()) {
     set_instance_name("TopologyChangeHandler");
   }
 
@@ -171,7 +160,7 @@ class TopologyChangeHandler final : public core::EventHandler {
     recompute_routes(ctx);
     if (event.type() != ev::etype(ev::types::MPR_CHANGE)) return;
     if (ctx.now() - last_triggered_ >= kMinTriggeredGap) {
-      if (emit_tc(ctx, mpr_cf_)) {
+      if (emit_tc(ctx, kit_)) {
         last_triggered_ = ctx.now();
         ctx.metrics().counter("olsr.triggered_tc").inc();
       }
@@ -179,15 +168,15 @@ class TopologyChangeHandler final : public core::EventHandler {
     // Coalesced follow-up re-emission (safe: the protocol CF outlives its
     // handlers only across replace, which cancels via OneShotTimer's dtor).
     core::ManetProtocolCf* proto = &ctx.protocol();
-    core::ManetProtocolCf* mpr = mpr_cf_;
-    reemit_.schedule(kReemitDelay, [proto, mpr] {
+    core::Manetkit* kit = &kit_;
+    reemit_.schedule(kReemitDelay, [proto, kit] {
       auto lock = proto->quiesce();
-      emit_tc(proto->context(), mpr);
+      emit_tc(proto->context(), *kit);
     });
   }
 
  private:
-  core::ManetProtocolCf* mpr_cf_;
+  core::Manetkit& kit_;
   TimePoint last_triggered_{-10'000'000};
   OneShotTimer reemit_;
 };
@@ -196,7 +185,7 @@ class TopologyChangeHandler final : public core::EventHandler {
 
 std::unique_ptr<core::ManetProtocolCf> build_olsr_cf(core::Manetkit& kit,
                                                      OlsrParams params) {
-  core::ManetProtocolCf* mpr_cf = kit.deploy("mpr");
+  kit.deploy("mpr");
 
   auto cf = std::make_unique<core::ManetProtocolCf>(
       kit.kernel(), "olsr", kit.scheduler(), kit.self(),
@@ -211,34 +200,29 @@ std::unique_ptr<core::ManetProtocolCf> build_olsr_cf(core::Manetkit& kit,
   });
 
   cf->set_state(std::make_unique<OlsrState>());
-  cf->insert(std::make_unique<RouteCalculator>(mpr_cf));
+  cf->insert(std::make_unique<RouteCalculator>(kit));
 
   // Topology tuples live in the shared soft-state layer: each accepted TC
   // (re)arms its origin's holding time, and lapse drops the origin's
   // advertisements and recomputes routes — no sweep, so a partition is
   // noticed one holding time after the last TC, not at sweep granularity.
   auto soft = std::make_unique<core::SoftExpiry>();
-  core::ManetProtocolCf* raw = cf.get();
   auto topo_set = soft->define_set(
       "olsr.topology", params.topology_hold,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
-        if (olsr_state_of(ctx).drop_topology(static_cast<net::Addr>(key))) {
+        if (ctx.state_as<OlsrState>().drop_topology(
+                static_cast<net::Addr>(key))) {
           recompute_routes(ctx);
         }
       },
-      [raw]() {
-        std::vector<std::uint64_t> keys;
-        if (OlsrState* st = olsr_state(*raw)) {
-          for (net::Addr origin : st->topology_origins()) keys.push_back(origin);
-        }
-        return keys;
+      [](core::ProtocolContext& ctx) {
+        return core::seed_keys(ctx.state_as<OlsrState>().topology_origins());
       });
   cf->add_source(std::move(soft));
 
-  cf->add_handler(std::make_unique<TcHandler>(params, mpr_cf, topo_set));
-  cf->add_handler(
-      std::make_unique<TopologyChangeHandler>(mpr_cf, kit.scheduler()));
-  cf->add_source(std::make_unique<TcGenerator>(params, mpr_cf));
+  cf->add_handler(std::make_unique<TcHandler>(params, kit, topo_set));
+  cf->add_handler(std::make_unique<TopologyChangeHandler>(kit));
+  cf->add_source(std::make_unique<TcGenerator>(params, kit));
 
   cf->declare_events(
       {ev::types::TC_IN, ev::types::NHOOD_CHANGE, ev::types::MPR_CHANGE},

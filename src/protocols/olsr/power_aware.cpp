@@ -52,15 +52,14 @@ class ResidualPowerSource final : public core::EventSource {
 
  private:
   void fire() {
-    auto* st = dynamic_cast<OlsrState*>(ctx_->state());
-    if (st == nullptr) return;
+    OlsrState& st = ctx_->state_as<OlsrState>();
     pbb::Message m;
     m.type = wire::kMsgResidualPower;
     m.originator = ctx_->self();
-    m.seqnum = st->next_msg_seq();
+    m.seqnum = st.next_msg_seq();
     m.tlvs.push_back(pbb::Tlv::u8(
         wire::kTlvBattery,
-        static_cast<std::uint8_t>(st->own_battery() * 100.0)));
+        static_cast<std::uint8_t>(st.own_battery() * 100.0)));
     ev::Event e(ev::etype("RP_OUT"));
     e.set_msg(std::move(m));
     ctx_->emit(std::move(e));
@@ -80,9 +79,8 @@ class PowerTrackHandler final : public core::EventHandler {
   }
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
-    if (auto* st = dynamic_cast<OlsrState*>(ctx.state())) {
-      st->set_own_battery(event.get_double(core::attrs::kBattery, 1.0));
-    }
+    ctx.state_as<OlsrState>().set_own_battery(
+        event.get_double(core::attrs::kBattery, 1.0));
   }
 };
 
@@ -99,9 +97,8 @@ class ResidualPowerHandler final : public core::EventHandler {
     if (*event.msg()->originator == ctx.self()) return;
     const auto* batt = event.msg()->find_tlv(wire::kTlvBattery);
     if (batt == nullptr) return;
-    if (auto* st = dynamic_cast<OlsrState*>(ctx.state())) {
-      st->set_energy(*event.msg()->originator, batt->as_u8() / 100.0);
-    }
+    ctx.state_as<OlsrState>().set_energy(*event.msg()->originator,
+                                         batt->as_u8() / 100.0);
     olsr_recompute_routes(ctx.protocol());
   }
 };
@@ -139,7 +136,7 @@ void apply_power_aware(core::Manetkit& kit) {
     auto lock = olsr->quiesce();
     oc::ComponentId rc_id = olsr->find_id("RouteCalculator");
     MK_ASSERT(rc_id != oc::kNoComponent);
-    olsr->replace(rc_id, std::make_unique<EnergyRouteCalculator>(mpr));
+    olsr->replace(rc_id, std::make_unique<EnergyRouteCalculator>(kit));
     olsr->add_handler(std::make_unique<PowerTrackHandler>());
     olsr->add_handler(std::make_unique<ResidualPowerHandler>());
     olsr->add_source(std::make_unique<ResidualPowerSource>());
@@ -168,7 +165,7 @@ void remove_power_aware(core::Manetkit& kit) {
   {
     auto lock = olsr->quiesce();
     oc::ComponentId rc_id = olsr->find_id("RouteCalculator");
-    olsr->replace(rc_id, std::make_unique<RouteCalculator>(mpr));
+    olsr->replace(rc_id, std::make_unique<RouteCalculator>(kit));
     olsr->remove_handler("PowerTrackHandler");
     olsr->remove_handler("ResidualPowerHandler");
     olsr->remove_source("ResidualPower");

@@ -5,18 +5,17 @@
 #include <limits>
 
 #include "core/manet_protocol.hpp"
-#include "protocols/mpr/mpr_state.hpp"
+#include "protocols/neighbor/neighbor_cf.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 
 namespace mk::proto {
 
-RouteCalculator::RouteCalculator(core::ManetProtocolCf* mpr_cf)
-    : RouteCalculator("olsr.RouteCalculator", mpr_cf) {}
+RouteCalculator::RouteCalculator(core::Manetkit& kit)
+    : RouteCalculator("olsr.RouteCalculator", kit) {}
 
-RouteCalculator::RouteCalculator(std::string type_name,
-                                 core::ManetProtocolCf* mpr_cf)
-    : oc::Component(std::move(type_name)), mpr_cf_(mpr_cf) {
+RouteCalculator::RouteCalculator(std::string type_name, core::Manetkit& kit)
+    : oc::Component(std::move(type_name)), kit_(kit) {
   set_instance_name("RouteCalculator");
   provide("IRouteCalculator", static_cast<IRouteCalculator*>(this));
 }
@@ -26,15 +25,9 @@ double RouteCalculator::node_cost(const OlsrState&, net::Addr) const {
 }
 
 void RouteCalculator::recompute(core::ProtocolContext& ctx) {
-  auto* st = dynamic_cast<OlsrState*>(ctx.state());
-  if (st == nullptr || ctx.sys() == nullptr || mpr_cf_ == nullptr) return;
-
-  auto* nbr =
-      mpr_cf_->state_component() == nullptr
-          ? nullptr
-          : mpr_cf_->state_component()->interface_as<INeighborState>(
-                "INeighborState");
-  if (nbr == nullptr) return;
+  OlsrState& st = ctx.state_as<OlsrState>();
+  INeighborState* nbr = neighbor_state(kit_, "mpr");
+  if (ctx.sys() == nullptr || nbr == nullptr) return;
 
   net::Addr self = ctx.self();
 
@@ -59,7 +52,7 @@ void RouteCalculator::recompute(core::ProtocolContext& ctx) {
       if (t != self) scratch_edges_.emplace_back(n, t);
     }
   }
-  st->append_topology_edges(scratch_edges_);
+  st.append_topology_edges(scratch_edges_);
 
   scratch_nodes_.clear();
   scratch_nodes_.push_back(self);
@@ -106,7 +99,7 @@ void RouteCalculator::recompute(core::ProtocolContext& ctx) {
     if (d > dist_[u]) continue;
     for (std::uint32_t e = adj_start_[u]; e < adj_start_[u + 1]; ++e) {
       std::uint32_t v = edge_idx_[e].second;
-      double w = node_cost(*st, scratch_nodes_[v]);
+      double w = node_cost(st, scratch_nodes_[v]);
       double nd = d + w;
       if (nd < dist_[v] - 1e-12) {
         dist_[v] = nd;
@@ -119,7 +112,6 @@ void RouteCalculator::recompute(core::ProtocolContext& ctx) {
   }
 
   // Resolve next hops and sync the kernel table.
-  net::KernelRouteTable& kernel = ctx.sys()->kernel_table();
   fresh_.clear();
   for (std::uint32_t i = 0; i < n; ++i) {
     if (i == self_idx || parent_[i] == kNoParent) continue;
@@ -128,25 +120,20 @@ void RouteCalculator::recompute(core::ProtocolContext& ctx) {
       hop = parent_[hop];
     }
     if (parent_[hop] == kNoParent) continue;  // unreachable glitch
-    net::RouteEntry entry;
-    entry.dest = scratch_nodes_[i];
-    entry.next_hop = scratch_nodes_[hop];
-    entry.metric = hops_[i];
-    entry.installed_at = ctx.now();
-    kernel.set_route(entry);
+    ctx.set_route(scratch_nodes_[i], scratch_nodes_[hop], hops_[i]);
     fresh_.push_back(scratch_nodes_[i]);  // ascending: index order
   }
-  for (net::Addr old_dest : st->installed_dests()) {
+  for (net::Addr old_dest : st.installed_dests()) {
     if (!std::binary_search(fresh_.begin(), fresh_.end(), old_dest)) {
-      kernel.remove_route(old_dest);
+      ctx.remove_route(old_dest);
     }
   }
   // Swap, don't move: fresh_ keeps the displaced capacity for next time.
-  st->installed_dests().swap(fresh_);
+  st.installed_dests().swap(fresh_);
 }
 
-EnergyRouteCalculator::EnergyRouteCalculator(core::ManetProtocolCf* mpr_cf)
-    : RouteCalculator("olsr.EnergyRouteCalculator", mpr_cf) {}
+EnergyRouteCalculator::EnergyRouteCalculator(core::Manetkit& kit)
+    : RouteCalculator("olsr.EnergyRouteCalculator", kit) {}
 
 double EnergyRouteCalculator::node_cost(const OlsrState& st,
                                         net::Addr via) const {

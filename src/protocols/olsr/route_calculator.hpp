@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/cfs.hpp"
+#include "core/manetkit.hpp"
 #include "net/address.hpp"
 #include "opencom/component.hpp"
 #include "protocols/olsr/olsr_state.hpp"
@@ -25,19 +26,20 @@ struct IRouteCalculator : oc::Interface {
 
 class RouteCalculator : public oc::Component, public IRouteCalculator {
  public:
-  /// `mpr_cf` is the MPR CF instance whose S element supplies neighbourhood
-  /// information (a cross-CF direct-call binding in the paper's terms).
-  explicit RouteCalculator(core::ManetProtocolCf* mpr_cf);
+  /// Neighbourhood information comes from the S element of `kit`'s "mpr"
+  /// CF, looked up on every recompute (a cross-CF direct-call binding in the
+  /// paper's terms, resolved at use so a restarted MPR CF is seen).
+  explicit RouteCalculator(core::Manetkit& kit);
 
   void recompute(core::ProtocolContext& ctx) override;
 
  protected:
-  RouteCalculator(std::string type_name, core::ManetProtocolCf* mpr_cf);
+  RouteCalculator(std::string type_name, core::Manetkit& kit);
 
   /// Cost of traversing intermediate node `via` (hop metric = 1.0).
   virtual double node_cost(const OlsrState& st, net::Addr via) const;
 
-  core::ManetProtocolCf* mpr_cf_;
+  core::Manetkit& kit_;
 
  private:
   // Dijkstra scratch, reused across recomputes: addresses are mapped onto a
@@ -60,7 +62,7 @@ class RouteCalculator : public oc::Component, public IRouteCalculator {
 /// longest-lifetime paths.
 class EnergyRouteCalculator final : public RouteCalculator {
  public:
-  explicit EnergyRouteCalculator(core::ManetProtocolCf* mpr_cf);
+  explicit EnergyRouteCalculator(core::Manetkit& kit);
 
  protected:
   double node_cost(const OlsrState& st, net::Addr via) const override;

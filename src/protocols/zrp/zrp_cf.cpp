@@ -2,7 +2,6 @@
 
 #include "core/attrs.hpp"
 #include "protocols/neighbor/neighbor_cf.hpp"
-#include "util/assert.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -15,9 +14,7 @@ namespace {
 /// symmetric neighbour reporting it. Returns hops (0 = not in zone).
 std::uint8_t zone_route(core::Manetkit& kit, net::Addr dest,
                         net::Addr& next_hop) {
-  auto* neighbor_cf = kit.protocol("neighbor");
-  if (neighbor_cf == nullptr) return 0;
-  INeighborState* ns = neighbor_state(*neighbor_cf);
+  INeighborState* ns = neighbor_state(kit);
   if (ns == nullptr) return 0;
   if (ns->is_sym_neighbor(dest)) {
     next_hop = dest;
@@ -50,8 +47,6 @@ class ZoneReHandler final : public ReHandler {
 
     // Proxy reply: we vouch for the in-zone target. Sequence number 0
     // (unknown) keeps any later authoritative RREP fresher.
-    auto* st = dynamic_cast<DymoState*>(ctx.state());
-    MK_ASSERT(st != nullptr);
     pbb::Message rrep = rm::build_rrep(target, /*own_seq=*/0,
                                        *event.msg()->originator,
                                        params_.rreq_hop_limit);
@@ -82,7 +77,7 @@ class ZoneNoRouteHandler final : public NoRouteHandler {
     net::Addr hop = net::kNoAddr;
     std::uint8_t dist = zone_route(kit_, dest, hop);
     if (dist == 0) return false;
-    dymo_install_kernel_route(ctx, dest, hop, dist);
+    ctx.set_route(dest, hop, dist);
     dymo_emit_route_found(ctx, dest);
     ctx.metrics().counter("zrp.zone_hits").inc();
     return true;
@@ -112,41 +107,29 @@ class ZoneMaintenance final : public core::EventSource {
 
  private:
   void refresh() {
-    auto* neighbor_cf = kit_.protocol("neighbor");
-    if (neighbor_cf == nullptr || ctx_->sys() == nullptr) return;
-    INeighborState* ns = neighbor_state(*neighbor_cf);
-    if (ns == nullptr) return;
+    INeighborState* ns = neighbor_state(kit_);
+    if (ns == nullptr || ctx_->sys() == nullptr) return;
 
     std::set<net::Addr> zone;
     for (net::Addr n : ns->sym_neighbors()) {
       zone.insert(n);
-      net::RouteEntry e;
-      e.dest = n;
-      e.next_hop = n;
-      e.metric = 1;
-      e.installed_at = ctx_->now();
-      ctx_->sys()->kernel_table().set_route(e);
+      ctx_->set_route(n, n, 1);
     }
     for (net::Addr t : ns->strict_two_hop(ctx_->self())) {
       net::Addr hop = net::kNoAddr;
       std::uint8_t dist = zone_route(kit_, t, hop);
       if (dist == 0) continue;
       zone.insert(t);
-      net::RouteEntry e;
-      e.dest = t;
-      e.next_hop = hop;
-      e.metric = dist;
-      e.installed_at = ctx_->now();
-      ctx_->sys()->kernel_table().set_route(e);
+      ctx_->set_route(t, hop, dist);
     }
     // Proactive routes that left the zone are withdrawn (unless the
     // reactive side still holds a valid route there).
-    auto* st = dynamic_cast<DymoState*>(ctx_->state());
+    DymoState& st = ctx_->state_as<DymoState>();
     for (net::Addr dest : installed_) {
       if (zone.count(dest) > 0) continue;
-      auto reactive = st == nullptr ? std::nullopt : st->route_to(dest);
+      auto reactive = st.route_to(dest);
       if (reactive && reactive->valid) continue;
-      ctx_->sys()->kernel_table().remove_route(dest);
+      ctx_->remove_route(dest);
     }
     installed_ = std::move(zone);
   }

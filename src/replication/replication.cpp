@@ -36,25 +36,16 @@ void reinstall_routes(core::ManetProtocolCf& proto) {
     auto lock = proto.quiesce();
     for (const auto& [dest, r] : dy->all_routes()) {
       if (r.valid && r.active() != nullptr) {
-        proto::dymo_install_kernel_route(proto.context(), dest,
-                                         r.active()->next_hop,
-                                         r.active()->hops);
+        proto.context().set_route(dest, r.active()->next_hop,
+                                  r.active()->hops);
       }
     }
     return;
   }
   if (auto* ao = dynamic_cast<proto::AodvState*>(sc)) {
     auto lock = proto.quiesce();
-    core::ProtocolContext& ctx = proto.context();
-    if (ctx.sys() == nullptr) return;
     for (const auto& [dest, r] : ao->all_routes()) {
-      if (!r.valid) continue;
-      net::RouteEntry entry;
-      entry.dest = dest;
-      entry.next_hop = r.next_hop;
-      entry.metric = r.hops;
-      entry.installed_at = ctx.now();
-      ctx.sys()->kernel_table().set_route(entry);
+      if (r.valid) proto.context().set_route(dest, r.next_hop, r.hops);
     }
   }
 }

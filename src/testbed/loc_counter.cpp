@@ -34,17 +34,7 @@ std::size_t count_loc(const std::string& path) {
   return loc;
 }
 
-std::string find_repo_root(std::string start) {
-  fs::path p = fs::absolute(start);
-  for (int depth = 0; depth < 10; ++depth) {
-    if (fs::exists(p / "DESIGN.md") && fs::exists(p / "src")) {
-      return p.string();
-    }
-    if (!p.has_parent_path() || p.parent_path() == p) break;
-    p = p.parent_path();
-  }
-  return fs::absolute(start).string();
-}
+std::string repo_root() { return MK_SOURCE_DIR; }
 
 std::vector<ComponentLoc> manifest() {
   auto G = [](std::string name, std::vector<std::string> files,

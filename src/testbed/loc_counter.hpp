@@ -29,9 +29,9 @@ std::vector<ComponentLoc> manifest();
 void count_manifest(std::vector<ComponentLoc>& entries,
                     const std::string& repo_root);
 
-/// Locates the repository root by walking up from `start` until a directory
-/// containing DESIGN.md is found; falls back to `start`.
-std::string find_repo_root(std::string start = ".");
+/// The source tree this library was built from (fixed at configure time,
+/// so it holds wherever the build directory lives).
+std::string repo_root();
 
 struct ReuseSummary {
   std::size_t reused_components = 0;

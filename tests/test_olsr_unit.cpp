@@ -117,11 +117,10 @@ TEST(EnergyRouteCalc, AvoidsDrainedRelay) {
 
   // Swap in the energy calculator directly (unit-level check of the
   // component; the full variant is exercised in test_variants).
-  auto* mpr = world.kit(0).protocol("mpr");
   {
     auto lock = olsr->quiesce();
     oc::ComponentId rc = olsr->find_id("RouteCalculator");
-    olsr->replace(rc, std::make_unique<EnergyRouteCalculator>(mpr));
+    olsr->replace(rc, std::make_unique<EnergyRouteCalculator>(world.kit(0)));
   }
   olsr_recompute_routes(*olsr);
 

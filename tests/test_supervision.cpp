@@ -15,6 +15,7 @@
 #include "util/log.hpp"
 #include "policy/policy_engine.hpp"
 #include "protocols/dymo/dymo_cf.hpp"
+#include "protocols/dymo/opt_flood.hpp"
 #include "protocols/mpr/mpr_cf.hpp"
 #include "supervision/supervisor.hpp"
 #include "testbed/world.hpp"
@@ -700,6 +701,52 @@ TEST(Supervision, AllocBudgetOverrunIsAComponentFault) {
   emit_v(kit);
   EXPECT_EQ(sup.faults("hog"), 2u);
   EXPECT_EQ(sup.health("hog"), UnitHealth::kQuarantined);
+}
+
+// ------------------------------------------- sibling-CF restart (MPR)
+//
+// OLSR and optimised-flooding DYMO read the MPR CF's S element. A restart
+// of "mpr" destroys the old CF; the protocols above must read the live one
+// (looked up at use), never a pointer taken when they were built.
+
+TEST(SiblingRestart, OlsrReadsRestartedMprCf) {
+  testbed::SimWorld world(4, 1234);
+  world.linear();
+  world.deploy_all("olsr");
+  ASSERT_TRUE(world.run_until_routed(sec(60)).has_value());
+
+  ASSERT_TRUE(world.kit(1).replace_protocol("mpr", "mpr").committed);
+  world.run_for(sec(5));
+
+  // A shortcut 1-3: node 1's route to 3 must become the direct link, which
+  // takes TC and route computation over the restarted MPR CF's S element.
+  world.medium().set_link(world.addr(1), world.addr(3), true);
+  world.run_for(sec(10));
+  auto route = world.node(1).kernel_table().lookup(world.addr(3));
+  ASSERT_TRUE(route.has_value());
+  EXPECT_EQ(route->next_hop, world.addr(3));
+  EXPECT_EQ(route->metric, 1u);
+}
+
+TEST(SiblingRestart, OptFloodDymoReadsRestartedMprCf) {
+  testbed::SimWorld world(4, 1234);
+  world.linear();
+  world.deploy_all("dymo");
+  for (std::size_t i = 0; i < 4; ++i) {
+    proto::apply_dymo_optimized_flooding(world.kit(i));
+  }
+  world.run_for(sec(10));  // MPR selection settles for the RM flood
+
+  // Node 1 relays node 0's RREQ only if the live MPR CF says 0 selected it.
+  ASSERT_TRUE(world.kit(1).replace_protocol("mpr", "mpr").committed);
+  world.run_for(sec(5));
+
+  proto::dymo_discover(*world.kit(0).protocol("dymo"), world.addr(3));
+  world.run_for(sec(5));
+  auto route = world.node(0).kernel_table().lookup(world.addr(3));
+  ASSERT_TRUE(route.has_value());
+  EXPECT_EQ(route->next_hop, world.addr(1));
+  EXPECT_EQ(route->metric, 3u);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ TEST_F(LocCounterTest, UnreadableFileCountsZero) {
 }
 
 TEST(LocCounter, ManifestFilesAllExistAndAreNonTrivial) {
-  std::string root = find_repo_root(".");
+  std::string root = repo_root();
   auto entries = manifest();
   count_manifest(entries, root);
   for (const auto& e : entries) {
@@ -52,7 +52,7 @@ TEST(LocCounter, ManifestFilesAllExistAndAreNonTrivial) {
 }
 
 TEST(LocCounter, EveryProtocolShowsMajorityReuse) {
-  std::string root = find_repo_root(".");
+  std::string root = repo_root();
   auto entries = manifest();
   count_manifest(entries, root);
   for (const char* proto : {"OLSR", "DYMO", "AODV"}) {
