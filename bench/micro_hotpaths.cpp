@@ -455,7 +455,8 @@ void BM_MprSelection(benchmark::State& state) {
     for (std::uint32_t j = 0; j < 4; ++j) {
       two_hop.insert(net::addr_for_index(100 + ((i * 3 + j) % (2 * n))));
     }
-    st.set_two_hop(nb, std::move(two_hop));
+    st.set_two_hop(nb,
+                   std::vector<net::Addr>(two_hop.begin(), two_hop.end()));
   }
   proto::MprCalculator calc;
   net::Addr self = net::addr_for_index(0);

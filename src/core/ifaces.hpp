@@ -43,7 +43,7 @@ struct IForward : oc::Interface {
 };
 
 /// Generic state access (the S element). Protocol-specific state interfaces
-/// (IOlsrState, IDymoState, ...) derive from this.
+/// (IOlsrState, INeighborState, ...) derive from this.
 struct IState : oc::Interface {
   virtual std::string describe() const = 0;
 };

@@ -24,18 +24,11 @@
 
 #include "core/manet_protocol.hpp"
 #include "core/manetkit.hpp"
+#include "util/serial.hpp"
 
 namespace mk::policy {
 
 using CoordinatedAction = std::function<void(core::Manetkit&)>;
-
-/// RFC 1982 serial-number comparison over the 16-bit campaign epoch: `a` is
-/// newer than `b` iff they differ and the forward distance b→a is less than
-/// half the number space. Survives the 65535→0 wraparound, where plain
-/// `a > b` would declare every historic epoch "newer" again (ISSUE 5).
-constexpr bool epoch_newer(std::uint16_t a, std::uint16_t b) {
-  return a != b && static_cast<std::uint16_t>(a - b) < 0x8000;
-}
 
 /// Duplicate/stale-campaign filter: tracks the newest epoch per origin
 /// under RFC 1982 comparison, bounded in size. Without a bound, a network
@@ -57,7 +50,7 @@ class OriginEpochMap {
     auto it = latest_.find(origin);
     if (it != latest_.end()) {
       it->second.last_seen = ++clock_;
-      if (!epoch_newer(ep, it->second.epoch)) return true;
+      if (!serial_newer(ep, it->second.epoch)) return true;
       it->second.epoch = ep;
       return false;
     }

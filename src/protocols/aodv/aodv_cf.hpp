@@ -33,11 +33,9 @@ struct AodvParams {
   bool piggyback_routes = true;    // advertise routes in HELLOs
 };
 
-/// Soft-state set ids of the AODV CF, fixed by definition order in
-/// build_aodv_cf.
+/// Soft-state set ids of the AODV CF beyond the reactive_sets, fixed by
+/// definition order in build_aodv_cf.
 namespace aodv_sets {
-inline constexpr core::SoftExpiry::SetId kRoute = 0;
-inline constexpr core::SoftExpiry::SetId kPending = 1;
 inline constexpr core::SoftExpiry::SetId kRreqId = 2;
 }  // namespace aodv_sets
 
@@ -55,8 +53,5 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
 void register_aodv(core::Manetkit& kit, AodvParams params = {});
 
 AodvState* aodv_state(core::ManetProtocolCf& cf);
-
-void aodv_discover(core::ManetProtocolCf& cf, net::Addr target,
-                   AodvParams params = {});
 
 }  // namespace mk::proto

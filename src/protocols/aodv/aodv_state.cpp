@@ -2,22 +2,11 @@
 
 #include <sstream>
 
+#include "util/serial.hpp"
+
 namespace mk::proto {
 
-namespace {
-
-bool seq_newer(std::uint16_t a, std::uint16_t b) {
-  return static_cast<std::int16_t>(a - b) > 0;
-}
-
-}  // namespace
-
-AodvState::AodvState() : oc::Component("aodv.AodvState") {
-  set_instance_name("State");
-  provide("IAodvState", static_cast<IAodvState*>(this));
-  provide("IState", static_cast<core::IState*>(this));
-  provide("IStateCodec", static_cast<core::IStateCodec*>(this));
-}
+AodvState::AodvState() : ReactiveTable("aodv.AodvState", kMaxTries) {}
 
 bool AodvState::update_route(net::Addr dest, std::uint16_t seq, bool seq_valid,
                              net::Addr next_hop, std::uint8_t hops,
@@ -25,7 +14,8 @@ bool AodvState::update_route(net::Addr dest, std::uint16_t seq, bool seq_valid,
   auto it = routes_.find(dest);
   if (it != routes_.end()) {
     const AodvRoute& r = it->second;
-    bool accept = !r.seq_valid || (seq_valid && seq_newer(seq, r.dest_seq)) ||
+    bool accept = !r.seq_valid ||
+                  (seq_valid && serial_newer(seq, r.dest_seq)) ||
                   (seq_valid && seq == r.dest_seq &&
                    (!r.valid || hops < r.hops));
     if (!accept) {
@@ -49,37 +39,7 @@ bool AodvState::update_route(net::Addr dest, std::uint16_t seq, bool seq_valid,
 }
 
 void AodvState::add_precursor(net::Addr dest, net::Addr precursor) {
-  auto it = routes_.find(dest);
-  if (it != routes_.end()) it->second.precursors.insert(precursor);
-}
-
-std::vector<std::pair<net::Addr, std::uint16_t>> AodvState::invalidate_via(
-    net::Addr next_hop) {
-  std::vector<std::pair<net::Addr, std::uint16_t>> out;
-  for (auto& [dest, r] : routes_) {
-    if (r.valid && r.next_hop == next_hop) {
-      r.valid = false;
-      ++r.dest_seq;  // RFC 3561 §6.11: increment on invalidation
-      out.emplace_back(dest, r.dest_seq);
-    }
-  }
-  return out;
-}
-
-std::optional<std::uint16_t> AodvState::invalidate(net::Addr dest) {
-  auto it = routes_.find(dest);
-  if (it == routes_.end() || !it->second.valid) return std::nullopt;
-  it->second.valid = false;
-  ++it->second.dest_seq;
-  return it->second.dest_seq;
-}
-
-void AodvState::extend_lifetime(net::Addr dest, TimePoint now,
-                                Duration lifetime) {
-  auto it = routes_.find(dest);
-  if (it != routes_.end() && it->second.valid) {
-    it->second.expires = now + lifetime;
-  }
+  if (AodvRoute* r = mutable_route(dest)) r->precursors.insert(precursor);
 }
 
 std::optional<TimePoint> AodvState::lapse_route(net::Addr dest,
@@ -92,20 +52,13 @@ std::optional<TimePoint> AodvState::lapse_route(net::Addr dest,
   if (r.expires > now) return r.expires;  // deadline moved; chase it
   if (r.valid) {
     // Phase 1: stop using it, keep the seqnum memory for DELETE_PERIOD.
-    r.valid = false;
-    ++r.dest_seq;
+    r.invalidate();
     r.expires = now + kAodvDeletePeriod;
     invalidated = true;
     return r.expires;
   }
   routes_.erase(it);
   return std::nullopt;
-}
-
-std::optional<AodvRoute> AodvState::route_to(net::Addr dest) const {
-  auto it = routes_.find(dest);
-  if (it == routes_.end()) return std::nullopt;
-  return it->second;
 }
 
 bool AodvState::check_rreq_seen(net::Addr origin, std::uint32_t rreq_id,
@@ -225,11 +178,10 @@ bool AodvState::decode_state(std::span<const std::uint8_t> blob) {
 }
 
 void AodvState::reset_state() {
+  reset_reactive();
   routes_.clear();
-  own_seq_ = 1;
   rreq_id_ = 0;
   rreq_seen_.clear();
-  pending_.clear();
 }
 
 std::string AodvState::describe() const {

@@ -11,11 +11,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/ifaces.hpp"
-#include "core/state_codec.hpp"
 #include "net/address.hpp"
-#include "opencom/component.hpp"
-#include "protocols/pending_discoveries.hpp"
+#include "protocols/reactive.hpp"
 #include "util/time.hpp"
 
 namespace mk::proto {
@@ -29,6 +26,14 @@ struct AodvRoute {
   bool valid = true;
   TimePoint expires{};
   std::set<net::Addr> precursors;
+
+  RouteView view() const { return RouteView{next_hop, hops, valid, expires}; }
+  /// Marks the route invalid and reports its incremented seqnum (RFC 3561
+  /// §6.11: increment on invalidation).
+  std::uint16_t invalidate() {
+    valid = false;
+    return ++dest_seq;
+  }
 };
 
 /// How long an expired/invalidated entry is retained (sequence-number
@@ -36,15 +41,7 @@ struct AodvRoute {
 /// lets stale same-sequence adverts re-form loops.
 inline constexpr Duration kAodvDeletePeriod = sec(15);
 
-struct IAodvState : oc::Interface {
-  virtual std::optional<AodvRoute> route_to(net::Addr dest) const = 0;
-  virtual std::size_t route_count() const = 0;
-};
-
-class AodvState : public oc::Component,
-                  public core::IState,
-                  public core::IStateCodec,
-                  public IAodvState {
+class AodvState : public ReactiveTable<AodvRoute> {
  public:
   AodvState();
 
@@ -56,11 +53,6 @@ class AodvState : public oc::Component,
 
   void add_precursor(net::Addr dest, net::Addr precursor);
 
-  std::vector<std::pair<net::Addr, std::uint16_t>> invalidate_via(
-      net::Addr next_hop);
-  std::optional<std::uint16_t> invalidate(net::Addr dest);
-  void extend_lifetime(net::Addr dest, TimePoint now, Duration lifetime);
-
   /// Two-phase expiry (RFC 3561, soft-state layer). Phase 1 — a *valid*
   /// entry lapsed: mark invalid, bump dest_seq, keep the seqnum memory for
   /// kAodvDeletePeriod and return the retention deadline with `invalidated`
@@ -70,12 +62,6 @@ class AodvState : public oc::Component,
   std::optional<TimePoint> lapse_route(net::Addr dest, TimePoint now,
                                        bool& invalidated);
 
-  std::optional<AodvRoute> route_to(net::Addr dest) const override;
-  std::size_t route_count() const override { return routes_.size(); }
-  const std::map<net::Addr, AodvRoute>& all_routes() const { return routes_; }
-
-  std::uint16_t own_seq() const { return own_seq_; }
-  std::uint16_t bump_seq() { return ++own_seq_; }
   std::uint32_t next_rreq_id() { return ++rreq_id_; }
 
   /// RREQ duplicate cache keyed by (originator, rreq id).
@@ -88,9 +74,8 @@ class AodvState : public oc::Component,
   /// All live cache tuples (expiry re-seeding).
   std::vector<std::pair<net::Addr, std::uint32_t>> rreq_seen_entries() const;
 
-  // -- pending discoveries (same discipline as DYMO) ---------------------------
-  static constexpr std::uint8_t kMaxTries = 2;  // RREQ_RETRIES in RFC 3561
-  PendingDiscoveries& pending() { return pending_; }
+  /// Discovery try limit of the pending table (RREQ_RETRIES in RFC 3561).
+  static constexpr std::uint8_t kMaxTries = 2;
 
   std::string describe() const override;
 
@@ -103,11 +88,8 @@ class AodvState : public oc::Component,
   void reset_state() override;
 
  private:
-  std::map<net::Addr, AodvRoute> routes_;
-  std::uint16_t own_seq_ = 1;
   std::uint32_t rreq_id_ = 0;
   std::map<std::pair<net::Addr, std::uint32_t>, TimePoint> rreq_seen_;
-  PendingDiscoveries pending_{kMaxTries};
 };
 
 }  // namespace mk::proto

@@ -1,14 +1,11 @@
 #include "protocols/dymo/multipath.hpp"
 
-#include "core/attrs.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 
 namespace mk::proto {
 
 namespace {
-
-using core::attrs::kDest;
 
 /// RE handler mining duplicates for link-disjoint paths.
 class MultipathReHandler final : public ReHandler {
@@ -50,39 +47,33 @@ class MultipathReHandler final : public ReHandler {
     st.add_alternate_path(
         dest, event.from,
         static_cast<std::uint8_t>(event.msg()->hop_count + 1));
-    st.pending().finish(dest);
-    if (auto* s = ctx.soft()) s->drop(dymo_sets::kPending, dest);
+    finish_discovery(ctx, dest);
   }
 };
 
 /// Route-error handler that fails over before reporting.
-class MultipathInvalidationHandler final : public RouteInvalidationHandler {
+class MultipathInvalidationHandler final : public LinkBreakHandler {
  public:
   explicit MultipathInvalidationHandler(DymoParams params)
-      : RouteInvalidationHandler("dymo.MultipathInvalidationHandler", params) {}
+      : LinkBreakHandler("dymo.MultipathInvalidationHandler",
+                         dymo_reactive(params), "RouteErrHandler") {}
 
  protected:
-  std::vector<std::pair<net::Addr, std::uint16_t>> fail_via(
-      net::Addr hop, core::ProtocolContext& ctx) override {
+  Unreachable fail_via(net::Addr hop, core::ProtocolContext& ctx) override {
     MultipathDymoState& st = ctx.state_as<MultipathDymoState>();
-    std::vector<std::pair<net::Addr, std::uint16_t>> unreachable;
+    Unreachable unreachable;
 
     // Collect destinations whose *active* path uses the broken hop, then try
     // alternates before declaring them unreachable.
     std::vector<net::Addr> affected;
-    for (const auto& [dest, route] : st.all_routes()) {
-      if (route.valid && route.active() != nullptr &&
-          route.active()->next_hop == hop) {
-        affected.push_back(dest);
-      }
-    }
+    st.for_each_route([&](net::Addr dest, const RouteView& r) {
+      if (r.valid && r.next_hop == hop) affected.push_back(dest);
+    });
     for (net::Addr dest : affected) {
       if (auto alt = st.fail_over(dest)) {
         ctx.set_route(dest, alt->next_hop, alt->hops);
         // Flush anything NetLink buffered meanwhile.
-        ev::Event e(ev::types::ROUTE_FOUND);
-        e.set_int(kDest, dest);
-        ctx.emit(std::move(e));
+        emit_route_found(ctx, dest);
         MK_DEBUG("dymo", "failed over ", pbb::addr_to_string(dest), " to ",
                  pbb::addr_to_string(alt->next_hop));
       } else {
@@ -138,7 +129,8 @@ void remove_multipath_dymo(core::Manetkit& kit, DymoParams params) {
   dymo->set_state(std::move(new_state));
   dymo->replace_handler("ReHandler", std::make_unique<ReHandler>(params));
   dymo->replace_handler("RouteErrHandler",
-                        std::make_unique<RouteInvalidationHandler>(params));
+                        std::make_unique<LinkBreakHandler>(
+                            dymo_reactive(params), "RouteErrHandler"));
 }
 
 bool is_multipath_dymo(core::Manetkit& kit) {

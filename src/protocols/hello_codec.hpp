@@ -2,6 +2,7 @@
 // the MPR CF (one of the paper's reused PacketGenerator/PacketParser pieces).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -19,31 +20,8 @@ struct Link {
   wire::LinkCode code = wire::LinkCode::kAsym;
 };
 
-/// Builds a HELLO message: hop_limit 1 (never forwarded), link list with
-/// per-address link-code TLVs, willingness and optional piggyback TLVs.
-inline pbb::Message build(net::Addr self, std::uint16_t seq,
-                          const std::vector<Link>& links,
-                          std::uint8_t willingness,
-                          std::vector<pbb::Tlv> piggyback = {}) {
-  pbb::Message m;
-  m.type = wire::kMsgHello;
-  m.originator = self;
-  m.seqnum = seq;
-  m.has_hops = true;
-  m.hop_limit = 1;
-  m.hop_count = 0;
-  m.tlvs.push_back(pbb::Tlv::u8(wire::kTlvWillingness, willingness));
-  for (auto& t : piggyback) m.tlvs.push_back(std::move(t));
-  pbb::AddressBlock block;
-  for (const Link& l : links) {
-    block.add_with_u8(l.addr, wire::kAtlvLinkCode,
-                      static_cast<std::uint8_t>(l.code));
-  }
-  m.addr_blocks.push_back(std::move(block));
-  return m;
-}
-
-/// Overwrites `m` in place as a HELLO (same wire layout as build()). The
+/// Overwrites `m` in place as a HELLO: hop_limit 1 (never forwarded), the
+/// willingness TLV, and a link list with per-address link-code TLVs. The
 /// message may come from a recycled pool slot with stale-warm vectors: every
 /// field is written and the TLV / address vectors are refilled element-wise,
 /// so their buffers are reused instead of reallocated. The willingness TLV
@@ -94,11 +72,18 @@ inline void for_each_link(const pbb::Message& m, Fn&& fn) {
   }
 }
 
-/// Extracts the link list of a received HELLO.
-inline std::vector<Link> links(const pbb::Message& m) {
-  std::vector<Link> out;
-  for_each_link(m, [&out](const Link& l) { out.push_back(l); });
-  return out;
+/// Refills `out` with the addresses `m` lists under a link code `keep`
+/// accepts, except `self`: sorted and duplicate-free, the form
+/// NeighborTable::set_two_hop takes. `out` is reused scratch.
+template <class Keep>
+inline void two_hop_into(std::vector<net::Addr>& out, const pbb::Message& m,
+                         net::Addr self, Keep&& keep) {
+  out.clear();
+  for_each_link(m, [&](const Link& l) {
+    if (keep(l.code) && l.addr != self) out.push_back(l.addr);
+  });
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 /// Link code the sender advertises for `addr` (nullopt if unlisted).
@@ -120,7 +105,9 @@ inline std::uint8_t willingness(const pbb::Message& m) {
   return t == nullptr ? wire::kWillDefault : t->as_u8();
 }
 
-/// Visits every piggyback TLV in place (no copies).
+/// Visits every piggyback TLV in place (no copies). Everything except the
+/// HELLO's own control TLVs rides as piggyback payload (battery adverts,
+/// position beacons, route adverts, ...).
 template <class Fn>
 inline void for_each_piggyback(const pbb::Message& m, Fn&& fn) {
   for (const auto& t : m.tlvs) {
@@ -129,14 +116,6 @@ inline void for_each_piggyback(const pbb::Message& m, Fn&& fn) {
     }
     fn(t);
   }
-}
-
-/// Everything except the HELLO's own control TLVs rides as piggyback
-/// payload (battery adverts, position beacons, route adverts, ...).
-inline std::vector<pbb::Tlv> piggyback(const pbb::Message& m) {
-  std::vector<pbb::Tlv> out;
-  for_each_piggyback(m, [&out](const pbb::Tlv& t) { out.push_back(t); });
-  return out;
 }
 
 }  // namespace mk::proto::hello

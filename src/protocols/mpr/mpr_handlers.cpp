@@ -103,18 +103,10 @@ void MprHelloHandler::handle(const ev::Event& event,
     }
   }
 
-  two_hop_scratch_.clear();
-  hello::for_each_link(msg, [&](const hello::Link& l) {
-    if ((l.code == wire::LinkCode::kSym || l.code == wire::LinkCode::kMpr) &&
-        l.addr != ctx.self()) {
-      two_hop_scratch_.push_back(l.addr);
-    }
+  hello::two_hop_into(two_hop_scratch_, msg, ctx.self(), [](wire::LinkCode c) {
+    return c == wire::LinkCode::kSym || c == wire::LinkCode::kMpr;
   });
-  std::sort(two_hop_scratch_.begin(), two_hop_scratch_.end());
-  two_hop_scratch_.erase(
-      std::unique(two_hop_scratch_.begin(), two_hop_scratch_.end()),
-      two_hop_scratch_.end());
-  st.set_two_hop(from, std::span<const net::Addr>(two_hop_scratch_));
+  st.set_two_hop(from, two_hop_scratch_);
 
   hello::for_each_piggyback(
       msg, [&](const pbb::Tlv& t) { st.dispatch_piggyback(from, t); });

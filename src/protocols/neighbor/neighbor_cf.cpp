@@ -1,6 +1,7 @@
 #include "protocols/neighbor/neighbor_cf.hpp"
 
 #include <memory>
+#include <vector>
 
 #include "core/attrs.hpp"
 #include "core/soft_state.hpp"
@@ -45,17 +46,16 @@ class HelloSource final : public core::EventSource {
  private:
   void fire() {
     NeighborTable& nt = ctx_->state_as<NeighborTable>();
-
-    std::vector<hello::Link> links;
-    for (net::Addr a : nt.heard_neighbors()) {
-      links.push_back(hello::Link{
-          a, nt.is_sym_neighbor(a) ? wire::LinkCode::kSym
-                                   : wire::LinkCode::kAsym});
-    }
-
+    links_scratch_.clear();
+    nt.for_each_neighbor([this](net::Addr a, bool sym) {
+      links_scratch_.push_back(
+          hello::Link{a, sym ? wire::LinkCode::kSym : wire::LinkCode::kAsym});
+    });
     ev::Event e(ev::types::HELLO_OUT);
-    e.set_msg(hello::build(ctx_->self(), seq_++, links, wire::kWillDefault,
-                           nt.collect_piggyback()));
+    pbb::Message& m = e.acquire_msg();
+    hello::build_into(m, ctx_->self(), seq_++, links_scratch_,
+                      wire::kWillDefault);
+    nt.append_piggyback(m.tlvs);
     ctx_->emit(std::move(e));
   }
 
@@ -63,6 +63,7 @@ class HelloSource final : public core::EventSource {
   core::ProtocolContext* ctx_ = nullptr;
   std::unique_ptr<PeriodicTimer> timer_;
   std::uint16_t seq_ = 1;
+  std::vector<hello::Link> links_scratch_;  // reused per emission
 };
 
 /// Link sensing from received HELLOs.
@@ -96,22 +97,20 @@ class HelloHandler final : public core::EventHandler {
       emit_nhood_change(ctx, from, sym);
     }
 
-    // 2-hop information: the sender's symmetric neighbours.
-    std::set<net::Addr> two_hop;
-    for (const hello::Link& l : hello::links(msg)) {
-      if (l.code == wire::LinkCode::kSym && l.addr != ctx.self()) {
-        two_hop.insert(l.addr);
-      }
-    }
-    nt.set_two_hop(from, std::move(two_hop));
+    // 2-hop information: the sender's symmetric neighbours (SYM only; the
+    // MPR CF also counts MPR-coded links).
+    hello::two_hop_into(
+        two_hop_scratch_, msg, ctx.self(),
+        [](wire::LinkCode c) { return c == wire::LinkCode::kSym; });
+    nt.set_two_hop(from, two_hop_scratch_);
 
-    for (const pbb::Tlv& t : hello::piggyback(msg)) {
-      nt.dispatch_piggyback(from, t);
-    }
+    hello::for_each_piggyback(
+        msg, [&](const pbb::Tlv& t) { nt.dispatch_piggyback(from, t); });
   }
 
  private:
   core::SoftExpiry::SetId link_set_;
+  std::vector<net::Addr> two_hop_scratch_;  // reused per HELLO
 };
 
 /// Alternative sensing mechanism: link-layer feedback straight from the

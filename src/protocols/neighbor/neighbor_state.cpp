@@ -38,10 +38,6 @@ bool NeighborTable::set_symmetric(net::Addr a, bool sym) {
   return true;
 }
 
-void NeighborTable::set_two_hop(net::Addr a, std::set<net::Addr> nbrs) {
-  entries_[a].two_hop = std::move(nbrs);
-}
-
 void NeighborTable::set_two_hop(net::Addr a,
                                 std::span<const net::Addr> sorted) {
   std::set<net::Addr>& cur = entries_[a].two_hop;
@@ -115,12 +111,6 @@ std::string NeighborTable::describe() const {
 
 void NeighborTable::add_piggyback_provider(PiggybackProvider p) {
   providers_.push_back(std::move(p));
-}
-
-std::vector<pbb::Tlv> NeighborTable::collect_piggyback() const {
-  std::vector<pbb::Tlv> out;
-  append_piggyback(out);
-  return out;
 }
 
 void NeighborTable::append_piggyback(std::vector<pbb::Tlv>& out) const {

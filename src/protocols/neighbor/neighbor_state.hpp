@@ -43,10 +43,10 @@ class NeighborTable : public oc::Component, public INeighborState {
   void note_heard(net::Addr a);
   /// Returns true if the symmetric status changed.
   bool set_symmetric(net::Addr a, bool sym);
-  void set_two_hop(net::Addr a, std::set<net::Addr> nbrs);
-  /// In-place variant: `sorted` must be ascending and duplicate-free. The
-  /// stored set is diffed against it, so an unchanged advertisement (the
-  /// steady state between topology changes) allocates nothing.
+  /// Replaces `a`'s advertised neighbours; `sorted` must be ascending and
+  /// duplicate-free. The stored set is diffed against it, so an unchanged
+  /// advertisement (the steady state between topology changes) allocates
+  /// nothing.
   void set_two_hop(net::Addr a, std::span<const net::Addr> sorted);
 
   /// Forced removal (LOST link code); returns true if it was symmetric.
@@ -73,7 +73,6 @@ class NeighborTable : public oc::Component, public INeighborState {
   using PiggybackProvider = std::function<std::optional<pbb::Tlv>()>;
   void add_piggyback_provider(PiggybackProvider p);
   void clear_piggyback_providers() { providers_.clear(); }
-  std::vector<pbb::Tlv> collect_piggyback() const;
   /// Appends the providers' TLVs to `out` (no intermediate vector).
   void append_piggyback(std::vector<pbb::Tlv>& out) const;
 

@@ -2,16 +2,9 @@
 
 #include <sstream>
 
+#include "util/serial.hpp"
+
 namespace mk::proto {
-
-namespace {
-
-/// RFC 3626 §19: sequence-number comparison with wraparound.
-bool seq_newer(std::uint16_t a, std::uint16_t b) {
-  return static_cast<std::int16_t>(a - b) > 0;
-}
-
-}  // namespace
 
 OlsrState::OlsrState() : oc::Component("olsr.OlsrState") {
   set_instance_name("State");
@@ -24,7 +17,8 @@ bool OlsrState::update_topology(net::Addr origin, std::uint16_t ansn,
                                 const std::set<net::Addr>& advertised,
                                 TimePoint now, Duration hold) {
   auto it = topology_.find(origin);
-  if (it != topology_.end() && seq_newer(it->second.ansn, ansn)) {
+  // RFC 3626 §19: ANSNs compare with wraparound.
+  if (it != topology_.end() && serial_newer(it->second.ansn, ansn)) {
     return false;  // stale information
   }
   TopologyEntry entry;

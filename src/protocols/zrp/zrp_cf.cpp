@@ -69,7 +69,8 @@ class ZoneReHandler final : public ReHandler {
 class ZoneNoRouteHandler final : public NoRouteHandler {
  public:
   ZoneNoRouteHandler(DymoParams params, core::Manetkit& kit)
-      : NoRouteHandler("zrp.ZoneNoRouteHandler", params), kit_(kit) {}
+      : NoRouteHandler("zrp.ZoneNoRouteHandler", dymo_reactive(params)),
+        kit_(kit) {}
 
  protected:
   bool try_local_knowledge(net::Addr dest,
@@ -78,7 +79,7 @@ class ZoneNoRouteHandler final : public NoRouteHandler {
     std::uint8_t dist = zone_route(kit_, dest, hop);
     if (dist == 0) return false;
     ctx.set_route(dest, hop, dist);
-    dymo_emit_route_found(ctx, dest);
+    emit_route_found(ctx, dest);
     ctx.metrics().counter("zrp.zone_hits").inc();
     return true;
   }

@@ -4,22 +4,16 @@
 #include <utility>
 
 #include "core/attrs.hpp"
-#include "protocols/aodv/aodv_cf.hpp"
-#include "protocols/dymo/dymo_cf.hpp"
 #include "protocols/olsr/olsr_cf.hpp"
+#include "protocols/reactive.hpp"
 #include "protocols/wire.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
+#include "util/serial.hpp"
 
 namespace mk::repl {
 
 namespace {
-
-/// RFC 1982 serial comparison for checkpoint epochs (same arithmetic as the
-/// protocols' seq_newer and the policy coordinator's epoch_newer).
-bool epoch_newer(std::uint16_t a, std::uint16_t b) {
-  return static_cast<std::int16_t>(a - b) > 0;
-}
 
 /// Reinstalls the kernel routes a restored S element implies. Dispatches on
 /// the concrete S type, not the unit name, so renamed compositions (the
@@ -32,21 +26,11 @@ void reinstall_routes(core::ManetProtocolCf& proto) {
     proto::olsr_recompute_routes(proto);
     return;
   }
-  if (auto* dy = dynamic_cast<proto::DymoState*>(sc)) {
+  if (auto* rs = dynamic_cast<proto::ReactiveState*>(sc)) {
     auto lock = proto.quiesce();
-    for (const auto& [dest, r] : dy->all_routes()) {
-      if (r.valid && r.active() != nullptr) {
-        proto.context().set_route(dest, r.active()->next_hop,
-                                  r.active()->hops);
-      }
-    }
-    return;
-  }
-  if (auto* ao = dynamic_cast<proto::AodvState*>(sc)) {
-    auto lock = proto.quiesce();
-    for (const auto& [dest, r] : ao->all_routes()) {
+    rs->for_each_route([&proto](net::Addr dest, const proto::RouteView& r) {
       if (r.valid) proto.context().set_route(dest, r.next_hop, r.hops);
-    }
+    });
   }
 }
 
@@ -305,7 +289,7 @@ void ReplicationManager::accept_checkpoint(const pbb::Checkpoint& cp,
     }
     const bool stale_holder = now_us - it->second.at_us >
                               params_.staleness_bound.count();
-    if (!epoch_newer(cp.epoch, it->second.epoch) && !stale_holder) {
+    if (!serial_newer(cp.epoch, it->second.epoch) && !stale_holder) {
       // Older epoch from a live origin: reject. (After the origin
       // cold-starts, its epochs restart — then stale_holder admits them.)
       journal(obs::RecordKind::kCheckpoint, cp.unit_hash,
@@ -425,7 +409,7 @@ void ReplicationManager::apply_offer(const pbb::Checkpoint& cp,
   if (unit.empty()) return;  // unsolicited or already republishing
 
   const bool virgin = rehydrate_virgin_.count(unit) > 0;
-  if (!virgin && !epoch_newer(cp.epoch, rehydrating_[unit])) {
+  if (!virgin && !serial_newer(cp.epoch, rehydrating_[unit])) {
     journal(obs::RecordKind::kRehydrate, cp.unit_hash,
             static_cast<std::uint64_t>(obs::RehydratePhase::kStaleReject),
             cp.epoch, from);

@@ -34,6 +34,20 @@ std::size_t count_loc(const std::string& path) {
   return loc;
 }
 
+std::size_t count_tree_loc(const std::string& dir) {
+  std::error_code ec;
+  std::size_t loc = 0;
+  for (fs::recursive_directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const fs::path& p = it->path();
+    if (it->is_regular_file() &&
+        (p.extension() == ".hpp" || p.extension() == ".cpp")) {
+      loc += count_loc(p.string());
+    }
+  }
+  return loc;
+}
+
 std::string repo_root() { return MK_SOURCE_DIR; }
 
 std::vector<ComponentLoc> manifest() {
@@ -93,6 +107,9 @@ std::vector<ComponentLoc> manifest() {
         all),
       G("Event ontology", {"src/events/event.hpp", "src/events/event.cpp"},
         all),
+      G("Reactive routing core",
+        {"src/protocols/reactive.hpp", "src/protocols/reactive.cpp"},
+        {"DYMO", "AODV"}),
 
       // ---- protocol-specific components ----
       S("OLSR TC Handler/Generator + State",

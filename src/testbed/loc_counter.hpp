@@ -22,6 +22,10 @@ struct ComponentLoc {
 /// Returns 0 for unreadable files.
 std::size_t count_loc(const std::string& path);
 
+/// Sums count_loc() over every C++ source (.hpp, .cpp) under `dir`,
+/// recursively. Returns 0 for a missing directory.
+std::size_t count_tree_loc(const std::string& dir);
+
 /// The component manifest for this repository (paths relative to repo root).
 std::vector<ComponentLoc> manifest();
 

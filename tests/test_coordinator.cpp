@@ -129,19 +129,19 @@ TEST(Coordinator, NetworkWideProtocolSwitch) {
 
 TEST(Coordinator, EpochNewerComparesSerially) {
   // Plain ordering within half the number space...
-  EXPECT_TRUE(epoch_newer(2, 1));
-  EXPECT_FALSE(epoch_newer(1, 2));
-  EXPECT_FALSE(epoch_newer(7, 7));
-  EXPECT_TRUE(epoch_newer(0x7fff, 0));
+  EXPECT_TRUE(serial_newer(2, 1));
+  EXPECT_FALSE(serial_newer(1, 2));
+  EXPECT_FALSE(serial_newer(7, 7));
+  EXPECT_TRUE(serial_newer(0x7fff, 0));
   // ...the exact half-distance is incomparable: neither side is newer (the
   // RFC 1982 undefined case — we deliberately fail closed and suppress)...
-  EXPECT_FALSE(epoch_newer(0x8000, 0));
-  EXPECT_FALSE(epoch_newer(0, 0x8000));
+  EXPECT_FALSE(serial_newer(0x8000, 0));
+  EXPECT_FALSE(serial_newer(0, 0x8000));
   // ...and the wraparound reads as forward progress, not ancient history.
-  EXPECT_TRUE(epoch_newer(0, 0xffff));
-  EXPECT_TRUE(epoch_newer(5, 0xfffe));
-  EXPECT_FALSE(epoch_newer(0xffff, 0));
-  EXPECT_FALSE(epoch_newer(0xfffe, 5));
+  EXPECT_TRUE(serial_newer(0, 0xffff));
+  EXPECT_TRUE(serial_newer(5, 0xfffe));
+  EXPECT_FALSE(serial_newer(0xffff, 0));
+  EXPECT_FALSE(serial_newer(0xfffe, 5));
 }
 
 // --------------------------------------------- bounded per-origin epoch map

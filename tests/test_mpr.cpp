@@ -21,7 +21,8 @@ std::unique_ptr<MprState> make_state(
   for (const auto& [addr, two_hop] : nbrs) {
     st->note_heard(addr);
     st->set_symmetric(addr, true);
-    st->set_two_hop(addr, two_hop);
+    st->set_two_hop(addr,
+                    std::vector<net::Addr>(two_hop.begin(), two_hop.end()));
   }
   return st;
 }

@@ -20,7 +20,8 @@ TEST(NeighborTable, SymmetryAndTwoHop) {
   EXPECT_FALSE(t.set_symmetric(10, true));  // no change
   EXPECT_TRUE(t.is_sym_neighbor(10));
 
-  t.set_two_hop(10, {20, 30});
+  const std::vector<net::Addr> via10{20, 30};
+  t.set_two_hop(10, via10);
   EXPECT_EQ(t.two_hop_via(10), (std::set<net::Addr>{20, 30}));
   EXPECT_EQ(t.strict_two_hop(1), (std::set<net::Addr>{20, 30}));
 
@@ -50,7 +51,8 @@ TEST(NeighborTable, PiggybackProvidersAndObservers) {
   t.add_piggyback_provider([]() -> std::optional<pbb::Tlv> {
     return std::nullopt;  // provider may decline
   });
-  auto tlvs = t.collect_piggyback();
+  std::vector<pbb::Tlv> tlvs;
+  t.append_piggyback(tlvs);
   ASSERT_EQ(tlvs.size(), 1u);
   EXPECT_EQ(tlvs[0].as_u8(), 0x55);
 
@@ -64,16 +66,37 @@ TEST(HelloCodec, RoundTrip) {
   std::vector<hello::Link> links{{10, wire::LinkCode::kSym},
                                  {11, wire::LinkCode::kAsym},
                                  {12, wire::LinkCode::kMpr}};
-  auto msg = hello::build(1, 5, links, wire::kWillHigh,
-                          {pbb::Tlv{wire::kTlvPiggyback, {1, 2}}});
+  pbb::Message msg;
+  hello::build_into(msg, 1, 5, links, wire::kWillHigh);
+  msg.tlvs.push_back(pbb::Tlv{wire::kTlvPiggyback, {1, 2}});
   EXPECT_EQ(msg.hop_limit, 1);  // never forwarded
   EXPECT_EQ(hello::willingness(msg), wire::kWillHigh);
-  auto parsed = hello::links(msg);
+  std::vector<hello::Link> parsed;
+  hello::for_each_link(msg, [&](const hello::Link& l) { parsed.push_back(l); });
   ASSERT_EQ(parsed.size(), 3u);
   EXPECT_EQ(parsed[2].code, wire::LinkCode::kMpr);
   EXPECT_EQ(hello::code_for(msg, 11), wire::LinkCode::kAsym);
   EXPECT_FALSE(hello::code_for(msg, 99).has_value());
-  EXPECT_EQ(hello::piggyback(msg).size(), 1u);
+  std::size_t piggybacked = 0;
+  hello::for_each_piggyback(msg, [&](const pbb::Tlv&) { ++piggybacked; });
+  EXPECT_EQ(piggybacked, 1u);
+}
+
+TEST(HelloCodec, LinkTlvsMatchAddWithU8OnTheWire) {
+  std::vector<hello::Link> links{{10, wire::LinkCode::kSym},
+                                 {11, wire::LinkCode::kAsym}};
+  pbb::Packet built;
+  hello::build_into(built.messages.emplace_back(), 1, 5, links,
+                    wire::kWillDefault);
+
+  pbb::Packet reference;
+  pbb::Message& m = reference.messages.emplace_back(built.messages[0]);
+  m.addr_blocks.assign(1, pbb::AddressBlock{});
+  for (const hello::Link& l : links) {
+    m.addr_blocks[0].add_with_u8(l.addr, wire::kAtlvLinkCode,
+                                 static_cast<std::uint8_t>(l.code));
+  }
+  EXPECT_EQ(pbb::serialize(built), pbb::serialize(reference));
 }
 
 TEST(NeighborCf, TwoNodesBecomeSymmetric) {

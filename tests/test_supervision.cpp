@@ -741,7 +741,7 @@ TEST(SiblingRestart, OptFloodDymoReadsRestartedMprCf) {
   ASSERT_TRUE(world.kit(1).replace_protocol("mpr", "mpr").committed);
   world.run_for(sec(5));
 
-  proto::dymo_discover(*world.kit(0).protocol("dymo"), world.addr(3));
+  proto::discover(*world.kit(0).protocol("dymo"), world.addr(3));
   world.run_for(sec(5));
   auto route = world.node(0).kernel_table().lookup(world.addr(3));
   ASSERT_TRUE(route.has_value());

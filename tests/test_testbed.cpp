@@ -51,6 +51,16 @@ TEST(LocCounter, ManifestFilesAllExistAndAreNonTrivial) {
   }
 }
 
+TEST(LocCounter, SourceTreeTotalCoversTheManifest) {
+  std::string root = repo_root();
+  auto entries = manifest();
+  count_manifest(entries, root);
+  std::size_t manifest_loc = 0;
+  for (const auto& e : entries) manifest_loc += e.loc;
+  EXPECT_GT(count_tree_loc(root + "/src"), manifest_loc);
+  EXPECT_EQ(count_tree_loc(root + "/no-such-dir"), 0u);
+}
+
 TEST(LocCounter, EveryProtocolShowsMajorityReuse) {
   std::string root = repo_root();
   auto entries = manifest();
