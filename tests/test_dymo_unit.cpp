@@ -3,9 +3,12 @@
 // accumulation, multipath state.
 #include <gtest/gtest.h>
 
+#include "net/medium.hpp"
+#include "net/node.hpp"
 #include "protocols/dymo/dymo_cf.hpp"
 #include "protocols/aodv/aodv_state.hpp"
 #include "protocols/dymo/dymo_state.hpp"
+#include "util/scheduler.hpp"
 
 namespace mk::proto {
 namespace {
@@ -177,6 +180,89 @@ TEST(DymoState, NoAlternateOnInvalidRoute) {
   st.update_route(10, 5, 20, 2, TimePoint{0}, sec(5));
   st.invalidate(10);
   EXPECT_FALSE(st.add_alternate_path(10, 21, 3));
+}
+
+/// DYMO's RM and RERR handlers on node 2, unmanaged: emitted events land in
+/// `out` instead of the network.
+struct DymoHandlers {
+  static constexpr net::Addr kSelf = 2;
+
+  DymoHandlers() {
+    cf.set_state(std::make_unique<DymoState>());
+    cf.add_handler(std::make_unique<ReHandler>(DymoParams{}));
+    cf.add_handler(std::make_unique<RerrHandler>(DymoParams{}));
+    cf.set_emit_hook([this](const ev::Event& e) { out.push_back(e); });
+  }
+
+  void deliver(const char* type, net::Addr from, pbb::Message msg) {
+    ev::Event e(ev::etype(type));
+    e.from = from;
+    e.set_msg(std::move(msg));
+    cf.deliver(e);
+  }
+
+  std::size_t emitted(const char* type) const {
+    std::size_t n = 0;
+    for (const auto& e : out) n += e.type() == ev::etype(type) ? 1 : 0;
+    return n;
+  }
+
+  SimScheduler sched;
+  net::SimMedium medium{sched};
+  net::SimNode node{0, medium, sched};
+  core::Manetkit kit{node};
+  core::ManetProtocolCf cf{kit.kernel(), "dymo", sched, kSelf, nullptr};
+  std::vector<ev::Event> out;
+};
+
+TEST(DymoDuplicates, RerrDoesNotSuppressRreqWithTheSameSeqnum) {
+  DymoHandlers h;
+  // Node 1's RERR numbered 2, then node 1's RREQ numbered 2: the RREQ is
+  // new and must be relayed.
+  h.deliver("RERR_IN", 1, rm::build_rerr(1, 2, {{5, 7}}, 3));
+  h.deliver("RM_IN", 1, rm::build_rreq(1, 2, /*target=*/9, 10));
+  EXPECT_EQ(h.emitted("RM_OUT"), 1u);
+
+  // The same RREQ again is a duplicate.
+  h.deliver("RM_IN", 1, rm::build_rreq(1, 2, /*target=*/9, 10));
+  EXPECT_EQ(h.emitted("RM_OUT"), 1u);
+}
+
+TEST(DymoDuplicates, RelayedRerrIsNumberedByTheRelay) {
+  DymoHandlers h;
+  auto& st = h.cf.context().state_as<DymoState>();
+  st.update_route(5, 7, /*next_hop=*/1, 2, TimePoint{0}, sec(5));
+
+  // Node 1 reports 5 unreachable with its own RERR number 40; node 2 relays
+  // the report as its own RERR, numbered from its own counter.
+  h.deliver("RERR_IN", 1, rm::build_rerr(1, 40, {{5, 8}}, 3));
+  ASSERT_EQ(h.emitted("RERR_OUT"), 1u);
+  const pbb::Message& relayed = *h.out.back().msg();
+  EXPECT_EQ(*relayed.originator, DymoHandlers::kSelf);
+  EXPECT_EQ(*relayed.seqnum, 1u);
+  EXPECT_FALSE(st.route_to(5)->valid);
+}
+
+TEST(DymoState, CodecCarriesRreqTuplesButNotRerrOnes) {
+  DymoState st;
+  st.update_route(10, 5, 20, 2, TimePoint{0}, sec(5));
+  st.bump_seq();
+  st.check_duplicate(dymo_dup_key(DupKind::kRreq, 7, 3), TimePoint{1});
+  st.check_duplicate(dymo_dup_key(DupKind::kRerr, 7, 3), TimePoint{2});
+  std::vector<std::uint8_t> blob;
+  st.encode_state(blob);
+
+  DymoState copy;
+  ASSERT_TRUE(copy.decode_state(blob));
+  std::vector<std::uint8_t> again;
+  copy.encode_state(again);
+  EXPECT_EQ(again, blob);
+  EXPECT_EQ(copy.own_seq(), st.own_seq());
+  EXPECT_EQ(copy.duplicate_entries(),
+            std::vector<std::uint64_t>{dymo_dup_key(DupKind::kRreq, 7, 3)});
+
+  blob.pop_back();  // truncated
+  EXPECT_FALSE(copy.decode_state(blob));
 }
 
 }  // namespace
