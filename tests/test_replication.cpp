@@ -15,13 +15,20 @@
 //    digest-identical across MemBackend::kPool vs kHeap.
 //  * CrashSend.* — a crashed node's local sends never reach its stopped
 //    protocol CFs.
+//  * StateCodec.* — the OLSR, DYMO and AODV checkpoint codecs on a populated
+//    S element: byte-identical round trip, and every malformed blob (strict
+//    prefix, trailing byte, wrong version) rejected, as replicas arrive off
+//    the wire.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <iostream>
 
 #include "fault/plan.hpp"
+#include "protocols/aodv/aodv_state.hpp"
 #include "protocols/dymo/dymo_cf.hpp"
+#include "protocols/dymo/dymo_state.hpp"
+#include "protocols/olsr/olsr_state.hpp"
 #include "replication/replication.hpp"
 #include "supervision/supervisor.hpp"
 #include "testbed/world.hpp"
@@ -386,6 +393,69 @@ TEST(RecoveryLadder, SuspectRestartRehydratesFromPeerReplica) {
   ASSERT_NE(st_after, nullptr);
   EXPECT_TRUE(st_after->route_to(99).has_value())
       << "seeded route must come back from the peer replica, not local RAM";
+}
+
+// `populated` must encode to a blob that `scratch` (same type) decodes back
+// byte-identically; a wrong version is rejected before anything is reset,
+// and every strict prefix or a trailing byte is rejected too.
+void expect_strict_codec(const core::IStateCodec& populated,
+                         core::IStateCodec& scratch) {
+  std::vector<std::uint8_t> blob;
+  populated.encode_state(blob);
+  ASSERT_GT(blob.size(), 8u);
+  ASSERT_TRUE(scratch.decode_state(blob));
+  std::vector<std::uint8_t> again;
+  scratch.encode_state(again);
+  EXPECT_EQ(again, blob);
+
+  std::vector<std::uint8_t> wrong_version = blob;
+  wrong_version[0] ^= 0xFF;
+  EXPECT_FALSE(scratch.decode_state(wrong_version));
+  again.clear();
+  scratch.encode_state(again);
+  EXPECT_EQ(again, blob) << "a wrong version must not reset the element";
+
+  for (std::size_t n = 0; n < blob.size(); ++n) {
+    EXPECT_FALSE(scratch.decode_state(std::span(blob.data(), n)))
+        << "accepted a " << n << "-byte prefix of " << blob.size();
+  }
+  std::vector<std::uint8_t> trailing = blob;
+  trailing.push_back(0);
+  EXPECT_FALSE(scratch.decode_state(trailing));
+}
+
+TEST(StateCodec, OlsrRejectsMalformedBlobs) {
+  proto::OlsrState st;
+  st.update_topology(10, 3, {20, 21}, TimePoint{1000}, sec(15));
+  st.update_topology(11, 7, {22}, TimePoint{2000}, sec(15));
+  st.set_last_advertised({30, 31});
+  st.next_msg_seq();
+  st.bump_ansn();
+  proto::OlsrState scratch;
+  expect_strict_codec(st, scratch);
+}
+
+TEST(StateCodec, DymoRejectsMalformedBlobs) {
+  proto::DymoState st;
+  st.update_route(10, 5, 20, 2, TimePoint{0}, sec(5));
+  st.update_route(11, 9, 21, 3, TimePoint{0}, sec(5));
+  st.bump_seq();
+  st.check_duplicate(proto::dymo_dup_key(proto::DupKind::kRreq, 7, 3),
+                     TimePoint{1});
+  proto::DymoState scratch;
+  expect_strict_codec(st, scratch);
+}
+
+TEST(StateCodec, AodvRejectsMalformedBlobs) {
+  proto::AodvState st;
+  st.update_route(10, 5, true, 20, 2, TimePoint{0}, sec(3));
+  st.update_route(11, 6, true, 21, 4, TimePoint{0}, sec(3));
+  st.add_precursor(10, 77);
+  st.next_rreq_id();
+  st.bump_seq();
+  st.check_rreq_seen(7, 100, TimePoint{5});
+  proto::AodvState scratch;
+  expect_strict_codec(st, scratch);
 }
 
 }  // namespace
