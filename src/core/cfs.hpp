@@ -7,7 +7,8 @@
 //                       handlers run atomically (inside the owning CF's
 //                       critical section) and may emit further events.
 //  * EventSource      — timer-driven emitters (HELLO generation, TC
-//                       diffusion, expiry sweeps).
+//                       diffusion, expiry sweeps); PeriodicSource is the
+//                       common one-periodic-timer kind.
 //  * ProtocolContext  — the one door through which handlers, sources and
 //                       soft-state loss callbacks reach their protocol's
 //                       services: event emission, the scheduler and clock,
@@ -30,6 +31,7 @@
 #include "obs/metrics.hpp"
 #include "opencom/component.hpp"
 #include "util/scheduler.hpp"
+#include "util/timer.hpp"
 
 namespace mk::core {
 
@@ -140,6 +142,38 @@ class EventSource : public oc::Component {
 
   virtual void start(ProtocolContext& ctx) = 0;
   virtual void stop() = 0;
+};
+
+/// An Event Source driven by one PeriodicTimer, armed on start() and
+/// cancelled on stop(). Its jitter stream is seeded with the node address
+/// plus `seed_offset`, so each periodic source of a node draws its own.
+class PeriodicSource : public EventSource {
+ public:
+  PeriodicSource(std::string type_name, Duration interval, double jitter,
+                 std::uint64_t seed_offset)
+      : EventSource(std::move(type_name)),
+        interval_(interval),
+        jitter_(jitter),
+        seed_offset_(seed_offset) {}
+
+  void start(ProtocolContext& ctx) override {
+    timer_ = std::make_unique<PeriodicTimer>(
+        ctx.scheduler(), interval_, [this, &ctx] { fire(ctx); }, jitter_,
+        ctx.self() + seed_offset_);
+    timer_->start();
+  }
+
+  void stop() override { timer_.reset(); }
+
+ protected:
+  /// One period's work.
+  virtual void fire(ProtocolContext& ctx) = 0;
+
+ private:
+  Duration interval_;
+  double jitter_;
+  std::uint64_t seed_offset_;
+  std::unique_ptr<PeriodicTimer> timer_;
 };
 
 }  // namespace mk::core

@@ -3,8 +3,9 @@
 // A protocol's S element implements IStateCodec so the replication CF can
 // snapshot it into a checkpoint blob that a 1-hop peer stores and — after a
 // crash/restart fault — hands back to rehydrate the restarted unit. The
-// format is owned by each protocol (a versioned byte string produced with
-// the helpers below); the replication layer treats blobs as opaque.
+// format is owned by each protocol (a versioned big-endian byte string
+// written with ByteWriter and read back with ByteReader); the replication
+// layer treats blobs as opaque.
 //
 // Codec discipline:
 //  * encode only *protocol* state (tables, sequence numbers) — never derived
@@ -32,7 +33,8 @@ namespace mk::core {
 
 /// Provided as "IStateCodec" by replication-capable S elements.
 struct IStateCodec : oc::Interface {
-  /// Appends a self-contained snapshot of this S element to `out`.
+  /// Writes a self-contained snapshot of this S element into `out`,
+  /// replacing its contents.
   virtual void encode_state(std::vector<std::uint8_t>& out) const = 0;
 
   /// Replaces this element's contents from an encode_state() blob. Returns
@@ -43,73 +45,5 @@ struct IStateCodec : oc::Interface {
   /// cold start: tables emptied, sequence counters reset).
   virtual void reset_state() = 0;
 };
-
-/// Big-endian byte helpers shared by the protocol codecs and the checkpoint
-/// TLV framing (same byte order as the PacketBB wire format).
-namespace codec {
-
-inline void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-inline void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-  put_u16(out, static_cast<std::uint16_t>(v));
-}
-
-inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-inline void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-inline bool get_u8(std::span<const std::uint8_t> in, std::size_t& off,
-                   std::uint8_t& v) {
-  if (off + 1 > in.size()) return false;
-  v = in[off++];
-  return true;
-}
-
-inline bool get_u16(std::span<const std::uint8_t> in, std::size_t& off,
-                    std::uint16_t& v) {
-  if (off + 2 > in.size()) return false;
-  v = static_cast<std::uint16_t>((in[off] << 8) | in[off + 1]);
-  off += 2;
-  return true;
-}
-
-inline bool get_u32(std::span<const std::uint8_t> in, std::size_t& off,
-                    std::uint32_t& v) {
-  std::uint16_t hi = 0, lo = 0;
-  if (!get_u16(in, off, hi) || !get_u16(in, off, lo)) return false;
-  v = (static_cast<std::uint32_t>(hi) << 16) | lo;
-  return true;
-}
-
-inline bool get_u64(std::span<const std::uint8_t> in, std::size_t& off,
-                    std::uint64_t& v) {
-  std::uint32_t hi = 0, lo = 0;
-  if (!get_u32(in, off, hi) || !get_u32(in, off, lo)) return false;
-  v = (static_cast<std::uint64_t>(hi) << 32) | lo;
-  return true;
-}
-
-inline bool get_i64(std::span<const std::uint8_t> in, std::size_t& off,
-                    std::int64_t& v) {
-  std::uint64_t u = 0;
-  if (!get_u64(in, off, u)) return false;
-  v = static_cast<std::int64_t>(u);
-  return true;
-}
-
-}  // namespace codec
 
 }  // namespace mk::core

@@ -232,75 +232,62 @@ class AodvHandler final : public core::EventHandler {
 };
 
 /// The §4.3 piggybacking example: advertise a few routing-table entries in
-/// each HELLO so neighbours learn routes without discovery. A bridge
-/// component ties the provider/observer lifetime to the AODV CF.
-class PiggybackBridge final : public oc::Component {
- public:
+/// each HELLO so neighbours learn routes without discovery. The hooks look
+/// up the live AODV CF when they run: they do nothing while AODV is not
+/// deployed, and a redeployment replaces them.
+void set_route_piggyback(core::Manetkit& kit, NeighborTable& table,
+                         AodvParams params) {
   static constexpr std::size_t kMaxAdvertised = 5;
-
-  PiggybackBridge(core::ManetProtocolCf& aodv, NeighborTable& table,
-                  AodvParams params)
-      : oc::Component("aodv.PiggybackBridge"),
-        alive_(std::make_shared<bool>(true)) {
-    set_instance_name("PiggybackBridge");
-    auto alive = alive_;
-    core::ManetProtocolCf* proto = &aodv;
-
-    table.add_piggyback_provider([alive, proto]() -> std::optional<pbb::Tlv> {
-      if (!*alive) return std::nullopt;
-      auto* st = dynamic_cast<AodvState*>(proto->state_component());
-      if (st == nullptr || st->route_count() == 0) return std::nullopt;
-      ByteWriter w;
-      std::size_t n = 0;
-      for (const auto& [dest, r] : st->all_routes()) {
-        if (n >= kMaxAdvertised) break;
-        if (!r.valid) continue;
-        w.put_u32(dest);
-        w.put_u32(r.next_hop);  // split horizon: receivers skip routes via themselves
-        w.put_u16(r.dest_seq);
-        w.put_u8(r.hops);
-        ++n;
-      }
-      if (n == 0) return std::nullopt;
-      return pbb::Tlv{wire::kTlvPiggyback, w.take()};
-    });
-
-    AodvParams params_copy = params;
-    table.add_piggyback_observer(
-        [alive, proto, params_copy](net::Addr from, const pbb::Tlv& tlv) {
-          if (!*alive || tlv.type != wire::kTlvPiggyback) return;
-          auto* st = dynamic_cast<AodvState*>(proto->state_component());
-          if (st == nullptr) return;
-          auto& ctx = proto->context();
-          ByteReader r(tlv.value);
-          try {
-            while (r.remaining() >= 11) {
-              net::Addr dest = r.get_u32();
-              net::Addr via = r.get_u32();
-              std::uint16_t seq = r.get_u16();
-              std::uint8_t hops = r.get_u8();
-              if (dest == ctx.self()) continue;
-              // Split horizon: the advertised route runs through us — using
-              // it back through the advertiser would form a 2-node loop.
-              if (via == ctx.self()) continue;
-              if (st->update_route(dest, seq, true, from,
-                                   static_cast<std::uint8_t>(hops + 1),
-                                   ctx.now(), params_copy.active_route_timeout)) {
-                ctx.set_route(dest, from, static_cast<std::uint8_t>(hops + 1));
-              }
-              rearm_route_expiry(ctx, dest);
+  core::Manetkit* k = &kit;
+  table.set_piggyback(
+      "aodv",
+      [k]() -> std::optional<pbb::Tlv> {
+        core::ManetProtocolCf* proto = k->protocol("aodv");
+        AodvState* st = proto == nullptr ? nullptr : aodv_state(*proto);
+        if (st == nullptr || st->route_count() == 0) return std::nullopt;
+        ByteWriter w;
+        std::size_t n = 0;
+        for (const auto& [dest, r] : st->all_routes()) {
+          if (n >= kMaxAdvertised) break;
+          if (!r.valid) continue;
+          w.put_u32(dest);
+          w.put_u32(r.next_hop);  // split horizon: receivers skip routes via themselves
+          w.put_u16(r.dest_seq);
+          w.put_u8(r.hops);
+          ++n;
+        }
+        if (n == 0) return std::nullopt;
+        return pbb::Tlv{wire::kTlvPiggyback, w.take()};
+      },
+      [k, params](net::Addr from, const pbb::Tlv& tlv) {
+        if (tlv.type != wire::kTlvPiggyback) return;
+        core::ManetProtocolCf* proto = k->protocol("aodv");
+        AodvState* st = proto == nullptr ? nullptr : aodv_state(*proto);
+        if (st == nullptr) return;
+        auto& ctx = proto->context();
+        ByteReader r(tlv.value);
+        try {
+          while (r.remaining() >= 11) {
+            net::Addr dest = r.get_u32();
+            net::Addr via = r.get_u32();
+            std::uint16_t seq = r.get_u16();
+            std::uint8_t hops = r.get_u8();
+            if (dest == ctx.self()) continue;
+            // Split horizon: the advertised route runs through us — using
+            // it back through the advertiser would form a 2-node loop.
+            if (via == ctx.self()) continue;
+            if (st->update_route(dest, seq, true, from,
+                                 static_cast<std::uint8_t>(hops + 1),
+                                 ctx.now(), params.active_route_timeout)) {
+              ctx.set_route(dest, from, static_cast<std::uint8_t>(hops + 1));
             }
-          } catch (const BufferUnderflow&) {
-            // malformed advert from a buggy neighbour: ignore
+            rearm_route_expiry(ctx, dest);
           }
-        });
-  }
-
-  ~PiggybackBridge() override { *alive_ = false; }
-
- private:
-  std::shared_ptr<bool> alive_;
-};
+        } catch (const BufferUnderflow&) {
+          // malformed advert from a buggy neighbour: ignore
+        }
+      });
+}
 
 }  // namespace
 
@@ -364,7 +351,7 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
   if (params.piggyback_routes) {
     if (auto* table =
             dynamic_cast<NeighborTable*>(neighbor->state_component())) {
-      cf->insert(std::make_unique<PiggybackBridge>(*cf, *table, params));
+      set_route_piggyback(kit, *table, params);
     }
   }
 

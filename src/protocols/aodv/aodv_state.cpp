@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "util/bytebuffer.hpp"
 #include "util/serial.hpp"
 
 namespace mk::proto {
@@ -101,80 +102,62 @@ constexpr std::uint8_t kAodvCodecVersion = 1;
 }
 
 void AodvState::encode_state(std::vector<std::uint8_t>& out) const {
-  namespace cc = core::codec;
-  cc::put_u8(out, kAodvCodecVersion);
-  cc::put_u16(out, own_seq_);
-  cc::put_u32(out, rreq_id_);
-  cc::put_u16(out, static_cast<std::uint16_t>(routes_.size()));
+  ByteWriter w(std::move(out));
+  w.put_u8(kAodvCodecVersion);
+  w.put_u16(own_seq_);
+  w.put_u32(rreq_id_);
+  w.put_u16(static_cast<std::uint16_t>(routes_.size()));
   for (const auto& [dest, r] : routes_) {
-    cc::put_u32(out, dest);
-    cc::put_u32(out, r.next_hop);
-    cc::put_u16(out, r.dest_seq);
-    cc::put_u8(out, r.seq_valid ? 1 : 0);
-    cc::put_u8(out, r.hops);
-    cc::put_u8(out, r.valid ? 1 : 0);
-    cc::put_i64(out, r.expires.us);
-    cc::put_u16(out, static_cast<std::uint16_t>(r.precursors.size()));
-    for (net::Addr p : r.precursors) cc::put_u32(out, p);
+    w.put_u32(dest);
+    w.put_u32(r.next_hop);
+    w.put_u16(r.dest_seq);
+    w.put_u8(r.seq_valid ? 1 : 0);
+    w.put_u8(r.hops);
+    w.put_u8(r.valid ? 1 : 0);
+    w.put_u64(static_cast<std::uint64_t>(r.expires.us));
+    w.put_u16(static_cast<std::uint16_t>(r.precursors.size()));
+    for (net::Addr p : r.precursors) w.put_u32(p);
   }
-  cc::put_u16(out, static_cast<std::uint16_t>(rreq_seen_.size()));
+  w.put_u16(static_cast<std::uint16_t>(rreq_seen_.size()));
   for (const auto& [key, seen] : rreq_seen_) {
-    cc::put_u32(out, key.first);
-    cc::put_u32(out, key.second);
-    cc::put_i64(out, seen.us);
+    w.put_u32(key.first);
+    w.put_u32(key.second);
+    w.put_u64(static_cast<std::uint64_t>(seen.us));
   }
+  out = w.take();
 }
 
 bool AodvState::decode_state(std::span<const std::uint8_t> blob) {
-  namespace cc = core::codec;
-  std::size_t off = 0;
-  std::uint8_t version = 0;
-  if (!cc::get_u8(blob, off, version) || version != kAodvCodecVersion) {
+  ByteReader r(blob);
+  try {
+    if (r.get_u8() != kAodvCodecVersion) return false;
+    reset_state();
+    own_seq_ = r.get_u16();
+    rreq_id_ = r.get_u32();
+    for (std::uint16_t n = r.get_u16(); n > 0; --n) {
+      AodvRoute route;
+      route.dest = r.get_u32();
+      route.next_hop = r.get_u32();
+      route.dest_seq = r.get_u16();
+      route.seq_valid = r.get_u8() != 0;
+      route.hops = r.get_u8();
+      route.valid = r.get_u8() != 0;
+      route.expires = TimePoint{static_cast<std::int64_t>(r.get_u64())};
+      for (std::uint16_t prec = r.get_u16(); prec > 0; --prec) {
+        route.precursors.insert(r.get_u32());
+      }
+      routes_[route.dest] = std::move(route);
+    }
+    for (std::uint16_t n = r.get_u16(); n > 0; --n) {
+      net::Addr origin = r.get_u32();
+      std::uint32_t rreq_id = r.get_u32();
+      TimePoint seen{static_cast<std::int64_t>(r.get_u64())};
+      rreq_seen_[std::make_pair(origin, rreq_id)] = seen;
+    }
+  } catch (const BufferUnderflow&) {
     return false;
   }
-  reset_state();
-  if (!cc::get_u16(blob, off, own_seq_) || !cc::get_u32(blob, off, rreq_id_)) {
-    return false;
-  }
-  std::uint16_t n_routes = 0;
-  if (!cc::get_u16(blob, off, n_routes)) return false;
-  for (std::uint16_t i = 0; i < n_routes; ++i) {
-    AodvRoute r;
-    std::uint32_t dest = 0, next_hop = 0;
-    std::uint8_t seq_valid = 0, valid = 0;
-    std::int64_t expires_us = 0;
-    std::uint16_t n_prec = 0;
-    if (!cc::get_u32(blob, off, dest) || !cc::get_u32(blob, off, next_hop) ||
-        !cc::get_u16(blob, off, r.dest_seq) ||
-        !cc::get_u8(blob, off, seq_valid) || !cc::get_u8(blob, off, r.hops) ||
-        !cc::get_u8(blob, off, valid) || !cc::get_i64(blob, off, expires_us) ||
-        !cc::get_u16(blob, off, n_prec)) {
-      return false;
-    }
-    r.dest = dest;
-    r.next_hop = next_hop;
-    r.seq_valid = seq_valid != 0;
-    r.valid = valid != 0;
-    r.expires = TimePoint{expires_us};
-    for (std::uint16_t j = 0; j < n_prec; ++j) {
-      std::uint32_t p = 0;
-      if (!cc::get_u32(blob, off, p)) return false;
-      r.precursors.insert(p);
-    }
-    routes_[dest] = std::move(r);
-  }
-  std::uint16_t n_seen = 0;
-  if (!cc::get_u16(blob, off, n_seen)) return false;
-  for (std::uint16_t i = 0; i < n_seen; ++i) {
-    std::uint32_t origin = 0, rreq_id = 0;
-    std::int64_t seen_us = 0;
-    if (!cc::get_u32(blob, off, origin) || !cc::get_u32(blob, off, rreq_id) ||
-        !cc::get_i64(blob, off, seen_us)) {
-      return false;
-    }
-    rreq_seen_[std::make_pair(net::Addr{origin}, rreq_id)] = TimePoint{seen_us};
-  }
-  return off == blob.size();
+  return r.at_end();
 }
 
 void AodvState::reset_state() {

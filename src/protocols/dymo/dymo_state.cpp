@@ -4,6 +4,7 @@
 #include <iterator>
 #include <sstream>
 
+#include "util/bytebuffer.hpp"
 #include "util/serial.hpp"
 
 namespace mk::proto {
@@ -65,81 +66,63 @@ constexpr std::uint8_t kDymoCodecVersion = 1;
 }
 
 void DymoState::encode_state(std::vector<std::uint8_t>& out) const {
-  namespace cc = core::codec;
-  cc::put_u8(out, kDymoCodecVersion);
-  cc::put_u16(out, own_seq_);
-  cc::put_u16(out, static_cast<std::uint16_t>(routes_.size()));
+  ByteWriter w(std::move(out));
+  w.put_u8(kDymoCodecVersion);
+  w.put_u16(own_seq_);
+  w.put_u16(static_cast<std::uint16_t>(routes_.size()));
   for (const auto& [dest, r] : routes_) {
-    cc::put_u32(out, dest);
-    cc::put_u16(out, r.seqnum);
-    cc::put_u8(out, r.valid ? 1 : 0);
-    cc::put_i64(out, r.expires.us);
-    cc::put_u8(out, static_cast<std::uint8_t>(r.paths.size()));
+    w.put_u32(dest);
+    w.put_u16(r.seqnum);
+    w.put_u8(r.valid ? 1 : 0);
+    w.put_u64(static_cast<std::uint64_t>(r.expires.us));
+    w.put_u8(static_cast<std::uint8_t>(r.paths.size()));
     for (const DymoPath& p : r.paths) {
-      cc::put_u32(out, p.next_hop);
-      cc::put_u8(out, p.hops);
+      w.put_u32(p.next_hop);
+      w.put_u8(p.hops);
     }
   }
   // Keys order by kind first: the RREQ tuples end at the first RERR key.
   auto rreq_end = duplicates_.lower_bound(dymo_dup_key(DupKind::kRerr, 0, 0));
-  cc::put_u16(out, static_cast<std::uint16_t>(
-                       std::distance(duplicates_.begin(), rreq_end)));
+  w.put_u16(static_cast<std::uint16_t>(
+      std::distance(duplicates_.begin(), rreq_end)));
   for (auto it = duplicates_.begin(); it != rreq_end; ++it) {
-    cc::put_u32(out, static_cast<std::uint32_t>(it->first >> 16));
-    cc::put_u16(out, static_cast<std::uint16_t>(it->first));
-    cc::put_i64(out, it->second.us);
+    w.put_u32(static_cast<std::uint32_t>(it->first >> 16));
+    w.put_u16(static_cast<std::uint16_t>(it->first));
+    w.put_u64(static_cast<std::uint64_t>(it->second.us));
   }
+  out = w.take();
 }
 
 bool DymoState::decode_state(std::span<const std::uint8_t> blob) {
-  namespace cc = core::codec;
-  std::size_t off = 0;
-  std::uint8_t version = 0;
-  if (!cc::get_u8(blob, off, version) || version != kDymoCodecVersion) {
+  ByteReader r(blob);
+  try {
+    if (r.get_u8() != kDymoCodecVersion) return false;
+    reset_state();
+    own_seq_ = r.get_u16();
+    for (std::uint16_t n = r.get_u16(); n > 0; --n) {
+      DymoRoute route;
+      route.dest = r.get_u32();
+      route.seqnum = r.get_u16();
+      route.valid = r.get_u8() != 0;
+      route.expires = TimePoint{static_cast<std::int64_t>(r.get_u64())};
+      for (std::uint8_t paths = r.get_u8(); paths > 0; --paths) {
+        DymoPath p;
+        p.next_hop = r.get_u32();
+        p.hops = r.get_u8();
+        route.paths.push_back(p);
+      }
+      routes_[route.dest] = std::move(route);
+    }
+    for (std::uint16_t n = r.get_u16(); n > 0; --n) {
+      net::Addr origin = r.get_u32();
+      std::uint16_t seq = r.get_u16();
+      TimePoint seen{static_cast<std::int64_t>(r.get_u64())};
+      duplicates_[dymo_dup_key(DupKind::kRreq, origin, seq)] = seen;
+    }
+  } catch (const BufferUnderflow&) {
     return false;
   }
-  reset_state();
-  if (!cc::get_u16(blob, off, own_seq_)) return false;
-  std::uint16_t n_routes = 0;
-  if (!cc::get_u16(blob, off, n_routes)) return false;
-  for (std::uint16_t i = 0; i < n_routes; ++i) {
-    DymoRoute r;
-    std::uint32_t dest = 0;
-    std::uint8_t valid = 0, n_paths = 0;
-    std::int64_t expires_us = 0;
-    if (!cc::get_u32(blob, off, dest) || !cc::get_u16(blob, off, r.seqnum) ||
-        !cc::get_u8(blob, off, valid) || !cc::get_i64(blob, off, expires_us) ||
-        !cc::get_u8(blob, off, n_paths)) {
-      return false;
-    }
-    r.dest = dest;
-    r.valid = valid != 0;
-    r.expires = TimePoint{expires_us};
-    for (std::uint8_t j = 0; j < n_paths; ++j) {
-      DymoPath p;
-      std::uint32_t nh = 0;
-      if (!cc::get_u32(blob, off, nh) || !cc::get_u8(blob, off, p.hops)) {
-        return false;
-      }
-      p.next_hop = nh;
-      r.paths.push_back(p);
-    }
-    routes_[dest] = std::move(r);
-  }
-  std::uint16_t n_dups = 0;
-  if (!cc::get_u16(blob, off, n_dups)) return false;
-  for (std::uint16_t i = 0; i < n_dups; ++i) {
-    std::uint32_t origin = 0;
-    std::uint16_t seq = 0;
-    std::int64_t seen_us = 0;
-    if (!cc::get_u32(blob, off, origin) || !cc::get_u16(blob, off, seq) ||
-        !cc::get_i64(blob, off, seen_us)) {
-      return false;
-    }
-    duplicates_[dymo_dup_key(DupKind::kRreq, origin, seq)] =
-        TimePoint{seen_us};
-  }
-  return off == blob.size();
+  return r.at_end();
 }
 
 void DymoState::reset_state() {

@@ -9,7 +9,6 @@
 #include "util/assert.hpp"
 #include "util/bytebuffer.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace mk::proto {
 
@@ -43,40 +42,30 @@ std::optional<net::Position> decode_position(const pbb::Tlv& tlv) {
   return p;
 }
 
-/// Bridges position beaconing onto the Neighbour Detection CF's HELLOs.
-class PositionBeacon final : public oc::Component {
- public:
-  PositionBeacon(core::ManetProtocolCf& gpsr, NeighborTable& table,
-                 net::SimNode& node)
-      : oc::Component("gpsr.PositionBeacon"),
-        alive_(std::make_shared<bool>(true)) {
-    set_instance_name("PositionBeacon");
-    auto alive = alive_;
-    net::SimNode* n = &node;
-    core::ManetProtocolCf* proto = &gpsr;
-
-    table.add_piggyback_provider([alive, n]() -> std::optional<pbb::Tlv> {
-      if (!*alive) return std::nullopt;
-      return encode_position(n->position());
-    });
-    table.add_piggyback_observer(
-        [alive, proto](net::Addr from, const pbb::Tlv& tlv) {
-          if (!*alive) return;
-          auto pos = decode_position(tlv);
-          if (!pos) return;
-          auto* st = dynamic_cast<GpsrState*>(proto->state_component());
-          if (st == nullptr) return;
-          auto& ctx = proto->context();
-          st->note_position(from, *pos);
-          if (auto* soft = ctx.soft()) soft->touch(gpsr_sets::kPosition, from);
-        });
-  }
-
-  ~PositionBeacon() override { *alive_ = false; }
-
- private:
-  std::shared_ptr<bool> alive_;
-};
+/// Position beaconing on the Neighbour Detection CF's HELLOs. The hooks
+/// look up the live GPSR CF when they run: they do nothing while GPSR is not
+/// deployed, and a redeployment replaces them.
+void set_position_beacon(core::Manetkit& kit, NeighborTable& table) {
+  core::Manetkit* k = &kit;
+  table.set_piggyback(
+      "gpsr",
+      [k]() -> std::optional<pbb::Tlv> {
+        if (k->protocol("gpsr") == nullptr) return std::nullopt;
+        return encode_position(k->node().position());
+      },
+      [k](net::Addr from, const pbb::Tlv& tlv) {
+        core::ManetProtocolCf* proto = k->protocol("gpsr");
+        if (proto == nullptr) return;
+        auto pos = decode_position(tlv);
+        if (!pos) return;
+        auto* st = dynamic_cast<GpsrState*>(proto->state_component());
+        if (st == nullptr) return;
+        st->note_position(from, *pos);
+        if (auto* soft = proto->context().soft()) {
+          soft->touch(gpsr_sets::kPosition, from);
+        }
+      });
+}
 
 /// Computes and installs greedy routes on demand.
 class GreedyRouteHandler final : public core::EventHandler {
@@ -138,37 +127,24 @@ class GreedyRouteHandler final : public core::EventHandler {
 /// Re-evaluates greedy choices for active destinations (mobility!). Stale
 /// positions and lapsed active routes are handled per-entry by the CF's
 /// soft-state layer; this source only tracks the geometry.
-class GpsrMaintenance final : public core::EventSource {
+class GpsrMaintenance final : public core::PeriodicSource {
  public:
   GpsrMaintenance(GpsrParams params, GreedyRouteHandler* greedy)
-      : core::EventSource("gpsr.Maintenance"),
-        params_(params),
+      : core::PeriodicSource("gpsr.Maintenance", params.sweep_interval,
+                             /*jitter=*/0.0, /*seed_offset=*/9),
         greedy_(greedy) {
     set_instance_name("Maintenance");
   }
 
-  void start(core::ProtocolContext& ctx) override {
-    ctx_ = &ctx;
-    timer_ = std::make_unique<PeriodicTimer>(
-        ctx.scheduler(), params_.sweep_interval, [this] { fire(); },
-        /*jitter=*/0.0, /*seed=*/ctx.self() + 9);
-    timer_->start();
-  }
-
-  void stop() override { timer_.reset(); }
-
  private:
-  void fire() {
-    GpsrState& st = ctx_->state_as<GpsrState>();
+  void fire(core::ProtocolContext& ctx) override {
+    GpsrState& st = ctx.state_as<GpsrState>();
     for (auto& [dest, _] : st.active_dests()) {
-      greedy_->try_install(dest, *ctx_);
+      greedy_->try_install(dest, ctx);
     }
   }
 
-  GpsrParams params_;
   GreedyRouteHandler* greedy_;
-  core::ProtocolContext* ctx_ = nullptr;
-  std::unique_ptr<PeriodicTimer> timer_;
 };
 
 /// ROUTE_UPDATE keeps a destination "active"; NHOOD_CHANGE(down) tears down
@@ -310,7 +286,7 @@ std::unique_ptr<core::ManetProtocolCf> build_gpsr_cf(core::Manetkit& kit,
   cf->add_source(std::make_unique<GpsrMaintenance>(params, greedy_raw));
 
   if (auto* table = dynamic_cast<NeighborTable*>(neighbor->state_component())) {
-    cf->insert(std::make_unique<PositionBeacon>(*cf, *table, kit.node()));
+    set_position_beacon(kit, *table);
   }
 
   cf->declare_events(

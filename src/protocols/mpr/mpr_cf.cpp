@@ -5,11 +5,9 @@
 
 #include "core/attrs.hpp"
 #include "core/soft_state.hpp"
-#include "protocols/hello_codec.hpp"
 #include "protocols/mpr/mpr_handlers.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace mk::proto {
 
@@ -17,53 +15,30 @@ namespace {
 
 using core::attrs::kBattery;
 
-/// Periodic HELLO emission, advertising link codes (SYM / ASYM / MPR) and
-/// this node's willingness.
-class MprHelloSource final : public core::EventSource {
+/// The shared HELLO emission, advertising MPR link codes for selected
+/// relays, this node's willingness and the MPR-aware marker.
+class MprHelloSource final : public HelloSource {
  public:
-  explicit MprHelloSource(MprParams params)
-      : core::EventSource("mpr.HelloSource"), params_(params) {
-    set_instance_name("HelloSource");
+  explicit MprHelloSource(Duration interval)
+      : HelloSource("mpr.HelloSource", interval) {}
+
+ protected:
+  // The MPR CF's S element is always an MprState.
+  wire::LinkCode link_code(const NeighborTable& table, net::Addr a,
+                           bool sym) const override {
+    if (sym && static_cast<const MprState&>(table).is_mpr(a)) {
+      return wire::LinkCode::kMpr;
+    }
+    return HelloSource::link_code(table, a, sym);
   }
 
-  void start(core::ProtocolContext& ctx) override {
-    ctx_ = &ctx;
-    timer_ = std::make_unique<PeriodicTimer>(
-        ctx.scheduler(), params_.hello_interval, [this] { fire(); },
-        /*jitter=*/0.1, /*seed=*/ctx.self());
-    timer_->start();
+  std::uint8_t willingness(const NeighborTable& table) const override {
+    return static_cast<const MprState&>(table).own_willingness();
   }
 
-  void stop() override { timer_.reset(); }
-
- private:
-  void fire() {
-    MprState& st = ctx_->state_as<MprState>();
-    links_scratch_.clear();
-    st.for_each_neighbor([&](net::Addr a, bool sym) {
-      wire::LinkCode code = wire::LinkCode::kAsym;
-      if (sym) {
-        code = st.is_mpr(a) ? wire::LinkCode::kMpr : wire::LinkCode::kSym;
-      }
-      links_scratch_.push_back(hello::Link{a, code});
-    });
-    ev::Event e(ev::types::HELLO_OUT);
-    // Build straight into a pooled message slot (stale-warm: build_into
-    // rewrites every field); TLV order matches the old build() + push_back
-    // path byte for byte.
-    pbb::Message& m = e.acquire_msg();
-    hello::build_into(m, ctx_->self(), seq_++, links_scratch_,
-                      st.own_willingness());
-    st.append_piggyback(m.tlvs);
-    m.tlvs.push_back(pbb::Tlv::empty(wire::kTlvMprAware));
-    ctx_->emit(std::move(e));
+  void finish(pbb::Message& msg) const override {
+    msg.tlvs.push_back(pbb::Tlv::empty(wire::kTlvMprAware));
   }
-
-  MprParams params_;
-  core::ProtocolContext* ctx_ = nullptr;
-  std::unique_ptr<PeriodicTimer> timer_;
-  std::uint16_t seq_ = 1;
-  std::vector<hello::Link> links_scratch_;  // reused per emission
 };
 
 /// POWER_STATUS context events drive this node's advertised willingness —
@@ -77,13 +52,18 @@ class PowerStatusHandler final : public core::EventHandler {
   }
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
-    MprState& st = ctx.state_as<MprState>();
-    auto w = willingness_from_battery(event.get_double(kBattery, 1.0));
-    if (w != st.own_willingness()) {
-      st.set_own_willingness(w);
-    }
+    ctx.state_as<MprState>().set_own_willingness(
+        willingness_from_battery(event.get_double(kBattery, 1.0)));
   }
 };
+
+/// Each flood base's event type name ("TC" + "_IN" -> "TC_IN").
+std::vector<std::string> suffixed(const std::vector<std::string>& bases,
+                                  const std::string& suffix) {
+  std::vector<std::string> out;
+  for (const auto& b : bases) out.push_back(b + suffix);
+  return out;
+}
 
 /// Outbound leg of the flooding service: protocols above emit <base>_OUT;
 /// this handler stamps the duplicate set (so the node's own flood is never
@@ -91,7 +71,7 @@ class PowerStatusHandler final : public core::EventHandler {
 class FloodOutHandler final : public core::EventHandler {
  public:
   explicit FloodOutHandler(const std::vector<std::string>& bases)
-      : core::EventHandler("mpr.FloodOutHandler", out_names(bases)) {
+      : core::EventHandler("mpr.FloodOutHandler", suffixed(bases, "_OUT")) {
     set_instance_name("FloodOut");
   }
 
@@ -113,13 +93,6 @@ class FloodOutHandler final : public core::EventHandler {
     }
     ctx.emit(std::move(out));
   }
-
-  static std::vector<std::string> out_names(
-      const std::vector<std::string>& bases) {
-    std::vector<std::string> out;
-    for (const auto& b : bases) out.push_back(b + "_OUT");
-    return out;
-  }
 };
 
 /// Inbound leg: retransmits a received flood message iff the previous hop
@@ -128,7 +101,7 @@ class FloodOutHandler final : public core::EventHandler {
 class FloodRelayHandler final : public core::EventHandler {
  public:
   explicit FloodRelayHandler(const std::vector<std::string>& bases)
-      : core::EventHandler("mpr.FloodRelayHandler", in_names(bases)) {
+      : core::EventHandler("mpr.FloodRelayHandler", suffixed(bases, "_IN")) {
     set_instance_name("FloodRelay");
     for (const auto& b : bases) {
       out_for_in_[ev::etype(b + "_IN")] = ev::etype(b + "_OUT");
@@ -163,13 +136,6 @@ class FloodRelayHandler final : public core::EventHandler {
     ctx.emit(std::move(out));
   }
 
-  static std::vector<std::string> in_names(
-      const std::vector<std::string>& bases) {
-    std::vector<std::string> out;
-    for (const auto& b : bases) out.push_back(b + "_IN");
-    return out;
-  }
-
  private:
   std::map<ev::EventTypeId, ev::EventTypeId> out_for_in_;
 };
@@ -190,40 +156,28 @@ class MprForward final : public oc::Component, public core::IForward {
   core::ManetProtocolCf& cf_;
 };
 
-/// Periodic hysteresis decay (RFC 3626 §14's per-interval quality update for
-/// missed HELLOs) — genuinely interval-driven, so it keeps its own timer.
+/// Periodic hysteresis decay (RFC 3626 §14's per-interval quality update;
+/// the plug-in decays only links that missed their HELLO since the last
+/// tick) — genuinely interval-driven, so it keeps its own timer.
 /// Link/selector/duplicate expiry is per-entry via the shared soft-state
 /// layer (see build_mpr_cf), not swept here.
-class HysteresisTick final : public core::EventSource {
+class HysteresisTick final : public core::PeriodicSource {
  public:
   explicit HysteresisTick(MprParams params)
-      : core::EventSource("mpr.HysteresisTick"), params_(params) {
+      : core::PeriodicSource("mpr.HysteresisTick", params.hello_interval,
+                             /*jitter=*/0.0, /*seed_offset=*/1) {
     set_instance_name("HysteresisTick");
   }
 
-  void start(core::ProtocolContext& ctx) override {
-    ctx_ = &ctx;
-    timer_ = std::make_unique<PeriodicTimer>(
-        ctx.scheduler(), params_.hello_interval, [this] { fire(); },
-        /*jitter=*/0.0, /*seed=*/ctx.self() + 1);
-    timer_->start();
-  }
-
-  void stop() override { timer_.reset(); }
-
  private:
-  void fire() {
-    MprState& st = ctx_->state_as<MprState>();
-    if (auto* hyst_comp = ctx_->protocol().find("Hysteresis")) {
+  void fire(core::ProtocolContext& ctx) override {
+    MprState& st = ctx.state_as<MprState>();
+    if (auto* hyst_comp = ctx.protocol().find("Hysteresis")) {
       if (auto* hyst = hyst_comp->interface_as<IHysteresis>("IHysteresis")) {
         for (net::Addr a : st.heard_neighbors()) hyst->on_interval(a);
       }
     }
   }
-
-  MprParams params_;
-  core::ProtocolContext* ctx_ = nullptr;
-  std::unique_ptr<PeriodicTimer> timer_;
 };
 
 void apply_tuple(core::ManetProtocolCf& cf,
@@ -273,20 +227,14 @@ std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit,
   // drops it and propagates the loss (NHOOD_CHANGE / MPR_CHANGE) at the
   // entry's own deadline instead of at sweep granularity.
   auto soft = std::make_unique<core::SoftExpiry>();
-  soft->define_set(
-      "mpr.link", params.hold_time,
+  define_link_set(
+      *soft, "mpr.link", params.hold_time,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
-        MprState& st = ctx.state_as<MprState>();
         auto addr = static_cast<net::Addr>(key);
-        if (auto* s = ctx.soft()) s->drop(mpr_sets::kSelector, addr);
-        bool was_selector = st.is_mpr_selector(addr);
-        st.drop_selector(addr);
-        if (st.remove(addr)) emit_nhood_change(ctx, addr, false);
+        bool was_selector = forget_selector(ctx, addr);
+        drop_link(addr, ctx);
         if (was_selector) ctx.emit(ev::Event(ev::types::MPR_CHANGE));
         recompute_mprs(ctx);
-      },
-      [](core::ProtocolContext& ctx) {
-        return core::seed_keys(ctx.state_as<MprState>().heard_neighbors());
       });
   soft->define_set(
       "mpr.selector", params.selector_hold,
@@ -323,7 +271,7 @@ std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit,
   cf->add_handler(std::make_unique<PowerStatusHandler>());
   cf->add_handler(std::make_unique<FloodOutHandler>(bases));
   cf->add_handler(std::make_unique<FloodRelayHandler>(bases));
-  cf->add_source(std::make_unique<MprHelloSource>(params));
+  cf->add_source(std::make_unique<MprHelloSource>(params.hello_interval));
   if (params.use_hysteresis) {
     cf->add_source(std::make_unique<HysteresisTick>(params));
   }

@@ -1,6 +1,7 @@
 #include "protocols/mpr/mpr_state.hpp"
 
 #include <sstream>
+#include <utility>
 
 namespace mk::proto {
 
@@ -62,12 +63,14 @@ Hysteresis::Hysteresis(double scaling, double thresh_high, double thresh_low)
 void Hysteresis::on_hello(net::Addr from) {
   Link& l = links_[from];
   l.quality = (1.0 - scaling_) * l.quality + scaling_;
+  l.heard = true;
   if (l.quality > high_) l.pending = false;
 }
 
 void Hysteresis::on_interval(net::Addr from) {
   auto it = links_.find(from);
   if (it == links_.end()) return;
+  if (std::exchange(it->second.heard, false)) return;
   it->second.quality *= (1.0 - scaling_);
   if (it->second.quality < low_) it->second.pending = true;
 }

@@ -74,7 +74,8 @@ class MprState : public NeighborTable, public IMprState {
 struct IHysteresis : oc::Interface {
   /// Updates the link quality estimate on a HELLO arrival.
   virtual void on_hello(net::Addr from) = 0;
-  /// Periodic decay for missed HELLOs.
+  /// Per-interval tick: decays the quality only if no HELLO arrived since
+  /// the previous tick (a missed HELLO).
   virtual void on_interval(net::Addr from) = 0;
   /// True while the link quality is below the establishment threshold.
   virtual bool pending(net::Addr from) const = 0;
@@ -95,6 +96,7 @@ class Hysteresis : public oc::Component, public IHysteresis {
   struct Link {
     double quality = 0.0;
     bool pending = true;
+    bool heard = false;  // a HELLO arrived since the last tick
   };
   double scaling_;
   double high_;

@@ -109,23 +109,36 @@ std::string NeighborTable::describe() const {
   return os.str();
 }
 
-void NeighborTable::add_piggyback_provider(PiggybackProvider p) {
-  providers_.push_back(std::move(p));
+void NeighborTable::set_piggyback(const std::string& owner,
+                                  PiggybackProvider provide,
+                                  PiggybackObserver observe) {
+  drop_piggyback(owner);
+  piggyback_.push_back({owner, std::move(provide), std::move(observe)});
+}
+
+void NeighborTable::drop_piggyback(const std::string& owner) {
+  std::erase_if(piggyback_,
+                [&](const Piggyback& p) { return p.owner == owner; });
+}
+
+std::vector<std::string> NeighborTable::piggyback_owners() const {
+  std::vector<std::string> out;
+  for (const auto& p : piggyback_) out.push_back(p.owner);
+  return out;
 }
 
 void NeighborTable::append_piggyback(std::vector<pbb::Tlv>& out) const {
-  for (const auto& p : providers_) {
-    if (auto tlv = p()) out.push_back(std::move(*tlv));
+  for (const auto& p : piggyback_) {
+    if (!p.provide) continue;
+    if (auto tlv = p.provide()) out.push_back(std::move(*tlv));
   }
-}
-
-void NeighborTable::add_piggyback_observer(PiggybackObserver o) {
-  observers_.push_back(std::move(o));
 }
 
 void NeighborTable::dispatch_piggyback(net::Addr from,
                                        const pbb::Tlv& tlv) const {
-  for (const auto& o : observers_) o(from, tlv);
+  for (const auto& p : piggyback_) {
+    if (p.observe) p.observe(from, tlv);
+  }
 }
 
 }  // namespace mk::proto

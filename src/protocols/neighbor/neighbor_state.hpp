@@ -71,14 +71,19 @@ class NeighborTable : public oc::Component, public INeighborState {
   // -- piggybacking ---------------------------------------------------------------
   /// Provider called at each HELLO emission; a returned TLV rides along.
   using PiggybackProvider = std::function<std::optional<pbb::Tlv>()>;
-  void add_piggyback_provider(PiggybackProvider p);
-  void clear_piggyback_providers() { providers_.clear(); }
-  /// Appends the providers' TLVs to `out` (no intermediate vector).
-  void append_piggyback(std::vector<pbb::Tlv>& out) const;
-
   /// Observer of piggyback TLVs found in received HELLOs.
   using PiggybackObserver = std::function<void(net::Addr from, const pbb::Tlv&)>;
-  void add_piggyback_observer(PiggybackObserver o);
+  /// Sets the hooks of unit `owner` (either may be null), replacing the
+  /// entry it set before: the table holds at most one entry per owner.
+  /// Entries run in the order they were last set, which fixes TLV order.
+  void set_piggyback(const std::string& owner, PiggybackProvider provide,
+                     PiggybackObserver observe = nullptr);
+  /// Forgets `owner`'s entry, if any.
+  void drop_piggyback(const std::string& owner);
+  /// Owners holding an entry, in run order.
+  std::vector<std::string> piggyback_owners() const;
+  /// Appends the providers' TLVs to `out` (no intermediate vector).
+  void append_piggyback(std::vector<pbb::Tlv>& out) const;
   void dispatch_piggyback(net::Addr from, const pbb::Tlv& tlv) const;
 
  private:
@@ -90,8 +95,12 @@ class NeighborTable : public oc::Component, public INeighborState {
   // Sorted mirror of the symmetric subset of entries_, maintained on every
   // symmetric-status transition so sym_neighbors() is a reference return.
   std::vector<net::Addr> sym_cache_;
-  std::vector<PiggybackProvider> providers_;
-  std::vector<PiggybackObserver> observers_;
+  struct Piggyback {
+    std::string owner;
+    PiggybackProvider provide;
+    PiggybackObserver observe;
+  };
+  std::vector<Piggyback> piggyback_;
 };
 
 }  // namespace mk::proto

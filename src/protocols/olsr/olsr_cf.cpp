@@ -5,7 +5,6 @@
 #include "protocols/olsr/route_calculator.hpp"
 #include "protocols/wire.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace mk::proto {
 
@@ -64,30 +63,19 @@ void recompute_routes(core::ProtocolContext& ctx) {
 /// Periodically diffuses this node's Topology Change message (advertising
 /// its MPR-selector set). Topology expiry is per-entry via the shared
 /// soft-state layer, not swept here.
-class TcGenerator final : public core::EventSource {
+class TcGenerator final : public core::PeriodicSource {
  public:
   TcGenerator(OlsrParams params, core::Manetkit& kit)
-      : core::EventSource("olsr.TcGenerator"), params_(params), kit_(kit) {
+      : core::PeriodicSource("olsr.TcGenerator", params.tc_interval,
+                             /*jitter=*/0.1, /*seed_offset=*/2),
+        kit_(kit) {
     set_instance_name("TcGenerator");
   }
 
-  void start(core::ProtocolContext& ctx) override {
-    ctx_ = &ctx;
-    timer_ = std::make_unique<PeriodicTimer>(
-        ctx.scheduler(), params_.tc_interval, [this] { fire(); },
-        /*jitter=*/0.1, /*seed=*/ctx.self() + 2);
-    timer_->start();
-  }
-
-  void stop() override { timer_.reset(); }
-
  private:
-  void fire() { emit_tc(*ctx_, kit_); }
+  void fire(core::ProtocolContext& ctx) override { emit_tc(ctx, kit_); }
 
-  OlsrParams params_;
   core::Manetkit& kit_;
-  core::ProtocolContext* ctx_ = nullptr;
-  std::unique_ptr<PeriodicTimer> timer_;
 };
 
 /// Applies received Topology Change messages to the topology set.

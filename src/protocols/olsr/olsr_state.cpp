@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "util/bytebuffer.hpp"
 #include "util/serial.hpp"
 
 namespace mk::proto {
@@ -64,60 +65,47 @@ constexpr std::uint8_t kOlsrCodecVersion = 1;
 }
 
 void OlsrState::encode_state(std::vector<std::uint8_t>& out) const {
-  namespace cc = core::codec;
-  cc::put_u8(out, kOlsrCodecVersion);
-  cc::put_u16(out, msg_seq_);
-  cc::put_u16(out, ansn_);
-  cc::put_u16(out, static_cast<std::uint16_t>(last_advertised_.size()));
-  for (net::Addr a : last_advertised_) cc::put_u32(out, a);
-  cc::put_u16(out, static_cast<std::uint16_t>(topology_.size()));
+  ByteWriter w(std::move(out));
+  w.put_u8(kOlsrCodecVersion);
+  w.put_u16(msg_seq_);
+  w.put_u16(ansn_);
+  w.put_u16(static_cast<std::uint16_t>(last_advertised_.size()));
+  for (net::Addr a : last_advertised_) w.put_u32(a);
+  w.put_u16(static_cast<std::uint16_t>(topology_.size()));
   for (const auto& [origin, e] : topology_) {
-    cc::put_u32(out, origin);
-    cc::put_u16(out, e.ansn);
-    cc::put_i64(out, e.expires.us);
-    cc::put_u16(out, static_cast<std::uint16_t>(e.advertised.size()));
-    for (net::Addr a : e.advertised) cc::put_u32(out, a);
+    w.put_u32(origin);
+    w.put_u16(e.ansn);
+    w.put_u64(static_cast<std::uint64_t>(e.expires.us));
+    w.put_u16(static_cast<std::uint16_t>(e.advertised.size()));
+    for (net::Addr a : e.advertised) w.put_u32(a);
   }
+  out = w.take();
 }
 
 bool OlsrState::decode_state(std::span<const std::uint8_t> blob) {
-  namespace cc = core::codec;
-  std::size_t off = 0;
-  std::uint8_t version = 0;
-  if (!cc::get_u8(blob, off, version) || version != kOlsrCodecVersion) {
+  ByteReader r(blob);
+  try {
+    if (r.get_u8() != kOlsrCodecVersion) return false;
+    reset_state();
+    msg_seq_ = r.get_u16();
+    ansn_ = r.get_u16();
+    for (std::uint16_t n = r.get_u16(); n > 0; --n) {
+      last_advertised_.insert(r.get_u32());
+    }
+    for (std::uint16_t n = r.get_u16(); n > 0; --n) {
+      net::Addr origin = r.get_u32();
+      TopologyEntry e;
+      e.ansn = r.get_u16();
+      e.expires = TimePoint{static_cast<std::int64_t>(r.get_u64())};
+      for (std::uint16_t adv = r.get_u16(); adv > 0; --adv) {
+        e.advertised.insert(r.get_u32());
+      }
+      topology_[origin] = std::move(e);
+    }
+  } catch (const BufferUnderflow&) {
     return false;
   }
-  reset_state();
-  if (!cc::get_u16(blob, off, msg_seq_) || !cc::get_u16(blob, off, ansn_)) {
-    return false;
-  }
-  std::uint16_t n_adv = 0;
-  if (!cc::get_u16(blob, off, n_adv)) return false;
-  for (std::uint16_t i = 0; i < n_adv; ++i) {
-    std::uint32_t a = 0;
-    if (!cc::get_u32(blob, off, a)) return false;
-    last_advertised_.insert(a);
-  }
-  std::uint16_t n_topo = 0;
-  if (!cc::get_u16(blob, off, n_topo)) return false;
-  for (std::uint16_t i = 0; i < n_topo; ++i) {
-    std::uint32_t origin = 0;
-    TopologyEntry e;
-    std::int64_t expires_us = 0;
-    std::uint16_t n = 0;
-    if (!cc::get_u32(blob, off, origin) || !cc::get_u16(blob, off, e.ansn) ||
-        !cc::get_i64(blob, off, expires_us) || !cc::get_u16(blob, off, n)) {
-      return false;
-    }
-    e.expires = TimePoint{expires_us};
-    for (std::uint16_t j = 0; j < n; ++j) {
-      std::uint32_t a = 0;
-      if (!cc::get_u32(blob, off, a)) return false;
-      e.advertised.insert(a);
-    }
-    topology_[origin] = std::move(e);
-  }
-  return off == blob.size();
+  return r.at_end();
 }
 
 void OlsrState::reset_state() {

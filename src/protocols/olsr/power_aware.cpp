@@ -8,11 +8,13 @@
 #include "protocols/olsr/route_calculator.hpp"
 #include "protocols/wire.hpp"
 #include "util/assert.hpp"
-#include "util/timer.hpp"
 
 namespace mk::proto {
 
 namespace {
+
+/// Owner of the battery advert on the MPR CF's piggyback registry.
+constexpr const char* kPiggybackOwner = "olsr";
 
 /// Replacement Hello Handler: derives the neighbour's effective willingness
 /// (link cost) from the residual battery it piggybacks, rather than from the
@@ -33,40 +35,28 @@ class PowerAwareHelloHandler final : public MprHelloHandler {
 };
 
 /// Plugged into the OLSR CF: floods this node's residual battery level.
-class ResidualPowerSource final : public core::EventSource {
+class ResidualPowerSource final : public core::PeriodicSource {
  public:
   ResidualPowerSource()
-      : core::EventSource("olsr.ResidualPowerSource") {
+      : core::PeriodicSource("olsr.ResidualPowerSource", sec(5),
+                             /*jitter=*/0.1, /*seed_offset=*/3) {
     set_instance_name("ResidualPower");
   }
 
-  void start(core::ProtocolContext& ctx) override {
-    ctx_ = &ctx;
-    timer_ = std::make_unique<PeriodicTimer>(
-        ctx.scheduler(), sec(5), [this] { fire(); },
-        /*jitter=*/0.1, /*seed=*/ctx.self() + 3);
-    timer_->start();
-  }
-
-  void stop() override { timer_.reset(); }
-
  private:
-  void fire() {
-    OlsrState& st = ctx_->state_as<OlsrState>();
+  void fire(core::ProtocolContext& ctx) override {
+    OlsrState& st = ctx.state_as<OlsrState>();
     pbb::Message m;
     m.type = wire::kMsgResidualPower;
-    m.originator = ctx_->self();
+    m.originator = ctx.self();
     m.seqnum = st.next_msg_seq();
     m.tlvs.push_back(pbb::Tlv::u8(
         wire::kTlvBattery,
         static_cast<std::uint8_t>(st.own_battery() * 100.0)));
     ev::Event e(ev::etype("RP_OUT"));
     e.set_msg(std::move(m));
-    ctx_->emit(std::move(e));
+    ctx.emit(std::move(e));
   }
-
-  core::ProtocolContext* ctx_ = nullptr;
-  std::unique_ptr<PeriodicTimer> timer_;
 };
 
 /// Tracks this node's own battery from POWER_STATUS context events.
@@ -122,7 +112,7 @@ void apply_power_aware(core::Manetkit& kit) {
                          std::make_unique<PowerAwareHelloHandler>());
     // Advertise our own battery in HELLOs via the piggyback service.
     net::SimNode* node = &kit.node();
-    mpr_state(*mpr)->add_piggyback_provider([node]() {
+    mpr_state(*mpr)->set_piggyback(kPiggybackOwner, [node]() {
       return pbb::Tlv::u8(wire::kTlvBattery,
                           static_cast<std::uint8_t>(node->battery() * 100.0));
     });
@@ -160,7 +150,7 @@ void remove_power_aware(core::Manetkit& kit) {
     oc::ComponentId calc_id = mpr->find_id("MprCalculator");
     mpr->replace(calc_id, std::make_unique<MprCalculator>());
     mpr->replace_handler("HelloHandler", std::make_unique<MprHelloHandler>());
-    mpr_state(*mpr)->clear_piggyback_providers();
+    mpr_state(*mpr)->drop_piggyback(kPiggybackOwner);
   }
   {
     auto lock = olsr->quiesce();

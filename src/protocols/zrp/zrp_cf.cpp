@@ -3,7 +3,6 @@
 #include "core/attrs.hpp"
 #include "protocols/neighbor/neighbor_cf.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace mk::proto {
 
@@ -89,56 +88,45 @@ class ZoneNoRouteHandler final : public NoRouteHandler {
 };
 
 /// IARP: keeps kernel routes for every zone member installed and fresh.
-class ZoneMaintenance final : public core::EventSource {
+class ZoneMaintenance final : public core::PeriodicSource {
  public:
   ZoneMaintenance(ZrpParams params, core::Manetkit& kit)
-      : core::EventSource("zrp.ZoneMaintenance"), params_(params), kit_(kit) {
+      : core::PeriodicSource("zrp.ZoneMaintenance", params.zone_refresh,
+                             /*jitter=*/0.1, /*seed_offset=*/8),
+        kit_(kit) {
     set_instance_name("ZoneMaintenance");
   }
 
-  void start(core::ProtocolContext& ctx) override {
-    ctx_ = &ctx;
-    timer_ = std::make_unique<PeriodicTimer>(
-        ctx.scheduler(), params_.zone_refresh, [this] { refresh(); },
-        /*jitter=*/0.1, /*seed=*/ctx.self() + 8);
-    timer_->start();
-  }
-
-  void stop() override { timer_.reset(); }
-
  private:
-  void refresh() {
+  void fire(core::ProtocolContext& ctx) override {
     INeighborState* ns = neighbor_state(kit_);
-    if (ns == nullptr || ctx_->sys() == nullptr) return;
+    if (ns == nullptr || ctx.sys() == nullptr) return;
 
     std::set<net::Addr> zone;
     for (net::Addr n : ns->sym_neighbors()) {
       zone.insert(n);
-      ctx_->set_route(n, n, 1);
+      ctx.set_route(n, n, 1);
     }
-    for (net::Addr t : ns->strict_two_hop(ctx_->self())) {
+    for (net::Addr t : ns->strict_two_hop(ctx.self())) {
       net::Addr hop = net::kNoAddr;
       std::uint8_t dist = zone_route(kit_, t, hop);
       if (dist == 0) continue;
       zone.insert(t);
-      ctx_->set_route(t, hop, dist);
+      ctx.set_route(t, hop, dist);
     }
     // Proactive routes that left the zone are withdrawn (unless the
     // reactive side still holds a valid route there).
-    DymoState& st = ctx_->state_as<DymoState>();
+    DymoState& st = ctx.state_as<DymoState>();
     for (net::Addr dest : installed_) {
       if (zone.count(dest) > 0) continue;
       auto reactive = st.route_to(dest);
       if (reactive && reactive->valid) continue;
-      ctx_->remove_route(dest);
+      ctx.remove_route(dest);
     }
     installed_ = std::move(zone);
   }
 
-  ZrpParams params_;
   core::Manetkit& kit_;
-  core::ProtocolContext* ctx_ = nullptr;
-  std::unique_ptr<PeriodicTimer> timer_;
   std::set<net::Addr> installed_;
 };
 

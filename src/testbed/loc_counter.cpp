@@ -87,13 +87,15 @@ std::vector<ComponentLoc> manifest() {
         {"src/core/manet_protocol.hpp", "src/core/manet_protocol.cpp",
          "src/core/cfs.hpp"},
         all),
+      // The MPR CF runs this CF's link-sensing core (HELLO emission and
+      // handling, link soft set) through hooks, so OLSR reuses it too.
       G("NeighbourDetection CF",
         {"src/protocols/neighbor/neighbor_state.hpp",
          "src/protocols/neighbor/neighbor_state.cpp",
          "src/protocols/neighbor/neighbor_cf.hpp",
          "src/protocols/neighbor/neighbor_cf.cpp",
          "src/protocols/hello_codec.hpp"},
-        {"DYMO", "AODV"}),
+        all),
       G("MPRCalculator",
         {"src/protocols/mpr/mpr_calculator.hpp",
          "src/protocols/mpr/mpr_calculator.cpp"},

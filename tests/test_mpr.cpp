@@ -181,6 +181,33 @@ TEST(Hysteresis, LinkMustProveItself) {
   EXPECT_TRUE(h.pending(10));
 }
 
+// RFC 3626 §14 decays link quality only for a missed HELLO: a lossless link
+// must pass the hysteresis gate within a few HELLO intervals, and a cut one
+// must fall back.
+TEST(MprCf, HysteresisEstablishesLosslessLinkAndDropsCutOne) {
+  testbed::SimWorld world(2);
+  world.full_mesh();
+  MprParams params;
+  params.use_hysteresis = true;
+  for (std::size_t i = 0; i < world.size(); ++i) {
+    register_mpr(world.kit(i), params);
+  }
+  world.deploy_all("mpr");
+  world.run_for(sec(10));
+
+  auto* mpr0 = world.kit(0).protocol("mpr");
+  ASSERT_NE(mpr0->find("Hysteresis"), nullptr);
+  EXPECT_TRUE(mpr_state(*mpr0)->is_sym_neighbor(world.addr(1)));
+  EXPECT_TRUE(mpr_state(*world.kit(1).protocol("mpr"))
+                  ->is_sym_neighbor(world.addr(0)));
+
+  world.medium().set_link(world.addr(0), world.addr(1), false);
+  world.run_for(sec(10));
+  EXPECT_FALSE(mpr_state(*mpr0)->is_sym_neighbor(world.addr(1)));
+  auto* hyst = mpr0->find("Hysteresis")->interface_as<IHysteresis>("IHysteresis");
+  EXPECT_TRUE(hyst->pending(world.addr(1)));
+}
+
 TEST(MprCf, WillingnessFollowsBattery) {
   testbed::SimWorld world(2);
   world.full_mesh();

@@ -1,9 +1,13 @@
 // Neighbour Detection CF: HELLO-based link sensing (asym -> sym), 2-hop
 // gathering, expiry -> NHOOD_CHANGE, pluggable link-layer feedback, and
-// piggybacking.
+// piggybacking. The link-sensing core is shared with the MPR CF, so the
+// LOST-code regression runs against both.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/attrs.hpp"
+#include "protocols/aodv/aodv_cf.hpp"
 #include "protocols/hello_codec.hpp"
 #include "protocols/neighbor/neighbor_cf.hpp"
 #include "protocols/neighbor/neighbor_state.hpp"
@@ -46,9 +50,8 @@ TEST(NeighborTable, ExpiryReportsLostSymNeighbors) {
 
 TEST(NeighborTable, PiggybackProvidersAndObservers) {
   NeighborTable t;
-  t.add_piggyback_provider(
-      [] { return pbb::Tlv::u8(9, 0x55); });
-  t.add_piggyback_provider([]() -> std::optional<pbb::Tlv> {
+  t.set_piggyback("a", [] { return pbb::Tlv::u8(9, 0x55); });
+  t.set_piggyback("b", []() -> std::optional<pbb::Tlv> {
     return std::nullopt;  // provider may decline
   });
   std::vector<pbb::Tlv> tlvs;
@@ -57,9 +60,28 @@ TEST(NeighborTable, PiggybackProvidersAndObservers) {
   EXPECT_EQ(tlvs[0].as_u8(), 0x55);
 
   net::Addr from = 0;
-  t.add_piggyback_observer([&](net::Addr f, const pbb::Tlv&) { from = f; });
+  t.set_piggyback("c", nullptr,
+                  [&](net::Addr f, const pbb::Tlv&) { from = f; });
   t.dispatch_piggyback(42, tlvs[0]);
   EXPECT_EQ(from, 42u);
+}
+
+TEST(NeighborTable, PiggybackEntriesAreKeyedByOwner) {
+  NeighborTable t;
+  t.set_piggyback("a", [] { return pbb::Tlv::u8(9, 1); });
+  t.set_piggyback("b", [] { return pbb::Tlv::u8(9, 2); });
+  // Setting again replaces the owner's entry and runs it last.
+  t.set_piggyback("a", [] { return pbb::Tlv::u8(9, 3); });
+  EXPECT_EQ(t.piggyback_owners(), (std::vector<std::string>{"b", "a"}));
+  std::vector<pbb::Tlv> tlvs;
+  t.append_piggyback(tlvs);
+  ASSERT_EQ(tlvs.size(), 2u);
+  EXPECT_EQ(tlvs[0].as_u8(), 2);
+  EXPECT_EQ(tlvs[1].as_u8(), 3);
+
+  t.drop_piggyback("b");
+  t.drop_piggyback("absent");
+  EXPECT_EQ(t.piggyback_owners(), (std::vector<std::string>{"a"}));
 }
 
 TEST(HelloCodec, RoundTrip) {
@@ -172,6 +194,75 @@ TEST(NeighborCf, LinkLayerFeedbackVariantReactsInstantly) {
   world.medium().set_link(world.addr(0), world.addr(1), false);
   EXPECT_FALSE(s0->is_sym_neighbor(world.addr(1)));
 }
+
+// Protocol switches must not pile up piggyback entries: AODV's route advert
+// keeps one entry on the neighbour table however often AODV is redeployed,
+// and rides HELLOs only while AODV is deployed.
+TEST(NeighborCf, PiggybackRegistryHoldsOneEntryPerOwnerAcrossSwitches) {
+  testbed::SimWorld world(2);
+  world.full_mesh();
+  world.deploy_all("dymo");
+  world.run_for(sec(4));
+  core::Manetkit& kit = world.kit(0);
+  core::ManetProtocolCf* neighbor = kit.protocol("neighbor");
+  auto* table = dynamic_cast<NeighborTable*>(neighbor->state_component());
+  ASSERT_NE(table, nullptr);
+  auto advertises_routes = [&] {
+    std::vector<pbb::Tlv> tlvs;
+    table->append_piggyback(tlvs);
+    return std::any_of(tlvs.begin(), tlvs.end(), [](const pbb::Tlv& t) {
+      return t.type == wire::kTlvPiggyback;
+    });
+  };
+
+  for (int i = 0; i < 20; ++i) {
+    kit.switch_protocol("dymo", "aodv", /*carry_state=*/false);
+    aodv_state(*kit.protocol("aodv"))
+        ->update_route(world.addr(1), 1, true, world.addr(1), 1, world.now(),
+                       sec(10));
+    EXPECT_TRUE(advertises_routes()) << "switch " << i;
+    world.run_for(sec(1));
+    kit.switch_protocol("aodv", "dymo", /*carry_state=*/false);
+    EXPECT_FALSE(advertises_routes()) << "switch " << i;
+    world.run_for(sec(1));
+  }
+
+  ASSERT_EQ(kit.protocol("neighbor"), neighbor);
+  auto owners = table->piggyback_owners();
+  EXPECT_LE(std::count(owners.begin(), owners.end(), "aodv"), 1);
+}
+
+// A HELLO that lists us as LOST removes its sender; if that sender then
+// falls silent, nothing may bring the entry back without a holding time
+// (the neighbour CF once re-created it with no expiry and advertised it as
+// ASYM forever).
+class LostLinkCode : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(LostLinkCode, LostSenderIsForgottenOnceSilent) {
+  testbed::SimWorld world(2);
+  world.full_mesh();
+  world.deploy_all(GetParam());
+  world.run_for(sec(6));
+  core::ManetProtocolCf* cf = world.kit(0).protocol(GetParam());
+  ASSERT_TRUE(neighbor_state(*cf)->is_sym_neighbor(world.addr(1)));
+
+  ev::Event lost(ev::types::HELLO_IN);
+  lost.from = world.addr(1);
+  const std::vector<hello::Link> links{{world.addr(0), wire::LinkCode::kLost}};
+  hello::build_into(lost.acquire_msg(), world.addr(1), 999, links,
+                    wire::kWillDefault);
+  cf->deliver(lost);
+  world.medium().set_link(world.addr(0), world.addr(1), false);
+  world.run_for(sec(30));
+
+  EXPECT_TRUE(neighbor_state(*cf)->heard_neighbors().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SensingCfs, LostLinkCode, ::testing::Values("neighbor", "mpr"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 }  // namespace
 }  // namespace mk::proto
