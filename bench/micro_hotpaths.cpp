@@ -29,6 +29,13 @@
 namespace mk {
 namespace {
 
+/// Records which build produced the numbers in the run's JSON context.
+const bool kProvenanceRecorded = [] {
+  benchmark::AddCustomContext("mk_build_type", MK_BENCH_BUILD_TYPE);
+  benchmark::AddCustomContext("mk_compiler", MK_BENCH_COMPILER);
+  return true;
+}();
+
 /// RAII window counting heap allocations between construction and sample().
 class AllocWindow {
  public:
@@ -84,6 +91,49 @@ void BM_PacketBBParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PacketBBParse)->Arg(2)->Arg(8)->Arg(32);
+
+// The parse path the System CF actually runs on every received frame: into
+// one reused scratch packet (zero allocations/op once it has warmed up).
+void BM_PacketBBParseInto(benchmark::State& state) {
+  pbb::Packet pkt;
+  pkt.messages.push_back(make_tc(static_cast<std::size_t>(state.range(0))));
+  auto bytes = pbb::serialize(pkt);
+  pbb::Packet scratch;
+  AllocWindow window;
+  for (auto _ : state) {
+    auto ok = pbb::parse_into(bytes, scratch);
+    benchmark::DoNotOptimize(ok);
+  }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(window.sample()), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_PacketBBParseInto)->Arg(2)->Arg(8)->Arg(32);
+
+// Scheduler under DYMO-style hold bursts: every 250 ms one event arms 750
+// timers at exactly now + 5 s, so ~15k entries are pending and each
+// level-0 tick holds a 750-entry pile at one microsecond. One iteration is
+// one sim-second. Arg(0) runs the timer wheel, Arg(1) the ordered-map
+// oracle; run_hotpaths.sh fails if /0 is slower than /1.
+void BM_SchedulerHoldBurst(benchmark::State& state) {
+  SimScheduler sched(state.range(0) == 0 ? SimBackend::kWheel
+                                         : SimBackend::kHeap);
+  std::function<void()> burst = [&] {
+    const TimePoint hold = sched.now() + sec(5);
+    for (int i = 0; i < 750; ++i) sched.schedule_at(hold, [] {});
+    sched.schedule_after(msec(250), burst);
+  };
+  sched.schedule_at(TimePoint{0}, burst);
+  sched.run_for(sec(6));  // fill the 5 s hold window before measuring
+
+  AllocWindow window;
+  for (auto _ : state) {
+    sched.run_for(sec(1));
+  }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(window.sample()), benchmark::Counter::kAvgIterations);
+  state.counters["pending"] = static_cast<double>(sched.pending());
+}
+BENCHMARK(BM_SchedulerHoldBurst)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 class NullHandler final : public core::EventHandler {
  public:
@@ -257,7 +307,7 @@ BENCHMARK(BM_EventFanoutWithMsgJournaled)->Arg(1)->Arg(3)->Arg(8);
 // units, no misbehaviour): the guarded-deliver atomic load plus the
 // per-dispatch charge reset is the armed-idle supervision budget, within
 // ~2% of Arg(2).
-// Arg(4) reruns the traced workload of Arg(1) on the binary-heap scheduler
+// Arg(4) reruns the traced workload of Arg(1) on the ordered-map scheduler
 // backend: the Arg(1)-vs-Arg(4) delta isolates what the hierarchical timer
 // wheel (pooled nodes, O(1) arm/cancel — the soft-state expiry layer's
 // substrate) saves per sim-second in both time and allocations.

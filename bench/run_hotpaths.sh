@@ -7,6 +7,12 @@
 # (traced 5-node OLSR world, pooled memory backend) must stay within
 # MK_ALLOC_BUDGET allocs/op (default 50) plus 10% headroom, or the script
 # exits non-zero — the CI-facing regression gate for the arena/pool layer.
+# A second gate holds the timer wheel to its oracle: BM_SchedulerHoldBurst/0
+# (wheel) may not be slower than BM_SchedulerHoldBurst/1 (ordered map) in
+# the same run.
+#
+# The report records its provenance: the build type and compiler of the
+# bench binary, the git SHA of the checkout, and the host's CPU count.
 #
 # Usage: bench/run_hotpaths.sh [build-dir]
 set -euo pipefail
@@ -24,10 +30,15 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 "$bench_bin" --benchmark_min_time=0.05 --benchmark_format=json > "$raw"
 
+git_sha="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)"
+if [[ -n "$(git -C "$repo_root" status --porcelain 2>/dev/null)" ]]; then
+  git_sha="$git_sha-dirty"
+fi
+
 # Pre-zero-copy numbers (same bench, commit before the shared-payload / COW /
 # single-allocation-serialize change), kept here so the report always carries
 # its reference point.
-python3 - "$raw" "$repo_root/BENCH_hotpaths.json" <<'EOF'
+python3 - "$raw" "$repo_root/BENCH_hotpaths.json" "$git_sha" <<'EOF'
 import json
 import os
 import sys
@@ -103,7 +114,7 @@ report = {
             "delta over /2 is the armed-idle supervision budget "
             "(acceptance bar: within 2%). "
             "BM_OlsrWorldSecond/4 reruns the traced workload of /1 on the "
-            "binary-heap scheduler backend; the /1-vs-/4 delta is the "
+            "ordered-map scheduler backend; the /1-vs-/4 delta is the "
             "hierarchical timer wheel's saving per sim-second now that the "
             "soft-state expiry layer arms per-entry timers (pre-wheel "
             "sweep-loop builds measured ~440 allocs/op on /1). "
@@ -129,7 +140,20 @@ report = {
             "peers; `none` cold-starts while `checkpoint` rehydrates from "
             "1-hop peer replicas (`rehydrates` counts applied offers), so "
             "the none-vs-checkpoint reconverge_us gap is the replication "
-            "layer's crash-recovery win (ISSUE 10).",
+            "layer's crash-recovery win. "
+            "BM_PacketBBParseInto/{2,8,32} times parse_into on one reused "
+            "scratch packet, the path the System CF runs per received frame "
+            "(BM_PacketBBParse keeps the allocating parse for its baseline). "
+            "BM_SchedulerHoldBurst/{0,1} advances one sim-second of DYMO-style "
+            "hold bursts (750 timers armed at exactly now + 5 s every 250 ms, "
+            "~15k pending) on the timer wheel (/0) and the ordered-map oracle "
+            "(/1); the script fails if /0 is slower than /1.",
+    "provenance": {
+        "build_type": raw.get("context", {}).get("mk_build_type"),
+        "compiler": raw.get("context", {}).get("mk_compiler"),
+        "git_sha": sys.argv[3],
+        "nproc": os.cpu_count(),
+    },
     "context": raw.get("context", {}),
     "results": results,
 }
@@ -157,4 +181,21 @@ if measured > ceiling:
     sys.exit(1)
 print(f"alloc gate: {GATE} at {measured} allocs/op "
       f"(budget {budget}, ceiling {ceiling:.1f})")
+
+# Scheduler gate: under hold-burst piles the wheel must not lose to the
+# ordered-map oracle it replaces.
+times = {e["name"]: e["real_time_ns"] for e in results}
+wheel = times.get("BM_SchedulerHoldBurst/0")
+oracle = times.get("BM_SchedulerHoldBurst/1")
+if wheel is None or oracle is None:
+    print("error: BM_SchedulerHoldBurst/{0,1} missing from run",
+          file=sys.stderr)
+    sys.exit(1)
+if wheel > oracle:
+    print(f"error: BM_SchedulerHoldBurst/0 (wheel) took {wheel / 1e6:.3f} ms, "
+          f"slower than /1 (ordered map) at {oracle / 1e6:.3f} ms",
+          file=sys.stderr)
+    sys.exit(1)
+print(f"scheduler gate: wheel {wheel / 1e6:.3f} ms vs ordered map "
+      f"{oracle / 1e6:.3f} ms per sim-second")
 EOF

@@ -54,8 +54,10 @@ bool MprHelloHandler::on_heard(const pbb::Message& msg, net::Addr from,
 }
 
 void MprHelloHandler::on_lost(net::Addr from, core::ProtocolContext& ctx) {
-  forget_selector(ctx, from);
+  // Same steps, in the same order, as the mpr.link expiry path.
+  const bool was_selector = forget_selector(ctx, from);
   HelloHandler::on_lost(from, ctx);
+  if (was_selector) ctx.emit(ev::Event(ev::types::MPR_CHANGE));
   recompute_mprs(ctx);
 }
 

@@ -27,7 +27,8 @@ namespace mk::testbed {
 class SimWorld {
  public:
   /// `backend` selects the scheduler's timer store (hierarchical wheel by
-  /// default; binary heap kept for digest-parity conformance runs).
+  /// default; the ordered-map oracle is kept for digest-parity conformance
+  /// runs).
   explicit SimWorld(std::size_t num_nodes, std::uint64_t seed = 42,
                     SimBackend backend = SimBackend::kWheel);
   ~SimWorld();

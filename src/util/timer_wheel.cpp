@@ -1,5 +1,6 @@
 #include "util/timer_wheel.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <utility>
@@ -23,6 +24,7 @@ std::size_t id_hash(std::uint64_t seq) {
 TimerWheel::TimerWheel()
     : id_keys_(kInitialIdCapacity, 0), id_vals_(kInitialIdCapacity, 0) {
   for (auto& h : heads_) h = kNil;
+  for (auto& t : tails_) t = kNil;
   std::memset(bitmap_, 0, sizeof(bitmap_));
   pool_.reserve(256);
 }
@@ -116,10 +118,27 @@ void TimerWheel::place(std::uint32_t idx) {
                                         (kSlots - 1));
       const int loc = level * kSlots + slot;
       n.loc = static_cast<std::int16_t>(loc);
-      n.prev = kNil;
-      n.next = heads_[loc];
-      if (n.next != kNil) pool_[n.next].prev = idx;
-      heads_[loc] = idx;
+      // Link after the last entry whose key is <= n's: a level-0 slot stays
+      // sorted, so its head is its minimum. Higher levels just append.
+      std::uint32_t after = tails_[loc];
+      if (level == 0) {
+        const Key key{n.us, n.seq};
+        while (after != kNil && key < Key{pool_[after].us, pool_[after].seq}) {
+          after = pool_[after].prev;
+        }
+      }
+      n.prev = after;
+      n.next = after == kNil ? heads_[loc] : pool_[after].next;
+      if (n.prev != kNil) {
+        pool_[n.prev].next = idx;
+      } else {
+        heads_[loc] = idx;
+      }
+      if (n.next != kNil) {
+        pool_[n.next].prev = idx;
+      } else {
+        tails_[loc] = idx;
+      }
       bitmap_[level][slot >> 6] |= std::uint64_t{1} << (slot & 63);
       ++wheel_count_;
       return;
@@ -138,7 +157,11 @@ void TimerWheel::unlink(std::uint32_t idx) {
   } else {
     heads_[loc] = n.next;
   }
-  if (n.next != kNil) pool_[n.next].prev = n.prev;
+  if (n.next != kNil) {
+    pool_[n.next].prev = n.prev;
+  } else {
+    tails_[loc] = n.prev;
+  }
   if (heads_[loc] == kNil) {
     const int level = loc >> kSlotBits;
     const int slot = loc & (kSlots - 1);
@@ -149,16 +172,18 @@ void TimerWheel::unlink(std::uint32_t idx) {
 
 void TimerWheel::cascade(int level, int slot) {
   const int loc = level * kSlots + slot;
-  std::uint32_t h = heads_[loc];
-  heads_[loc] = kNil;
-  bitmap_[level][slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-  while (h != kNil) {
-    const std::uint32_t next = pool_[h].next;
-    pool_[h].prev = pool_[h].next = kNil;
-    --wheel_count_;
-    place(h);  // strictly descends: the slot's window is now cursor-local
-    h = next;
+  cascade_scratch_.clear();
+  for (std::uint32_t i = heads_[loc]; i != kNil; i = pool_[i].next) {
+    cascade_scratch_.push_back({Key{pool_[i].us, pool_[i].seq}, i});
   }
+  heads_[loc] = tails_[loc] = kNil;
+  bitmap_[level][slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+  wheel_count_ -= cascade_scratch_.size();
+  std::sort(cascade_scratch_.begin(), cascade_scratch_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Strictly descends (the slot's window is now cursor-local) into levels
+  // that are all empty, so in key order every level-0 placement appends.
+  for (const auto& entry : cascade_scratch_) place(entry.second);
 }
 
 int TimerWheel::first_slot(int level) const {
@@ -208,15 +233,8 @@ std::optional<TimerWheel::Key> TimerWheel::peek() {
       const int s0 = first_slot(0);
       if (s0 >= 0) {
         cursor_ = (cursor_ & ~static_cast<std::int64_t>(kSlots - 1)) + s0;
-        std::uint32_t best = kNil;
-        for (std::uint32_t i = heads_[s0]; i != kNil; i = pool_[i].next) {
-          if (best == kNil ||
-              Key{pool_[i].us, pool_[i].seq} < Key{pool_[best].us,
-                                                   pool_[best].seq}) {
-            best = i;
-          }
-        }
-        wheel_min = Key{pool_[best].us, pool_[best].seq};
+        const Node& head = pool_[heads_[s0]];  // sorted slot: its minimum
+        wheel_min = Key{head.us, head.seq};
         break;
       }
       // Level 0 exhausted: jump to the next occupied slot at the lowest
@@ -258,11 +276,11 @@ bool TimerWheel::pop(Key& key, std::function<void()>& fn) {
     --size_;
     return true;
   }
-  // peek() left the cursor on the slot holding the minimum.
+  // peek() left the cursor on the slot whose head is the minimum.
   const int loc = static_cast<int>(cursor_) & (kSlots - 1);
-  std::uint32_t idx = heads_[loc];
-  while (idx != kNil && pool_[idx].seq != k->seq) idx = pool_[idx].next;
-  MK_ASSERT(idx != kNil, "peeked minimum vanished from its slot");
+  const std::uint32_t idx = heads_[loc];
+  MK_ASSERT(idx != kNil && pool_[idx].seq == k->seq,
+            "peeked minimum is not its slot's head");
   unlink(idx);
   --wheel_count_;
   fn = std::move(pool_[idx].fn);

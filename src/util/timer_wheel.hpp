@@ -1,5 +1,5 @@
 // Hierarchical timing wheel (Varghese & Lauck) backing SimScheduler's
-// discrete-event queue (ISSUE 6). The comparison heap costs two map-node
+// discrete-event queue. The ordered-map oracle costs two map-node
 // allocations per arm and O(log n) per arm/cancel; with the soft-state
 // expiry layer arming one deadline per link/neighbor/topology entry, timer
 // traffic dominates scheduled work, so arm/cancel must be O(1) and
@@ -14,10 +14,27 @@
 // occupancy bitmaps make empty-region scans word-sized jumps, and an
 // open-addressed id index gives O(1) cancel by TimerId.
 //
+// Ordering invariant: every level-0 slot is a list sorted by (us, seq), so
+// its head is the slot's minimum. Higher-level slots are unordered; a
+// cascade sorts a slot's entries once and re-places them in that order.
+//
+// Cost model:
+//   - arm: O(1). A level-0 arm links after the last entry whose key is <=
+//     its own, walking back from the slot's tail; seq grows monotonically,
+//     so a burst at one deadline always appends. The walk is only long for
+//     an arm that lands earlier inside a slot already holding later
+//     entries, and that is paid once per arm, never per pop.
+//   - cancel: O(1) (id index + unlink).
+//   - peek/pop: O(1) — the head of the first occupied level-0 slot, found
+//     through the bitmap, plus the overflow map's minimum.
+//   - cascade: one sort per higher-level slot as the cursor enters its
+//     window; it runs only when every lower level is empty, so each
+//     placement appends.
+//
 // Determinism contract (the journal digests hang off this): entries pop in
 // strict (us, seq) order, FIFO among equal deadlines, and ids are the same
-// caller-assigned sequence numbers the comparison heap hands out — so a
-// heap-backed and a wheel-backed run of the same seed produce identical
+// caller-assigned sequence numbers the ordered-map oracle hands out — so an
+// oracle-backed and a wheel-backed run of the same seed produce identical
 // kTimerFire streams.
 #pragma once
 
@@ -25,6 +42,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace mk {
@@ -93,11 +111,12 @@ class TimerWheel {
   void free_node(std::uint32_t idx);
   /// Places node `idx` by its tick relative to the cursor (level choice per
   /// the current-rotation rule; ticks at/behind the cursor land in the
-  /// cursor's own level-0 slot so the scan finds them immediately).
+  /// cursor's own level-0 slot so the scan finds them immediately). Level-0
+  /// slots stay sorted by (us, seq); higher levels append at the tail.
   void place(std::uint32_t idx);
   void unlink(std::uint32_t idx);
-  /// Re-places every node in (level, slot) after the cursor entered that
-  /// slot's window — all of them now fit a lower level.
+  /// Re-places every node in (level, slot), in (us, seq) order, after the
+  /// cursor entered that slot's window — all of them now fit a lower level.
   void cascade(int level, int slot);
   /// First occupied slot index at `level`, or -1. All pending slots at a
   /// level are at or ahead of the cursor's index there (see place()).
@@ -112,11 +131,13 @@ class TimerWheel {
   std::vector<Node> pool_;
   std::uint32_t free_head_ = kNil;
   std::uint32_t heads_[kLevels * kSlots];
+  std::uint32_t tails_[kLevels * kSlots];
   std::uint64_t bitmap_[kLevels][kSlots / 64];
   std::int64_t cursor_ = 0;  // tick: no wheel entry fires before it
   std::size_t size_ = 0;        // wheel + overflow
   std::size_t wheel_count_ = 0; // wheel only
   std::map<Key, std::uint32_t> overflow_;
+  std::vector<std::pair<Key, std::uint32_t>> cascade_scratch_;  // reused
 
   std::vector<std::uint64_t> id_keys_;  // seq (0 = empty)
   std::vector<std::uint32_t> id_vals_;

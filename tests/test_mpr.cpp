@@ -3,6 +3,7 @@
 // hysteresis, willingness from POWER_STATUS, and flood relay behaviour.
 #include <gtest/gtest.h>
 
+#include "protocols/hello_codec.hpp"
 #include "protocols/mpr/mpr_calculator.hpp"
 #include "protocols/mpr/mpr_cf.hpp"
 #include "protocols/mpr/mpr_state.hpp"
@@ -249,6 +250,51 @@ TEST(MprCf, AddFloodTypeWidensTuple) {
   EXPECT_TRUE(mpr->tuple().provides(ev::etype("XFLOOD_OUT")));
   // Idempotent.
   mpr_add_flood_type(kit, *mpr, "XFLOOD", 77);
+}
+
+// Counts MPR_CHANGE events reaching a probe protocol deployed beside the MPR
+// CF (the way OLSR hears relay-selection changes).
+class MprChangeCounter final : public core::EventHandler {
+ public:
+  explicit MprChangeCounter(int* count)
+      : core::EventHandler("test.MprChangeCounter", {"MPR_CHANGE"}),
+        count_(count) {}
+  void handle(const ev::Event&, core::ProtocolContext&) override { ++*count_; }
+
+ private:
+  int* count_;
+};
+
+// A HELLO listing us as LOST drops its sender's selector tuple; like link
+// expiry, that must tell the protocols above through MPR_CHANGE.
+TEST(MprCf, LostHelloFromSelectorEmitsMprChange) {
+  testbed::SimWorld world(3);
+  world.linear();  // node 0 needs node 1 to reach node 2: 0 selects 1
+  world.deploy_all("mpr");
+  int changes = 0;
+  auto& kit = world.kit(1);
+  kit.register_protocol("probe", 20, [&changes](core::Manetkit& k) {
+    auto cf = std::make_unique<core::ManetProtocolCf>(
+        k.kernel(), "probe", k.scheduler(), k.self(), &k.system().sys_state());
+    cf->add_handler(std::make_unique<MprChangeCounter>(&changes));
+    cf->declare_events({"MPR_CHANGE"}, {});
+    return cf;
+  });
+  kit.deploy("probe");
+  world.run_for(sec(10));
+  core::ManetProtocolCf* mpr1 = kit.protocol("mpr");
+  ASSERT_TRUE(mpr_state(*mpr1)->is_mpr_selector(world.addr(0)));
+
+  ev::Event lost(ev::types::HELLO_IN);
+  lost.from = world.addr(0);
+  const std::vector<hello::Link> links{{world.addr(1), wire::LinkCode::kLost}};
+  hello::build_into(lost.acquire_msg(), world.addr(0), 999, links,
+                    wire::kWillDefault);
+  const int before = changes;
+  mpr1->deliver(lost);
+
+  EXPECT_FALSE(mpr_state(*mpr1)->is_mpr_selector(world.addr(0)));
+  EXPECT_EQ(changes, before + 1);
 }
 
 TEST(MprCf, DuplicateFloodsNotRelayedTwice) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <set>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -180,7 +182,139 @@ TEST(TimerWheel, RandomizedParityAgainstSortedReference) {
       << "wheel fire order diverged from the sorted reference";
 }
 
+// Dense ticks: the piles a protocol world builds when many timers share one
+// deadline (DYMO arms its hold time in bursts), with arms earlier in an
+// already-filled tick, arms behind the cursor, and cancels of a pile's head,
+// middle and tail — some of them from inside a firing callback.
+TEST(TimerWheel, DenseTickPilesMatchSortedReference) {
+  Rng rng(4242);
+  TimerWheel wheel;
+  std::set<TimerWheel::Key> pending;  // the sorted reference
+  std::uint64_t seq = 1;
+  std::int64_t now = 3 * kL0Span + 17 * kTick;
+  std::size_t pops = 0;
+  bool diverged = false;
+
+  // Cancels the head (0), middle (1) or tail (2) of the pending pile.
+  auto cancel_at = [&](int which) {
+    if (pending.empty()) return;
+    auto it = pending.begin();
+    if (which == 1) std::advance(it, pending.size() / 2);
+    if (which == 2) it = std::prev(pending.end());
+    EXPECT_TRUE(wheel.cancel(it->seq));
+    pending.erase(it);
+  };
+  auto arm = [&](std::int64_t us, int cancel_on_fire) {
+    std::function<void()> fn;
+    if (cancel_on_fire >= 0) fn = [&, cancel_on_fire] { cancel_at(cancel_on_fire); };
+    wheel.insert(us, seq, std::move(fn));
+    pending.insert({us, seq});
+    ++seq;
+  };
+  auto pop_one = [&] {
+    TimerWheel::Key key;
+    std::function<void()> fn;
+    if (!wheel.pop(key, fn) || pending.empty() || key != *pending.begin()) {
+      diverged = true;
+      return;
+    }
+    pending.erase(pending.begin());
+    now = key.us;
+    ++pops;
+    if (fn) fn();
+  };
+
+  for (int round = 0; round < 40 && !diverged; ++round) {
+    // A burst at one deadline within the next two ticks: >= 1000 arms on
+    // every fourth round, and every 50th entry cancels part of the pile
+    // when it fires.
+    const std::int64_t burst_us =
+        now + static_cast<std::int64_t>(rng.next_u64() % (2 * kTick));
+    const int burst = round % 4 == 0 ? 1000 + static_cast<int>(rng.next_u64() % 200)
+                                     : 50 + static_cast<int>(rng.next_u64() % 100);
+    for (int i = 0; i < burst; ++i) arm(burst_us, i % 50 == 7 ? i % 3 : -1);
+    // Earlier deadlines inside the burst's (now partly filled) tick.
+    const std::int64_t tick_start = burst_us & ~(kTick - 1);
+    for (int i = 0; i < 40; ++i) {
+      arm(tick_start + static_cast<std::int64_t>(
+                           rng.next_u64() % (burst_us - tick_start + 1)),
+          -1);
+    }
+    // Deadlines behind the cursor: they must fire before the whole pile.
+    for (int i = 0; i < 8; ++i) {
+      arm(now - static_cast<std::int64_t>(rng.next_u64() % (3 * kTick)), -1);
+    }
+    for (int which = 0; which < 3; ++which) cancel_at(which);
+    const std::size_t n = pending.size() / 3;
+    for (std::size_t i = 0; i < n && !diverged; ++i) pop_one();
+  }
+  while (!pending.empty() && !diverged) pop_one();
+  ASSERT_FALSE(diverged) << "wheel diverged from the sorted reference after "
+                         << pops << " pops";
+  EXPECT_TRUE(wheel.empty());
+  EXPECT_GT(pops, 10'000u);
+}
+
+TEST(TimerWheel, CascadeOfADescendingSlotDrainsInKeyOrder) {
+  TimerWheel wheel;
+  wheel.insert(0, 1, [] {});  // anchors the cursor at tick 0
+  // Fill the level-1 slot covering [kL0Span, 2 * kL0Span) in descending us,
+  // three arms per deadline and several deadlines per tick, so the slot's
+  // insertion order is the reverse of its key order within each tick.
+  std::vector<TimerWheel::Key> want = {{0, 1}};
+  std::uint64_t seq = 2;
+  for (std::int64_t us = 2 * kL0Span - 1; us >= kL0Span; us -= kTick / 4 + 3) {
+    for (int run = 0; run < 3; ++run) {
+      wheel.insert(us, seq, [] {});
+      want.push_back({us, seq++});
+    }
+  }
+  std::sort(want.begin(), want.end());
+  auto keys = drain(wheel);
+  EXPECT_EQ(keys, want);
+}
+
 // ---------------------------------------------------------------- scheduler
+
+TEST(SimSchedulerBackend, WheelAndHeapAgreeOnHoldBursts) {
+  // Every 250 ms one event arms 750 timers at exactly now + 5 s (a DYMO hold
+  // burst), plus a few at earlier deadlines in the same tick and one at the
+  // current time; a share of the fired timers cancel a queued peer.
+  auto run = [](SimBackend backend) {
+    SimScheduler sched(backend);
+    Rng rng(99);
+    std::vector<std::pair<TimerId, std::int64_t>> fired;
+    sched.set_fire_hook([&](TimerId id, TimePoint at) {
+      fired.emplace_back(id, at.us);
+    });
+    std::vector<TimerId> armed;
+    std::function<void()> burst = [&] {
+      const TimePoint hold = sched.now() + sec(5);
+      for (int i = 0; i < 750; ++i) {
+        armed.push_back(sched.schedule_at(hold, [&, i] {
+          if (i % 25 == 0) sched.cancel(armed[rng.next_u64() % armed.size()]);
+        }));
+      }
+      for (int i = 0; i < 20; ++i) {
+        const auto back = static_cast<std::int64_t>(rng.next_u64() % 900);
+        armed.push_back(sched.schedule_at(hold - Duration{back}, [] {}));
+      }
+      armed.push_back(sched.schedule_after(Duration{0}, [] {}));
+      if (sched.now() < TimePoint{sec(8).count()}) {
+        sched.schedule_after(msec(250), burst);
+      }
+    };
+    sched.schedule_at(TimePoint{0}, burst);
+    sched.run_all();
+    return fired;
+  };
+  auto wheel = run(SimBackend::kWheel);
+  auto heap = run(SimBackend::kHeap);
+  EXPECT_GT(wheel.size(), 20'000u);
+  ASSERT_EQ(wheel.size(), heap.size());
+  EXPECT_EQ(wheel, heap) << "backends disagreed on fire order or timer ids";
+}
+
 
 TEST(SimSchedulerBackend, WheelAndHeapRunIdenticalSchedules) {
   auto run = [](SimBackend backend) {
