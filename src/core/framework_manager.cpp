@@ -254,12 +254,6 @@ void FrameworkManager::set_quarantined(CfsUnit* unit, bool on) {
   rebind();
 }
 
-bool FrameworkManager::is_quarantined(const CfsUnit* unit) const {
-  if (quarantined_count_.load(std::memory_order_acquire) == 0) return false;
-  auto lock = quiesce();
-  return quarantined_.count(unit) > 0;
-}
-
 void FrameworkManager::dispatch(CfsUnit& target, ev::Event event) {
   // In-flight events towards a freshly quarantined unit are dropped here (the
   // routes computed before the breaker tripped may still reference it). The

@@ -119,7 +119,6 @@ class FrameworkManager : public oc::ComponentFramework {
   /// are dropped and counted ("fm.quarantine_drops"). Deregistration clears
   /// quarantine implicitly. No-op when the unit is not registered.
   void set_quarantined(CfsUnit* unit, bool on);
-  bool is_quarantined(const CfsUnit* unit) const;
   std::uint64_t quarantine_drops() const { return quarantine_drops_; }
 
  private:

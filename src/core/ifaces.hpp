@@ -1,6 +1,6 @@
 // The OpenCom interface vocabulary of MANETKit's CFs (the dots and cups of
-// the paper's Figs. 3–4): IControl, IForward, IState/ISysState, IPush/IPop,
-// IEventSink and IContext.
+// the paper's Figs. 3–4): IControl, IForward, IState/ISysState, IPush/IPop
+// and IContext.
 #pragma once
 
 #include <optional>
@@ -62,11 +62,6 @@ struct ISysState : IState {
 struct IContext : oc::Interface {
   virtual double battery_level() const = 0;
   virtual std::size_t neighbor_count() const = 0;
-};
-
-/// Direct-call event sink, used for fine-grained bindings inside CFs.
-struct IEventSink : oc::Interface {
-  virtual void on_event(const ev::Event& event) = 0;
 };
 
 }  // namespace mk::core

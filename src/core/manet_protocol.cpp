@@ -226,13 +226,6 @@ void ManetProtocolCf::set_forward(std::unique_ptr<oc::Component> forward) {
 
 oc::Component* ManetProtocolCf::state_component() const { return find("State"); }
 
-IForward* ManetProtocolCf::forward_iface() const {
-  oc::Component* f = find("Forward");
-  return f == nullptr ? nullptr : f->interface_as<IForward>("IForward");
-}
-
-void ManetProtocolCf::init() {}
-
 void ManetProtocolCf::start() {
   auto lock = quiesce();
   if (running_) return;

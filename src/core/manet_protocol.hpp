@@ -116,14 +116,10 @@ class ManetProtocolCf : public oc::ComponentFramework, public CfsUnit {
   /// This protocol's S element (null if none).
   oc::Component* state_component() const;
 
-  /// This protocol's F element's IForward (null if none).
-  IForward* forward_iface() const;
-
   ManetControlCf& control() { return *control_; }
   ProtocolContext& context() { return ctx_; }
 
   // -- lifecycle ----------------------------------------------------------------
-  void init();
   void start();
   void stop();
   bool running() const { return running_; }

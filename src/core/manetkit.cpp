@@ -52,16 +52,14 @@ bool Manetkit::has_builder(const std::string& name) const {
   return specs_.find(name) != specs_.end();
 }
 
-std::vector<std::string> Manetkit::available_protocols() const {
-  std::vector<std::string> out;
-  out.reserve(specs_.size());
-  for (const auto& [name, _] : specs_) out.push_back(name);
-  return out;
-}
-
 ManetProtocolCf* Manetkit::deploy(const std::string& name) {
   if (auto* existing = protocol(name)) return existing;
+  std::unique_ptr<oc::Component> no_state;
+  return instantiate(name, no_state);
+}
 
+ManetProtocolCf* Manetkit::instantiate(
+    const std::string& name, std::unique_ptr<oc::Component>& carried) {
   auto it = specs_.find(name);
   if (it == specs_.end()) {
     throw std::logic_error("no protocol builder registered for: " + name);
@@ -77,8 +75,20 @@ ManetProtocolCf* Manetkit::deploy(const std::string& name) {
   manager_->register_unit(raw, spec.layer);  // may throw (deployment rules)
   deployed_.emplace(name, DeployedProto{std::move(instance), spec.layer});
 
-  raw->init();
-  raw->start();
+  // The carried S element goes in before the first start, so the instance's
+  // timers are armed once, against the state it will actually run on.
+  bool installed = false;
+  try {
+    if (carried != nullptr) {
+      raw->set_state(std::move(carried));
+      installed = true;
+    }
+    raw->start();
+  } catch (...) {
+    if (installed) carried = raw->take_state();
+    undeploy(name);
+    throw;
+  }
   MK_DEBUG("manetkit", "deployed ", name, " at ", pbb::addr_to_string(self()));
   return raw;
 }
@@ -111,10 +121,7 @@ void Manetkit::undeploy(const std::string& name) {
 ManetProtocolCf* Manetkit::switch_protocol(const std::string& from,
                                            const std::string& to,
                                            bool carry_state) {
-  ReplaceOptions opts;
-  opts.max_attempts = 1;
-  opts.carry_state = carry_state;
-  ReplaceReport report = replace_protocol(from, to, opts);
+  ReplaceReport report = replace_protocol(from, to, carry_state);
   if (!report.committed) {
     // The prior protocol has been rolled back; surface the failure loudly
     // (pre-hardening switch_protocol semantics: a failed switch throws).
@@ -125,20 +132,23 @@ ManetProtocolCf* Manetkit::switch_protocol(const std::string& from,
 }
 
 void Manetkit::journal_reconfig(obs::ReconfigPhase phase,
-                                const std::string& from, const std::string& to,
-                                std::uint64_t extra) {
+                                const std::string& from,
+                                const std::string& to) {
   if (journal_ == nullptr) return;
   journal_->append({obs::RecordKind::kReconfig, self(), scheduler().now().us,
-                    static_cast<std::uint64_t>(phase) | (extra << 8),
-                    obs::fnv1a_str(from), obs::fnv1a_str(to)});
+                    static_cast<std::uint64_t>(phase), obs::fnv1a_str(from),
+                    obs::fnv1a_str(to)});
 }
 
 Manetkit::ReplaceReport Manetkit::replace_protocol(const std::string& from,
                                                    const std::string& to,
-                                                   ReplaceOptions opts) {
+                                                   bool carry_state) {
   auto it = deployed_.find(from);
   MK_ENSURE(it != deployed_.end(), "protocol not deployed: " + from);
-  MK_ENSURE(opts.max_attempts >= 1, "replace_protocol: max_attempts < 1");
+  // A live `to` (e.g. a substrate CF `from` deployed itself) must not be
+  // handed `from`'s S element: refuse before anything is detached.
+  MK_ENSURE(to == from || !is_deployed(to),
+            "replace target already deployed: " + to);
 
   // Quiescence first: no in-flight dispatch may straddle the swap. drain()
   // flushes the executor and every dedicated protocol queue, so by the time
@@ -150,70 +160,39 @@ Manetkit::ReplaceReport Manetkit::replace_protocol(const std::string& from,
   ManetProtocolCf* old_proto = it->second.instance.get();
   old_proto->stop();
   std::unique_ptr<oc::Component> carried;
-  if (opts.carry_state && old_proto->state_component() != nullptr) {
+  if (carry_state && old_proto->state_component() != nullptr) {
     carried = old_proto->take_state();
   }
   manager_->deregister_unit(old_proto);
   deployed_.erase(it);
 
   ReplaceReport report;
-  Duration backoff = opts.initial_backoff;
-  for (int attempt = 1; attempt <= opts.max_attempts; ++attempt) {
-    ++report.attempts;
-    metrics_.counter("fm.replace_attempts").inc();
-    try {
-      ManetProtocolCf* fresh = deploy(to);
-      if (carried != nullptr) {
-        fresh->stop();
-        fresh->set_state(std::move(carried));
-        fresh->start();
-      }
-      journal_reconfig(obs::ReconfigPhase::kCommit, from, to,
-                       static_cast<std::uint64_t>(report.attempts));
-      metrics_.counter("fm.replace_commits").inc();
-      // Split by outcome so recovery rungs are individually countable: an
-      // in-place restart (same protocol back) vs a switch to another one.
-      metrics_
-          .counter(from == to ? "fm.replace_commits_inplace"
-                              : "fm.replace_commits_switch")
-          .inc();
-      report.instance = fresh;
-      report.committed = true;
-      return report;
-    } catch (const std::exception& e) {
-      report.error = e.what();
-      // deploy() can fail after partially landing (init/start throwing once
-      // the unit is registered); scrub any half-deployed instance before
-      // retrying or rolling back.
-      if (is_deployed(to)) undeploy(to);
-      if (attempt < opts.max_attempts) {
-        metrics_.counter("fm.replace_retries").inc();
-        metrics_.counter("fm.replace_backoff_us")
-            .inc(static_cast<std::uint64_t>(backoff.count()));
-        journal_reconfig(obs::ReconfigPhase::kRetry, from, to,
-                         static_cast<std::uint64_t>(backoff.count()));
-        backoff = backoff * 2;
-      }
-    }
+  metrics_.counter("fm.replace_attempts").inc();
+  try {
+    report.instance = instantiate(to, carried);
+    report.committed = true;
+    journal_reconfig(obs::ReconfigPhase::kCommit, from, to);
+    metrics_.counter("fm.replace_commits").inc();
+    // Split by outcome so recovery rungs are individually countable: an
+    // in-place restart (same protocol back) vs a switch to another one.
+    metrics_
+        .counter(from == to ? "fm.replace_commits_inplace"
+                            : "fm.replace_commits_switch")
+        .inc();
+    return report;
+  } catch (const std::exception& e) {
+    report.error = e.what();
   }
 
-  // Permanent failure: restore the prior binding graph. Redeploying `from`
-  // re-registers the same unit tuple at the same layer, so rebind() derives
-  // the identical event-flow topology the node had before the attempt; the
-  // carried S element goes back in, so no protocol state is lost either.
-  MK_WARN("manetkit", "replace ", from, " -> ", to, " failed permanently (",
-          report.error, "); rolling back");
+  // Failure: restore the prior binding graph. Redeploying `from` re-registers
+  // the same unit tuple at the same layer, so rebind() derives the identical
+  // event-flow topology the node had before the attempt; the carried S
+  // element goes back in, so no protocol state is lost either.
+  MK_WARN("manetkit", "replace ", from, " -> ", to, " failed (", report.error,
+          "); rolling back");
   metrics_.counter("fm.replace_rollbacks").inc();
-  ManetProtocolCf* prior = deploy(from);  // throws only if `from` is gone too
-  if (carried != nullptr) {
-    prior->stop();
-    prior->set_state(std::move(carried));
-    prior->start();
-  }
-  journal_reconfig(obs::ReconfigPhase::kRollback, from, to,
-                   static_cast<std::uint64_t>(report.attempts));
-  report.instance = prior;
-  report.committed = false;
+  report.instance = instantiate(from, carried);  // throws if `from` is gone
+  journal_reconfig(obs::ReconfigPhase::kRollback, from, to);
   return report;
 }
 

@@ -105,7 +105,6 @@ class Manetkit {
   void register_protocol(const std::string& name, int layer, Builder builder,
                          std::string category = "");
   bool has_builder(const std::string& name) const;
-  std::vector<std::string> available_protocols() const;
 
   // -- dynamic deployment ------------------------------------------------------
   /// Deploys (builds, registers, starts) a protocol. Idempotent: returns the
@@ -123,44 +122,31 @@ class Manetkit {
   /// Serial redeployment with optional state carry-over (§4.5): stops and
   /// removes `from`, deploys `to`, and — if `carry_state` — moves `from`'s S
   /// element into the new instance before starting it. Implemented on top of
-  /// replace_protocol with a single attempt; if deploying `to` fails the
-  /// prior protocol is rolled back (state restored) and the failure is
-  /// re-thrown as std::logic_error.
+  /// replace_protocol; if deploying `to` fails the prior protocol is rolled
+  /// back (state restored) and the failure is re-thrown as std::logic_error.
   ManetProtocolCf* switch_protocol(const std::string& from,
                                    const std::string& to, bool carry_state);
 
   // -- hardened replacement ----------------------------------------------------
-  /// Tuning for replace_protocol. Backoff doubles per retry; in simulated
-  /// runs it is *recorded* (metrics "fm.replace_backoff_us", kReconfig
-  /// kRetry journal records) rather than slept, keeping the call synchronous
-  /// while leaving the schedule fully observable.
-  struct ReplaceOptions {
-    int max_attempts = 3;
-    Duration initial_backoff = msec(10);
-    bool carry_state = true;
-  };
-
   struct ReplaceReport {
     ManetProtocolCf* instance = nullptr;  // active protocol after the call
     bool committed = false;  // true: `to` is live; false: rolled back to `from`
-    int attempts = 0;        // deploy attempts made for `to`
-    std::string error;       // last failure when not committed
+    std::string error;       // the failure when not committed
   };
 
   /// Hardened protocol replacement: quiesces the Framework Manager (drains
-  /// in-flight dispatches), detaches `from` carrying its S element, then
-  /// deploys `to` with retry-with-backoff on transient failure. If every
-  /// attempt fails, rolls back — redeploys `from` and restores the carried
-  /// state — so the prior binding graph is reinstated and the node is never
-  /// left protocol-less. Every phase is journaled (kReconfig) and counted
-  /// ("fm.replace_*" metrics). Throws std::logic_error only if `from` is not
-  /// deployed or the rollback itself fails (no builder for `from`).
+  /// in-flight dispatches), detaches `from` carrying its S element if
+  /// `carry_state`, then makes one attempt to deploy `to` with that S element
+  /// installed before its first start. If the attempt fails, rolls back —
+  /// redeploys `from` the same way, carried S element included — so the
+  /// prior binding graph is reinstated and the node is never left
+  /// protocol-less. Retrying is the caller's choice (the supervisor's
+  /// recovery ladder backs off in simulated time). Every phase is journaled
+  /// (kReconfig) and counted ("fm.replace_*" metrics). Throws
+  /// std::logic_error only if `from` is not deployed, `to` is already
+  /// deployed as another unit, or the rollback itself fails.
   ReplaceReport replace_protocol(const std::string& from, const std::string& to,
-                                 ReplaceOptions opts);
-  ReplaceReport replace_protocol(const std::string& from,
-                                 const std::string& to) {
-    return replace_protocol(from, to, ReplaceOptions{});
-  }
+                                 bool carry_state = true);
 
   int layer_of(const std::string& name) const;
   /// Registered category for a protocol name ("" when unknown/uncategorised).
@@ -202,8 +188,14 @@ class Manetkit {
     int layer = 0;
   };
 
+  /// Builds, registers, installs `carried` (when non-null) and starts one
+  /// instance of `name`. If start() throws, the S element is taken back into
+  /// `carried` and the half-deployed unit is scrubbed before rethrowing.
+  ManetProtocolCf* instantiate(const std::string& name,
+                               std::unique_ptr<oc::Component>& carried);
+
   void journal_reconfig(obs::ReconfigPhase phase, const std::string& from,
-                        const std::string& to, std::uint64_t extra = 0);
+                        const std::string& to);
 
   net::SimNode& node_;
   oc::Kernel kernel_;

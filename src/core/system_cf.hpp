@@ -114,7 +114,6 @@ class SystemCf : public oc::ComponentFramework, public CfsUnit {
   /// packet (olsrd-style piggybacking of co-scheduled messages). A zero
   /// window (default) transmits immediately.
   void set_aggregation_window(Duration window);
-  Duration aggregation_window() const { return aggregation_window_; }
 
   std::uint64_t packets_sent() const { return packets_sent_->value(); }
   std::uint64_t messages_sent() const { return messages_sent_->value(); }
@@ -156,7 +155,6 @@ class SystemCf : public oc::ComponentFramework, public CfsUnit {
   const std::map<std::string, Samples>& processing_times() const {
     return processing_times_;
   }
-  void reset_profiling() { processing_times_.clear(); }
 
   std::uint64_t frames_received() const { return frames_received_->value(); }
   std::uint64_t parse_errors() const { return parse_errors_->value(); }

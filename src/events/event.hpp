@@ -168,7 +168,6 @@ class Event {
   /// so the caller must overwrite every field (the *_into builder
   /// discipline) before the event is emitted.
   pbb::Message& acquire_msg();
-  void clear_msg() { msg_.reset(); }
   /// Copy-on-write access: clones the message only if it is shared with
   /// other events (or creates an empty one if absent).
   pbb::Message& mutable_msg();

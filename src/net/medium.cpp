@@ -8,6 +8,11 @@
 
 namespace mk::net {
 
+namespace {
+/// Serialisation delay per wire byte: ~8 Mbit/s effective.
+constexpr Duration kPerByteDelay = usec(1);
+}  // namespace
+
 SimMedium::SimMedium(Scheduler& sched, std::uint64_t seed)
     : sched_(sched), rng_(seed) {}
 
@@ -160,7 +165,7 @@ void SimMedium::deliver_later(const Frame& frame, Addr to) {
     return;
   }
   Duration delay =
-      base_delay_ + Duration{per_byte_delay_.count() *
+      base_delay_ + Duration{kPerByteDelay.count() *
                              static_cast<std::int64_t>(frame.wire_size())};
   auto drift = drift_.find(frame.tx);
   if (drift != drift_.end()) {

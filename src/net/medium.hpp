@@ -88,7 +88,6 @@ class SimMedium {
 
   // -- channel parameters ------------------------------------------------------
   void set_base_delay(Duration d) { base_delay_ = d; }
-  void set_per_byte_delay(Duration d) { per_byte_delay_ = d; }
   /// Uniform frame loss probability applied per receiver.
   void set_loss_probability(double p) { loss_prob_ = p; }
 
@@ -170,7 +169,6 @@ class SimMedium {
   std::vector<std::uint32_t> free_delivery_slots_;
   std::mutex delivery_mu_;
   Duration base_delay_ = usec(500);
-  Duration per_byte_delay_ = usec(1);  // ~8 Mbit/s effective
   double loss_prob_ = 0.0;
   FaultFilter fault_filter_;
   std::map<Addr, double> drift_;

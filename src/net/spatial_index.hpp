@@ -69,8 +69,6 @@ class SpatialGrid {
     }
   }
 
-  std::size_t cell_count() const { return cells_.size(); }
-
  private:
   /// Packs a cell coordinate pair into one map key. Coordinates are biased
   /// through int64 floor so positions slightly outside [0, w)x[0, h)

@@ -77,9 +77,7 @@ enum class RecordKind : std::uint8_t {
   kLinkUp = 10,        // a=peer
   kLinkDown = 11,      // a=peer
   kFault = 12,         // a=fault action kind, b/c=action parameters
-  kReconfig = 13,      // a=ReconfigPhase | (extra<<8: backoff us on kRetry,
-                       //    attempt count on kCommit/kRollback),
-                       // b=from-name hash, c=to-name hash
+  kReconfig = 13,      // a=ReconfigPhase, b=from-name hash, c=to-name hash
   kComponentFault = 14,  // a=stable unit-name hash (0 = unattributed timer),
                          // b=ComponentFaultReason, c=unit's lifetime fault #
   kQuarantine = 15,      // a=stable unit-name hash, b=QuarantinePhase,
@@ -108,12 +106,12 @@ enum class DropReason : std::uint64_t {
   kFaultLoss = 5,  // dropped by an injected fault (loss burst / partition)
 };
 
-/// Phases packed into kReconfig's a field (protocol replace lifecycle).
+/// Phases in kReconfig's a field (protocol replace lifecycle: one attempt,
+/// then commit or rollback; value 2 is retired).
 enum class ReconfigPhase : std::uint64_t {
   kBegin = 1,     // quiesced, about to swap
-  kRetry = 2,     // a deploy attempt failed; backing off (c=backoff us)
   kCommit = 3,    // replacement active (state carried if requested)
-  kRollback = 4,  // permanent failure; prior protocol redeployed
+  kRollback = 4,  // the attempt failed; prior protocol redeployed
 };
 
 /// Reasons packed into kComponentFault's b field (supervision, ISSUE 5).

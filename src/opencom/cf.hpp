@@ -124,8 +124,6 @@ class ComponentFramework : public Component {
     return std::unique_lock{lock_};
   }
 
-  std::recursive_mutex& cf_lock() const { return lock_; }
-
  private:
   void check_integrity(const std::vector<const Component*>& members) const;
   std::vector<const Component*> current_members() const;

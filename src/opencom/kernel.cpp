@@ -15,13 +15,6 @@ bool Kernel::has_factory(std::string_view type_name) const {
   return factories_.find(type_name) != factories_.end();
 }
 
-std::vector<std::string> Kernel::factory_names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, _] : factories_) names.push_back(name);
-  return names;
-}
-
 std::unique_ptr<Component> Kernel::instantiate(std::string_view type_name) {
   auto it = factories_.find(type_name);
   if (it == factories_.end()) {

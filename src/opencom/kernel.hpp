@@ -29,8 +29,6 @@ class Kernel {
 
   bool has_factory(std::string_view type_name) const;
 
-  std::vector<std::string> factory_names() const;
-
   /// Instantiates a registered component type. Throws std::logic_error for
   /// unknown types.
   std::unique_ptr<Component> instantiate(std::string_view type_name);

@@ -348,11 +348,9 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
   cf->add_handler(
       std::make_unique<LinkBreakHandler>(reactive, "InvalidationHandler"));
 
-  if (params.piggyback_routes) {
-    if (auto* table =
-            dynamic_cast<NeighborTable*>(neighbor->state_component())) {
-      set_route_piggyback(kit, *table, params);
-    }
+  // Routes are advertised in HELLOs.
+  if (auto* table = dynamic_cast<NeighborTable*>(neighbor->state_component())) {
+    set_route_piggyback(kit, *table, params);
   }
 
   cf->declare_events(

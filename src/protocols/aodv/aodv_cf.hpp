@@ -30,7 +30,6 @@ struct AodvParams {
   Duration rreq_wait = sec(1);
   Duration rreq_id_hold = sec(6);
   std::uint8_t net_diameter = 35;  // RREQ hop limit
-  bool piggyback_routes = true;    // advertise routes in HELLOs
 };
 
 /// Soft-state set ids of the AODV CF beyond the reactive_sets, fixed by

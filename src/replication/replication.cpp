@@ -15,6 +15,10 @@ namespace mk::repl {
 
 namespace {
 
+/// If nothing broadcast within this grace after staging, a dedicated REPL
+/// beacon goes out so checkpoints still spread on a quiet node.
+constexpr Duration kBeaconGrace = msec(300);
+
 /// Reinstalls the kernel routes a restored S element implies. Dispatches on
 /// the concrete S type, not the unit name, so renamed compositions (the
 /// zone hybrid, the multipath variant) restore the same way as their base.
@@ -221,7 +225,7 @@ void ReplicationManager::publish_checkpoints(core::ProtocolContext& ctx) {
 void ReplicationManager::stage(pbb::Tlv tlv, std::uint64_t unit_hash) {
   staged_[unit_hash] = std::move(tlv);
   if (beacon_timer_ != nullptr && !beacon_timer_->pending()) {
-    beacon_timer_->schedule(params_.beacon_grace, [this] { beacon_fire(); });
+    beacon_timer_->schedule(kBeaconGrace, [this] { beacon_fire(); });
   }
 }
 

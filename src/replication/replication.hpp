@@ -55,9 +55,6 @@ struct ReplicationParams {
   Duration standby_interval = msec(500);
   /// Every Nth hot-standby publish is a full snapshot (delta resync anchor).
   int full_every = 8;
-  /// If nothing broadcast within this grace after staging, send a dedicated
-  /// REPL beacon so checkpoints still spread on a quiet node.
-  Duration beacon_grace = msec(300);
   /// A stored replica older than this is superseded by *any* incoming
   /// checkpoint regardless of epoch order (origin cold-started and reset its
   /// epoch counter), and is never offered for rehydration. Matches the

@@ -267,19 +267,13 @@ void Supervisor::attempt_recovery(const std::string& unit) {
           static_cast<std::uint64_t>(obs::QuarantinePhase::kRestart),
           static_cast<std::uint64_t>(attempt) | flags);
 
-  // Re-instantiate — the PR 3 state-transfer machinery, including its own
-  // journaled retry and rollback-on-failure. The S element is carried only
-  // while it is above suspicion.
+  // Re-instantiate — the state-transfer machinery, with its journaled
+  // rollback-on-failure; this ladder is the only retry. The S element is
+  // carried only while it is above suspicion.
   core::Manetkit::ReplaceReport report;
   oc::InvokeFault fault;
   bool invoked = oc::guarded_invoke(
-      [&] {
-        core::Manetkit::ReplaceOptions ropts;
-        ropts.max_attempts = 1;
-        ropts.carry_state = !suspect;
-        report = kit_.replace_protocol(unit, target, ropts);
-      },
-      fault);
+      [&] { report = kit_.replace_protocol(unit, target, !suspect); }, fault);
 
   if (invoked && report.committed) {
     std::int64_t recovered = now_us();
@@ -339,7 +333,7 @@ void Supervisor::attempt_recovery(const std::string& unit) {
 
 void Supervisor::exhaust(const std::string& unit) {
   std::string fallback;
-  if (opts_.allow_fallback && kit_.is_deployed(unit)) {
+  if (kit_.is_deployed(unit)) {
     for (const auto& other : kit_.deployed()) {
       if (other == unit) continue;
       if (!is_routing_category(kit_.category_of(other))) continue;

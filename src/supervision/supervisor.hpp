@@ -19,8 +19,9 @@
 //                     unbinds its tuples and routes around it (kQuarantine).
 //  * Self-healing   — a per-unit recovery ladder: re-instantiate via
 //                     Manetkit::replace_protocol(name, name) carrying the S
-//                     element (PR 3 state-transfer machinery, including its
-//                     retry/rollback), with recorded exponential backoff;
+//                     element (the state-transfer machinery: one attempt,
+//                     rollback on failure), with exponential backoff in sim
+//                     time between rungs — the only retry on that path;
 //                     after max_restarts either fall back to a co-deployed
 //                     routing protocol (undeploying the failed one) or
 //                     escalate through the ContextView health signal
@@ -77,10 +78,6 @@ struct SupervisorOptions {
   /// First recovery delay; doubles per subsequent attempt (recorded in the
   /// kQuarantine kRecover record and "sup.backoff_us").
   Duration initial_backoff = msec(200);
-  /// Permit undeploying an exhausted unit when another routing-category
-  /// protocol is co-deployed. When false the ladder goes straight from
-  /// restarts to escalation.
-  bool allow_fallback = true;
   /// Per-dispatch heap-churn budget in bytes (mk::memtrack window around the
   /// guarded deliver); exceeding it is a component fault (kAllocBudget), so
   /// a leaking/thrashing handler climbs the same breaker-and-ladder as one

@@ -133,7 +133,6 @@ class SimWorld {
   /// created after this call) and switches fault-plan crash/restart to the
   /// cold-start crash model above. Idempotent; params fixed by the first call.
   void enable_replication(repl::ReplicationParams params = {});
-  bool replication_enabled() const { return replicate_; }
   /// The node's replication control surface (null before enablement).
   core::ReplicationControl* replication(std::size_t i) {
     return kits_.at(i) == nullptr ? nullptr : kits_.at(i)->replication();
@@ -148,7 +147,6 @@ class SimWorld {
   /// and lets fault plans carry `misbehave` actions. Idempotent; options are
   /// fixed by the first call.
   void enable_supervision(supervision::SupervisorOptions opts = {});
-  bool supervision_enabled() const { return supervise_; }
   /// The node's supervisor (null before enable_supervision / kit creation).
   supervision::Supervisor* supervisor(std::size_t i) {
     return supervisors_.at(i).get();

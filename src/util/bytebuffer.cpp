@@ -67,13 +67,6 @@ std::uint64_t ByteReader::get_u64() {
   return (hi << 32) | lo;
 }
 
-std::vector<std::uint8_t> ByteReader::get_bytes(std::size_t n) {
-  require(n);
-  std::vector<std::uint8_t> out(data_.begin() + pos_, data_.begin() + pos_ + n);
-  pos_ += n;
-  return out;
-}
-
 std::string ByteReader::get_string() {
   std::size_t n = get_u16();
   require(n);

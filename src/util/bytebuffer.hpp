@@ -54,7 +54,6 @@ class ByteReader {
   std::uint16_t get_u16();
   std::uint32_t get_u32();
   std::uint64_t get_u64();
-  std::vector<std::uint8_t> get_bytes(std::size_t n);
   std::string get_string();  // length-prefixed (u16)
 
   std::size_t remaining() const { return data_.size() - pos_; }
@@ -64,7 +63,7 @@ class ByteReader {
   /// Returns a sub-reader over the next n bytes and advances past them.
   ByteReader slice(std::size_t n);
 
-  /// Zero-copy variant of get_bytes: a view into the underlying buffer,
+  /// Zero-copy view of the next n bytes of the underlying buffer,
   /// valid only while the source data outlives the reader's caller.
   std::span<const std::uint8_t> get_view(std::size_t n) {
     require(n);

@@ -80,17 +80,6 @@ std::uint64_t Scope::live_bytes_delta() const {
                                             : 0;
 }
 
-std::uint64_t Scope::total_bytes_delta() const {
-  return snapshot().total_bytes - start_.total_bytes;
-}
-
-std::uint64_t Scope::live_allocs_delta() const {
-  Stats now = snapshot();
-  return now.live_allocs > start_.live_allocs
-             ? now.live_allocs - start_.live_allocs
-             : 0;
-}
-
 }  // namespace mk::memtrack
 
 // ---------------------------------------------------------------------------

@@ -38,11 +38,6 @@ class Scope {
   /// Clamped at zero: frees of pre-existing memory don't go negative.
   std::uint64_t live_bytes_delta() const;
 
-  /// Total bytes allocated (churn) since construction.
-  std::uint64_t total_bytes_delta() const;
-
-  std::uint64_t live_allocs_delta() const;
-
  private:
   Stats start_;
 };

@@ -51,15 +51,6 @@ class BlockingQueue {
     return n;
   }
 
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    std::scoped_lock lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.pop_front();
-    return value;
-  }
-
   /// Wakes all waiters; subsequent pushes fail, pops drain remaining items.
   void close() {
     {

@@ -35,11 +35,6 @@ void PeriodicTimer::stop() {
   }
 }
 
-void PeriodicTimer::set_interval(Duration interval) {
-  MK_ASSERT(interval.count() > 0);
-  interval_ = interval;
-}
-
 void PeriodicTimer::arm() {
   auto delay = interval_;
   if (jitter_ > 0.0) {

@@ -34,9 +34,6 @@ class PeriodicTimer {
 
   Duration interval() const { return interval_; }
 
-  /// Changes the period; takes effect from the next arming.
-  void set_interval(Duration interval);
-
  private:
   void arm();
   void fire();

@@ -229,10 +229,9 @@ ChaosSig run_swap_under_partition(std::uint64_t seed) {
   world.apply_fault_plan(plan, seed ^ 0x5eed);
   world.run_for(sec(2));  // the partition is now live
 
-  core::Manetkit::ReplaceOptions opts;
-  opts.carry_state = false;  // OLSR and DYMO S elements are not compatible
+  // OLSR and DYMO S elements are not compatible: carry nothing across.
   for (std::size_t i = 0; i < world.size(); ++i) {
-    auto rep = world.kit(i).replace_protocol("olsr", "dymo", opts);
+    auto rep = world.kit(i).replace_protocol("olsr", "dymo", false);
     EXPECT_TRUE(rep.committed);
     world.kit(i).undeploy("mpr");
   }
@@ -245,7 +244,7 @@ ChaosSig run_swap_under_partition(std::uint64_t seed) {
 
   // ...and back again: DYMO -> OLSR, full proactive reconvergence.
   for (std::size_t i = 0; i < world.size(); ++i) {
-    auto rep = world.kit(i).replace_protocol("dymo", "olsr", opts);
+    auto rep = world.kit(i).replace_protocol("dymo", "olsr", false);
     EXPECT_TRUE(rep.committed);
   }
   EXPECT_TRUE(world.run_until_routed(sec(180)).has_value());
@@ -357,11 +356,12 @@ TEST(ChaosConformance, LossBurstDuringZrpCoexistReplaysIdentically) {
 // -------------------------------------------- executor parity under chaos
 
 /// Replace-cycle harness for executor parity: one node churns through
-/// committed swaps, transient-failure retries and permanent-failure
-/// rollbacks with the pool executor live. All reconfiguration records are
-/// appended from the calling thread under the manager's quiescence
-/// discipline (drain() precedes every swap), so even the pool executor must
-/// reproduce the *ordered* digest. (No sim time passes here on purpose:
+/// committed swaps, a transient failure (rollback, then the caller
+/// re-issues) and permanent-failure rollbacks with the pool executor live.
+/// All reconfiguration records are appended from the calling thread under
+/// the manager's quiescence discipline (drain() precedes every swap), so
+/// even the pool executor must reproduce the *ordered* digest. (No sim time
+/// passes here on purpose:
 /// timer-driven dispatches under the pool interleave with sim-time advance,
 /// which is why full world scenarios pin the single-threaded model — see
 /// docs/FAULT_INJECTION.md.)
@@ -391,15 +391,20 @@ ChaosSig run_replace_chaos(core::ConcurrencyModel model) {
       "reactive");
 
   kit.manager().set_concurrency(model, /*threads=*/4, /*batch=*/8);
-  core::Manetkit::ReplaceOptions opts;
-  opts.max_attempts = 3;
   std::string current = "dymo";
   for (int cycle = 0; cycle < 4; ++cycle) {
     std::string next = cycle % 2 == 0 ? "dymo2" : "dymo";
-    auto good = kit.replace_protocol(current, next, opts);
+    auto good = kit.replace_protocol(current, next);
+    if (cycle == 0) {
+      // dymo2's first bind fails: one attempt, rolled back onto `current`;
+      // the re-issued call commits.
+      EXPECT_FALSE(good.committed);
+      EXPECT_TRUE(kit.is_deployed(current));
+      good = kit.replace_protocol(current, next);
+    }
     EXPECT_TRUE(good.committed);
     current = next;
-    auto bad = kit.replace_protocol(current, "doomed", opts);
+    auto bad = kit.replace_protocol(current, "doomed");
     EXPECT_FALSE(bad.committed);  // rolled back onto `current`
     EXPECT_TRUE(kit.is_deployed(current));
   }

@@ -1,8 +1,9 @@
 // Fault subsystem units: plan builder/parser round-trips, injector action
 // semantics (loss bursts, duplication, reordering, partition/heal,
 // crash/restart, bounded drift), journaled drop accounting, determinism of
-// (plan, seed) replays, and the hardened replace path — retry-with-backoff
-// on transient bind failure, rollback-to-prior-graph on permanent failure.
+// (plan, seed) replays, and the hardened replace path — one attempt with the
+// carried S element installed before start, rollback-to-prior-graph (state
+// restored) on failure, refusal to replace onto an already-deployed unit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "protocols/dymo/dymo_cf.hpp"
+#include "protocols/neighbor/neighbor_state.hpp"
 #include "testbed/world.hpp"
 
 namespace mk {
@@ -294,7 +296,7 @@ TEST(FaultInjector, SamePlanAndSeedsReplayBitIdentically) {
       << "a different fault seed must hit different frames";
 }
 
-// ------------------------------------------------- retry / rollback path
+// ------------------------------------------------- commit / rollback path
 
 /// Registers a protocol whose builder throws `failures` times before
 /// delegating to the real DYMO builder.
@@ -311,43 +313,148 @@ void register_flaky(core::Manetkit& kit, const std::string& name,
       "reactive");
 }
 
-TEST(ReplaceProtocol, TransientBindFailureRetriesWithBackoff) {
+/// An Event Source that counts its starts, or throws from start() when
+/// `fail` is set.
+class StartProbe final : public core::EventSource {
+ public:
+  StartProbe(int* starts, bool fail)
+      : core::EventSource("test.StartProbe"), starts_(starts), fail_(fail) {
+    set_instance_name("StartProbe");
+  }
+  void start(core::ProtocolContext&) override {
+    ++*starts_;
+    if (fail_) throw std::runtime_error("start failure");
+  }
+  void stop() override {}
+
+ private:
+  int* starts_;
+  bool fail_;
+};
+
+/// Registers DYMO plus a StartProbe source under `name`.
+void register_probed(core::Manetkit& kit, const std::string& name,
+                     int* starts, bool fail) {
+  kit.register_protocol(
+      name, 20,
+      [starts, fail](core::Manetkit& k) {
+        auto cf = proto::build_dymo_cf(k);
+        cf->add_source(std::make_unique<StartProbe>(starts, fail));
+        return cf;
+      },
+      "reactive");
+}
+
+/// Deploys DYMO on `kit` with a recognisable route to 99 in its S element.
+core::ManetProtocolCf* deploy_dymo_with_route(core::Manetkit& kit) {
+  auto* dymo = kit.deploy("dymo");
+  proto::dymo_state(*dymo)->update_route(99, 1, 98, 1, TimePoint{0}, sec(60));
+  return dymo;
+}
+
+bool has_route_99(core::ManetProtocolCf* proto) {
+  auto* st = proto::dymo_state(*proto);
+  return st != nullptr && st->route_to(99).has_value();
+}
+
+TEST(ReplaceProtocol, TransientBindFailureRollsBackThenReissueCommits) {
   testbed::SimWorld world(2, /*seed=*/5);
   auto& journal = world.enable_tracing();
   world.full_mesh();
   auto& kit = world.kit(0);
-  kit.deploy("dymo");
+  deploy_dymo_with_route(kit);
 
   int attempts = 0;
-  register_flaky(kit, "flaky", /*failures=*/2, &attempts);
+  register_flaky(kit, "flaky", /*failures=*/1, &attempts);
 
-  core::Manetkit::ReplaceOptions opts;
-  opts.max_attempts = 4;
-  opts.initial_backoff = msec(10);
-  auto report = kit.replace_protocol("dymo", "flaky", opts);
+  // One attempt, no retry inside the call: the failure rolls back onto DYMO
+  // with the carried route restored.
+  auto first = kit.replace_protocol("dymo", "flaky");
+  EXPECT_FALSE(first.committed);
+  EXPECT_FALSE(first.error.empty());
+  EXPECT_EQ(attempts, 1);
+  EXPECT_FALSE(kit.is_deployed("flaky"));
+  ASSERT_TRUE(kit.is_deployed("dymo"));
+  EXPECT_EQ(first.instance, kit.protocol("dymo"));
+  EXPECT_TRUE(kit.protocol("dymo")->running());
+  EXPECT_TRUE(has_route_99(kit.protocol("dymo")));
 
-  EXPECT_TRUE(report.committed);
-  EXPECT_EQ(report.attempts, 3);
+  // Retrying is the caller's choice: the re-issued call commits and carries
+  // the route across.
+  auto second = kit.replace_protocol("dymo", "flaky");
+  EXPECT_TRUE(second.committed);
   EXPECT_TRUE(kit.is_deployed("flaky"));
   EXPECT_FALSE(kit.is_deployed("dymo"));
+  EXPECT_TRUE(has_route_99(second.instance));
 
-  // Backoff is observable through the metrics registry: two retries at
-  // 10ms + 20ms (exponential), and the journal carries the kRetry phases.
-  EXPECT_EQ(kit.metrics().counter_value("fm.replace_retries"), 2u);
-  EXPECT_EQ(kit.metrics().counter_value("fm.replace_backoff_us"), 30'000u);
+  EXPECT_EQ(kit.metrics().counter_value("fm.replace_attempts"), 2u);
+  EXPECT_EQ(kit.metrics().counter_value("fm.replace_rollbacks"), 1u);
   EXPECT_EQ(kit.metrics().counter_value("fm.replace_commits"), 1u);
-  EXPECT_EQ(kit.metrics().counter_value("fm.replace_rollbacks"), 0u);
 
-  std::size_t retries = 0;
+  using P = obs::ReconfigPhase;
+  std::vector<P> phases;
   for (const auto& r : journal.snapshot()) {
-    if (r.kind == obs::RecordKind::kReconfig &&
-        (r.a & 0xff) ==
-            static_cast<std::uint64_t>(obs::ReconfigPhase::kRetry)) {
-      ++retries;
-      EXPECT_GE(r.a >> 8, 10'000u);  // the recorded backoff for this retry
+    if (r.kind == obs::RecordKind::kReconfig) {
+      phases.push_back(static_cast<P>(r.a));
     }
   }
-  EXPECT_EQ(retries, 2u);
+  EXPECT_EQ(phases, (std::vector<P>{P::kBegin, P::kRollback, P::kBegin,
+                                    P::kCommit}));
+}
+
+TEST(ReplaceProtocol, CarriedStateReplaceStartsNewInstanceOnce) {
+  testbed::SimWorld world(1, /*seed=*/5);
+  auto& kit = world.kit(0);
+  deploy_dymo_with_route(kit);
+
+  int starts = 0;
+  register_probed(kit, "probed", &starts, /*fail=*/false);
+  auto report = kit.replace_protocol("dymo", "probed");
+
+  ASSERT_TRUE(report.committed);
+  EXPECT_EQ(starts, 1) << "the carried S element goes in before the one start";
+  EXPECT_TRUE(report.instance->running());
+  EXPECT_TRUE(has_route_99(report.instance));
+}
+
+TEST(ReplaceProtocol, StartFailureRollsBackWithCarriedStateRestored) {
+  testbed::SimWorld world(1, /*seed=*/5);
+  auto& kit = world.kit(0);
+  deploy_dymo_with_route(kit);
+
+  int starts = 0;
+  register_probed(kit, "broken", &starts, /*fail=*/true);
+  auto report = kit.replace_protocol("dymo", "broken");
+
+  // start() threw after the S element went in: it is taken back out of the
+  // half-deployed unit, which is scrubbed, and the rollback restores it.
+  EXPECT_FALSE(report.committed);
+  EXPECT_EQ(starts, 1);
+  EXPECT_FALSE(kit.is_deployed("broken"));
+  ASSERT_TRUE(kit.is_deployed("dymo"));
+  EXPECT_TRUE(kit.protocol("dymo")->running());
+  EXPECT_TRUE(has_route_99(kit.protocol("dymo")));
+  EXPECT_EQ(kit.metrics().counter_value("fm.replace_rollbacks"), 1u);
+}
+
+TEST(ReplaceProtocol, ReplaceOntoDeployedUnitIsRefusedUntouched) {
+  testbed::SimWorld world(1, /*seed=*/5);
+  auto& kit = world.kit(0);
+  auto* dymo = kit.deploy("dymo");  // deploys "neighbor" as its substrate
+  auto* neighbor = kit.protocol("neighbor");
+  ASSERT_NE(neighbor, nullptr);
+  oc::Component* table = neighbor->state_component();
+  ASSERT_NE(dynamic_cast<proto::NeighborTable*>(table), nullptr);
+
+  EXPECT_THROW(kit.replace_protocol("dymo", "neighbor"), std::logic_error);
+
+  EXPECT_EQ(kit.protocol("dymo"), dymo);
+  EXPECT_TRUE(dymo->running());
+  EXPECT_NE(proto::dymo_state(*dymo), nullptr);
+  EXPECT_EQ(kit.protocol("neighbor"), neighbor);
+  EXPECT_EQ(neighbor->state_component(), table);
+  EXPECT_TRUE(neighbor->running());
+  EXPECT_EQ(kit.metrics().counter_value("fm.replace_attempts"), 0u);
 }
 
 TEST(ReplaceProtocol, PermanentFailureRollsBackBindingGraphAndState) {
@@ -367,12 +474,9 @@ TEST(ReplaceProtocol, PermanentFailureRollsBackBindingGraphAndState) {
   int attempts = 0;
   register_flaky(kit, "doomed", /*failures=*/1'000'000, &attempts);
 
-  core::Manetkit::ReplaceOptions opts;
-  opts.max_attempts = 3;
-  auto report = kit.replace_protocol("dymo", "doomed", opts);
+  auto report = kit.replace_protocol("dymo", "doomed");
 
   EXPECT_FALSE(report.committed);
-  EXPECT_EQ(report.attempts, 3);
   EXPECT_FALSE(report.error.empty());
   EXPECT_FALSE(kit.is_deployed("doomed"));
   ASSERT_TRUE(kit.is_deployed("dymo"));
