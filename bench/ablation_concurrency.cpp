@@ -53,8 +53,7 @@ struct Harness {
       std::string name = "consumer" + std::to_string(i);
       kit.register_protocol(name, /*layer=*/20, [](core::Manetkit& k) {
         auto cf = std::make_unique<core::ManetProtocolCf>(
-            k.kernel(), "consumer", k.scheduler(), k.self(),
-            &k.system().sys_state());
+            "consumer", k.scheduler(), k.self(), &k.system().sys_state());
         cf->add_handler(std::make_unique<CountingHandler>());
         cf->declare_events({"BENCH"}, {});
         return cf;

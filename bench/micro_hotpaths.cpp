@@ -152,7 +152,7 @@ void BM_EventRouting(benchmark::State& state) {
     std::string name = "p" + std::to_string(i);
     kit.register_protocol(name, 20, [](core::Manetkit& k) {
       auto cf = std::make_unique<core::ManetProtocolCf>(
-          k.kernel(), "p", k.scheduler(), k.self(), &k.system().sys_state());
+          "p", k.scheduler(), k.self(), &k.system().sys_state());
       cf->add_handler(std::make_unique<NullHandler>());
       cf->declare_events({"BENCH"}, {});
       return cf;
@@ -242,7 +242,7 @@ void BM_EventFanoutWithMsg(benchmark::State& state) {
     std::string name = "p" + std::to_string(i);
     kit.register_protocol(name, 20, [](core::Manetkit& k) {
       auto cf = std::make_unique<core::ManetProtocolCf>(
-          k.kernel(), "p", k.scheduler(), k.self(), &k.system().sys_state());
+          "p", k.scheduler(), k.self(), &k.system().sys_state());
       cf->add_handler(std::make_unique<NullHandler>());
       cf->declare_events({"BENCH"}, {});
       return cf;
@@ -275,7 +275,7 @@ void BM_EventFanoutWithMsgJournaled(benchmark::State& state) {
     std::string name = "p" + std::to_string(i);
     kit.register_protocol(name, 20, [](core::Manetkit& k) {
       auto cf = std::make_unique<core::ManetProtocolCf>(
-          k.kernel(), "p", k.scheduler(), k.self(), &k.system().sys_state());
+          "p", k.scheduler(), k.self(), &k.system().sys_state());
       cf->add_handler(std::make_unique<NullHandler>());
       cf->declare_events({"BENCH"}, {});
       return cf;

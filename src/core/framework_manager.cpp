@@ -11,8 +11,8 @@
 
 namespace mk::core {
 
-FrameworkManager::FrameworkManager(oc::Kernel& kernel)
-    : oc::ComponentFramework(kernel, "core.FrameworkManager"),
+FrameworkManager::FrameworkManager()
+    : oc::ComponentFramework("core.FrameworkManager"),
       executor_(std::make_unique<InlineExecutor>()) {}
 
 FrameworkManager::~FrameworkManager() = default;
@@ -238,9 +238,17 @@ void FrameworkManager::set_metrics(obs::MetricsRegistry* metrics) {
 }
 
 void FrameworkManager::set_dispatch_guard(DispatchGuard* guard) {
+  // No dispatch may still be running inside, or queued for, the guard being
+  // replaced: its owner may be about to destroy it.
+  drain();
   auto lock = quiesce();
   guard_.store(guard, std::memory_order_release);
   if (executor_ != nullptr) executor_->set_guard(guard);
+  for (const auto& r : registrations_) {
+    if (auto* proto = dynamic_cast<ManetProtocolCf*>(r.unit)) {
+      if (auto* queue = proto->dedicated()) queue->set_guard(guard);
+    }
+  }
 }
 
 void FrameworkManager::set_quarantined(CfsUnit* unit, bool on) {

@@ -44,7 +44,7 @@ class ManetProtocolCf;
 
 class FrameworkManager : public oc::ComponentFramework {
  public:
-  explicit FrameworkManager(oc::Kernel& kernel);
+  FrameworkManager();
   ~FrameworkManager() override;
 
   // -- unit registration --------------------------------------------------------
@@ -106,7 +106,10 @@ class FrameworkManager : public oc::ComponentFramework {
   // -- supervision (ISSUE 5) --------------------------------------------------
   /// Installs the guard wrapped around every deliver call (all executor
   /// models, including dedicated per-protocol queues). Null uninstalls.
-  /// Survives set_concurrency(): the guard is re-applied to the new executor.
+  /// Drains threaded dispatch first, so once this returns no event is
+  /// inside or still bound for the previous guard. Must not be called from
+  /// a handler. Survives set_concurrency(): the guard is re-applied to the
+  /// new executor.
   void set_dispatch_guard(DispatchGuard* guard);
   DispatchGuard* dispatch_guard() const {
     return guard_.load(std::memory_order_acquire);

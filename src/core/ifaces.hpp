@@ -1,6 +1,7 @@
 // The OpenCom interface vocabulary of MANETKit's CFs (the dots and cups of
-// the paper's Figs. 3–4): IControl, IForward, IState/ISysState, IPush/IPop
-// and IContext.
+// the paper's Figs. 3–4): IControl, IForward, IState/ISysState and IContext.
+// The paper's push/pop event interfaces have no class here: events move
+// between units along the Framework Manager's routes.
 #pragma once
 
 #include <optional>
@@ -20,18 +21,6 @@ struct IControl : oc::Interface {
   virtual void start() = 0;
   virtual void stop() = 0;
   virtual bool running() const = 0;
-};
-
-/// Push an event into a unit (the downward/inward direction).
-struct IPush : oc::Interface {
-  virtual void push(const ev::Event& event) = 0;
-};
-
-/// Pop an event out of a unit (the upward/outward direction). In this
-/// implementation pops are mediated by the Framework Manager's routing, so
-/// IPop is the emission point handlers use.
-struct IPop : oc::Interface {
-  virtual void pop(ev::Event event) = 0;
 };
 
 /// Forwarding strategy of a CFS unit (the F element).

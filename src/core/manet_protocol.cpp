@@ -11,8 +11,8 @@ namespace mk::core {
 
 // ------------------------------------------------------------- ManetControlCf
 
-ManetControlCf::ManetControlCf(oc::Kernel& kernel)
-    : oc::ComponentFramework(kernel, "core.ManetControl") {
+ManetControlCf::ManetControlCf()
+    : oc::ComponentFramework("core.ManetControl") {
   // The paper: "ManetControl rejects attempts to add more than one C
   // element". Our C element functionality is folded into this CF itself, so
   // the analogous rule polices duplicate *source/handler instance names*,
@@ -69,10 +69,9 @@ std::vector<EventHandler*> ManetControlCf::handlers() const {
 
 // ------------------------------------------------------------ ManetProtocolCf
 
-ManetProtocolCf::ManetProtocolCf(oc::Kernel& kernel, std::string proto_name,
-                                 Scheduler& sched, net::Addr self,
-                                 ISysState* sys)
-    : oc::ComponentFramework(kernel, "core.ManetProtocol"),
+ManetProtocolCf::ManetProtocolCf(std::string proto_name, Scheduler& sched,
+                                 net::Addr self, ISysState* sys)
+    : oc::ComponentFramework("core.ManetProtocol"),
       proto_name_(std::move(proto_name)),
       ctx_(*this, sched, self, sys) {
   set_instance_name(proto_name_);
@@ -102,12 +101,16 @@ ManetProtocolCf::ManetProtocolCf(oc::Kernel& kernel, std::string proto_name,
     return true;
   });
 
-  auto control = std::make_unique<ManetControlCf>(kernel);
+  auto control = std::make_unique<ManetControlCf>();
   control_ = control.get();
   control_id_ = insert(std::move(control));
 }
 
-ManetProtocolCf::~ManetProtocolCf() { stop(); }
+ManetProtocolCf::~ManetProtocolCf() {
+  // Join the dedicated worker while every member it delivers into is alive.
+  dedicated_.reset();
+  stop();
+}
 
 void ManetProtocolCf::deliver(const ev::Event& event) {
   auto lock = quiesce();  // the critical section of §4.4

@@ -36,7 +36,7 @@ class FrameworkManager;
 /// handlers subscribed to them.
 class ManetControlCf : public oc::ComponentFramework {
  public:
-  explicit ManetControlCf(oc::Kernel& kernel);
+  ManetControlCf();
 
   /// Rebuilds the Event Registry from current members. Called by the owning
   /// protocol after any handler mutation.
@@ -55,7 +55,7 @@ class ManetControlCf : public oc::ComponentFramework {
 class ManetProtocolCf : public oc::ComponentFramework, public CfsUnit {
  public:
   /// `sys` may be null for handler-level unit tests.
-  ManetProtocolCf(oc::Kernel& kernel, std::string proto_name, Scheduler& sched,
+  ManetProtocolCf(std::string proto_name, Scheduler& sched,
                   net::Addr self, ISysState* sys);
   ~ManetProtocolCf() override;
 

@@ -8,8 +8,8 @@
 namespace mk::core {
 
 Manetkit::Manetkit(net::SimNode& node) : node_(node) {
-  manager_ = std::make_unique<FrameworkManager>(kernel_);
-  system_ = std::make_unique<SystemCf>(kernel_, node_);
+  manager_ = std::make_unique<FrameworkManager>();
+  system_ = std::make_unique<SystemCf>(node_);
   system_->set_manager(manager_.get());
   system_->set_metrics(&metrics_);
   manager_->set_metrics(&metrics_);

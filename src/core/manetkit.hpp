@@ -1,5 +1,5 @@
-// The MANETKit facade: one instance per node, owning the OpenCom kernel, the
-// Framework Manager, the System CF and every deployed ManetProtocol CF.
+// The MANETKit facade: one instance per node, owning the Framework Manager,
+// the System CF and every deployed ManetProtocol CF.
 //
 // Protocols are registered as named builders (with a layer and a category)
 // and can then be dynamically deployed — serially and simultaneously — and
@@ -20,7 +20,6 @@
 #include "net/node.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "opencom/kernel.hpp"
 
 namespace mk::core {
 
@@ -88,7 +87,6 @@ class Manetkit {
   Manetkit(const Manetkit&) = delete;
   Manetkit& operator=(const Manetkit&) = delete;
 
-  oc::Kernel& kernel() { return kernel_; }
   FrameworkManager& manager() { return *manager_; }
   SystemCf& system() { return *system_; }
   net::SimNode& node() { return node_; }
@@ -198,7 +196,6 @@ class Manetkit {
                         const std::string& to);
 
   net::SimNode& node_;
-  oc::Kernel kernel_;
   obs::MetricsRegistry metrics_;
   obs::Journal* journal_ = nullptr;
   std::unique_ptr<FrameworkManager> manager_;

@@ -170,8 +170,8 @@ void NetLinkComponent::sweep_buffer() {
 
 // ------------------------------------------------------------------- SystemCf
 
-SystemCf::SystemCf(oc::Kernel& kernel, net::SimNode& node)
-    : oc::ComponentFramework(kernel, "core.System"), node_(node) {
+SystemCf::SystemCf(net::SimNode& node)
+    : oc::ComponentFramework("core.System"), node_(node) {
   set_instance_name("System");
 
   // CFS structural invariants, as in ManetProtocolCf.
@@ -236,11 +236,10 @@ void SystemCf::ensure_power_status(Duration interval) {
   refresh_tuple();
 }
 
-void SystemCf::ensure_link_quality(Duration period, double alpha) {
+void SystemCf::ensure_link_quality(Duration period) {
+  constexpr double kAlpha = 0.4;  // EWMA weight of the newest period
   auto lock = quiesce();
   if (linkq_timer_ != nullptr) return;
-  MK_ASSERT(alpha > 0.0 && alpha <= 1.0);
-  linkq_alpha_ = alpha;
   linkq_timer_ = std::make_unique<PeriodicTimer>(
       scheduler(), period,
       [this] {
@@ -255,7 +254,7 @@ void SystemCf::ensure_link_quality(Duration period, double alpha) {
         for (const auto& [neighbor, frames] : counts) {
           double sample = frames > 0 ? 1.0 : 0.0;
           double& q = link_quality_.try_emplace(neighbor, sample).first->second;
-          q = (1.0 - linkq_alpha_) * q + linkq_alpha_ * sample;
+          q = (1.0 - kAlpha) * q + kAlpha * sample;
 
           ev::Event e(ev::types::LINK_QUALITY);
           e.set_int(attrs::kNeighbor, neighbor);

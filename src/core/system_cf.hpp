@@ -77,7 +77,7 @@ class NetLinkComponent : public oc::Component {
 
 class SystemCf : public oc::ComponentFramework, public CfsUnit {
  public:
-  SystemCf(oc::Kernel& kernel, net::SimNode& node);
+  explicit SystemCf(net::SimNode& node);
   ~SystemCf() override;
 
   // -- CfsUnit -------------------------------------------------------------------
@@ -100,11 +100,12 @@ class SystemCf : public oc::ComponentFramework, public CfsUnit {
   void ensure_power_status(Duration interval = sec(2));
 
   /// Loads the link-quality context sensor (idempotent): per neighbour, an
-  /// EWMA of control-frame reception against the sensing period, emitted as
-  /// LINK_QUALITY events (attrs::kNeighbor + attrs::kQuality in [0,1]).
+  /// EWMA (weight 0.4 on the newest period) of control-frame reception
+  /// against the sensing period, emitted as LINK_QUALITY events
+  /// (attrs::kNeighbor + attrs::kQuality in [0,1]).
   /// This grounds the §4.5 context list's "link quality" in the same
   /// mechanism a real driver would use (frame arrival statistics).
-  void ensure_link_quality(Duration period = sec(2), double alpha = 0.4);
+  void ensure_link_quality(Duration period = sec(2));
 
   /// Last emitted link-quality estimate for a neighbour (1.0 if unknown).
   double link_quality(net::Addr neighbor) const;
@@ -192,7 +193,6 @@ class SystemCf : public oc::ComponentFramework, public CfsUnit {
   std::unique_ptr<PeriodicTimer> power_timer_;
 
   std::unique_ptr<PeriodicTimer> linkq_timer_;
-  double linkq_alpha_ = 0.4;
   std::map<net::Addr, std::uint32_t> frames_from_;  // within current period
   std::map<net::Addr, double> link_quality_;
 

@@ -98,12 +98,11 @@ void random_geometric(SimMedium& medium, std::span<SimNode* const> nodes,
 
 RangeLinkTracker::RangeLinkTracker(SimMedium& medium,
                                    std::span<SimNode* const> nodes,
-                                   double range, double slack)
+                                   double range)
     : medium_(medium),
       nodes_(nodes.begin(), nodes.end()),
       range_(range),
       range2_(range * range),
-      slack2_(slack * slack),
       grid_(range) {
   MK_ASSERT(range > 0.0);
   const std::size_t n = nodes_.size();
@@ -142,14 +141,14 @@ void RangeLinkTracker::note_moved(std::size_t slot) {
 
 void RangeLinkTracker::update() {
   if (moved_.empty()) return;
-  // Dirty = noted nodes that drifted past the slack. Ascending slot order
+  // Dirty = noted nodes that left their anchor. Ascending slot order
   // makes the pair-ownership rule in evaluate_pair deterministic.
   std::sort(moved_.begin(), moved_.end());
   std::size_t kept = 0;
   for (std::uint32_t slot : moved_) {
     moved_flag_[slot] = 0;
     Position cur = nodes_[slot]->position();
-    if (dist_sq(cur, anchor_[slot]) <= slack2_) continue;
+    if (dist_sq(cur, anchor_[slot]) == 0.0) continue;
     // Phase 1: relocate every dirty node in the grid before any evaluation,
     // so each probe sees all post-move cells.
     grid_.move(slot, anchor_[slot], cur);
@@ -264,18 +263,16 @@ namespace mk::net {
 
 RangeMobilityBase::RangeMobilityBase(SimMedium& medium,
                                      std::vector<SimNode*> nodes, double range,
-                                     double slack,
                                      topo::TopologyBackend backend)
     : medium_(medium),
       nodes_(std::move(nodes)),
       range_(range),
-      slack_(slack),
       backend_(backend) {}
 
 void RangeMobilityBase::init_links() {
   if (backend_ == topo::TopologyBackend::kGrid) {
     tracker_ = std::make_unique<topo::RangeLinkTracker>(medium_, nodes_,
-                                                        range_, slack_);
+                                                        range_);
   } else {
     topo::apply_range_links(medium_, nodes_, range_,
                             topo::TopologyBackend::kReference);
@@ -283,8 +280,8 @@ void RangeMobilityBase::init_links() {
 }
 
 void RangeMobilityBase::note_moved(std::size_t i) {
-  // The tracker filters no-op moves (drift <= slack) itself, so every moved
-  // node is simply noted; the reference backend recomputes from scratch.
+  // The tracker filters no-op moves (unchanged position) itself, so every
+  // moved node is simply noted; the reference backend recomputes from scratch.
   if (tracker_ != nullptr) tracker_->note_moved(i);
 }
 
@@ -300,8 +297,7 @@ void RangeMobilityBase::sync_links() {
 RandomWaypoint::RandomWaypoint(SimMedium& medium, std::vector<SimNode*> nodes,
                                Params params, std::uint64_t seed,
                                topo::TopologyBackend backend)
-    : RangeMobilityBase(medium, std::move(nodes), params.range, params.slack,
-                        backend),
+    : RangeMobilityBase(medium, std::move(nodes), params.range, backend),
       params_(params),
       rng_(seed) {
   states_.resize(nodes_.size());
@@ -349,8 +345,7 @@ void RandomWaypoint::step(Duration dt) {
 GaussMarkov::GaussMarkov(SimMedium& medium, std::vector<SimNode*> nodes,
                          Params params, std::uint64_t seed,
                          topo::TopologyBackend backend)
-    : RangeMobilityBase(medium, std::move(nodes), params.range, params.slack,
-                        backend),
+    : RangeMobilityBase(medium, std::move(nodes), params.range, backend),
       params_(params),
       rng_(seed) {
   MK_ASSERT(params_.alpha >= 0.0 && params_.alpha < 1.0);

@@ -86,17 +86,14 @@ void random_geometric(SimMedium& medium, std::span<SimNode* const> nodes,
 /// by their position ("slot") in the vector handed to the constructor.
 ///
 /// Protocol per mobility step: mutate positions, note_moved() each node that
-/// moved, then update(). Only noted nodes whose drift from their last-
-/// evaluated anchor exceeds the hysteresis slack are re-evaluated — each
-/// against its 9-cell grid neighbourhood plus its current links — so paused
-/// or slow nodes cost nothing. With slack = 0 (the default) the maintained
-/// links are exactly the reference backend's at every step; slack > 0 trades
-/// bounded staleness (a link can lag reality by up to the combined slack of
-/// its endpoints) for fewer re-evaluations under jittery mobility.
+/// moved, then update(). Only noted nodes that left their last-evaluated
+/// anchor are re-evaluated — each against its 9-cell grid neighbourhood plus
+/// its current links — so paused nodes cost nothing. The maintained links are
+/// exactly the reference backend's at every step.
 class RangeLinkTracker {
  public:
   RangeLinkTracker(SimMedium& medium, std::span<SimNode* const> nodes,
-                   double range, double slack = 0.0);
+                   double range);
 
   /// Re-anchors every node at its current position and synchronises all
   /// links from scratch (grid-indexed; called by the constructor).
@@ -105,7 +102,7 @@ class RangeLinkTracker {
   /// Marks node `slot` as having moved since the last update()/rebuild().
   void note_moved(std::size_t slot);
 
-  /// Re-evaluates links around every noted node past the slack, applying
+  /// Re-evaluates links around every noted node that moved, applying
   /// the resulting flips in (min addr, max addr) order.
   void update();
 
@@ -134,7 +131,6 @@ class RangeLinkTracker {
   std::vector<Addr> addr_;  // addr_[slot] == nodes_[slot]->addr()
   double range_;
   double range2_;
-  double slack2_;
   SpatialGrid grid_;
   std::vector<Position> anchor_;      // position at last link evaluation
   std::vector<std::uint8_t> dirty_;   // re-evaluating this update
@@ -175,7 +171,7 @@ class RangeMobilityBase : public MobilityModel {
 
  protected:
   RangeMobilityBase(SimMedium& medium, std::vector<SimNode*> nodes,
-                    double range, double slack, topo::TopologyBackend backend);
+                    double range, topo::TopologyBackend backend);
 
   /// Builds the tracker (grid) or runs the first oracle pass (reference).
   /// Called by subclasses after initial placement.
@@ -190,7 +186,6 @@ class RangeMobilityBase : public MobilityModel {
 
  private:
   double range_;
-  double slack_;
   topo::TopologyBackend backend_;
   std::unique_ptr<topo::RangeLinkTracker> tracker_;  // kGrid only
 };
@@ -208,7 +203,6 @@ class RandomWaypoint : public RangeMobilityBase {
     double max_speed = 10.0;  // m/s
     double pause = 2.0;       // s
     double range = 250.0;     // radio range, m
-    double slack = 0.0;       // link-evaluation hysteresis, m (0 = exact)
   };
 
   RandomWaypoint(SimMedium& medium, std::vector<SimNode*> nodes, Params params,
@@ -249,7 +243,6 @@ class GaussMarkov : public RangeMobilityBase {
     double direction_sigma = 0.5;  // stddev of the heading perturbation, rad
     double alpha = 0.85;           // memory in [0,1): weight of the past
     double range = 250.0;          // radio range, m
-    double slack = 0.0;            // link-evaluation hysteresis, m
   };
 
   GaussMarkov(SimMedium& medium, std::vector<SimNode*> nodes, Params params,

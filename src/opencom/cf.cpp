@@ -20,8 +20,8 @@ std::size_t CfView::count_providing(std::string_view iface_name) const {
       }));
 }
 
-ComponentFramework::ComponentFramework(Kernel& kernel, std::string type_name)
-    : Component(std::move(type_name)), kernel_(kernel) {}
+ComponentFramework::ComponentFramework(std::string type_name)
+    : Component(std::move(type_name)) {}
 
 ComponentFramework::~ComponentFramework() = default;
 
@@ -61,10 +61,6 @@ ComponentId ComponentFramework::insert(std::unique_ptr<Component> comp) {
   return id;
 }
 
-ComponentId ComponentFramework::insert_type(std::string_view type_name) {
-  return insert(kernel_.instantiate(type_name));
-}
-
 void ComponentFramework::remove(ComponentId id) { extract(id); }
 
 std::unique_ptr<Component> ComponentFramework::extract(ComponentId id) {
@@ -78,7 +74,6 @@ std::unique_ptr<Component> ComponentFramework::extract(ComponentId id) {
                                  it->second.get()),
                      hypothetical.end());
   check_integrity(hypothetical);
-  disconnect_all_involving(id);
   auto comp = std::move(it->second);
   members_.erase(it);
   return comp;
@@ -100,72 +95,10 @@ ComponentId ComponentFramework::replace(ComponentId old_id,
                static_cast<const Component*>(replacement.get()));
   check_integrity(hypothetical);
 
-  // Remember the old component's bindings, then take it out.
-  std::vector<BindingInfo> old_bindings;
-  for (const auto& [bid, info] : bindings_) {
-    if (info.user == old_id || info.provider == old_id) {
-      old_bindings.push_back(info);
-    }
-  }
-  disconnect_all_involving(old_id);
   members_.erase(it);
-
   ComponentId new_id = next_id_++;
-  Component* new_comp = replacement.get();
   members_.emplace(new_id, std::move(replacement));
-
-  // Re-establish every binding the replacement can satisfy.
-  for (const auto& b : old_bindings) {
-    if (b.user == old_id && new_comp->has_receptacle(b.receptacle)) {
-      if (member(b.provider) != nullptr) {
-        connect(new_id, b.receptacle, b.provider, b.iface);
-      }
-    } else if (b.provider == old_id &&
-               new_comp->interface(b.iface) != nullptr) {
-      if (member(b.user) != nullptr) {
-        connect(b.user, b.receptacle, new_id, b.iface);
-      }
-    }
-  }
   return new_id;
-}
-
-BindingId ComponentFramework::connect(ComponentId user,
-                                      std::string_view receptacle,
-                                      ComponentId provider,
-                                      std::string_view iface) {
-  std::scoped_lock lock(lock_);
-  Component* u = member(user);
-  Component* p = member(provider);
-  if (u == nullptr || p == nullptr) {
-    throw std::logic_error("connect: unknown member component");
-  }
-  kernel_.bind(*u, receptacle, *p, iface);
-  BindingId id = next_id_++;
-  bindings_.emplace(id, BindingInfo{id, user, std::string{receptacle}, provider,
-                                    std::string{iface}});
-  return id;
-}
-
-void ComponentFramework::disconnect(BindingId id) {
-  std::scoped_lock lock(lock_);
-  auto it = bindings_.find(id);
-  if (it == bindings_.end()) {
-    throw std::logic_error("disconnect: unknown binding");
-  }
-  Component* u = member(it->second.user);
-  if (u != nullptr) {
-    kernel_.unbind(*u, it->second.receptacle);
-  }
-  bindings_.erase(it);
-}
-
-void ComponentFramework::disconnect_all_involving(ComponentId id) {
-  std::vector<BindingId> doomed;
-  for (const auto& [bid, info] : bindings_) {
-    if (info.user == id || info.provider == id) doomed.push_back(bid);
-  }
-  for (BindingId bid : doomed) disconnect(bid);
 }
 
 std::vector<ComponentId> ComponentFramework::members() const {
@@ -196,22 +129,6 @@ ComponentId ComponentFramework::find_id(std::string_view instance_name) const {
     if (comp->instance_name() == instance_name) return id;
   }
   return kNoComponent;
-}
-
-Component* ComponentFramework::find_providing(std::string_view iface_name) const {
-  std::scoped_lock lock(lock_);
-  for (const auto& [_, comp] : members_) {
-    if (comp->interface(iface_name) != nullptr) return comp.get();
-  }
-  return nullptr;
-}
-
-std::vector<BindingInfo> ComponentFramework::bindings() const {
-  std::scoped_lock lock(lock_);
-  std::vector<BindingInfo> out;
-  out.reserve(bindings_.size());
-  for (const auto& [_, info] : bindings_) out.push_back(info);
-  return out;
 }
 
 }  // namespace mk::oc

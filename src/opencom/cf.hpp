@@ -1,7 +1,9 @@
 // Component Frameworks (CFs): composite components that own plug-in
 // components, police integrity rules over their composition, and expose the
 // paper's *architecture meta-model* — a generic API through which the
-// interconnections of the composed set can be inspected and reconfigured.
+// composed set can be inspected and reconfigured. Members are not wired to
+// each other by hand: events reach them through the Framework Manager's
+// routes, derived from each unit's <required, provided> tuple.
 //
 // CFs are themselves Components, so they nest (MANETKit CF ⊃ ManetProtocol
 // CFs ⊃ ManetControl CF, ...). Reconfiguration safety is provided by the CF
@@ -20,24 +22,11 @@
 #include <vector>
 
 #include "opencom/component.hpp"
-#include "opencom/kernel.hpp"
 
 namespace mk::oc {
 
 using ComponentId = std::uint64_t;
-using BindingId = std::uint64_t;
 inline constexpr ComponentId kNoComponent = 0;
-
-/// Snapshot of one internal binding for the architecture meta-model.
-struct BindingInfo {
-  BindingId id = 0;
-  ComponentId user = kNoComponent;
-  std::string receptacle;
-  ComponentId provider = kNoComponent;
-  std::string iface;
-};
-
-class ComponentFramework;
 
 /// Read-only view of a (possibly hypothetical) composition, handed to
 /// integrity rules for validation *before* a mutation is committed.
@@ -61,10 +50,8 @@ using IntegrityRule =
 
 class ComponentFramework : public Component {
  public:
-  ComponentFramework(Kernel& kernel, std::string type_name);
+  explicit ComponentFramework(std::string type_name);
   ~ComponentFramework() override;
-
-  Kernel& kernel() { return kernel_; }
 
   // -- integrity ------------------------------------------------------------
 
@@ -77,28 +64,18 @@ class ComponentFramework : public Component {
   /// integrity rule rejects the resulting composition.
   ComponentId insert(std::unique_ptr<Component> comp);
 
-  /// Instantiates `type_name` via the kernel and inserts it.
-  ComponentId insert_type(std::string_view type_name);
-
-  /// Removes and destroys a plug-in; its bindings (both directions) are
-  /// disconnected first. Throws if integrity rules reject the removal.
+  /// Removes and destroys a plug-in. Throws if integrity rules reject the
+  /// removal.
   void remove(ComponentId id);
 
   /// Removes a plug-in but returns it instead of destroying it (used for
   /// state transfer — carrying an S component to a new protocol instance).
   std::unique_ptr<Component> extract(ComponentId id);
 
-  /// Replaces `old_id` with `replacement`: disconnects the old component,
-  /// inserts the new one and re-establishes every binding the old component
-  /// participated in whose receptacle/interface names the replacement also
-  /// supports. Returns the new component's id.
+  /// Replaces `old_id` with `replacement` under a fresh id, which it
+  /// returns. Throws std::logic_error, leaving `old_id` in place, if an
+  /// integrity rule rejects the resulting composition.
   ComponentId replace(ComponentId old_id, std::unique_ptr<Component> replacement);
-
-  /// Connects member `user`'s receptacle to member `provider`'s interface.
-  BindingId connect(ComponentId user, std::string_view receptacle,
-                    ComponentId provider, std::string_view iface);
-
-  void disconnect(BindingId id);
 
   // -- architecture meta-model: introspection --------------------------------
 
@@ -108,11 +85,6 @@ class ComponentFramework : public Component {
   /// Finds the first member with the given instance name (nullptr if none).
   Component* find(std::string_view instance_name) const;
   ComponentId find_id(std::string_view instance_name) const;
-
-  /// Finds the first member providing interface `iface_name`.
-  Component* find_providing(std::string_view iface_name) const;
-
-  std::vector<BindingInfo> bindings() const;
 
   std::size_t member_count() const { return members_.size(); }
 
@@ -127,12 +99,9 @@ class ComponentFramework : public Component {
  private:
   void check_integrity(const std::vector<const Component*>& members) const;
   std::vector<const Component*> current_members() const;
-  void disconnect_all_involving(ComponentId id);
 
-  Kernel& kernel_;
-  std::uint64_t next_id_ = 1;
+  ComponentId next_id_ = 1;
   std::map<ComponentId, std::unique_ptr<Component>> members_;
-  std::map<BindingId, BindingInfo> bindings_;
   std::vector<IntegrityRule> rules_;
   mutable std::recursive_mutex lock_;
 };

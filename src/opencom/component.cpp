@@ -19,40 +19,10 @@ Interface* Component::interface(std::string_view name) const {
   return it == provided_.end() ? nullptr : it->second;
 }
 
-std::vector<ReceptacleInfo> Component::receptacles() const {
-  std::vector<ReceptacleInfo> out;
-  out.reserve(receptacles_.size());
-  for (const auto& [name, r] : receptacles_) {
-    out.push_back(ReceptacleInfo{name, r.iface_type, r.target != nullptr,
-                                 r.provider});
-  }
-  return out;
-}
-
-bool Component::has_receptacle(std::string_view name) const {
-  return receptacles_.find(name) != receptacles_.end();
-}
-
-Interface* Component::plugged(std::string_view receptacle) const {
-  auto it = receptacles_.find(receptacle);
-  return it == receptacles_.end() ? nullptr : it->second.target;
-}
-
-Component* Component::plugged_provider(std::string_view receptacle) const {
-  auto it = receptacles_.find(receptacle);
-  return it == receptacles_.end() ? nullptr : it->second.provider;
-}
-
 void Component::provide(std::string name, Interface* iface) {
   MK_ASSERT(iface != nullptr, "null interface: " + name);
   auto [_, inserted] = provided_.emplace(std::move(name), iface);
   MK_ASSERT(inserted, "duplicate interface");
-}
-
-void Component::declare_receptacle(std::string name, std::string iface_type) {
-  auto [_, inserted] =
-      receptacles_.emplace(std::move(name), Receptacle{std::move(iface_type)});
-  MK_ASSERT(inserted, "duplicate receptacle");
 }
 
 }  // namespace mk::oc

@@ -1,14 +1,12 @@
 // OpenCom-style component base class.
 //
-// Subclasses call provide() in their constructor to expose interfaces, and
-// declare_receptacle() to declare required interfaces. The Kernel (or a
-// ComponentFramework acting through it) connects receptacles to interfaces.
-//
-// The reflective *interface meta-model* of the paper is the introspection
-// API here: interfaces(), receptacles(), interface(name).
+// Subclasses call provide() in their constructor to expose interfaces. The
+// reflective *interface meta-model* of the paper is the introspection API
+// here: interfaces() and interface(name). The paper's receptacle→interface
+// bindings are the Framework Manager's event routes (core/framework_manager),
+// so a component declares no receptacles.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -18,16 +16,6 @@
 
 namespace mk::oc {
 
-class Component;
-
-/// Introspection record for one receptacle (required interface).
-struct ReceptacleInfo {
-  std::string name;
-  std::string iface_type;
-  bool connected = false;
-  const Component* provider = nullptr;  // component currently plugged in
-};
-
 class Component {
  public:
   explicit Component(std::string type_name);
@@ -36,7 +24,7 @@ class Component {
   Component(const Component&) = delete;
   Component& operator=(const Component&) = delete;
 
-  /// The component *type* (factory name), e.g. "olsr.TcHandler".
+  /// The component *type*, e.g. "olsr.TcHandler".
   const std::string& type_name() const { return type_name_; }
 
   /// Optional per-instance name (defaults to the type name).
@@ -57,44 +45,15 @@ class Component {
     return dynamic_cast<T*>(interface(name));
   }
 
-  /// All declared receptacles with their current connection state.
-  std::vector<ReceptacleInfo> receptacles() const;
-
-  bool has_receptacle(std::string_view name) const;
-
-  /// The interface currently plugged into a receptacle (nullptr if none).
-  Interface* plugged(std::string_view receptacle) const;
-
-  /// Typed access to the plugged interface.
-  template <typename T>
-  T* plugged_as(std::string_view receptacle) const {
-    return dynamic_cast<T*>(plugged(receptacle));
-  }
-
-  /// Component providing the interface plugged into a receptacle.
-  Component* plugged_provider(std::string_view receptacle) const;
-
  protected:
   /// Exposes an interface under `name`. The pointer must stay valid for the
   /// component's lifetime (usually `this` or an owned member).
   void provide(std::string name, Interface* iface);
 
-  /// Declares a receptacle requiring an interface of type `iface_type`.
-  void declare_receptacle(std::string name, std::string iface_type);
-
  private:
-  friend class Kernel;
-
-  struct Receptacle {
-    std::string iface_type;
-    Interface* target = nullptr;
-    Component* provider = nullptr;
-  };
-
   std::string type_name_;
   std::string instance_name_;
   std::map<std::string, Interface*, std::less<>> provided_;
-  std::map<std::string, Receptacle, std::less<>> receptacles_;
 };
 
 }  // namespace mk::oc

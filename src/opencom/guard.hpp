@@ -1,7 +1,7 @@
 // Guarded invocation: the OpenCom-level fault barrier under MANETKit's
 // supervision layer (ISSUE 5).
 //
-// OpenCom components are in-process plug-ins — a receptacle call into a
+// OpenCom components are in-process plug-ins — a call into a
 // misbehaving component would otherwise unwind straight through the caller
 // (here: the Framework Manager's dispatch loop, which must keep routing for
 // every *other* unit). `guarded_invoke` turns an arbitrary invocation into a

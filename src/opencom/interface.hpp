@@ -1,10 +1,10 @@
 // OpenCom-style interfaces.
 //
-// A component exposes named interfaces (points at which it can be invoked)
-// and declares named receptacles (points at which it requires an interface of
-// another component). Interfaces are plain abstract classes rooted at
-// oc::Interface; the name string is the interface *type* used for matching
-// receptacles to interfaces at bind time (the paper's interface meta-model).
+// A component exposes named interfaces (points at which it can be invoked).
+// Interfaces are plain abstract classes rooted at oc::Interface; the name
+// string is the interface *type* a caller looks up (the paper's interface
+// meta-model). Who calls whom is not wired by hand: the Framework Manager
+// derives every unit's bindings from its <required, provided> event tuple.
 #pragma once
 
 namespace mk::oc {

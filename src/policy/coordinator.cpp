@@ -118,8 +118,7 @@ core::ManetProtocolCf* deploy_coordinator(core::Manetkit& kit) {
     kit.register_protocol("reconfig", /*layer=*/30, [](core::Manetkit& k) {
       k.system().register_message(kMsgReconfig, "RECONFIG");
       auto cf = std::make_unique<core::ManetProtocolCf>(
-          k.kernel(), "reconfig", k.scheduler(), k.self(),
-          &k.system().sys_state());
+          "reconfig", k.scheduler(), k.self(), &k.system().sys_state());
       auto state = std::make_unique<ReconfigState>();
       state->kit = &k;
       cf->set_state(std::move(state));

@@ -300,8 +300,7 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
   kit.system().register_message(wire::kMsgAodvRerr, "AODV");
 
   auto cf = std::make_unique<core::ManetProtocolCf>(
-      kit.kernel(), "aodv", kit.scheduler(), kit.self(),
-      &kit.system().sys_state());
+      "aodv", kit.scheduler(), kit.self(), &kit.system().sys_state());
 
   cf->set_state(std::make_unique<AodvState>());
 

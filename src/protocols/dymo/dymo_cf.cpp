@@ -289,8 +289,7 @@ std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
   kit.system().register_message(wire::kMsgDymoRerr, "RERR");
 
   auto cf = std::make_unique<core::ManetProtocolCf>(
-      kit.kernel(), "dymo", kit.scheduler(), kit.self(),
-      &kit.system().sys_state());
+      "dymo", kit.scheduler(), kit.self(), &kit.system().sys_state());
 
   cf->set_state(std::make_unique<DymoState>());
 

@@ -244,8 +244,7 @@ std::unique_ptr<core::ManetProtocolCf> build_gpsr_cf(core::Manetkit& kit,
   kit.system().ensure_netlink();
 
   auto cf = std::make_unique<core::ManetProtocolCf>(
-      kit.kernel(), "gpsr", kit.scheduler(), kit.self(),
-      &kit.system().sys_state());
+      "gpsr", kit.scheduler(), kit.self(), &kit.system().sys_state());
   cf->set_state(std::make_unique<GpsrState>());
 
   // Per-entry soft-state expiry for positions and greedily installed routes

@@ -140,8 +140,8 @@ class FloodRelayHandler final : public core::EventHandler {
   std::map<ev::EventTypeId, ev::EventTypeId> out_for_in_;
 };
 
-/// Direct-call flooding service (the F element), for callers holding an
-/// IForward receptacle to this CF.
+/// Direct-call flooding service (the F element), for callers that look up
+/// this CF's IForward interface.
 class MprForward final : public oc::Component, public core::IForward {
  public:
   explicit MprForward(core::ManetProtocolCf& cf)
@@ -204,8 +204,7 @@ std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit,
   kit.system().ensure_power_status();
 
   auto cf = std::make_unique<core::ManetProtocolCf>(
-      kit.kernel(), "mpr", kit.scheduler(), kit.self(),
-      &kit.system().sys_state());
+      "mpr", kit.scheduler(), kit.self(), &kit.system().sys_state());
 
   // Integrity: exactly one MPR-calculation strategy at a time.
   cf->add_integrity_rule([](const oc::CfView& view, std::string& err) {

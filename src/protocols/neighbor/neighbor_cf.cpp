@@ -145,8 +145,7 @@ std::unique_ptr<core::ManetProtocolCf> build_neighbor_cf(core::Manetkit& kit,
   kit.system().register_message(wire::kMsgHello, "HELLO");
 
   auto cf = std::make_unique<core::ManetProtocolCf>(
-      kit.kernel(), "neighbor", kit.scheduler(), kit.self(),
-      &kit.system().sys_state());
+      "neighbor", kit.scheduler(), kit.self(), &kit.system().sys_state());
   cf->set_state(std::make_unique<NeighborTable>());
 
   // Link tuples live in the shared soft-state layer: every HELLO (or

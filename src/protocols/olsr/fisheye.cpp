@@ -37,8 +37,7 @@ class FisheyeHandler final : public core::EventHandler {
 std::unique_ptr<core::ManetProtocolCf> build_fisheye_cf(core::Manetkit& kit,
                                                         FisheyeParams params) {
   auto cf = std::make_unique<core::ManetProtocolCf>(
-      kit.kernel(), "olsr-fisheye", kit.scheduler(), kit.self(),
-      &kit.system().sys_state());
+      "olsr-fisheye", kit.scheduler(), kit.self(), &kit.system().sys_state());
   cf->add_handler(std::make_unique<FisheyeHandler>(std::move(params)));
   // Requiring and providing TC_OUT makes this unit an interposer on the
   // TC_OUT path — no other wiring is needed.

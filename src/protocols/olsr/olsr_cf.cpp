@@ -176,8 +176,7 @@ std::unique_ptr<core::ManetProtocolCf> build_olsr_cf(core::Manetkit& kit,
   kit.deploy("mpr");
 
   auto cf = std::make_unique<core::ManetProtocolCf>(
-      kit.kernel(), "olsr", kit.scheduler(), kit.self(),
-      &kit.system().sys_state());
+      "olsr", kit.scheduler(), kit.self(), &kit.system().sys_state());
 
   cf->add_integrity_rule([](const oc::CfView& view, std::string& err) {
     if (view.count_providing("IRouteCalculator") > 1) {

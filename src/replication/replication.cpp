@@ -480,8 +480,7 @@ void register_replication(core::Manetkit& kit, ReplicationParams params) {
       "replication", /*layer=*/5, [params](core::Manetkit& k) {
         k.system().register_message(proto::wire::kMsgRepl, "REPL");
         auto cf = std::make_unique<core::ManetProtocolCf>(
-            k.kernel(), "replication", k.scheduler(), k.self(),
-            &k.system().sys_state());
+            "replication", k.scheduler(), k.self(), &k.system().sys_state());
         auto mgr = std::make_unique<ReplicationManager>(k, params);
         ReplicationManager* raw = mgr.get();
         cf->set_state(std::move(mgr));

@@ -34,18 +34,39 @@ std::size_t count_loc(const std::string& path) {
   return loc;
 }
 
-std::size_t count_tree_loc(const std::string& dir) {
+namespace {
+
+std::size_t count_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  return lines;
+}
+
+/// Sums `count(path)` over every C++ source (.hpp, .cpp) under `dir`.
+std::size_t sum_tree(const std::string& dir,
+                     std::size_t (*count)(const std::string&)) {
   std::error_code ec;
-  std::size_t loc = 0;
+  std::size_t total = 0;
   for (fs::recursive_directory_iterator it(dir, ec), end; !ec && it != end;
        it.increment(ec)) {
     const fs::path& p = it->path();
     if (it->is_regular_file() &&
         (p.extension() == ".hpp" || p.extension() == ".cpp")) {
-      loc += count_loc(p.string());
+      total += count(p.string());
     }
   }
-  return loc;
+  return total;
+}
+
+}  // namespace
+
+std::size_t count_tree_loc(const std::string& dir) {
+  return sum_tree(dir, count_loc);
+}
+
+std::size_t count_tree_lines(const std::string& dir) {
+  return sum_tree(dir, count_lines);
 }
 
 std::string repo_root() { return MK_SOURCE_DIR; }

@@ -26,6 +26,10 @@ std::size_t count_loc(const std::string& path);
 /// recursively. Returns 0 for a missing directory.
 std::size_t count_tree_loc(const std::string& dir);
 
+/// Raw line count (blank and comment lines included, as `wc -l` reports)
+/// over the same files as count_tree_loc().
+std::size_t count_tree_lines(const std::string& dir);
+
 /// The component manifest for this repository (paths relative to repo root).
 std::vector<ComponentLoc> manifest();
 

@@ -225,7 +225,7 @@ ev::Event make_command(net::Addr origin, std::uint16_t epoch,
 core::ManetProtocolCf* deploy_command_source(core::Manetkit& kit) {
   kit.register_protocol("cmdsrc", 5, [](core::Manetkit& k) {
     auto cf = std::make_unique<core::ManetProtocolCf>(
-        k.kernel(), "cmdsrc", k.scheduler(), k.self(), &k.system().sys_state());
+        "cmdsrc", k.scheduler(), k.self(), &k.system().sys_state());
     cf->declare_events({}, {"RECONFIG_IN"});
     return cf;
   });

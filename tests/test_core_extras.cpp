@@ -140,7 +140,7 @@ TEST(FifoOrdering, SameInterestProtocolsSeeSameOrder) {
     auto* captured = log;
     kit.register_protocol(name, 20, [captured](Manetkit& k) {
       auto cf = std::make_unique<ManetProtocolCf>(
-          k.kernel(), "p", k.scheduler(), k.self(), &k.system().sys_state());
+          "p", k.scheduler(), k.self(), &k.system().sys_state());
       cf->add_handler(std::make_unique<OrderHandler>(captured));
       cf->declare_events({"SEQD"}, {});
       return cf;

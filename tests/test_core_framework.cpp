@@ -4,6 +4,10 @@
 // models and the context concentrator.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "core/framework_manager.hpp"
 #include "core/manet_protocol.hpp"
 #include "net/medium.hpp"
@@ -50,8 +54,7 @@ struct Fixture {
   SimScheduler sched;
   net::SimMedium medium{sched};
   net::SimNode node{0, medium, sched};
-  oc::Kernel kernel;
-  FrameworkManager manager{kernel};
+  FrameworkManager manager;
   std::vector<std::string> log;
   std::vector<std::unique_ptr<ManetProtocolCf>> owned;
 
@@ -62,7 +65,7 @@ struct Fixture {
                         std::vector<std::string> provided,
                         std::string emit_as = "",
                         std::vector<std::string> exclusive = {}) {
-    auto cf = std::make_unique<ManetProtocolCf>(kernel, tag, sched, 1, nullptr);
+    auto cf = std::make_unique<ManetProtocolCf>(tag, sched, 1, nullptr);
     if (!required.empty()) {
       cf->add_handler(
           std::make_unique<RelayHandler>(required, emit_as, tag, &log));
@@ -166,8 +169,7 @@ TEST(FrameworkManager, UnitRuleRejectsRegistration) {
     return true;
   });
   auto make = [&](const std::string& name) {
-    auto cf = std::make_unique<ManetProtocolCf>(f.kernel, name, f.sched, 1,
-                                                nullptr);
+    auto cf = std::make_unique<ManetProtocolCf>(name, f.sched, 1, nullptr);
     cf->set_category("reactive");
     ManetProtocolCf* raw = cf.get();
     f.owned.push_back(std::move(cf));
@@ -209,8 +211,7 @@ TEST(Concurrency, ThreadedModelsDeliverEverything) {
       std::atomic<int>& c_;
     };
 
-    auto cf = std::make_unique<ManetProtocolCf>(f.kernel, "counter", f.sched,
-                                                1, nullptr);
+    auto cf = std::make_unique<ManetProtocolCf>("counter", f.sched, 1, nullptr);
     cf->add_handler(std::make_unique<CountHandler>(count));
     f.manager.register_unit(cf.get(), 10);
     cf->declare_events({"EVT_T"}, {});
@@ -238,8 +239,7 @@ TEST(Concurrency, DedicatedThreadModelDeliversEverything) {
     std::atomic<int>& c_;
   };
 
-  auto cf = std::make_unique<ManetProtocolCf>(f.kernel, "counter", f.sched, 1,
-                                              nullptr);
+  auto cf = std::make_unique<ManetProtocolCf>("counter", f.sched, 1, nullptr);
   cf->add_handler(std::make_unique<CountHandler>(count));
   f.manager.register_unit(cf.get(), 10);
   cf->declare_events({"EVT_Q"}, {});
@@ -253,6 +253,118 @@ TEST(Concurrency, DedicatedThreadModelDeliversEverything) {
   EXPECT_EQ(count.load(), 500);
   cf->disable_dedicated_thread();
   f.manager.deregister_unit(cf.get());
+}
+
+/// Counts deliveries made through it and how many are inside it right now.
+class ProbeGuard final : public DispatchGuard {
+ public:
+  void deliver(CfsUnit& target, const ev::Event& event) override {
+    ++inside;
+    target.deliver(event);
+    --inside;
+    ++through;
+  }
+  std::atomic<int> inside{0};
+  std::atomic<int> through{0};
+};
+
+/// Holds every delivery until `release` is set, then counts it.
+class GateHandler final : public EventHandler {
+ public:
+  GateHandler(const std::string& type, std::atomic<bool>& release,
+              std::atomic<int>& handled)
+      : EventHandler("test.GateHandler", {type}),
+        release_(release),
+        handled_(handled) {}
+  void handle(const ev::Event&, ProtocolContext&) override {
+    while (!release_.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ++handled_;
+  }
+
+ private:
+  std::atomic<bool>& release_;
+  std::atomic<int>& handled_;
+};
+
+/// Spins until `value` reaches `want` (or a generous timeout passes).
+void await(const std::atomic<int>& value, int want) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (value.load() < want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(Concurrency, GuardUninstallWaitsForThreadedDispatches) {
+  for (bool per_protocol : {false, true}) {
+    SCOPED_TRACE(per_protocol ? "thread-per-protocol" : "thread-per-message");
+    Fixture f;
+    std::atomic<bool> release{false};
+    std::atomic<int> handled{0};
+    ProbeGuard probe;
+
+    auto cf = std::make_unique<ManetProtocolCf>("gated", f.sched, 1, nullptr);
+    cf->add_handler(std::make_unique<GateHandler>("EVT_G", release, handled));
+    f.manager.register_unit(cf.get(), 10);
+    cf->declare_events({"EVT_G"}, {});
+    auto* producer = f.unit("producer", 20, {}, {"EVT_G"});
+    if (per_protocol) {
+      cf->enable_dedicated_thread();
+    } else {
+      f.manager.set_concurrency(ConcurrencyModel::kThreadPerMessage, 2);
+    }
+    f.manager.set_dispatch_guard(&probe);
+
+    // Pool: both workers enter the guard (one in the handler, one on the CF
+    // lock). Dedicated: the worker holds the first event, two stay queued.
+    const int sent = per_protocol ? 3 : 2;
+    for (int i = 0; i < sent; ++i) {
+      producer->emit(ev::Event(ev::etype("EVT_G")));
+    }
+    await(probe.inside, per_protocol ? 1 : 2);
+
+    std::thread releaser([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      release.store(true);
+    });
+    f.manager.set_dispatch_guard(nullptr);
+    EXPECT_EQ(probe.inside.load(), 0);
+    EXPECT_EQ(probe.through.load(), sent);
+    releaser.join();
+
+    // Later dispatches bypass the uninstalled guard.
+    producer->emit(ev::Event(ev::etype("EVT_G")));
+    f.manager.drain();
+    EXPECT_EQ(handled.load(), sent + 1);
+    EXPECT_EQ(probe.through.load(), sent);
+    cf->disable_dedicated_thread();
+    f.manager.deregister_unit(cf.get());
+  }
+}
+
+TEST(Concurrency, DestroyingADedicatedThreadCfDeliversIntoAWholeCf) {
+  SimScheduler sched;
+  std::atomic<bool> release{false};
+  std::atomic<int> handled{0};
+  auto cf = std::make_unique<ManetProtocolCf>("gated", sched, 1, nullptr);
+  cf->add_handler(std::make_unique<GateHandler>("EVT_D", release, handled));
+  cf->enable_dedicated_thread();
+  constexpr int kSent = 5;
+  for (int i = 0; i < kSent; ++i) {
+    cf->dedicated()->enqueue(ev::Event(ev::etype("EVT_D")));
+  }
+
+  // The worker holds the first event while the CF is destroyed; the rest are
+  // still queued and must be delivered into a CF whose members are intact
+  // (its delivery counter included).
+  std::thread releaser([&release] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    release.store(true);
+  });
+  cf.reset();
+  releaser.join();
+  EXPECT_EQ(handled.load(), kSent);
 }
 
 }  // namespace

@@ -107,8 +107,7 @@ TEST(Manetkit, SwitchProtocolWithoutState) {
 
 TEST(ManetProtocol, StateTransferCarriesSElement) {
   KitFixture f;
-  auto cf = std::make_unique<ManetProtocolCf>(f.kit.kernel(), "p1", f.sched, 1,
-                                              nullptr);
+  auto cf = std::make_unique<ManetProtocolCf>("p1", f.sched, 1, nullptr);
   auto state = std::make_unique<oc::Component>("test.State");
   state->set_instance_name("State");
   cf->set_state(std::move(state));
@@ -117,8 +116,7 @@ TEST(ManetProtocol, StateTransferCarriesSElement) {
   ASSERT_NE(taken, nullptr);
   EXPECT_EQ(cf->state_component(), nullptr);
 
-  auto cf2 = std::make_unique<ManetProtocolCf>(f.kit.kernel(), "p2", f.sched,
-                                               1, nullptr);
+  auto cf2 = std::make_unique<ManetProtocolCf>("p2", f.sched, 1, nullptr);
   cf2->set_state(std::move(taken));
   EXPECT_NE(cf2->state_component(), nullptr);
   EXPECT_EQ(cf2->state_component()->type_name(), "test.State");
@@ -126,7 +124,7 @@ TEST(ManetProtocol, StateTransferCarriesSElement) {
 
 TEST(ManetProtocol, IntegrityRejectsSecondState) {
   KitFixture f;
-  ManetProtocolCf cf(f.kit.kernel(), "p", f.sched, 1, nullptr);
+  ManetProtocolCf cf("p", f.sched, 1, nullptr);
   auto s1 = std::make_unique<oc::Component>("test.S1");
   s1->set_instance_name("State");
   cf.insert(std::move(s1));
@@ -141,7 +139,7 @@ TEST(ManetProtocol, IntegrityRejectsSecondState) {
 
 TEST(ManetProtocol, HandlerReplaceUpdatesRegistry) {
   KitFixture f;
-  ManetProtocolCf cf(f.kit.kernel(), "p", f.sched, 1, nullptr);
+  ManetProtocolCf cf("p", f.sched, 1, nullptr);
   std::vector<std::string> log1, log2;
   cf.add_handler(std::make_unique<SpyHandler>(&log1,
                                               std::vector<std::string>{"E1"}));
@@ -157,7 +155,7 @@ TEST(ManetProtocol, HandlerReplaceUpdatesRegistry) {
 
 TEST(ManetProtocol, RemoveHandlerStopsDelivery) {
   KitFixture f;
-  ManetProtocolCf cf(f.kit.kernel(), "p", f.sched, 1, nullptr);
+  ManetProtocolCf cf("p", f.sched, 1, nullptr);
   std::vector<std::string> log;
   cf.add_handler(std::make_unique<SpyHandler>(&log,
                                               std::vector<std::string>{"E2"}));
@@ -169,7 +167,7 @@ TEST(ManetProtocol, RemoveHandlerStopsDelivery) {
 
 TEST(ManetProtocol, EmitHookReceivesWhenUnmanaged) {
   KitFixture f;
-  ManetProtocolCf cf(f.kit.kernel(), "p", f.sched, 1, nullptr);
+  ManetProtocolCf cf("p", f.sched, 1, nullptr);
   std::vector<std::string> emitted;
   cf.set_emit_hook([&](const ev::Event& e) { emitted.push_back(e.type_name()); });
   cf.emit(ev::Event(ev::etype("E3")));
@@ -191,7 +189,7 @@ TEST(SystemCf, DemuxRaisesInEventsForRegisteredTypes) {
   std::vector<std::string> log;
   kit1.register_protocol("spy", 20, [&log](Manetkit& k) {
     auto cf = std::make_unique<ManetProtocolCf>(
-        k.kernel(), "spy", k.scheduler(), k.self(), &k.system().sys_state());
+        "spy", k.scheduler(), k.self(), &k.system().sys_state());
     cf->add_handler(std::make_unique<SpyHandler>(
         &log, std::vector<std::string>{"CUSTOM_IN"}));
     cf->declare_events({"CUSTOM_IN"}, {});

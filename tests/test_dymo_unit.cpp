@@ -211,7 +211,7 @@ struct DymoHandlers {
   net::SimMedium medium{sched};
   net::SimNode node{0, medium, sched};
   core::Manetkit kit{node};
-  core::ManetProtocolCf cf{kit.kernel(), "dymo", sched, kSelf, nullptr};
+  core::ManetProtocolCf cf{"dymo", sched, kSelf, nullptr};
   std::vector<ev::Event> out;
 };
 

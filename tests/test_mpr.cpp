@@ -275,7 +275,7 @@ TEST(MprCf, LostHelloFromSelectorEmitsMprChange) {
   auto& kit = world.kit(1);
   kit.register_protocol("probe", 20, [&changes](core::Manetkit& k) {
     auto cf = std::make_unique<core::ManetProtocolCf>(
-        k.kernel(), "probe", k.scheduler(), k.self(), &k.system().sys_state());
+        "probe", k.scheduler(), k.self(), &k.system().sys_state());
     cf->add_handler(std::make_unique<MprChangeCounter>(&changes));
     cf->declare_events({"MPR_CHANGE"}, {});
     return cf;

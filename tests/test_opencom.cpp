@@ -1,11 +1,9 @@
-// OpenCom component model: interfaces/receptacles, kernel bind/unbind,
-// component frameworks with integrity rules, replace with rebinding,
-// nesting, and the architecture meta-model.
+// OpenCom component model: the interface meta-model, component frameworks
+// with integrity rules, replace, nesting, and the architecture meta-model.
 #include <gtest/gtest.h>
 
 #include "opencom/cf.hpp"
 #include "opencom/component.hpp"
-#include "opencom/kernel.hpp"
 
 namespace mk::oc {
 namespace {
@@ -26,17 +24,6 @@ class Greeter : public Component, public IGreeter {
   std::string word_;
 };
 
-class Caller : public Component {
- public:
-  Caller() : Component("test.Caller") {
-    declare_receptacle("greeter", "IGreeter");
-  }
-  std::string call() const {
-    auto* g = plugged_as<IGreeter>("greeter");
-    return g == nullptr ? "(unbound)" : g->greet();
-  }
-};
-
 TEST(Component, InterfaceMetaModel) {
   Greeter g;
   EXPECT_EQ(g.interfaces(), std::vector<std::string>{"IGreeter"});
@@ -45,48 +32,8 @@ TEST(Component, InterfaceMetaModel) {
   EXPECT_NE(g.interface_as<IGreeter>("IGreeter"), nullptr);
 }
 
-TEST(Component, ReceptacleIntrospection) {
-  Caller c;
-  auto receptacles = c.receptacles();
-  ASSERT_EQ(receptacles.size(), 1u);
-  EXPECT_EQ(receptacles[0].name, "greeter");
-  EXPECT_EQ(receptacles[0].iface_type, "IGreeter");
-  EXPECT_FALSE(receptacles[0].connected);
-}
-
-TEST(Kernel, FactoryInstantiate) {
-  Kernel kernel;
-  kernel.register_factory("test.Greeter",
-                          [] { return std::make_unique<Greeter>(); });
-  EXPECT_TRUE(kernel.has_factory("test.Greeter"));
-  auto comp = kernel.instantiate("test.Greeter");
-  EXPECT_EQ(comp->type_name(), "test.Greeter");
-  EXPECT_EQ(kernel.components_created(), 1u);
-  EXPECT_THROW(kernel.instantiate("nope"), std::logic_error);
-}
-
-TEST(Kernel, BindConnectsReceptacleToInterface) {
-  Kernel kernel;
-  Greeter g("hi");
-  Caller c;
-  kernel.bind(c, "greeter", g, "IGreeter");
-  EXPECT_EQ(c.call(), "hi");
-  EXPECT_EQ(c.plugged_provider("greeter"), &g);
-  kernel.unbind(c, "greeter");
-  EXPECT_EQ(c.call(), "(unbound)");
-}
-
-TEST(Kernel, BindRejectsTypeMismatch) {
-  Kernel kernel;
-  Greeter g;
-  Caller c;
-  EXPECT_THROW(kernel.bind(c, "nope", g, "IGreeter"), std::logic_error);
-  EXPECT_THROW(kernel.bind(c, "greeter", g, "IBogus"), std::logic_error);
-}
-
 TEST(Cf, InsertRemoveMembers) {
-  Kernel kernel;
-  ComponentFramework cf(kernel, "test.CF");
+  ComponentFramework cf("test.CF");
   ComponentId id = cf.insert(std::make_unique<Greeter>());
   EXPECT_EQ(cf.member_count(), 1u);
   EXPECT_NE(cf.member(id), nullptr);
@@ -96,8 +43,7 @@ TEST(Cf, InsertRemoveMembers) {
 }
 
 TEST(Cf, IntegrityRuleBlocksIllegalInsert) {
-  Kernel kernel;
-  ComponentFramework cf(kernel, "test.CF");
+  ComponentFramework cf("test.CF");
   cf.add_integrity_rule([](const CfView& view, std::string& err) {
     if (view.count_type("test.Greeter") > 1) {
       err = "only one greeter";
@@ -111,8 +57,7 @@ TEST(Cf, IntegrityRuleBlocksIllegalInsert) {
 }
 
 TEST(Cf, IntegrityRuleBlocksIllegalRemove) {
-  Kernel kernel;
-  ComponentFramework cf(kernel, "test.CF");
+  ComponentFramework cf("test.CF");
   cf.add_integrity_rule([](const CfView& view, std::string& err) {
     if (view.count_type("test.Greeter") < 1) {
       err = "greeter is mandatory";
@@ -125,53 +70,35 @@ TEST(Cf, IntegrityRuleBlocksIllegalRemove) {
   EXPECT_EQ(cf.member_count(), 1u);
 }
 
-TEST(Cf, ConnectTracksBindings) {
-  Kernel kernel;
-  ComponentFramework cf(kernel, "test.CF");
-  ComponentId g = cf.insert(std::make_unique<Greeter>("yo"));
-  ComponentId c = cf.insert(std::make_unique<Caller>());
-  BindingId b = cf.connect(c, "greeter", g, "IGreeter");
-
-  auto bindings = cf.bindings();
-  ASSERT_EQ(bindings.size(), 1u);
-  EXPECT_EQ(bindings[0].user, c);
-  EXPECT_EQ(bindings[0].provider, g);
-
-  EXPECT_EQ(dynamic_cast<Caller*>(cf.member(c))->call(), "yo");
-  cf.disconnect(b);
-  EXPECT_EQ(dynamic_cast<Caller*>(cf.member(c))->call(), "(unbound)");
-}
-
-TEST(Cf, RemoveDisconnectsInvolvedBindings) {
-  Kernel kernel;
-  ComponentFramework cf(kernel, "test.CF");
-  ComponentId g = cf.insert(std::make_unique<Greeter>());
-  ComponentId c = cf.insert(std::make_unique<Caller>());
-  cf.connect(c, "greeter", g, "IGreeter");
-  cf.remove(g);
-  EXPECT_TRUE(cf.bindings().empty());
-  EXPECT_EQ(dynamic_cast<Caller*>(cf.member(c))->call(), "(unbound)");
-}
-
-TEST(Cf, ReplaceReestablishesBindings) {
-  Kernel kernel;
-  ComponentFramework cf(kernel, "test.CF");
+TEST(Cf, ReplaceSwapsMemberUnlessARuleRejectsIt) {
+  ComponentFramework cf("test.CF");
+  cf.add_integrity_rule([](const CfView& view, std::string& err) {
+    if (view.count_providing("IGreeter") != 1) {
+      err = "exactly one greeter";
+      return false;
+    }
+    return true;
+  });
   ComponentId g = cf.insert(std::make_unique<Greeter>("old"));
-  ComponentId c = cf.insert(std::make_unique<Caller>());
-  cf.connect(c, "greeter", g, "IGreeter");
 
+  // A legal swap lands under a fresh id; the old member is gone.
   ComponentId g2 = cf.replace(g, std::make_unique<Greeter>("new"));
+  EXPECT_NE(g2, g);
   EXPECT_EQ(cf.member(g), nullptr);
-  EXPECT_NE(cf.member(g2), nullptr);
-  // The caller's receptacle was rewired to the replacement automatically.
-  EXPECT_EQ(dynamic_cast<Caller*>(cf.member(c))->call(), "new");
-  ASSERT_EQ(cf.bindings().size(), 1u);
-  EXPECT_EQ(cf.bindings()[0].provider, g2);
+  ASSERT_NE(cf.member(g2), nullptr);
+  EXPECT_EQ(cf.member(g2)->interface_as<IGreeter>("IGreeter")->greet(), "new");
+
+  // A swap the rule rejects throws and leaves the current member in place.
+  EXPECT_THROW(
+      cf.replace(g2, std::make_unique<Component>("test.NotAGreeter")),
+      std::logic_error);
+  EXPECT_EQ(cf.members(), std::vector<ComponentId>{g2});
+  EXPECT_EQ(cf.member(g2)->interface_as<IGreeter>("IGreeter")->greet(), "new");
+  EXPECT_THROW(cf.replace(g, std::make_unique<Greeter>()), std::logic_error);
 }
 
 TEST(Cf, ExtractReturnsOwnershipForStateTransfer) {
-  Kernel kernel;
-  ComponentFramework cf(kernel, "test.CF");
+  ComponentFramework cf("test.CF");
   ComponentId g = cf.insert(std::make_unique<Greeter>("kept"));
   auto extracted = cf.extract(g);
   ASSERT_NE(extracted, nullptr);
@@ -180,9 +107,8 @@ TEST(Cf, ExtractReturnsOwnershipForStateTransfer) {
 }
 
 TEST(Cf, NestsAsComponents) {
-  Kernel kernel;
-  ComponentFramework outer(kernel, "test.Outer");
-  auto inner = std::make_unique<ComponentFramework>(kernel, "test.Inner");
+  ComponentFramework outer("test.Outer");
+  auto inner = std::make_unique<ComponentFramework>("test.Inner");
   inner->insert(std::make_unique<Greeter>());
   ComponentId inner_id = outer.insert(std::move(inner));
   auto* nested = dynamic_cast<ComponentFramework*>(outer.member(inner_id));
@@ -190,21 +116,17 @@ TEST(Cf, NestsAsComponents) {
   EXPECT_EQ(nested->member_count(), 1u);
 }
 
-TEST(Cf, FindByInstanceNameAndInterface) {
-  Kernel kernel;
-  ComponentFramework cf(kernel, "test.CF");
+TEST(Cf, FindByInstanceName) {
+  ComponentFramework cf("test.CF");
   auto g = std::make_unique<Greeter>();
   g->set_instance_name("TheGreeter");
   cf.insert(std::move(g));
   EXPECT_NE(cf.find("TheGreeter"), nullptr);
   EXPECT_EQ(cf.find("Missing"), nullptr);
-  EXPECT_NE(cf.find_providing("IGreeter"), nullptr);
-  EXPECT_EQ(cf.find_providing("IBogus"), nullptr);
 }
 
 TEST(Cf, QuiesceIsReentrant) {
-  Kernel kernel;
-  ComponentFramework cf(kernel, "test.CF");
+  ComponentFramework cf("test.CF");
   auto lock1 = cf.quiesce();
   auto lock2 = cf.quiesce();  // recursive: no deadlock
   SUCCEED();

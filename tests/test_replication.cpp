@@ -360,7 +360,7 @@ TEST(RecoveryLadder, SuspectRestartRehydratesFromPeerReplica) {
   // poker beats real discovery traffic here).
   world.kit(0).register_protocol("poker", 15, [](core::Manetkit& k) {
     auto cf = std::make_unique<core::ManetProtocolCf>(
-        k.kernel(), "poker", k.scheduler(), k.self(), &k.system().sys_state());
+        "poker", k.scheduler(), k.self(), &k.system().sys_state());
     cf->declare_events({}, {"RERR_IN"});
     return cf;
   });

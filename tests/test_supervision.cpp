@@ -62,7 +62,7 @@ std::unique_ptr<core::ManetProtocolCf> make_simple_cf(
     std::vector<std::string> required, std::vector<std::string> provided,
     VictimLog* log = nullptr, Duration charge = Duration{0}) {
   auto cf = std::make_unique<core::ManetProtocolCf>(
-      k.kernel(), name, k.scheduler(), k.self(), &k.system().sys_state());
+      name, k.scheduler(), k.self(), &k.system().sys_state());
   if (log != nullptr) {
     cf->add_handler(std::make_unique<VictimHandler>(log, charge));
   }
@@ -681,7 +681,7 @@ TEST(Supervision, AllocBudgetOverrunIsAComponentFault) {
 
   kit.register_protocol("hog", 10, [](core::Manetkit& k) {
     auto cf = std::make_unique<core::ManetProtocolCf>(
-        k.kernel(), "hog", k.scheduler(), k.self(), &k.system().sys_state());
+        "hog", k.scheduler(), k.self(), &k.system().sys_state());
     cf->add_handler(std::make_unique<HogHandler>());
     cf->declare_events({"EVT_V"}, {});
     return cf;

@@ -59,6 +59,9 @@ TEST(LocCounter, SourceTreeTotalCoversTheManifest) {
   for (const auto& e : entries) manifest_loc += e.loc;
   EXPECT_GT(count_tree_loc(root + "/src"), manifest_loc);
   EXPECT_EQ(count_tree_loc(root + "/no-such-dir"), 0u);
+  // Raw lines include the blanks and comments the LoC total skips.
+  EXPECT_GT(count_tree_lines(root + "/src"), count_tree_loc(root + "/src"));
+  EXPECT_EQ(count_tree_lines(root + "/no-such-dir"), 0u);
 }
 
 TEST(LocCounter, EveryProtocolShowsMajorityReuse) {

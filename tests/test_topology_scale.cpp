@@ -151,29 +151,6 @@ TEST(TopologyScale, GridMatchesReferenceUnder500NodeRandomWaypoint) {
       << "incremental grid stepping must test far fewer pairs";
 }
 
-/// Hysteresis slack is the documented approximation knob: with slack > 0 a
-/// node that drifts less than the slack keeps its last-evaluated links. The
-/// maintained link set must still track mobility (bounded staleness), and
-/// pair tests must drop further.
-TEST(TopologyScale, SlackReducesPairTests) {
-  const std::size_t n = 200;
-  net::RandomWaypoint::Params exact;
-  exact.width = exact.height = 2500;
-  exact.range = 250;
-  net::RandomWaypoint::Params lazy = exact;
-  lazy.slack = 5.0;  // metres of tolerated drift per endpoint
-  testbed::SimWorld we(n, 42), wl(n, 42);
-  we.enable_mobility(exact, 7, TopologyBackend::kGrid);
-  wl.enable_mobility(lazy, 7, TopologyBackend::kGrid);
-  for (int step = 0; step < 100; ++step) {
-    we.step_mobility(msec(100));  // ~0.1-1m of travel per step
-    wl.step_mobility(msec(100));
-  }
-  EXPECT_LT(wl.medium().stats().pair_evals, we.medium().stats().pair_evals)
-      << "slack must skip sub-threshold re-evaluations";
-  EXPECT_GT(wl.medium().stats().link_flips, 0u);
-}
-
 /// Sparse movement takes the tracker's incremental path (dirty count below
 /// the bulk-sync threshold): a handful of movers — including a teleport far
 /// beyond grid adjacency, whose old links only the teardown scan can find —

@@ -163,9 +163,8 @@ RunSignature run_ping_pong(core::ConcurrencyModel model) {
   };
 
   SimScheduler sched;
-  oc::Kernel kernel;
   Journal journal;
-  core::FrameworkManager manager(kernel);
+  core::FrameworkManager manager;
   manager.set_journal(&journal, /*node=*/1, &sched);
   std::atomic<int> got{0};
 
@@ -174,8 +173,7 @@ RunSignature run_ping_pong(core::ConcurrencyModel model) {
                   std::unique_ptr<core::EventHandler> handler,
                   std::vector<std::string> required,
                   std::vector<std::string> provided) {
-    auto cf = std::make_unique<core::ManetProtocolCf>(kernel, name, sched, 1,
-                                                      nullptr);
+    auto cf = std::make_unique<core::ManetProtocolCf>(name, sched, 1, nullptr);
     if (handler != nullptr) cf->add_handler(std::move(handler));
     core::ManetProtocolCf* raw = cf.get();
     owned.push_back(std::move(cf));

@@ -117,16 +117,14 @@ TEST(CowEvent, FanOutSiblingsAreIsolatedFromHandlerMutation) {
   std::vector<std::uint8_t> seen;
   kit.register_protocol("mutator", 20, [](core::Manetkit& k) {
     auto cf = std::make_unique<core::ManetProtocolCf>(
-        k.kernel(), "mutator", k.scheduler(), k.self(),
-        &k.system().sys_state());
+        "mutator", k.scheduler(), k.self(), &k.system().sys_state());
     cf->add_handler(std::make_unique<MutatingHandler>());
     cf->declare_events({"ZC"}, {});
     return cf;
   });
   kit.register_protocol("observer", 20, [&seen](core::Manetkit& k) {
     auto cf = std::make_unique<core::ManetProtocolCf>(
-        k.kernel(), "observer", k.scheduler(), k.self(),
-        &k.system().sys_state());
+        "observer", k.scheduler(), k.self(), &k.system().sys_state());
     cf->add_handler(std::make_unique<ObservingHandler>(&seen));
     cf->declare_events({"ZC"}, {});
     return cf;
