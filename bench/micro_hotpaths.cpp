@@ -492,6 +492,53 @@ BENCHMARK_CAPTURE(BM_CrashReconverge, checkpoint,
                   core::ReplicationStrategy::kCheckpoint)
     ->Unit(benchmark::kMillisecond);
 
+// OLSR route recompute on node 0 of a converged, frozen 50-node
+// Gauss-Markov world (the olsr_gm50 cell's shape). /0 re-runs it with
+// unchanged inputs, the periodic same-set TC refresh that RFC 3626 §10
+// lets the calculator skip; /1 flips one origin's advertised set between
+// its learned value and that value minus one address, so every iteration
+// is a full Dijkstra plus kernel-table sync. run_hotpaths.sh fails if /0
+// is not faster than /1.
+void BM_OlsrRecompute(benchmark::State& state) {
+  testbed::SimWorld world(50, /*seed=*/1);
+  net::GaussMarkov::Params p;
+  p.width = 1000.0;
+  p.height = 1000.0;
+  p.range = 250.0;
+  p.mean_speed = 2.0;
+  p.speed_sigma = 0.5;
+  world.enable_mobility(p, /*seed=*/7);
+  world.deploy_all("olsr");
+  for (int s = 0; s < 200; ++s) world.step_mobility(msec(100));
+
+  core::ManetProtocolCf& olsr = *world.kit(0).protocol("olsr");
+  proto::OlsrState& st = *proto::olsr_state(olsr);
+  auto edges = st.topology_edges();
+  if (edges.empty()) {
+    state.SkipWithError("node 0 learned no topology");
+    return;
+  }
+  const net::Addr origin = edges.front().first;
+  std::vector<net::Addr> full;
+  for (const auto& [from, to] : edges) {
+    if (from == origin) full.push_back(to);
+  }
+  std::vector<net::Addr> shrunk(full.begin(), full.end() - 1);
+  const bool flip = state.range(0) == 1;
+  std::uint64_t i = 0;
+  proto::olsr_recompute_routes(olsr);
+  for (auto _ : state) {
+    if (flip) {
+      st.drop_topology(origin);
+      st.update_topology(origin, 0, (++i & 1) != 0 ? shrunk : full,
+                         world.now(), sec(15));
+    }
+    proto::olsr_recompute_routes(olsr);
+  }
+  benchmark::DoNotOptimize(world.node(0).kernel_table().generation());
+}
+BENCHMARK(BM_OlsrRecompute)->Arg(0)->Arg(1);
+
 void BM_MprSelection(benchmark::State& state) {
   // A dense neighbourhood: n neighbours, each covering a slice of 2n
   // two-hop nodes.

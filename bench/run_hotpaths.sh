@@ -9,7 +9,9 @@
 # exits non-zero — the CI-facing regression gate for the arena/pool layer.
 # A second gate holds the timer wheel to its oracle: BM_SchedulerHoldBurst/0
 # (wheel) may not be slower than BM_SchedulerHoldBurst/1 (ordered map) in
-# the same run.
+# the same run. A third holds the OLSR route calculator's memo to its
+# purpose: BM_OlsrRecompute/0 (unchanged inputs) must be faster than
+# BM_OlsrRecompute/1 (one TC set changed, a full recompute).
 #
 # The report records its provenance: the build type and compiler of the
 # bench binary, the git SHA of the checkout, and the host's CPU count.
@@ -147,7 +149,12 @@ report = {
             "BM_SchedulerHoldBurst/{0,1} advances one sim-second of DYMO-style "
             "hold bursts (750 timers armed at exactly now + 5 s every 250 ms, "
             "~15k pending) on the timer wheel (/0) and the ordered-map oracle "
-            "(/1); the script fails if /0 is slower than /1.",
+            "(/1); the script fails if /0 is slower than /1. "
+            "BM_OlsrRecompute/{0,1} re-runs node 0's OLSR route recompute in "
+            "a converged, frozen 50-node Gauss-Markov world: /0 with unchanged "
+            "inputs (the memoised no-op a same-set TC refresh triggers), /1 "
+            "with one origin's TC set flipped every iteration (a full Dijkstra "
+            "and kernel-table sync); the script fails unless /0 is faster.",
     "provenance": {
         "build_type": raw.get("context", {}).get("mk_build_type"),
         "compiler": raw.get("context", {}).get("mk_compiler"),
@@ -198,4 +205,18 @@ if wheel > oracle:
     sys.exit(1)
 print(f"scheduler gate: wheel {wheel / 1e6:.3f} ms vs ordered map "
       f"{oracle / 1e6:.3f} ms per sim-second")
+
+# Route-memo gate: a recompute with unchanged inputs must beat a full one.
+memo = times.get("BM_OlsrRecompute/0")
+full = times.get("BM_OlsrRecompute/1")
+if memo is None or full is None:
+    print("error: BM_OlsrRecompute/{0,1} missing from run", file=sys.stderr)
+    sys.exit(1)
+if memo >= full:
+    print(f"error: BM_OlsrRecompute/0 (unchanged inputs) took {memo:.0f} ns, "
+          f"not faster than /1 (one TC set changed) at {full:.0f} ns",
+          file=sys.stderr)
+    sys.exit(1)
+print(f"route-memo gate: unchanged {memo:.0f} ns vs full recompute "
+      f"{full:.0f} ns")
 EOF

@@ -6,12 +6,17 @@ namespace mk::net {
 
 void KernelRouteTable::set_route(const RouteEntry& entry) {
   MK_ASSERT(entry.dest != kNoAddr && entry.next_hop != kNoAddr);
-  auto it = routes_.find(entry.dest);
-  bool changed = it == routes_.end() || it->second.next_hop != entry.next_hop ||
-                 it->second.metric != entry.metric;
-  routes_[entry.dest] = entry;
+  auto [it, inserted] = routes_.try_emplace(entry.dest, entry);
+  if (!inserted) {
+    RouteEntry& cur = it->second;
+    if (cur.next_hop == entry.next_hop && cur.metric == entry.metric &&
+        cur.iface == entry.iface) {
+      return;  // identical reinstall: nothing to write, count or journal
+    }
+    cur = entry;
+  }
   ++generation_;
-  if (changed && journal_ != nullptr) {
+  if (journal_ != nullptr) {
     journal_->append({obs::RecordKind::kRouteAdd, self_,
                       clock_ != nullptr ? clock_->now().us : 0, entry.dest,
                       entry.next_hop, entry.metric});

@@ -29,7 +29,9 @@ struct RouteEntry {
 
 class KernelRouteTable {
  public:
-  /// Adds or replaces the route to `entry.dest`.
+  /// Adds or replaces the route to `entry.dest`. Reinstalling a route with
+  /// the same next hop, metric and interface is a no-op: the stored entry
+  /// (its `installed_at` included) stays as it was.
   void set_route(const RouteEntry& entry);
 
   /// Removes the route to `dest`; returns true if one existed.
@@ -46,8 +48,11 @@ class KernelRouteTable {
   std::size_t size() const { return routes_.size(); }
   void clear();
 
-  /// Monotonic change counter (bumped on every mutation) — cheap way for
-  /// harnesses to detect convergence.
+  /// Monotonic change counter, bumped once per effective change: an install
+  /// that adds a route or moves its next hop, metric or interface, a removal,
+  /// or clearing a non-empty table. Identical reinstalls leave it alone, so
+  /// an unchanged generation means an unchanged table — the OLSR route
+  /// calculator's memo relies on that.
   std::uint64_t generation() const { return generation_; }
 
   /// Attaches a trace journal: effective route changes (install with a new

@@ -1,5 +1,7 @@
 #include "protocols/olsr/olsr_cf.hpp"
 
+#include <algorithm>
+
 #include "core/soft_state.hpp"
 #include "protocols/mpr/mpr_cf.hpp"
 #include "protocols/olsr/route_calculator.hpp"
@@ -105,12 +107,16 @@ class TcHandler final : public core::EventHandler {
     const auto* ansn_tlv = msg.find_tlv(wire::kTlvAnsn);
     if (ansn_tlv == nullptr) return;
 
-    std::set<net::Addr> advertised;
+    advertised_.clear();
     for (const auto& block : msg.addr_blocks) {
-      advertised.insert(block.addrs.begin(), block.addrs.end());
+      advertised_.insert(advertised_.end(), block.addrs.begin(),
+                         block.addrs.end());
     }
+    std::sort(advertised_.begin(), advertised_.end());
+    advertised_.erase(std::unique(advertised_.begin(), advertised_.end()),
+                      advertised_.end());
     OlsrState& st = ctx.state_as<OlsrState>();
-    if (st.update_topology(*msg.originator, ansn_tlv->as_u16(), advertised,
+    if (st.update_topology(*msg.originator, ansn_tlv->as_u16(), advertised_,
                            ctx.now(), params_.topology_hold)) {
       if (auto* soft = ctx.soft()) soft->touch(topo_set_, *msg.originator);
       recompute_routes(ctx);
@@ -122,6 +128,7 @@ class TcHandler final : public core::EventHandler {
   core::Manetkit& kit_;
   core::SoftExpiry::SetId topo_set_;
   obs::Counter* tc_in_ = nullptr;  // cached: interned once, then atomic inc
+  std::vector<net::Addr> advertised_;  // per-TC scratch; capacity reused
 };
 
 /// Neighbourhood / relay-selection changes invalidate routes immediately;

@@ -1,5 +1,7 @@
 #include "protocols/olsr/olsr_state.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <sstream>
 
 #include "util/bytebuffer.hpp"
@@ -7,7 +9,15 @@
 
 namespace mk::proto {
 
-OlsrState::OlsrState() : oc::Component("olsr.OlsrState") {
+namespace {
+std::uint64_t next_epoch() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+}  // namespace
+
+OlsrState::OlsrState()
+    : oc::Component("olsr.OlsrState"), epoch_(next_epoch()) {
   set_instance_name("State");
   provide("IOlsrState", static_cast<IOlsrState*>(this));
   provide("IState", static_cast<core::IState*>(this));
@@ -15,18 +25,18 @@ OlsrState::OlsrState() : oc::Component("olsr.OlsrState") {
 }
 
 bool OlsrState::update_topology(net::Addr origin, std::uint16_t ansn,
-                                const std::set<net::Addr>& advertised,
+                                const std::vector<net::Addr>& advertised,
                                 TimePoint now, Duration hold) {
   auto it = topology_.find(origin);
   // RFC 3626 §19: ANSNs compare with wraparound.
   if (it != topology_.end() && serial_newer(it->second.ansn, ansn)) {
     return false;  // stale information
   }
-  TopologyEntry entry;
+  if (it == topology_.end()) it = topology_.try_emplace(origin).first;
+  TopologyEntry& entry = it->second;
   entry.ansn = ansn;
-  entry.advertised = advertised;
+  if (entry.advertised != advertised) entry.advertised = advertised;
   entry.expires = now + hold;
-  topology_[origin] = std::move(entry);
   return true;
 }
 
@@ -98,8 +108,12 @@ bool OlsrState::decode_state(std::span<const std::uint8_t> blob) {
       e.ansn = r.get_u16();
       e.expires = TimePoint{static_cast<std::int64_t>(r.get_u64())};
       for (std::uint16_t adv = r.get_u16(); adv > 0; --adv) {
-        e.advertised.insert(r.get_u32());
+        e.advertised.push_back(r.get_u32());
       }
+      std::sort(e.advertised.begin(), e.advertised.end());
+      e.advertised.erase(
+          std::unique(e.advertised.begin(), e.advertised.end()),
+          e.advertised.end());
       topology_[origin] = std::move(e);
     }
   } catch (const BufferUnderflow&) {
@@ -116,6 +130,7 @@ void OlsrState::reset_state() {
   installed_.clear();
   energy_.clear();
   own_battery_ = 1.0;
+  epoch_ = next_epoch();
 }
 
 std::string OlsrState::describe() const {

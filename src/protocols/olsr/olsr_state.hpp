@@ -32,10 +32,12 @@ class OlsrState : public oc::Component,
 
   // -- topology set -----------------------------------------------------------
   /// Applies a TC: rejected (returns false) if `ansn` is older than the
-  /// newest seen from `origin`. On acceptance replaces origin's advertised
-  /// set and refreshes its validity.
+  /// newest seen from `origin`. On acceptance records the ANSN, refreshes
+  /// the validity and replaces origin's advertised set (sorted ascending,
+  /// no duplicates) — in place, and only when it differs, so a periodic
+  /// same-set refresh copies nothing.
   bool update_topology(net::Addr origin, std::uint16_t ansn,
-                       const std::set<net::Addr>& advertised, TimePoint now,
+                       const std::vector<net::Addr>& advertised, TimePoint now,
                        Duration hold);
 
   /// Removes one origin's advertisements (soft-state expiry); returns true
@@ -75,6 +77,12 @@ class OlsrState : public oc::Component,
   void set_own_battery(double level) { own_battery_ = level; }
   double own_battery() const { return own_battery_; }
 
+  /// Identifies the current contents wholesale: a fresh value, unique in the
+  /// process, on construction and on every reset_state/decode_state. The
+  /// route calculator's memo keys on it, since those replace
+  /// installed_dests() behind its back.
+  std::uint64_t epoch() const { return epoch_; }
+
   std::string describe() const override;
 
   // -- IStateCodec (S-element replication, ISSUE 10) ----------------------------
@@ -88,7 +96,7 @@ class OlsrState : public oc::Component,
  private:
   struct TopologyEntry {
     std::uint16_t ansn = 0;
-    std::set<net::Addr> advertised;
+    std::vector<net::Addr> advertised;  // sorted ascending, no duplicates
     TimePoint expires{};
   };
   std::map<net::Addr, TopologyEntry> topology_;
@@ -98,6 +106,7 @@ class OlsrState : public oc::Component,
   std::vector<net::Addr> installed_;
   std::map<net::Addr, double> energy_;
   double own_battery_ = 1.0;
+  std::uint64_t epoch_;
 };
 
 }  // namespace mk::proto

@@ -127,6 +127,25 @@ TEST(KernelTable, DestsViaAndGeneration) {
   EXPECT_GT(table.generation(), gen0);
 }
 
+TEST(KernelTable, IdenticalReinstallIsNoOp) {
+  obs::Journal journal;
+  KernelRouteTable table;
+  table.set_journal(&journal, 1, nullptr);
+  table.set_route(RouteEntry{10, 20, "wlan0", 2, TimePoint{5}});
+  const auto gen = table.generation();
+  const auto records = journal.total();
+
+  table.set_route(RouteEntry{10, 20, "wlan0", 2, TimePoint{9}});
+  EXPECT_EQ(table.generation(), gen);
+  EXPECT_EQ(journal.total(), records);
+  EXPECT_EQ(table.lookup(10)->installed_at, TimePoint{5}) << "not rewritten";
+
+  table.set_route(RouteEntry{10, 20, "wlan0", 3, TimePoint{9}});
+  EXPECT_EQ(table.generation(), gen + 1);
+  EXPECT_EQ(journal.total(), records + 1);
+  EXPECT_EQ(table.lookup(10)->metric, 3u);
+}
+
 TEST(Forwarding, DeliversLocallyAcrossTwoHops) {
   SimScheduler sched;
   SimMedium medium(sched);

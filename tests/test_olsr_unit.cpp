@@ -1,9 +1,11 @@
 // OLSR unit tests: state tables (ANSN freshness, topology expiry), TC codec,
-// route calculation (shortest path, stale-route cleanup), energy-cost
-// routing.
+// route calculation (shortest path, stale-route cleanup, the unchanged-input
+// memo), energy-cost routing.
 #include <gtest/gtest.h>
 
+#include "protocols/mpr/mpr_cf.hpp"
 #include "protocols/olsr/olsr_cf.hpp"
+#include "protocols/olsr/power_aware.hpp"
 #include "protocols/wire.hpp"
 #include "protocols/olsr/olsr_state.hpp"
 #include "protocols/olsr/route_calculator.hpp"
@@ -11,6 +13,32 @@
 
 namespace mk::proto {
 namespace {
+
+/// Hands node `to` a copy of node `from`'s current TC (its own ANSN and
+/// selector set) without running the world: the periodic same-set refresh.
+void deliver_tc_refresh(testbed::SimWorld& world, std::size_t from,
+                        std::size_t to) {
+  const OlsrState& src = *olsr_state(*world.kit(from).protocol("olsr"));
+  ev::Event e(ev::etype("TC_IN"));
+  e.from = world.addr(from);
+  e.set_msg(tc::build(world.addr(from), 999, src.ansn(),
+                      src.last_advertised()));
+  world.kit(to).protocol("olsr")->deliver(e);
+}
+
+/// Hands node `to` a residual-power flood from `origin` at `percent` charge.
+void deliver_residual_power(testbed::SimWorld& world, std::size_t to,
+                            net::Addr origin, std::uint8_t percent) {
+  pbb::Message m;
+  m.type = wire::kMsgResidualPower;
+  m.originator = origin;
+  m.seqnum = 1;
+  m.tlvs.push_back(pbb::Tlv::u8(wire::kTlvBattery, percent));
+  ev::Event e(ev::etype("RP_IN"));
+  e.from = origin;
+  e.set_msg(std::move(m));
+  world.kit(to).protocol("olsr")->deliver(e);
+}
 
 TEST(OlsrState, AnsnFreshnessRule) {
   OlsrState st;
@@ -127,6 +155,167 @@ TEST(EnergyRouteCalc, AvoidsDrainedRelay) {
   auto route = world.node(0).kernel_table().lookup(a[3]);
   ASSERT_TRUE(route.has_value());
   EXPECT_EQ(route->next_hop, a[2]) << "route should avoid the drained relay";
+}
+
+TEST(OlsrState, SameSetRefreshKeepsEdgesAndTakesNewAnsn) {
+  OlsrState st;
+  const std::uint64_t epoch = st.epoch();
+  EXPECT_TRUE(st.update_topology(10, 5, {20, 21}, TimePoint{0}, sec(15)));
+  EXPECT_TRUE(st.update_topology(10, 5, {20, 21}, TimePoint{1}, sec(15)));
+  EXPECT_FALSE(st.update_topology(10, 4, {22}, TimePoint{2}, sec(15)));
+  EXPECT_TRUE(st.update_topology(10, 6, {20, 21}, TimePoint{3}, sec(15)));
+  EXPECT_FALSE(st.update_topology(10, 5, {22}, TimePoint{4}, sec(15)));
+  EXPECT_EQ(st.topology_edges().size(), 2u);
+  EXPECT_EQ(st.epoch(), epoch) << "topology updates are not wholesale";
+
+  std::vector<std::uint8_t> blob;
+  st.encode_state(blob);
+  ASSERT_TRUE(st.decode_state(blob));
+  EXPECT_NE(st.epoch(), epoch);
+  EXPECT_EQ(st.topology_edges().size(), 2u);
+  const std::uint64_t decoded = st.epoch();
+  st.reset_state();
+  EXPECT_NE(st.epoch(), decoded);
+  EXPECT_NE(OlsrState().epoch(), st.epoch());
+}
+
+// The memo in RouteCalculator::recompute skips a recompute whose inputs and
+// kernel table match the last sync. (a)-(d) each change one input the memo
+// must see, through a path that emits no event of its own.
+
+TEST(RouteCalcMemo, SilentTwoHopChangeSeenOnNextTcRefresh) {
+  testbed::SimWorld world(3);
+  world.linear();
+  world.deploy_all("olsr");
+  ASSERT_TRUE(world.run_until_routed(sec(60)).has_value());
+
+  const net::Addr far = net::addr_for_index(9);
+  auto& table = world.node(0).kernel_table();
+  ASSERT_FALSE(table.lookup(far).has_value());
+  const OlsrState& st = *olsr_state(*world.kit(0).protocol("olsr"));
+  const auto edges = st.topology_edges();
+
+  // Node 1's HELLO now lists `far`: the table changes, no event fires.
+  std::vector<net::Addr> via1{world.addr(0), world.addr(2), far};
+  mpr_state(world.kit(0))->set_two_hop(world.addr(1), via1);
+  deliver_tc_refresh(world, 1, 0);
+
+  EXPECT_EQ(st.topology_edges(), edges) << "the TC was a pure refresh";
+  auto route = table.lookup(far);
+  ASSERT_TRUE(route.has_value());
+  EXPECT_EQ(route->next_hop, world.addr(1));
+  EXPECT_EQ(route->metric, 2u);
+}
+
+TEST(RouteCalcMemo, RouteRemovedByAnotherWriterIsReinstalled) {
+  testbed::SimWorld world(3);
+  world.linear();
+  world.deploy_all("olsr");
+  ASSERT_TRUE(world.run_until_routed(sec(60)).has_value());
+
+  auto& table = world.node(0).kernel_table();
+  ASSERT_TRUE(table.remove_route(world.addr(2)));
+  deliver_tc_refresh(world, 1, 0);
+
+  auto route = table.lookup(world.addr(2));
+  ASSERT_TRUE(route.has_value());
+  EXPECT_EQ(route->next_hop, world.addr(1));
+  EXPECT_EQ(route->metric, 2u);
+}
+
+TEST(RouteCalcMemo, DecodeOnLiveNodeResyncsInstalledDests) {
+  testbed::SimWorld world(3);
+  world.linear();
+  world.deploy_all("olsr");
+  ASSERT_TRUE(world.run_until_routed(sec(60)).has_value());
+
+  auto* olsr = world.kit(0).protocol("olsr");
+  OlsrState& st = *olsr_state(*olsr);
+  std::vector<std::uint8_t> blob;
+  st.encode_state(blob);
+  {
+    auto lock = olsr->quiesce();
+    ASSERT_TRUE(st.decode_state(blob));
+  }
+  EXPECT_TRUE(st.installed_dests().empty());
+  olsr_recompute_routes(*olsr);
+
+  auto& table = world.node(0).kernel_table();
+  std::vector<net::Addr> table_dests;
+  for (const auto& e : table.entries()) table_dests.push_back(e.dest);
+  EXPECT_EQ(table_dests,
+            (std::vector<net::Addr>{world.addr(1), world.addr(2)}));
+  EXPECT_EQ(st.installed_dests(), table_dests);
+
+  // Losing the only link must now withdraw both routes.
+  world.medium().set_link(world.addr(0), world.addr(1), false);
+  world.run_for(sec(20));
+  EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(RouteCalcMemo, EnergyCalculatorReroutesOnResidualPowerAlone) {
+  // Diamond: 0-1-3 and 0-2-3; only relay energy decides the path to 3.
+  testbed::SimWorld world(4);
+  auto a = world.addrs();
+  world.medium().set_link(a[0], a[1], true);
+  world.medium().set_link(a[1], a[3], true);
+  world.medium().set_link(a[0], a[2], true);
+  world.medium().set_link(a[2], a[3], true);
+  world.deploy_all("olsr");
+  world.run_for(sec(20));
+  apply_power_aware(world.kit(0));
+
+  auto& table = world.node(0).kernel_table();
+  ASSERT_TRUE(table.lookup(a[3]).has_value());
+  EXPECT_EQ(table.lookup(a[3])->next_hop, a[1]) << "equal cost: lower address";
+
+  deliver_residual_power(world, 0, a[1], 5);
+  EXPECT_EQ(table.lookup(a[3])->next_hop, a[2]);
+
+  deliver_residual_power(world, 0, a[1], 100);
+  deliver_residual_power(world, 0, a[2], 5);
+  EXPECT_EQ(table.lookup(a[3])->next_hop, a[1]);
+}
+
+// RFC 3626 §10 parity: on a mobile 50-node world, after every mobility step
+// each node's own (memoised) calculator is triggered, and then a fresh one
+// with no memo must find the kernel table already in sync — no effective
+// change, no route record. The own trigger comes first because the MPR CF
+// updates 2-hop sets without an event, so between triggers the table can
+// trail its inputs with or without the memo.
+TEST(RouteCalcMemo, FreshFullRecomputeChangesNothingUnderMobility) {
+  testbed::SimWorld world(50, /*seed=*/1);
+  net::GaussMarkov::Params p;
+  p.width = 1000.0;
+  p.height = 1000.0;
+  p.range = 250.0;
+  p.mean_speed = 2.0;
+  p.speed_sigma = 0.5;
+  world.enable_mobility(p, /*seed=*/7);
+  obs::Journal& journal = world.enable_tracing();
+  world.deploy_all("olsr");
+
+  std::size_t checks = 0;
+  for (int step = 0; step < 250; ++step) {  // 25 s at 100 ms
+    world.step_mobility(msec(100));
+    for (std::size_t i = 0; i < world.size(); ++i) {
+      core::ManetProtocolCf& olsr = *world.kit(i).protocol("olsr");
+      olsr_recompute_routes(olsr);
+      const auto& table = world.node(i).kernel_table();
+      const std::uint64_t generation = table.generation();
+      const std::uint64_t records = journal.total();
+      {
+        auto lock = olsr.quiesce();
+        RouteCalculator(world.kit(i)).recompute(olsr.context());
+      }
+      ASSERT_EQ(table.generation(), generation)
+          << "node " << i << " at step " << step;
+      ASSERT_EQ(journal.total(), records)
+          << "node " << i << " at step " << step;
+      checks += table.size();
+    }
+  }
+  EXPECT_GT(checks, 0u) << "the world never built a route";
 }
 
 TEST(OlsrCf, EmptySelectorSetSendsNoTc) {
