@@ -422,14 +422,14 @@ void BM_QuarantineChurn(benchmark::State& state) {
   std::uint64_t cycles = 0;
   for (auto _ : state) {
     auto& sup = *world.supervisor(victim);
-    sup.set_misbehaviour("mpr", supervision::Misbehaviour::kThrow);
+    sup.set_misbehaviour("mpr", fault::Misbehave::kThrow);
     for (int spins = 0;
          sup.health("mpr") != supervision::UnitHealth::kQuarantined &&
          spins < 100;
          ++spins) {
       world.run_for(msec(200));
     }
-    sup.set_misbehaviour("mpr", supervision::Misbehaviour::kNone);
+    sup.set_misbehaviour("mpr", fault::Misbehave::kNone);
     for (int spins = 0;
          sup.health("mpr") != supervision::UnitHealth::kHealthy && spins < 100;
          ++spins) {

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "protocols/timing.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 
@@ -15,8 +16,7 @@ bool seq_newer(std::uint16_t a, std::uint16_t b) {
 
 }  // namespace
 
-MonolithicDymo::MonolithicDymo(net::SimNode& node, DymoumParams params)
-    : node_(node), params_(params) {
+MonolithicDymo::MonolithicDymo(net::SimNode& node) : node_(node) {
   node_.set_control_handler([this](const net::Frame& f) { on_packet(f); });
   net::ForwardingEngine::Hooks hooks;
   hooks.on_no_route = [this](const net::DataHeader& h) {
@@ -39,7 +39,7 @@ void MonolithicDymo::start() {
   if (running_) return;
   running_ = true;
   sweep_timer_ = std::make_unique<PeriodicTimer>(
-      node_.scheduler(), params_.sweep_interval, [this] { sweep(); }, 0.0,
+      node_.scheduler(), kSweepInterval, [this] { sweep(); }, 0.0,
       node_.addr() + 21);
   sweep_timer_->start();
 }
@@ -63,7 +63,8 @@ std::size_t MonolithicDymo::buffered_count() const {
 void MonolithicDymo::discover(net::Addr target) {
   if (pending_.count(target) > 0) return;
   pending_[target] =
-      Pending{1, node_.scheduler().now() + params_.rreq_wait, params_.rreq_wait};
+      Pending{1, node_.scheduler().now() + proto::kDymoRreqWaitTime,
+              proto::kDymoRreqWaitTime};
   send_rreq(target);
 }
 
@@ -126,13 +127,13 @@ bool MonolithicDymo::learn(net::Addr dest, std::uint16_t seq,
     if (!improves) {
       if (seq == r.seq && r.valid && r.next_hop == next_hop) {
         it->second.expires =
-            node_.scheduler().now() + params_.route_lifetime;
+            node_.scheduler().now() + proto::kDymoRouteTimeout;
       }
       return false;
     }
   }
   routes_[dest] = Route{next_hop, seq, hops, true,
-                        node_.scheduler().now() + params_.route_lifetime};
+                        node_.scheduler().now() + proto::kDymoRouteTimeout};
   net::RouteEntry entry;
   entry.dest = dest;
   entry.next_hop = next_hop;
@@ -192,7 +193,7 @@ void MonolithicDymo::handle_rm(ByteReader& r, net::Addr from, bool is_rreq) {
     if (target == node_.addr()) {
       ++own_seq_;
       auto bytes = encode_rm(false, node_.addr(), own_seq_, orig,
-                             params_.rreq_hop_limit, 0, {});
+                             proto::kDymoMsgHopLimit, 0, {});
       node_.send_control(std::move(bytes), from);
       return;
     }
@@ -250,11 +251,12 @@ void MonolithicDymo::handle_rerr(ByteReader& r, net::Addr from) {
 
 bool MonolithicDymo::on_no_route(const net::DataHeader& hdr) {
   auto& q = buffer_[hdr.dst];
-  if (q.size() >= params_.buffer_per_dest) q.erase(q.begin());
+  if (q.size() >= kBufferPerDest) q.erase(q.begin());
   q.push_back(hdr);
   if (pending_.count(hdr.dst) == 0) {
-    pending_[hdr.dst] = Pending{
-        1, node_.scheduler().now() + params_.rreq_wait, params_.rreq_wait};
+    pending_[hdr.dst] =
+        Pending{1, node_.scheduler().now() + proto::kDymoRreqWaitTime,
+                proto::kDymoRreqWaitTime};
     send_rreq(hdr.dst);
   }
   return true;
@@ -263,7 +265,7 @@ bool MonolithicDymo::on_no_route(const net::DataHeader& hdr) {
 void MonolithicDymo::on_route_used(net::Addr dest) {
   auto it = routes_.find(dest);
   if (it != routes_.end() && it->second.valid) {
-    it->second.expires = node_.scheduler().now() + params_.route_lifetime;
+    it->second.expires = node_.scheduler().now() + proto::kDymoRouteTimeout;
   }
 }
 
@@ -276,7 +278,7 @@ void MonolithicDymo::on_send_failure(const net::DataHeader&, net::Addr hop) {
       unreachable.emplace_back(dest, r.seq);
     }
   }
-  if (!unreachable.empty()) send_rerr(unreachable, 3);
+  if (!unreachable.empty()) send_rerr(unreachable, proto::kDymoRerrHopLimit);
 }
 
 // ------------------------------------------------------------------- sending
@@ -285,7 +287,7 @@ void MonolithicDymo::send_rreq(net::Addr target) {
   ++own_seq_;
   duplicates_[{node_.addr(), own_seq_}] = node_.scheduler().now();
   auto bytes = encode_rm(true, node_.addr(), own_seq_, target,
-                         params_.rreq_hop_limit, 0, {});
+                         proto::kDymoMsgHopLimit, 0, {});
   node_.send_control(std::move(bytes));
 }
 
@@ -322,7 +324,7 @@ void MonolithicDymo::sweep() {
       ++it;
       continue;
     }
-    if (p.tries >= params_.rreq_tries) {
+    if (p.tries >= proto::kDymoRreqTries) {
       buffer_.erase(it->first);
       it = pending_.erase(it);
       continue;
@@ -334,8 +336,8 @@ void MonolithicDymo::sweep() {
     ++it;
   }
   for (auto it = duplicates_.begin(); it != duplicates_.end();) {
-    it = (now - it->second > params_.duplicate_hold) ? duplicates_.erase(it)
-                                                     : std::next(it);
+    it = (now - it->second > proto::kDymoDupHoldTime) ? duplicates_.erase(it)
+                                                      : std::next(it);
   }
 }
 

@@ -20,19 +20,10 @@
 
 namespace mk::baseline {
 
-struct DymoumParams {
-  Duration route_lifetime = sec(5);
-  Duration rreq_wait = sec(1);
-  Duration duplicate_hold = sec(5);
-  Duration sweep_interval = msec(500);
-  std::uint8_t rreq_hop_limit = 10;
-  std::uint8_t rreq_tries = 3;
-  std::size_t buffer_per_dest = 5;
-};
-
 class MonolithicDymo final : public RoutingDaemon {
  public:
-  MonolithicDymo(net::SimNode& node, DymoumParams params = {});
+  /// Runs with MKit-DYMO's timing (protocols/timing.hpp).
+  explicit MonolithicDymo(net::SimNode& node);
   ~MonolithicDymo() override;
 
   void start() override;
@@ -51,6 +42,12 @@ class MonolithicDymo final : public RoutingDaemon {
 
   /// Proactively starts a discovery (test harness convenience).
   void discover(net::Addr target);
+
+  /// Packets buffered per destination awaiting a route; the oldest is
+  /// dropped on overflow. Equal to MANETKit NetLink's bound.
+  static constexpr std::size_t kBufferPerDest = 5;
+  /// Period of the route, retry and duplicate sweep.
+  static constexpr Duration kSweepInterval = msec(500);
 
  private:
   static constexpr std::uint8_t kRreq = 1;
@@ -96,7 +93,6 @@ class MonolithicDymo final : public RoutingDaemon {
 
   std::string name_ = "dymoum-0.3";
   net::SimNode& node_;
-  DymoumParams params_;
 
   std::map<net::Addr, Route> routes_;
   std::map<std::pair<net::Addr, std::uint16_t>, TimePoint> duplicates_;

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <queue>
 
+#include "protocols/timing.hpp"
 #include "util/assert.hpp"
 #include "util/bytebuffer.hpp"
 #include "util/log.hpp"
@@ -22,8 +23,7 @@ bool seq_newer(std::uint16_t a, std::uint16_t b) {
 
 }  // namespace
 
-MonolithicOlsr::MonolithicOlsr(net::SimNode& node, OlsrdParams params)
-    : node_(node), params_(params) {
+MonolithicOlsr::MonolithicOlsr(net::SimNode& node) : node_(node) {
   node_.set_control_handler([this](const net::Frame& f) { on_packet(f); });
 }
 
@@ -37,13 +37,13 @@ void MonolithicOlsr::start() {
   running_ = true;
   auto& sched = node_.scheduler();
   hello_timer_ = std::make_unique<PeriodicTimer>(
-      sched, params_.hello_interval, [this] { send_hello(); }, 0.1,
+      sched, proto::kHelloInterval, [this] { send_hello(); }, 0.1,
       node_.addr());
   tc_timer_ = std::make_unique<PeriodicTimer>(
-      sched, params_.tc_interval, [this] { send_tc(); }, 0.1,
+      sched, proto::kTcInterval, [this] { send_tc(); }, 0.1,
       node_.addr() + 7);
   maint_timer_ = std::make_unique<PeriodicTimer>(
-      sched, params_.hello_interval, [this] { maintenance(); }, 0.0,
+      sched, proto::kHelloInterval, [this] { maintenance(); }, 0.0,
       node_.addr() + 13);
   hello_timer_->start();
   tc_timer_->start();
@@ -144,11 +144,16 @@ void MonolithicOlsr::handle_hello(const MsgHeader& h, ByteReader& r,
     recompute_routes();
     return;
   }
+  // MPRs and routes read only symmetry and 2-hop sets: a HELLO that leaves
+  // both as they were changes neither.
+  bool changed = nb.symmetric != listed || nb.two_hop != two_hop;
   nb.symmetric = listed;
   nb.selected_us = selected;
   nb.two_hop = std::move(two_hop);
-  recompute_mprs();
-  recompute_routes();
+  if (changed) {
+    recompute_mprs();
+    recompute_routes();
+  }
 }
 
 void MonolithicOlsr::handle_tc(const MsgHeader& h, ByteReader& r,
@@ -170,10 +175,19 @@ void MonolithicOlsr::handle_tc(const MsgHeader& h, ByteReader& r,
     for (std::uint8_t i = 0; i < count; ++i) advertised.insert(r.get_u32());
 
     auto tit = topology_.find(h.orig);
-    if (tit == topology_.end() || !seq_newer(tit->second.ansn, ansn)) {
+    if (tit == topology_.end()) {
       topology_[h.orig] =
-          TopoEntry{ansn, std::move(advertised), now + params_.topology_hold};
+          TopoEntry{ansn, std::move(advertised), now + proto::kTopHoldTime};
       recompute_routes();
+    } else if (!seq_newer(tit->second.ansn, ansn)) {
+      // A refresh of the same set only moves the ANSN and the expiry.
+      TopoEntry& e = tit->second;
+      e.ansn = ansn;
+      e.expires = now + proto::kTopHoldTime;
+      if (e.advertised != advertised) {
+        e.advertised = std::move(advertised);
+        recompute_routes();
+      }
     }
     forward_tc(h, raw_msg, from);
   }
@@ -261,7 +275,7 @@ void MonolithicOlsr::maintenance() {
   TimePoint now = node_.scheduler().now();
   bool changed = false;
   for (auto it = neighbors_.begin(); it != neighbors_.end();) {
-    if (now - it->second.last_heard > params_.neighbor_hold) {
+    if (now - it->second.last_heard > proto::kNeighbHoldTime) {
       it = neighbors_.erase(it);
       changed = true;
     } else {
@@ -277,8 +291,8 @@ void MonolithicOlsr::maintenance() {
     }
   }
   for (auto it = duplicates_.begin(); it != duplicates_.end();) {
-    it = (now - it->second > params_.duplicate_hold) ? duplicates_.erase(it)
-                                                     : std::next(it);
+    it = (now - it->second > proto::kDupHoldTime) ? duplicates_.erase(it)
+                                                   : std::next(it);
   }
   if (changed) {
     recompute_mprs();
@@ -322,6 +336,7 @@ void MonolithicOlsr::recompute_mprs() {
 }
 
 void MonolithicOlsr::recompute_routes() {
+  ++route_recomputes_;
   net::Addr self = node_.addr();
   std::map<net::Addr, std::set<net::Addr>> adj;
   auto add_edge = [&adj](net::Addr a, net::Addr b) {

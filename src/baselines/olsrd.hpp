@@ -22,17 +22,10 @@
 
 namespace mk::baseline {
 
-struct OlsrdParams {
-  Duration hello_interval = sec(2);
-  Duration tc_interval = sec(5);
-  Duration neighbor_hold = sec(6);
-  Duration topology_hold = sec(15);
-  Duration duplicate_hold = sec(30);
-};
-
 class MonolithicOlsr final : public RoutingDaemon {
  public:
-  MonolithicOlsr(net::SimNode& node, OlsrdParams params = {});
+  /// Runs with MKit-OLSR's RFC 3626 timing (protocols/timing.hpp).
+  explicit MonolithicOlsr(net::SimNode& node);
   ~MonolithicOlsr() override;
 
   void start() override;
@@ -49,6 +42,9 @@ class MonolithicOlsr final : public RoutingDaemon {
   const std::set<net::Addr>& mprs() const { return mprs_; }
   std::set<net::Addr> mpr_selectors() const;
   std::size_t topology_size() const { return topology_.size(); }
+  /// Route-table recomputations so far; like olsrd's changes_* flags, only
+  /// a change to the neighbourhood or topology triggers one.
+  std::uint64_t route_recomputes() const { return route_recomputes_; }
 
  private:
   // wire format
@@ -93,7 +89,6 @@ class MonolithicOlsr final : public RoutingDaemon {
 
   std::string name_ = "unik-olsrd";
   net::SimNode& node_;
-  OlsrdParams params_;
   std::map<net::Addr, Neighbor> neighbors_;
   std::set<net::Addr> mprs_;
   std::map<net::Addr, TopoEntry> topology_;
@@ -103,6 +98,7 @@ class MonolithicOlsr final : public RoutingDaemon {
   std::uint16_t pkt_seq_ = 1;
   std::uint16_t ansn_ = 1;
   std::set<net::Addr> last_advertised_;
+  std::uint64_t route_recomputes_ = 0;
 
   std::unique_ptr<PeriodicTimer> hello_timer_;
   std::unique_ptr<PeriodicTimer> tc_timer_;

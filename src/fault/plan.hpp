@@ -56,14 +56,20 @@ enum class FaultKind : std::uint8_t {
   kMisbehave = 9,  // inject a component-level fault (supervision, ISSUE 5)
 };
 
-/// Component misbehaviour modes for kMisbehave (mirrors
-/// supervision::Misbehaviour; fault/ stays independent of supervision/, the
-/// testbed maps between them when arming a plan).
+/// Component misbehaviour modes for kMisbehave, injected deterministically
+/// at the supervisor's guard boundary (supervision::Supervisor::
+/// set_misbehaviour reads this enum directly):
+///  * kThrow   — the dispatch throws instead of delivering.
+///  * kStall   — the dispatch charges (deadline + 1ms) of modelled cost, so
+///               the watchdog flags it; the event is still delivered.
+///  * kCorrupt — the unit is fed a deterministically bit-flipped copy of the
+///               event's message and the injection is flagged as an
+///               output-integrity fault.
 enum class Misbehave : std::uint8_t {
-  kNone = 0,   // clear an active misbehaviour
-  kThrow = 1,  // dispatches into the component throw
-  kStall = 2,  // dispatches charge past the watchdog deadline
-  kCorrupt = 3,  // the component is fed bit-flipped copies of its events
+  kNone = 0,  // clear an active misbehaviour
+  kThrow = 1,
+  kStall = 2,
+  kCorrupt = 3,
 };
 
 std::string_view kind_name(FaultKind kind);

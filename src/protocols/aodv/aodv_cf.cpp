@@ -12,14 +12,13 @@ namespace {
 
 using core::attrs::kUnicastTo;
 
-pbb::Message build_rreq(AodvState& st, net::Addr self, net::Addr target,
-                        const AodvParams& params) {
+pbb::Message build_rreq(AodvState& st, net::Addr self, net::Addr target) {
   pbb::Message m;
   m.type = wire::kMsgAodvRreq;
   m.originator = self;
   m.seqnum = st.bump_seq();
   m.has_hops = true;
-  m.hop_limit = params.net_diameter;
+  m.hop_limit = kAodvNetDiameter;
   m.hop_count = 0;
   m.tlvs.push_back(pbb::Tlv::u32(wire::kTlvRreqId, st.next_rreq_id()));
   pbb::AddressBlock block;
@@ -34,14 +33,13 @@ pbb::Message build_rreq(AodvState& st, net::Addr self, net::Addr target,
 }
 
 pbb::Message build_rrep(net::Addr dest, std::uint16_t dest_seq,
-                        net::Addr rreq_origin, std::uint8_t initial_hops,
-                        const AodvParams& params) {
+                        net::Addr rreq_origin, std::uint8_t initial_hops) {
   pbb::Message m;
   m.type = wire::kMsgAodvRrep;
   m.originator = dest;
   m.seqnum = dest_seq;
   m.has_hops = true;
-  m.hop_limit = params.net_diameter;
+  m.hop_limit = kAodvNetDiameter;
   m.hop_count = initial_hops;
   pbb::AddressBlock block;
   block.addrs.push_back(rreq_origin);
@@ -65,15 +63,14 @@ pbb::Message build_rerr(const Unreachable& unreachable) {
 
 /// AODV's binding to the reactive core: every message kind leaves through
 /// AODV_OUT.
-ReactiveProtocol aodv_reactive(const AodvParams& params) {
+ReactiveProtocol aodv_reactive() {
   ReactiveProtocol p;
   p.name = "aodv";
-  p.route_lifetime = params.active_route_timeout;
-  p.rreq_wait = params.rreq_wait;
-  p.send_rreq = [params](core::ProtocolContext& ctx, net::Addr target) {
+  p.route_lifetime = kAodvActiveRouteTimeout;
+  p.rreq_wait = kAodvRreqWait;
+  p.send_rreq = [](core::ProtocolContext& ctx, net::Addr target) {
     ev::Event e(ev::etype(ev::types::AODV_OUT));
-    e.set_msg(
-        build_rreq(ctx.state_as<AodvState>(), ctx.self(), target, params));
+    e.set_msg(build_rreq(ctx.state_as<AodvState>(), ctx.self(), target));
     ctx.emit(std::move(e));
   };
   p.build_rerr = [](core::ProtocolContext&, const Unreachable& unreachable) {
@@ -87,9 +84,7 @@ ReactiveProtocol aodv_reactive(const AodvParams& params) {
 /// RREQ / RREP / RERR processing, demultiplexed on the PacketBB type.
 class AodvHandler final : public core::EventHandler {
  public:
-  explicit AodvHandler(AodvParams params)
-      : core::EventHandler("aodv.AodvHandler", {ev::types::AODV_IN}),
-        params_(params) {
+  AodvHandler() : core::EventHandler("aodv.AodvHandler", {ev::types::AODV_IN}) {
     set_instance_name("AodvHandler");
   }
 
@@ -123,7 +118,7 @@ class AodvHandler final : public core::EventHandler {
     route_learned(ctx, dest, next_hop, hops,
                   ctx.state_as<AodvState>().update_route(
                       dest, seq, seq_valid, next_hop, hops, ctx.now(),
-                      params_.active_route_timeout));
+                      kAodvActiveRouteTimeout));
   }
 
   void on_rreq(const ev::Event& event, core::ProtocolContext& ctx) {
@@ -162,8 +157,7 @@ class AodvHandler final : public core::EventHandler {
       }
       st.bump_seq();
       ev::Event out(ev::etype(ev::types::AODV_OUT));
-      out.set_msg(build_rrep(ctx.self(), st.own_seq(), *msg.originator, 0,
-                             params_));
+      out.set_msg(build_rrep(ctx.self(), st.own_seq(), *msg.originator, 0));
       out.set_int(kUnicastTo, event.from);
       ctx.emit(std::move(out));
       return;
@@ -178,7 +172,7 @@ class AodvHandler final : public core::EventHandler {
       st.add_precursor(target, event.from);
       ev::Event out(ev::etype(ev::types::AODV_OUT));
       out.set_msg(build_rrep(target, route->dest_seq, *msg.originator,
-                             route->hops, params_));
+                             route->hops));
       out.set_int(kUnicastTo, event.from);
       ctx.emit(std::move(out));
       return;
@@ -227,16 +221,13 @@ class AodvHandler final : public core::EventHandler {
       ctx.emit(std::move(out));
     }
   }
-
-  AodvParams params_;
 };
 
 /// The §4.3 piggybacking example: advertise a few routing-table entries in
 /// each HELLO so neighbours learn routes without discovery. The hooks look
 /// up the live AODV CF when they run: they do nothing while AODV is not
 /// deployed, and a redeployment replaces them.
-void set_route_piggyback(core::Manetkit& kit, NeighborTable& table,
-                         AodvParams params) {
+void set_route_piggyback(core::Manetkit& kit, NeighborTable& table) {
   static constexpr std::size_t kMaxAdvertised = 5;
   core::Manetkit* k = &kit;
   table.set_piggyback(
@@ -259,7 +250,7 @@ void set_route_piggyback(core::Manetkit& kit, NeighborTable& table,
         if (n == 0) return std::nullopt;
         return pbb::Tlv{wire::kTlvPiggyback, w.take()};
       },
-      [k, params](net::Addr from, const pbb::Tlv& tlv) {
+      [k](net::Addr from, const pbb::Tlv& tlv) {
         if (tlv.type != wire::kTlvPiggyback) return;
         core::ManetProtocolCf* proto = k->protocol("aodv");
         AodvState* st = proto == nullptr ? nullptr : aodv_state(*proto);
@@ -278,7 +269,7 @@ void set_route_piggyback(core::Manetkit& kit, NeighborTable& table,
             if (via == ctx.self()) continue;
             if (st->update_route(dest, seq, true, from,
                                  static_cast<std::uint8_t>(hops + 1),
-                                 ctx.now(), params.active_route_timeout)) {
+                                 ctx.now(), kAodvActiveRouteTimeout)) {
               ctx.set_route(dest, from, static_cast<std::uint8_t>(hops + 1));
             }
             rearm_route_expiry(ctx, dest);
@@ -291,8 +282,7 @@ void set_route_piggyback(core::Manetkit& kit, NeighborTable& table,
 
 }  // namespace
 
-std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
-                                                     AodvParams params) {
+std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit) {
   core::ManetProtocolCf* neighbor = kit.deploy("neighbor");
   kit.system().ensure_netlink();
   kit.system().register_message(wire::kMsgAodvRreq, "AODV");
@@ -308,7 +298,7 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
   // reactive_sets, aodv_sets). Routes get RFC 3561's two-phase treatment:
   // the route loss fn invalidates a lapsed valid entry and re-arms it for
   // DELETE_PERIOD (seqnum memory), then lets the second lapse delete it.
-  const ReactiveProtocol reactive = aodv_reactive(params);
+  const ReactiveProtocol reactive = aodv_reactive();
   auto soft = std::make_unique<core::SoftExpiry>();
   define_route_set(
       *soft, reactive, [](std::uint64_t key, core::ProtocolContext& ctx) {
@@ -325,7 +315,7 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
       });
   define_pending_set(*soft, reactive);
   soft->define_set(
-      "aodv.rreq_id", params.rreq_id_hold,
+      "aodv.rreq_id", kAodvPathDiscoveryTime,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
         ctx.state_as<AodvState>().drop_rreq_seen(
             static_cast<net::Addr>(key >> 24),
@@ -341,7 +331,7 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
       });
   cf->add_source(std::move(soft));
 
-  cf->add_handler(std::make_unique<AodvHandler>(params));
+  cf->add_handler(std::make_unique<AodvHandler>());
   cf->add_handler(std::make_unique<NoRouteHandler>(reactive));
   cf->add_handler(std::make_unique<RouteUpdateHandler>(reactive));
   cf->add_handler(
@@ -349,7 +339,7 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
 
   // Routes are advertised in HELLOs.
   if (auto* table = dynamic_cast<NeighborTable*>(neighbor->state_component())) {
-    set_route_piggyback(kit, *table, params);
+    set_route_piggyback(kit, *table);
   }
 
   cf->declare_events(
@@ -361,12 +351,10 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
   return cf;
 }
 
-void register_aodv(core::Manetkit& kit, AodvParams params) {
+void register_aodv(core::Manetkit& kit) {
   if (!kit.has_builder("neighbor")) register_neighbor(kit);
-  kit.register_protocol(
-      "aodv", /*layer=*/20,
-      [params](core::Manetkit& k) { return build_aodv_cf(k, params); },
-      /*category=*/"reactive");
+  kit.register_protocol("aodv", /*layer=*/20, build_aodv_cf,
+                        /*category=*/"reactive");
 }
 
 AodvState* aodv_state(core::ManetProtocolCf& cf) {

@@ -25,12 +25,14 @@
 
 namespace mk::proto {
 
-struct AodvParams {
-  Duration active_route_timeout = sec(3);
-  Duration rreq_wait = sec(1);
-  Duration rreq_id_hold = sec(6);
-  std::uint8_t net_diameter = 35;  // RREQ hop limit
-};
+/// RFC 3561 §10 ACTIVE_ROUTE_TIMEOUT: lifetime of a learned or used route.
+inline constexpr Duration kAodvActiveRouteTimeout = sec(3);
+/// Backoff before a discovery's first retry (doubled after).
+inline constexpr Duration kAodvRreqWait = sec(1);
+/// PATH_DISCOVERY_TIME: how long an (originator, RREQ ID) pair is remembered.
+inline constexpr Duration kAodvPathDiscoveryTime = sec(6);
+/// NET_DIAMETER: the hop limit of RREQs and RREPs.
+inline constexpr std::uint8_t kAodvNetDiameter = 35;
 
 /// Soft-state set ids of the AODV CF beyond the reactive_sets, fixed by
 /// definition order in build_aodv_cf.
@@ -40,16 +42,15 @@ inline constexpr core::SoftExpiry::SetId kRreqId = 2;
 
 /// Packs an RREQ duplicate-cache tuple into SoftExpiry's 56-bit key space.
 /// The rreq id is a monotonic per-node counter, so its low 24 bits cannot
-/// collide within rreq_id_hold.
+/// collide within kAodvPathDiscoveryTime.
 inline std::uint64_t aodv_rreq_key(net::Addr origin, std::uint32_t rreq_id) {
   return (static_cast<std::uint64_t>(origin) << 24) | (rreq_id & 0xFFFFFF);
 }
 
-std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
-                                                     AodvParams params = {});
+std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit);
 
 /// Registers "aodv" (layer 20, category "reactive").
-void register_aodv(core::Manetkit& kit, AodvParams params = {});
+void register_aodv(core::Manetkit& kit);
 
 AodvState* aodv_state(core::ManetProtocolCf& cf);
 

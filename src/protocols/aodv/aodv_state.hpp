@@ -68,8 +68,8 @@ class AodvState : public ReactiveTable<AodvRoute> {
   bool check_rreq_seen(net::Addr origin, std::uint32_t rreq_id, TimePoint now);
   /// Removes one cache tuple by originator and the rreq id's *low 24 bits*
   /// (the soft-state key only carries those; ids are monotonic per node, so
-  /// the truncation cannot collide within rreq_id_hold). Returns true if a
-  /// matching tuple existed.
+  /// the truncation cannot collide within the tuple's holding time). Returns
+  /// true if a matching tuple existed.
   bool drop_rreq_seen(net::Addr origin, std::uint32_t rreq_id_low24);
   /// All live cache tuples (expiry re-seeding).
   std::vector<std::pair<net::Addr, std::uint32_t>> rreq_seen_entries() const;

@@ -13,24 +13,24 @@ using core::attrs::kUnicastTo;
 
 }  // namespace
 
-ReactiveProtocol dymo_reactive(const DymoParams& params) {
+ReactiveProtocol dymo_reactive() {
   ReactiveProtocol p;
   p.name = "dymo";
-  p.route_lifetime = params.route_lifetime;
-  p.rreq_wait = params.rreq_wait;
-  p.send_rreq = [params](core::ProtocolContext& ctx, net::Addr target) {
+  p.route_lifetime = kDymoRouteTimeout;
+  p.rreq_wait = kDymoRreqWaitTime;
+  p.send_rreq = [](core::ProtocolContext& ctx, net::Addr target) {
     DymoState& st = ctx.state_as<DymoState>();
     ev::Event e(ev::etype("RM_OUT"));
-    e.set_msg(rm::build_rreq(ctx.self(), st.bump_seq(), target,
-                             params.rreq_hop_limit));
+    e.set_msg(
+        rm::build_rreq(ctx.self(), st.bump_seq(), target, kDymoMsgHopLimit));
     ctx.emit(std::move(e));
   };
-  p.build_rerr = [params](core::ProtocolContext& ctx,
-                          const Unreachable& unreachable) {
+  p.build_rerr = [](core::ProtocolContext& ctx,
+                    const Unreachable& unreachable) {
     ev::Event e(ev::etype("RERR_OUT"));
     e.set_msg(rm::build_rerr(ctx.self(),
                              ctx.state_as<DymoState>().next_rerr_seq(),
-                             unreachable, params.rerr_hop_limit));
+                             unreachable, kDymoRerrHopLimit));
     return e;
   };
   return p;
@@ -122,11 +122,10 @@ pbb::Message build_rerr(
 
 // ------------------------------------------------------------------ ReHandler
 
-ReHandler::ReHandler(DymoParams params)
-    : ReHandler("dymo.ReHandler", params) {}
+ReHandler::ReHandler() : ReHandler("dymo.ReHandler") {}
 
-ReHandler::ReHandler(std::string type_name, DymoParams params)
-    : core::EventHandler(std::move(type_name), {"RM_IN"}), params_(params) {
+ReHandler::ReHandler(std::string type_name)
+    : core::EventHandler(std::move(type_name), {"RM_IN"}) {
   set_instance_name("ReHandler");
 }
 
@@ -139,7 +138,7 @@ void ReHandler::learn(const ev::Event& event, core::ProtocolContext& ctx) {
     if (dest == ctx.self()) return;
     route_learned(ctx, dest, event.from, hops,
                   st.update_route(dest, seq, event.from, hops, now,
-                                  params_.route_lifetime));
+                                  kDymoRouteTimeout));
   };
 
   // Route to the message originator via the previous hop.
@@ -170,7 +169,7 @@ void ReHandler::send_rrep(const ev::Event& rreq_event,
   ev::Event out(ev::etype("RM_OUT"));
   out.set_msg(rm::build_rrep(ctx.self(),
                              bump_seq ? st.bump_seq() : st.own_seq(),
-                             *rreq.originator, params_.rreq_hop_limit));
+                             *rreq.originator, kDymoMsgHopLimit));
   // Unicast back along the (just learned) reverse route.
   out.set_int(kUnicastTo, rreq_event.from);
   if (rrep_sent_ == nullptr) {
@@ -252,8 +251,8 @@ void ReHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
 
 // ---------------------------------------------------------------- RerrHandler
 
-RerrHandler::RerrHandler(DymoParams params)
-    : core::EventHandler("dymo.RerrHandler", {"RERR_IN"}), params_(params) {
+RerrHandler::RerrHandler()
+    : core::EventHandler("dymo.RerrHandler", {"RERR_IN"}) {
   set_instance_name("RerrHandler");
 }
 
@@ -281,8 +280,7 @@ void RerrHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
 
 // -------------------------------------------------------------------- builder
 
-std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
-                                                     DymoParams params) {
+std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit) {
   kit.deploy("neighbor");
   kit.system().ensure_netlink();
   kit.system().register_message(wire::kMsgDymoRm, "RM");
@@ -299,7 +297,7 @@ std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
   // is armed per-entry, so a route lapses — and its kernel entry goes — at
   // its exact lifetime, and RREQ retries fire at their exact backoff
   // deadline.
-  const ReactiveProtocol reactive = dymo_reactive(params);
+  const ReactiveProtocol reactive = dymo_reactive();
   auto soft = std::make_unique<core::SoftExpiry>();
   define_route_set(*soft, reactive,
                    [](std::uint64_t key, core::ProtocolContext& ctx) {
@@ -310,7 +308,7 @@ std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
                    });
   define_pending_set(*soft, reactive);
   soft->define_set(
-      "dymo.duplicate", params.duplicate_hold,
+      "dymo.duplicate", kDymoDupHoldTime,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
         ctx.state_as<DymoState>().drop_duplicate(key);
       },
@@ -319,12 +317,12 @@ std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
       });
   cf->add_source(std::move(soft));
 
-  cf->add_handler(std::make_unique<ReHandler>(params));
+  cf->add_handler(std::make_unique<ReHandler>());
   cf->add_handler(std::make_unique<NoRouteHandler>(reactive));
   cf->add_handler(std::make_unique<RouteUpdateHandler>(reactive));
   cf->add_handler(
       std::make_unique<LinkBreakHandler>(reactive, "RouteErrHandler"));
-  cf->add_handler(std::make_unique<RerrHandler>(params));
+  cf->add_handler(std::make_unique<RerrHandler>());
 
   cf->declare_events(
       /*required=*/{"RM_IN", "RERR_IN", ev::types::NO_ROUTE,
@@ -335,12 +333,10 @@ std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
   return cf;
 }
 
-void register_dymo(core::Manetkit& kit, DymoParams params) {
+void register_dymo(core::Manetkit& kit) {
   if (!kit.has_builder("neighbor")) register_neighbor(kit);
-  kit.register_protocol(
-      "dymo", /*layer=*/20,
-      [params](core::Manetkit& k) { return build_dymo_cf(k, params); },
-      /*category=*/"reactive");
+  kit.register_protocol("dymo", /*layer=*/20, build_dymo_cf,
+                        /*category=*/"reactive");
 }
 
 DymoState* dymo_state(core::ManetProtocolCf& cf) {

@@ -27,14 +27,6 @@
 
 namespace mk::proto {
 
-struct DymoParams {
-  Duration route_lifetime = sec(5);
-  Duration rreq_wait = sec(1);        // initial retry backoff
-  Duration duplicate_hold = sec(5);
-  std::uint8_t rreq_hop_limit = 10;
-  std::uint8_t rerr_hop_limit = 3;
-};
-
 /// Soft-state set ids of the DYMO CF (and its ZRP/multipath/gossip
 /// derivatives) beyond the reactive_sets, fixed by definition order in
 /// build_dymo_cf.
@@ -70,12 +62,12 @@ pbb::Message build_rerr(net::Addr self, std::uint16_t seq,
 /// accumulation). The multipath variant overrides the duplicate hooks.
 class ReHandler : public core::EventHandler {
  public:
-  explicit ReHandler(DymoParams params);
+  ReHandler();
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override;
 
  protected:
-  ReHandler(std::string type_name, DymoParams params);
+  explicit ReHandler(std::string type_name);
 
   /// A duplicate RREQ arrived at the *target*; default: discard.
   virtual void on_duplicate_rreq_at_target(const ev::Event& event,
@@ -106,7 +98,6 @@ class ReHandler : public core::EventHandler {
   void send_rrep(const ev::Event& rreq_event, core::ProtocolContext& ctx,
                  bool bump_seq = true);
 
-  DymoParams params_;
   obs::Counter* rm_in_ = nullptr;      // cached "dymo.rm_in"
   obs::Counter* rrep_sent_ = nullptr;  // cached "dymo.rrep_sent"
 };
@@ -114,22 +105,18 @@ class ReHandler : public core::EventHandler {
 /// RERR processing: invalidate matching routes and propagate.
 class RerrHandler final : public core::EventHandler {
  public:
-  explicit RerrHandler(DymoParams params);
+  RerrHandler();
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override;
-
- private:
-  DymoParams params_;
 };
 
 /// DYMO's binding to the reactive core: RM_OUT RREQs, RERR_OUT RERRs.
-ReactiveProtocol dymo_reactive(const DymoParams& params);
+ReactiveProtocol dymo_reactive();
 
-std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
-                                                     DymoParams params = {});
+std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit);
 
 /// Registers "dymo" (layer 20, category "reactive"); also registers
 /// "neighbor" if absent.
-void register_dymo(core::Manetkit& kit, DymoParams params = {});
+void register_dymo(core::Manetkit& kit);
 
 DymoState* dymo_state(core::ManetProtocolCf& cf);
 

@@ -17,6 +17,7 @@
 
 #include "net/address.hpp"
 #include "protocols/reactive.hpp"
+#include "protocols/timing.hpp"
 #include "util/time.hpp"
 
 namespace mk::proto {
@@ -75,8 +76,8 @@ class DymoState : public ReactiveTable<DymoRoute> {
   /// present.
   bool drop_route(net::Addr dest) { return routes_.erase(dest) > 0; }
 
-  /// Discovery try limit of the pending table.
-  static constexpr std::uint8_t kMaxTries = 3;
+  /// Discovery try limit of the pending table (RREQ_TRIES).
+  static constexpr std::uint8_t kMaxTries = kDymoRreqTries;
 
   /// Number for the next RERR this node sends, its own or relayed.
   std::uint16_t next_rerr_seq() { return rerr_seq_++; }

@@ -9,8 +9,8 @@ namespace {
 
 class GossipReHandler final : public ReHandler {
  public:
-  GossipReHandler(DymoParams params, GossipParams gossip)
-      : ReHandler("dymo.GossipReHandler", params),
+  explicit GossipReHandler(GossipParams gossip)
+      : ReHandler("dymo.GossipReHandler"),
         gossip_(gossip),
         rng_(gossip.seed) {}
 
@@ -30,8 +30,7 @@ class GossipReHandler final : public ReHandler {
 
 }  // namespace
 
-void apply_dymo_gossip_flooding(core::Manetkit& kit, GossipParams gossip,
-                                DymoParams params) {
+void apply_dymo_gossip_flooding(core::Manetkit& kit, GossipParams gossip) {
   core::ManetProtocolCf* dymo = kit.protocol("dymo");
   MK_ENSURE(dymo != nullptr, "gossip flooding requires deployed dymo");
   MK_ENSURE(gossip.relay_probability > 0.0 && gossip.relay_probability <= 1.0,
@@ -39,15 +38,14 @@ void apply_dymo_gossip_flooding(core::Manetkit& kit, GossipParams gossip,
   if (is_dymo_gossip_flooding(kit)) return;
   // Per-node seed decorrelates relay decisions across the network.
   gossip.seed += kit.self();
-  dymo->replace_handler("ReHandler",
-                        std::make_unique<GossipReHandler>(params, gossip));
+  dymo->replace_handler("ReHandler", std::make_unique<GossipReHandler>(gossip));
 }
 
-void remove_dymo_gossip_flooding(core::Manetkit& kit, DymoParams params) {
+void remove_dymo_gossip_flooding(core::Manetkit& kit) {
   core::ManetProtocolCf* dymo = kit.protocol("dymo");
   MK_ENSURE(dymo != nullptr, "dymo not deployed");
   if (!is_dymo_gossip_flooding(kit)) return;
-  dymo->replace_handler("ReHandler", std::make_unique<ReHandler>(params));
+  dymo->replace_handler("ReHandler", std::make_unique<ReHandler>());
 }
 
 bool is_dymo_gossip_flooding(core::Manetkit& kit) {

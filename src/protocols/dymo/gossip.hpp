@@ -22,9 +22,8 @@ struct GossipParams {
   std::uint64_t seed = 99;
 };
 
-void apply_dymo_gossip_flooding(core::Manetkit& kit, GossipParams gossip = {},
-                                DymoParams params = {});
-void remove_dymo_gossip_flooding(core::Manetkit& kit, DymoParams params = {});
+void apply_dymo_gossip_flooding(core::Manetkit& kit, GossipParams gossip = {});
+void remove_dymo_gossip_flooding(core::Manetkit& kit);
 bool is_dymo_gossip_flooding(core::Manetkit& kit);
 
 }  // namespace mk::proto

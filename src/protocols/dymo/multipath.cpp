@@ -10,8 +10,7 @@ namespace {
 /// RE handler mining duplicates for link-disjoint paths.
 class MultipathReHandler final : public ReHandler {
  public:
-  explicit MultipathReHandler(DymoParams params)
-      : ReHandler("dymo.MultipathReHandler", params) {}
+  MultipathReHandler() : ReHandler("dymo.MultipathReHandler") {}
 
  protected:
   /// Duplicate RREQ at the target: answer it too (bounded by kMaxPaths), so
@@ -54,9 +53,9 @@ class MultipathReHandler final : public ReHandler {
 /// Route-error handler that fails over before reporting.
 class MultipathInvalidationHandler final : public LinkBreakHandler {
  public:
-  explicit MultipathInvalidationHandler(DymoParams params)
-      : LinkBreakHandler("dymo.MultipathInvalidationHandler",
-                         dymo_reactive(params), "RouteErrHandler") {}
+  MultipathInvalidationHandler()
+      : LinkBreakHandler("dymo.MultipathInvalidationHandler", dymo_reactive(),
+                         "RouteErrHandler") {}
 
  protected:
   Unreachable fail_via(net::Addr hop, core::ProtocolContext& ctx) override {
@@ -88,7 +87,7 @@ class MultipathInvalidationHandler final : public LinkBreakHandler {
 
 }  // namespace
 
-void apply_multipath_dymo(core::Manetkit& kit, DymoParams params) {
+void apply_multipath_dymo(core::Manetkit& kit) {
   core::ManetProtocolCf* dymo = kit.protocol("dymo");
   MK_ENSURE(dymo != nullptr, "multipath variant requires deployed dymo");
   if (is_multipath_dymo(kit)) return;
@@ -102,13 +101,12 @@ void apply_multipath_dymo(core::Manetkit& kit, DymoParams params) {
   dymo->set_state(std::move(new_state));
 
   // 2 & 3. Handler replacements.
-  dymo->replace_handler("ReHandler",
-                        std::make_unique<MultipathReHandler>(params));
+  dymo->replace_handler("ReHandler", std::make_unique<MultipathReHandler>());
   dymo->replace_handler("RouteErrHandler",
-                        std::make_unique<MultipathInvalidationHandler>(params));
+                        std::make_unique<MultipathInvalidationHandler>());
 }
 
-void remove_multipath_dymo(core::Manetkit& kit, DymoParams params) {
+void remove_multipath_dymo(core::Manetkit& kit) {
   core::ManetProtocolCf* dymo = kit.protocol("dymo");
   MK_ENSURE(dymo != nullptr, "dymo not deployed");
   if (!is_multipath_dymo(kit)) return;
@@ -122,15 +120,15 @@ void remove_multipath_dymo(core::Manetkit& kit, DymoParams params) {
       if (route.valid && route.active() != nullptr) {
         new_state->update_route(dest, route.seqnum, route.active()->next_hop,
                                 route.active()->hops,
-                                dymo->context().now(), params.route_lifetime);
+                                dymo->context().now(), kDymoRouteTimeout);
       }
     }
   }
   dymo->set_state(std::move(new_state));
-  dymo->replace_handler("ReHandler", std::make_unique<ReHandler>(params));
-  dymo->replace_handler("RouteErrHandler",
-                        std::make_unique<LinkBreakHandler>(
-                            dymo_reactive(params), "RouteErrHandler"));
+  dymo->replace_handler("ReHandler", std::make_unique<ReHandler>());
+  dymo->replace_handler(
+      "RouteErrHandler",
+      std::make_unique<LinkBreakHandler>(dymo_reactive(), "RouteErrHandler"));
 }
 
 bool is_multipath_dymo(core::Manetkit& kit) {

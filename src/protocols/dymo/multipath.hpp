@@ -17,8 +17,8 @@
 
 namespace mk::proto {
 
-void apply_multipath_dymo(core::Manetkit& kit, DymoParams params = {});
-void remove_multipath_dymo(core::Manetkit& kit, DymoParams params = {});
+void apply_multipath_dymo(core::Manetkit& kit);
+void remove_multipath_dymo(core::Manetkit& kit);
 bool is_multipath_dymo(core::Manetkit& kit);
 
 }  // namespace mk::proto

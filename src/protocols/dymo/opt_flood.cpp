@@ -11,8 +11,8 @@ namespace {
 /// Relaying: only relay floods from neighbours that selected us as MPR.
 class OptFloodReHandler final : public ReHandler {
  public:
-  OptFloodReHandler(DymoParams params, core::Manetkit& kit)
-      : ReHandler("dymo.OptFloodReHandler", params), kit_(kit) {}
+  explicit OptFloodReHandler(core::Manetkit& kit)
+      : ReHandler("dymo.OptFloodReHandler"), kit_(kit) {}
 
  protected:
   bool should_relay_rreq(const ev::Event& event,
@@ -27,7 +27,7 @@ class OptFloodReHandler final : public ReHandler {
 
 }  // namespace
 
-void apply_dymo_optimized_flooding(core::Manetkit& kit, DymoParams params) {
+void apply_dymo_optimized_flooding(core::Manetkit& kit) {
   core::ManetProtocolCf* dymo = kit.protocol("dymo");
   MK_ENSURE(dymo != nullptr, "optimised flooding requires deployed dymo");
   if (is_dymo_optimized_flooding(kit)) return;
@@ -41,17 +41,16 @@ void apply_dymo_optimized_flooding(core::Manetkit& kit, DymoParams params) {
     kit.undeploy("neighbor");
   }
 
-  dymo->replace_handler("ReHandler",
-                        std::make_unique<OptFloodReHandler>(params, kit));
+  dymo->replace_handler("ReHandler", std::make_unique<OptFloodReHandler>(kit));
 }
 
-void remove_dymo_optimized_flooding(core::Manetkit& kit, DymoParams params) {
+void remove_dymo_optimized_flooding(core::Manetkit& kit) {
   core::ManetProtocolCf* dymo = kit.protocol("dymo");
   MK_ENSURE(dymo != nullptr, "dymo not deployed");
   if (!is_dymo_optimized_flooding(kit)) return;
 
   kit.deploy("neighbor");
-  dymo->replace_handler("ReHandler", std::make_unique<ReHandler>(params));
+  dymo->replace_handler("ReHandler", std::make_unique<ReHandler>());
   // The MPR CF stays if OLSR shares it; undeploy only when it would idle.
   if (!kit.is_deployed("olsr") && kit.is_deployed("mpr")) {
     kit.undeploy("mpr");

@@ -13,10 +13,8 @@
 
 namespace mk::proto {
 
-void apply_dymo_optimized_flooding(core::Manetkit& kit,
-                                   DymoParams params = {});
-void remove_dymo_optimized_flooding(core::Manetkit& kit,
-                                    DymoParams params = {});
+void apply_dymo_optimized_flooding(core::Manetkit& kit);
+void remove_dymo_optimized_flooding(core::Manetkit& kit);
 bool is_dymo_optimized_flooding(core::Manetkit& kit);
 
 }  // namespace mk::proto

@@ -70,10 +70,8 @@ void set_position_beacon(core::Manetkit& kit, NeighborTable& table) {
 /// Computes and installs greedy routes on demand.
 class GreedyRouteHandler final : public core::EventHandler {
  public:
-  GreedyRouteHandler(GpsrParams params, LocationService locate,
-                     core::Manetkit& kit)
+  GreedyRouteHandler(LocationService locate, core::Manetkit& kit)
       : core::EventHandler("gpsr.GreedyRouteHandler", {ev::types::NO_ROUTE}),
-        params_(params),
         locate_(std::move(locate)),
         kit_(kit) {
     set_instance_name("GreedyRouteHandler");
@@ -109,7 +107,7 @@ class GreedyRouteHandler final : public core::EventHandler {
 
     // Geographic routing has no hop-count estimate: metric 1.
     ctx.set_route(dest, hop, 1);
-    TimePoint deadline = ctx.now() + params_.route_lifetime;
+    TimePoint deadline = ctx.now() + kGpsrRouteLifetime;
     st.active_dests()[dest] = deadline;
     if (auto* soft = ctx.soft()) {
       soft->touch_at(gpsr_sets::kActive, dest, deadline);
@@ -119,7 +117,6 @@ class GreedyRouteHandler final : public core::EventHandler {
   }
 
  private:
-  GpsrParams params_;
   LocationService locate_;
   core::Manetkit& kit_;
 };
@@ -129,8 +126,8 @@ class GreedyRouteHandler final : public core::EventHandler {
 /// soft-state layer; this source only tracks the geometry.
 class GpsrMaintenance final : public core::PeriodicSource {
  public:
-  GpsrMaintenance(GpsrParams params, GreedyRouteHandler* greedy)
-      : core::PeriodicSource("gpsr.Maintenance", params.sweep_interval,
+  explicit GpsrMaintenance(GreedyRouteHandler* greedy)
+      : core::PeriodicSource("gpsr.Maintenance", kGpsrSweepInterval,
                              /*jitter=*/0.0, /*seed_offset=*/9),
         greedy_(greedy) {
     set_instance_name("Maintenance");
@@ -151,10 +148,9 @@ class GpsrMaintenance final : public core::PeriodicSource {
 /// routes through the lost neighbour immediately.
 class GpsrEventHandler final : public core::EventHandler {
  public:
-  explicit GpsrEventHandler(GpsrParams params)
+  GpsrEventHandler()
       : core::EventHandler("gpsr.EventHandler",
-                           {ev::types::ROUTE_UPDATE, ev::types::NHOOD_CHANGE}),
-        params_(params) {
+                           {ev::types::ROUTE_UPDATE, ev::types::NHOOD_CHANGE}) {
     set_instance_name("EventHandler");
   }
 
@@ -165,7 +161,7 @@ class GpsrEventHandler final : public core::EventHandler {
       auto dest = static_cast<net::Addr>(event.get_int(kDest));
       auto it = st.active_dests().find(dest);
       if (it != st.active_dests().end()) {
-        it->second = ctx.now() + params_.route_lifetime;
+        it->second = ctx.now() + kGpsrRouteLifetime;
         if (soft != nullptr) {
           soft->touch_at(gpsr_sets::kActive, dest, it->second);
         }
@@ -182,9 +178,6 @@ class GpsrEventHandler final : public core::EventHandler {
       ctx.metrics().counter("gpsr.routes_torn_down").inc();
     }
   }
-
- private:
-  GpsrParams params_;
 };
 
 }  // namespace
@@ -237,8 +230,7 @@ net::Addr greedy_next_hop(const IGpsrState& st, net::Position self,
 // ------------------------------------------------------------------- builder
 
 std::unique_ptr<core::ManetProtocolCf> build_gpsr_cf(core::Manetkit& kit,
-                                                     LocationService locate,
-                                                     GpsrParams params) {
+                                                     LocationService locate) {
   MK_ASSERT(locate != nullptr, "gpsr needs a location service");
   core::ManetProtocolCf* neighbor = kit.deploy("neighbor");
   kit.system().ensure_netlink();
@@ -251,7 +243,7 @@ std::unique_ptr<core::ManetProtocolCf> build_gpsr_cf(core::Manetkit& kit,
   // (set ids fixed by definition order — see gpsr_sets).
   auto soft = std::make_unique<core::SoftExpiry>();
   soft->define_set(
-      "gpsr.position", params.position_hold,
+      "gpsr.position", kGpsrPositionHold,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
         ctx.state_as<GpsrState>().drop_position(static_cast<net::Addr>(key));
       },
@@ -259,7 +251,7 @@ std::unique_ptr<core::ManetProtocolCf> build_gpsr_cf(core::Manetkit& kit,
         return core::seed_keys(ctx.state_as<GpsrState>().position_addrs());
       });
   soft->define_set(
-      "gpsr.active", params.route_lifetime,
+      "gpsr.active", kGpsrRouteLifetime,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
         GpsrState& st = ctx.state_as<GpsrState>();
         auto dest = static_cast<net::Addr>(key);
@@ -277,12 +269,11 @@ std::unique_ptr<core::ManetProtocolCf> build_gpsr_cf(core::Manetkit& kit,
       });
   cf->add_source(std::move(soft));
 
-  auto greedy =
-      std::make_unique<GreedyRouteHandler>(params, std::move(locate), kit);
+  auto greedy = std::make_unique<GreedyRouteHandler>(std::move(locate), kit);
   GreedyRouteHandler* greedy_raw = greedy.get();
   cf->add_handler(std::move(greedy));
-  cf->add_handler(std::make_unique<GpsrEventHandler>(params));
-  cf->add_source(std::make_unique<GpsrMaintenance>(params, greedy_raw));
+  cf->add_handler(std::make_unique<GpsrEventHandler>());
+  cf->add_source(std::make_unique<GpsrMaintenance>(greedy_raw));
 
   if (auto* table = dynamic_cast<NeighborTable*>(neighbor->state_component())) {
     set_position_beacon(kit, *table);
@@ -296,14 +287,11 @@ std::unique_ptr<core::ManetProtocolCf> build_gpsr_cf(core::Manetkit& kit,
   return cf;
 }
 
-void register_gpsr(core::Manetkit& kit, LocationService locate,
-                   GpsrParams params) {
+void register_gpsr(core::Manetkit& kit, LocationService locate) {
   if (!kit.has_builder("neighbor")) register_neighbor(kit);
   kit.register_protocol(
       "gpsr", /*layer=*/20,
-      [locate, params](core::Manetkit& k) {
-        return build_gpsr_cf(k, locate, params);
-      },
+      [locate](core::Manetkit& k) { return build_gpsr_cf(k, locate); },
       /*category=*/"reactive");  // owns the NO_ROUTE slot
 }
 

@@ -36,15 +36,13 @@ namespace mk::proto {
 using LocationService =
     std::function<std::optional<net::Position>(net::Addr)>;
 
-struct GpsrParams {
-  /// Greedy routes are re-evaluated at least this often under mobility.
-  Duration route_lifetime = sec(1);
-  /// How often greedy choices for active destinations are re-evaluated
-  /// (genuinely periodic: mobility moves neighbours between deadlines).
-  Duration sweep_interval = msec(500);
-  /// Positions older than this are distrusted (neighbour may have moved).
-  Duration position_hold = sec(6);
-};
+/// Greedy routes are re-evaluated at least this often under mobility.
+inline constexpr Duration kGpsrRouteLifetime = sec(1);
+/// How often greedy choices for active destinations are re-evaluated
+/// (genuinely periodic: mobility moves neighbours between deadlines).
+inline constexpr Duration kGpsrSweepInterval = msec(500);
+/// Positions older than this are distrusted (neighbour may have moved).
+inline constexpr Duration kGpsrPositionHold = sec(6);
 
 /// Soft-state set ids of the GPSR CF, fixed by definition order in
 /// build_gpsr_cf.
@@ -81,13 +79,12 @@ class GpsrState : public oc::Component, public core::IState, public IGpsrState {
   std::map<net::Addr, TimePoint> active_;
 };
 
-std::unique_ptr<core::ManetProtocolCf> build_gpsr_cf(
-    core::Manetkit& kit, LocationService locate, GpsrParams params = {});
+std::unique_ptr<core::ManetProtocolCf> build_gpsr_cf(core::Manetkit& kit,
+                                                     LocationService locate);
 
 /// Registers "gpsr" (layer 20; occupies the on-demand/NO_ROUTE slot, so it
 /// is categorised "reactive" for the single-owner integrity rule).
-void register_gpsr(core::Manetkit& kit, LocationService locate,
-                   GpsrParams params = {});
+void register_gpsr(core::Manetkit& kit, LocationService locate);
 
 GpsrState* gpsr_state(core::ManetProtocolCf& cf);
 

@@ -6,10 +6,8 @@
 
 namespace mk::proto {
 
-struct InstallParams;  // forward (defaults below)
-
-/// Registers neighbor, mpr, olsr, dymo and aodv builders with their default
-/// parameters. Nothing is deployed.
+/// Registers the neighbor, mpr, olsr, dymo, aodv and zrp builders. Nothing
+/// is deployed.
 void install_all(core::Manetkit& kit);
 
 }  // namespace mk::proto

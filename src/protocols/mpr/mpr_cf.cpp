@@ -6,6 +6,7 @@
 #include "core/attrs.hpp"
 #include "core/soft_state.hpp"
 #include "protocols/mpr/mpr_handlers.hpp"
+#include "protocols/timing.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 
@@ -19,8 +20,7 @@ using core::attrs::kBattery;
 /// relays, this node's willingness and the MPR-aware marker.
 class MprHelloSource final : public HelloSource {
  public:
-  explicit MprHelloSource(Duration interval)
-      : HelloSource("mpr.HelloSource", interval) {}
+  MprHelloSource() : HelloSource("mpr.HelloSource", kHelloInterval) {}
 
  protected:
   // The MPR CF's S element is always an MprState.
@@ -163,8 +163,8 @@ class MprForward final : public oc::Component, public core::IForward {
 /// layer (see build_mpr_cf), not swept here.
 class HysteresisTick final : public core::PeriodicSource {
  public:
-  explicit HysteresisTick(MprParams params)
-      : core::PeriodicSource("mpr.HysteresisTick", params.hello_interval,
+  HysteresisTick()
+      : core::PeriodicSource("mpr.HysteresisTick", kHelloInterval,
                              /*jitter=*/0.0, /*seed_offset=*/1) {
     set_instance_name("HysteresisTick");
   }
@@ -197,8 +197,7 @@ void apply_tuple(core::ManetProtocolCf& cf,
 
 }  // namespace
 
-std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit,
-                                                    MprParams params) {
+std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit) {
   kit.system().register_message(wire::kMsgHello, "HELLO");
   kit.system().register_message(wire::kMsgTc, "TC");
   kit.system().ensure_power_status();
@@ -217,7 +216,6 @@ std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit,
 
   cf->set_state(std::make_unique<MprState>());
   cf->insert(std::make_unique<MprCalculator>());
-  if (params.use_hysteresis) cf->insert(std::make_unique<Hysteresis>());
   cf->set_forward(std::make_unique<MprForward>(*cf));
 
   // Link, MPR-selector and flooding-duplicate tuples live in the shared
@@ -227,7 +225,7 @@ std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit,
   // entry's own deadline instead of at sweep granularity.
   auto soft = std::make_unique<core::SoftExpiry>();
   define_link_set(
-      *soft, "mpr.link", params.hold_time,
+      *soft, "mpr.link", kNeighbHoldTime,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
         auto addr = static_cast<net::Addr>(key);
         bool was_selector = forget_selector(ctx, addr);
@@ -236,7 +234,7 @@ std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit,
         recompute_mprs(ctx);
       });
   soft->define_set(
-      "mpr.selector", params.selector_hold,
+      "mpr.selector", kNeighbHoldTime,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
         MprState& st = ctx.state_as<MprState>();
         auto addr = static_cast<net::Addr>(key);
@@ -249,7 +247,7 @@ std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit,
         return core::seed_keys(ctx.state_as<MprState>().mpr_selectors());
       });
   soft->define_set(
-      "mpr.duplicate", params.duplicate_hold,
+      "mpr.duplicate", kDupHoldTime,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
         ctx.state_as<MprState>().drop_duplicate(
             static_cast<net::Addr>(key >> 16),
@@ -270,19 +268,23 @@ std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit,
   cf->add_handler(std::make_unique<PowerStatusHandler>());
   cf->add_handler(std::make_unique<FloodOutHandler>(bases));
   cf->add_handler(std::make_unique<FloodRelayHandler>(bases));
-  cf->add_source(std::make_unique<MprHelloSource>(params.hello_interval));
-  if (params.use_hysteresis) {
-    cf->add_source(std::make_unique<HysteresisTick>(params));
-  }
+  cf->add_source(std::make_unique<MprHelloSource>());
 
   apply_tuple(*cf, bases);
   return cf;
 }
 
-void register_mpr(core::Manetkit& kit, MprParams params) {
-  kit.register_protocol(
-      "mpr", /*layer=*/10,
-      [params](core::Manetkit& k) { return build_mpr_cf(k, params); });
+void register_mpr(core::Manetkit& kit) {
+  kit.register_protocol("mpr", /*layer=*/10, build_mpr_cf);
+}
+
+void apply_mpr_hysteresis(core::Manetkit& kit) {
+  core::ManetProtocolCf* mpr = kit.protocol("mpr");
+  MK_ENSURE(mpr != nullptr, "hysteresis requires a deployed mpr");
+  auto lock = mpr->quiesce();
+  if (mpr->find("Hysteresis") != nullptr) return;
+  mpr->insert(std::make_unique<Hysteresis>());
+  mpr->add_source(std::make_unique<HysteresisTick>());
 }
 
 void mpr_add_flood_type(core::Manetkit& kit, core::ManetProtocolCf& mpr_cf,

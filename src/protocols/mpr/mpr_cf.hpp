@@ -23,19 +23,17 @@
 
 namespace mk::proto {
 
-struct MprParams {
-  Duration hello_interval = sec(2);
-  Duration hold_time = sec(6);           // 3 x hello
-  Duration selector_hold = sec(6);
-  Duration duplicate_hold = sec(30);
-  bool use_hysteresis = false;
-};
-
-std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit,
-                                                    MprParams params = {});
+/// Builds the MPR CF with the RFC 3626 timing of protocols/timing.hpp.
+std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit);
 
 /// Registers the "mpr" builder (layer 10).
-void register_mpr(core::Manetkit& kit, MprParams params = {});
+void register_mpr(core::Manetkit& kit);
+
+/// Adds RFC 3626 §14 link hysteresis to `kit`'s deployed MPR CF: inserts the
+/// Hysteresis plug-in, which then gates link establishment, and its
+/// per-HELLO-interval decay tick. Every link starts pending and must prove
+/// itself again. Idempotent.
+void apply_mpr_hysteresis(core::Manetkit& kit);
 
 /// Extends a deployed MPR CF's flooding service to a further message family
 /// (e.g. DYMO's "RM"): registers the PacketBB message type, widens the flood

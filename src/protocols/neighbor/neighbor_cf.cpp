@@ -140,8 +140,7 @@ class LinkLayerFeedback final : public oc::Component {
 
 }  // namespace
 
-std::unique_ptr<core::ManetProtocolCf> build_neighbor_cf(core::Manetkit& kit,
-                                                         NeighborParams params) {
+std::unique_ptr<core::ManetProtocolCf> build_neighbor_cf(core::Manetkit& kit) {
   kit.system().register_message(wire::kMsgHello, "HELLO");
 
   auto cf = std::make_unique<core::ManetProtocolCf>(
@@ -152,21 +151,19 @@ std::unique_ptr<core::ManetProtocolCf> build_neighbor_cf(core::Manetkit& kit,
   // link-layer up notification) re-arms the sender's holding time; lapse
   // removes the entry and, if it was symmetric, emits NHOOD_CHANGE down.
   auto soft = std::make_unique<core::SoftExpiry>();
-  define_link_set(*soft, "neighbor.link", params.hold_time);
+  define_link_set(*soft, "neighbor.link", kNeighbHoldTime);
   cf->add_source(std::move(soft));
 
   cf->add_handler(std::make_unique<HelloHandler>("neighbor.HelloHandler"));
-  cf->add_source(std::make_unique<HelloSource>("neighbor.HelloSource",
-                                               params.hello_interval));
+  cf->add_source(
+      std::make_unique<HelloSource>("neighbor.HelloSource", kHelloInterval));
   cf->declare_events({ev::types::HELLO_IN},
                      {ev::types::HELLO_OUT, ev::types::NHOOD_CHANGE});
   return cf;
 }
 
-void register_neighbor(core::Manetkit& kit, NeighborParams params) {
-  kit.register_protocol(
-      "neighbor", /*layer=*/10,
-      [params](core::Manetkit& k) { return build_neighbor_cf(k, params); });
+void register_neighbor(core::Manetkit& kit) {
+  kit.register_protocol("neighbor", /*layer=*/10, build_neighbor_cf);
 }
 
 void enable_link_layer_feedback(core::Manetkit& kit,

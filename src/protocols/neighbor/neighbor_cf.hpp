@@ -30,6 +30,7 @@
 #include "core/soft_state.hpp"
 #include "protocols/hello_codec.hpp"
 #include "protocols/neighbor/neighbor_state.hpp"
+#include "protocols/timing.hpp"
 
 namespace mk::proto {
 
@@ -107,20 +108,12 @@ class HelloHandler : public core::EventHandler {
   std::vector<net::Addr> two_hop_scratch_;  // reused per HELLO
 };
 
-struct NeighborParams {
-  /// Matches the MPR CF's HELLO cadence so the two sensing mechanisms are
-  /// interchangeable without changing control-traffic volume.
-  Duration hello_interval = sec(2);
-  /// Neighbour hold time (RFC-style: 3 × interval).
-  Duration hold_time = sec(6);
-};
-
-/// Builds the Neighbour Detection CF instance (registered as "neighbor").
-std::unique_ptr<core::ManetProtocolCf> build_neighbor_cf(
-    core::Manetkit& kit, NeighborParams params = {});
+/// Builds the Neighbour Detection CF instance (registered as "neighbor"):
+/// HELLOs every kHelloInterval, links held for kNeighbHoldTime.
+std::unique_ptr<core::ManetProtocolCf> build_neighbor_cf(core::Manetkit& kit);
 
 /// Registers the "neighbor" builder with a kit (layer 10).
-void register_neighbor(core::Manetkit& kit, NeighborParams params = {});
+void register_neighbor(core::Manetkit& kit);
 
 /// Replaces the HELLO-based sensing of a deployed Neighbour Detection CF
 /// with link-layer feedback from the medium (the paper's alternative

@@ -1,18 +1,14 @@
 #include "protocols/olsr/fisheye.hpp"
 
-#include "util/assert.hpp"
-
 namespace mk::proto {
 
 namespace {
 
 class FisheyeHandler final : public core::EventHandler {
  public:
-  explicit FisheyeHandler(FisheyeParams params)
-      : core::EventHandler("olsr.FisheyeHandler", {ev::types::TC_OUT}),
-        params_(std::move(params)) {
+  FisheyeHandler()
+      : core::EventHandler("olsr.FisheyeHandler", {ev::types::TC_OUT}) {
     set_instance_name("FisheyeHandler");
-    MK_ASSERT(!params_.ttl_pattern.empty());
   }
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
@@ -23,34 +19,29 @@ class FisheyeHandler final : public core::EventHandler {
       msg.has_hops = true;
       msg.hop_count = 0;
     }
-    msg.hop_limit = params_.ttl_pattern[counter_++ % params_.ttl_pattern.size()];
+    msg.hop_limit = kFisheyeTtlPattern[counter_++ % kFisheyeTtlPattern.size()];
     ctx.emit(std::move(out));
   }
 
  private:
-  FisheyeParams params_;
   std::size_t counter_ = 0;
 };
 
 }  // namespace
 
-std::unique_ptr<core::ManetProtocolCf> build_fisheye_cf(core::Manetkit& kit,
-                                                        FisheyeParams params) {
+std::unique_ptr<core::ManetProtocolCf> build_fisheye_cf(core::Manetkit& kit) {
   auto cf = std::make_unique<core::ManetProtocolCf>(
       "olsr-fisheye", kit.scheduler(), kit.self(), &kit.system().sys_state());
-  cf->add_handler(std::make_unique<FisheyeHandler>(std::move(params)));
+  cf->add_handler(std::make_unique<FisheyeHandler>());
   // Requiring and providing TC_OUT makes this unit an interposer on the
   // TC_OUT path — no other wiring is needed.
   cf->declare_events({ev::types::TC_OUT}, {ev::types::TC_OUT});
   return cf;
 }
 
-core::ManetProtocolCf* apply_fisheye(core::Manetkit& kit,
-                                     FisheyeParams params) {
+core::ManetProtocolCf* apply_fisheye(core::Manetkit& kit) {
   if (!kit.has_builder("olsr-fisheye")) {
-    kit.register_protocol(
-        "olsr-fisheye", /*layer=*/15,
-        [params](core::Manetkit& k) { return build_fisheye_cf(k, params); });
+    kit.register_protocol("olsr-fisheye", /*layer=*/15, build_fisheye_cf);
   }
   return kit.deploy("olsr-fisheye");
 }

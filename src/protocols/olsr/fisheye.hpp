@@ -7,26 +7,23 @@
 // bindings, interposing it on the TC_OUT path between the OLSR and MPR CFs.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/manet_protocol.hpp"
 #include "core/manetkit.hpp"
 
 namespace mk::proto {
 
-struct FisheyeParams {
-  /// TTL sequence cycled across successive TCs: most TCs stay local, every
-  /// third travels the whole network.
-  std::vector<std::uint8_t> ttl_pattern = {2, 5, 255};
-};
+/// TTL sequence cycled across successive TCs: most TCs stay local, every
+/// third travels the whole network.
+inline constexpr std::array<std::uint8_t, 3> kFisheyeTtlPattern = {2, 5, 255};
 
-std::unique_ptr<core::ManetProtocolCf> build_fisheye_cf(
-    core::Manetkit& kit, FisheyeParams params = {});
+std::unique_ptr<core::ManetProtocolCf> build_fisheye_cf(core::Manetkit& kit);
 
 /// Deploys the fish-eye interposer (layer 15: between OLSR@20 and MPR@10).
-core::ManetProtocolCf* apply_fisheye(core::Manetkit& kit,
-                                     FisheyeParams params = {});
+core::ManetProtocolCf* apply_fisheye(core::Manetkit& kit);
 
 /// Removes the variant; TC_OUT flows directly from OLSR to MPR again.
 void remove_fisheye(core::Manetkit& kit);

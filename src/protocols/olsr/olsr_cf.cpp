@@ -5,6 +5,7 @@
 #include "core/soft_state.hpp"
 #include "protocols/mpr/mpr_cf.hpp"
 #include "protocols/olsr/route_calculator.hpp"
+#include "protocols/timing.hpp"
 #include "protocols/wire.hpp"
 #include "util/log.hpp"
 
@@ -67,8 +68,8 @@ void recompute_routes(core::ProtocolContext& ctx) {
 /// soft-state layer, not swept here.
 class TcGenerator final : public core::PeriodicSource {
  public:
-  TcGenerator(OlsrParams params, core::Manetkit& kit)
-      : core::PeriodicSource("olsr.TcGenerator", params.tc_interval,
+  explicit TcGenerator(core::Manetkit& kit)
+      : core::PeriodicSource("olsr.TcGenerator", kTcInterval,
                              /*jitter=*/0.1, /*seed_offset=*/2),
         kit_(kit) {
     set_instance_name("TcGenerator");
@@ -83,10 +84,8 @@ class TcGenerator final : public core::PeriodicSource {
 /// Applies received Topology Change messages to the topology set.
 class TcHandler final : public core::EventHandler {
  public:
-  TcHandler(OlsrParams params, core::Manetkit& kit,
-            core::SoftExpiry::SetId topo_set)
+  TcHandler(core::Manetkit& kit, core::SoftExpiry::SetId topo_set)
       : core::EventHandler("olsr.TcHandler", {ev::types::TC_IN}),
-        params_(params),
         kit_(kit),
         topo_set_(topo_set) {
     set_instance_name("TcHandler");
@@ -117,14 +116,13 @@ class TcHandler final : public core::EventHandler {
                       advertised_.end());
     OlsrState& st = ctx.state_as<OlsrState>();
     if (st.update_topology(*msg.originator, ansn_tlv->as_u16(), advertised_,
-                           ctx.now(), params_.topology_hold)) {
+                           ctx.now(), kTopHoldTime)) {
       if (auto* soft = ctx.soft()) soft->touch(topo_set_, *msg.originator);
       recompute_routes(ctx);
     }
   }
 
  private:
-  OlsrParams params_;
   core::Manetkit& kit_;
   core::SoftExpiry::SetId topo_set_;
   obs::Counter* tc_in_ = nullptr;  // cached: interned once, then atomic inc
@@ -178,8 +176,7 @@ class TopologyChangeHandler final : public core::EventHandler {
 
 }  // namespace
 
-std::unique_ptr<core::ManetProtocolCf> build_olsr_cf(core::Manetkit& kit,
-                                                     OlsrParams params) {
+std::unique_ptr<core::ManetProtocolCf> build_olsr_cf(core::Manetkit& kit) {
   kit.deploy("mpr");
 
   auto cf = std::make_unique<core::ManetProtocolCf>(
@@ -202,7 +199,7 @@ std::unique_ptr<core::ManetProtocolCf> build_olsr_cf(core::Manetkit& kit,
   // noticed one holding time after the last TC, not at sweep granularity.
   auto soft = std::make_unique<core::SoftExpiry>();
   auto topo_set = soft->define_set(
-      "olsr.topology", params.topology_hold,
+      "olsr.topology", kTopHoldTime,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
         if (ctx.state_as<OlsrState>().drop_topology(
                 static_cast<net::Addr>(key))) {
@@ -214,9 +211,9 @@ std::unique_ptr<core::ManetProtocolCf> build_olsr_cf(core::Manetkit& kit,
       });
   cf->add_source(std::move(soft));
 
-  cf->add_handler(std::make_unique<TcHandler>(params, kit, topo_set));
+  cf->add_handler(std::make_unique<TcHandler>(kit, topo_set));
   cf->add_handler(std::make_unique<TopologyChangeHandler>(kit));
-  cf->add_source(std::make_unique<TcGenerator>(params, kit));
+  cf->add_source(std::make_unique<TcGenerator>(kit));
 
   cf->declare_events(
       {ev::types::TC_IN, ev::types::NHOOD_CHANGE, ev::types::MPR_CHANGE},
@@ -224,12 +221,10 @@ std::unique_ptr<core::ManetProtocolCf> build_olsr_cf(core::Manetkit& kit,
   return cf;
 }
 
-void register_olsr(core::Manetkit& kit, OlsrParams params) {
+void register_olsr(core::Manetkit& kit) {
   if (!kit.has_builder("mpr")) register_mpr(kit);
-  kit.register_protocol(
-      "olsr", /*layer=*/20,
-      [params](core::Manetkit& k) { return build_olsr_cf(k, params); },
-      /*category=*/"proactive");
+  kit.register_protocol("olsr", /*layer=*/20, build_olsr_cf,
+                        /*category=*/"proactive");
 }
 
 OlsrState* olsr_state(core::ManetProtocolCf& cf) {

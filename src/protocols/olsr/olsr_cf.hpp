@@ -14,19 +14,14 @@
 
 namespace mk::proto {
 
-struct OlsrParams {
-  Duration tc_interval = sec(5);
-  Duration topology_hold = sec(15);  // 3 x tc
-};
-
-/// Builds the OLSR CF. Deploys the "mpr" CF first if necessary (the two are
+/// Builds the OLSR CF: TCs every kTcInterval, topology held for
+/// kTopHoldTime. Deploys the "mpr" CF first if necessary (the two are
 /// separate ManetProtocol instances, shareable with other protocols).
-std::unique_ptr<core::ManetProtocolCf> build_olsr_cf(core::Manetkit& kit,
-                                                     OlsrParams params = {});
+std::unique_ptr<core::ManetProtocolCf> build_olsr_cf(core::Manetkit& kit);
 
 /// Registers "olsr" (layer 20, category "proactive"); also registers "mpr"
 /// if absent.
-void register_olsr(core::Manetkit& kit, OlsrParams params = {});
+void register_olsr(core::Manetkit& kit);
 
 OlsrState* olsr_state(core::ManetProtocolCf& cf);
 

@@ -33,8 +33,8 @@ std::uint8_t zone_route(core::Manetkit& kit, net::Addr dest,
 /// re-flooding the query.
 class ZoneReHandler final : public ReHandler {
  public:
-  ZoneReHandler(DymoParams params, core::Manetkit& kit)
-      : ReHandler("zrp.ZoneReHandler", params), kit_(kit) {}
+  explicit ZoneReHandler(core::Manetkit& kit)
+      : ReHandler("zrp.ZoneReHandler"), kit_(kit) {}
 
  protected:
   bool should_relay_rreq(const ev::Event& event,
@@ -48,7 +48,7 @@ class ZoneReHandler final : public ReHandler {
     // (unknown) keeps any later authoritative RREP fresher.
     pbb::Message rrep = rm::build_rrep(target, /*own_seq=*/0,
                                        *event.msg()->originator,
-                                       params_.rreq_hop_limit);
+                                       kDymoMsgHopLimit);
     rrep.hop_count = dist;  // account for the zone leg we vouch for
     ev::Event out(ev::etype("RM_OUT"));
     out.set_msg(std::move(rrep));
@@ -67,9 +67,8 @@ class ZoneReHandler final : public ReHandler {
 /// NO_ROUTE short-circuit: in-zone destinations are served proactively.
 class ZoneNoRouteHandler final : public NoRouteHandler {
  public:
-  ZoneNoRouteHandler(DymoParams params, core::Manetkit& kit)
-      : NoRouteHandler("zrp.ZoneNoRouteHandler", dymo_reactive(params)),
-        kit_(kit) {}
+  explicit ZoneNoRouteHandler(core::Manetkit& kit)
+      : NoRouteHandler("zrp.ZoneNoRouteHandler", dymo_reactive()), kit_(kit) {}
 
  protected:
   bool try_local_knowledge(net::Addr dest,
@@ -90,8 +89,8 @@ class ZoneNoRouteHandler final : public NoRouteHandler {
 /// IARP: keeps kernel routes for every zone member installed and fresh.
 class ZoneMaintenance final : public core::PeriodicSource {
  public:
-  ZoneMaintenance(ZrpParams params, core::Manetkit& kit)
-      : core::PeriodicSource("zrp.ZoneMaintenance", params.zone_refresh,
+  explicit ZoneMaintenance(core::Manetkit& kit)
+      : core::PeriodicSource("zrp.ZoneMaintenance", kZrpZoneRefresh,
                              /*jitter=*/0.1, /*seed_offset=*/8),
         kit_(kit) {
     set_instance_name("ZoneMaintenance");
@@ -132,27 +131,22 @@ class ZoneMaintenance final : public core::PeriodicSource {
 
 }  // namespace
 
-std::unique_ptr<core::ManetProtocolCf> build_zrp_cf(core::Manetkit& kit,
-                                                    ZrpParams params) {
+std::unique_ptr<core::ManetProtocolCf> build_zrp_cf(core::Manetkit& kit) {
   // Reuse the full DYMO composition, then substitute the zone plug-ins —
   // hybridisation as reconfiguration, exactly the paper's pitch.
-  auto cf = build_dymo_cf(kit, params.reactive);
+  auto cf = build_dymo_cf(kit);
   cf->set_unit_name("zrp");
-  cf->replace_handler(
-      "ReHandler", std::make_unique<ZoneReHandler>(params.reactive, kit));
-  cf->replace_handler(
-      "NoRouteHandler",
-      std::make_unique<ZoneNoRouteHandler>(params.reactive, kit));
-  cf->add_source(std::make_unique<ZoneMaintenance>(params, kit));
+  cf->replace_handler("ReHandler", std::make_unique<ZoneReHandler>(kit));
+  cf->replace_handler("NoRouteHandler",
+                      std::make_unique<ZoneNoRouteHandler>(kit));
+  cf->add_source(std::make_unique<ZoneMaintenance>(kit));
   return cf;
 }
 
-void register_zrp(core::Manetkit& kit, ZrpParams params) {
+void register_zrp(core::Manetkit& kit) {
   if (!kit.has_builder("neighbor")) register_neighbor(kit);
-  kit.register_protocol(
-      "zrp", /*layer=*/20,
-      [params](core::Manetkit& k) { return build_zrp_cf(k, params); },
-      /*category=*/"reactive");
+  kit.register_protocol("zrp", /*layer=*/20, build_zrp_cf,
+                        /*category=*/"reactive");
 }
 
 }  // namespace mk::proto

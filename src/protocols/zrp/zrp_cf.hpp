@@ -24,17 +24,14 @@
 
 namespace mk::proto {
 
-struct ZrpParams {
-  DymoParams reactive;  // IERP parameters
-  /// Refresh period for proactively installed zone routes.
-  Duration zone_refresh = sec(1);
-};
+/// Refresh period for proactively installed zone routes (IERP uses DYMO's
+/// timing).
+inline constexpr Duration kZrpZoneRefresh = sec(1);
 
-std::unique_ptr<core::ManetProtocolCf> build_zrp_cf(core::Manetkit& kit,
-                                                    ZrpParams params = {});
+std::unique_ptr<core::ManetProtocolCf> build_zrp_cf(core::Manetkit& kit);
 
 /// Registers "zrp" (layer 20, category "reactive" — it owns the NO_ROUTE
 /// path like any on-demand protocol).
-void register_zrp(core::Manetkit& kit, ZrpParams params = {});
+void register_zrp(core::Manetkit& kit);
 
 }  // namespace mk::proto

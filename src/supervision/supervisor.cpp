@@ -10,6 +10,8 @@
 
 namespace mk::supervision {
 
+using fault::Misbehave;
+
 namespace {
 
 // Modelled cost charged to the dispatch running on this thread (the
@@ -72,14 +74,14 @@ void Supervisor::deliver(core::CfsUnit& target, const ev::Event& event) {
   const std::uint64_t alloc_before =
       alloc_armed ? memtrack::snapshot().total_bytes : 0;
 
-  Misbehaviour mode = Misbehaviour::kNone;
+  Misbehave mode = Misbehave::kNone;
   std::uint64_t salt = 0;
   if (misbehaving_.load(std::memory_order_acquire) != 0) {
     std::scoped_lock lock(mutex_);
     auto it = units_.find(target.unit_name());
     if (it != units_.end()) {
       mode = it->second.misbehave;
-      if (mode == Misbehaviour::kCorrupt) salt = ++it->second.corrupt_salt;
+      if (mode == Misbehave::kCorrupt) salt = ++it->second.corrupt_salt;
     }
   }
 
@@ -87,18 +89,18 @@ void Supervisor::deliver(core::CfsUnit& target, const ev::Event& event) {
   bool ok = true;
   bool corrupt_injected = false;
   switch (mode) {
-    case Misbehaviour::kThrow:
+    case Misbehave::kThrow:
       // The component "dies" mid-dispatch: the event is lost to it, exactly
       // as if its handler had thrown on the first instruction.
       ok = oc::guarded_invoke(
           [] { throw std::runtime_error("injected misbehaviour: throw"); },
           fault);
       break;
-    case Misbehaviour::kStall:
+    case Misbehave::kStall:
       charge(opts_.deadline + msec(1));
       ok = oc::guarded_invoke([&] { target.deliver(event); }, fault);
       break;
-    case Misbehaviour::kCorrupt: {
+    case Misbehave::kCorrupt: {
       // Deterministic bit damage, salted by the unit's injection count so
       // replays corrupt identically. Protocol parsers are fuzz-hardened, so
       // the common outcome is a rejected message, not a crash.
@@ -114,7 +116,7 @@ void Supervisor::deliver(core::CfsUnit& target, const ev::Event& event) {
       ok = oc::guarded_invoke([&] { target.deliver(mutated); }, fault);
       break;
     }
-    case Misbehaviour::kNone:
+    case Misbehave::kNone:
       ok = oc::guarded_invoke([&] { target.deliver(event); }, fault);
       break;
   }
@@ -432,21 +434,21 @@ std::string Supervisor::recovery_variant(const std::string& unit) const {
   return it == units_.end() ? std::string{} : it->second.variant;
 }
 
-void Supervisor::set_misbehaviour(const std::string& unit, Misbehaviour mode) {
+void Supervisor::set_misbehaviour(const std::string& unit, Misbehave mode) {
   std::scoped_lock lock(mutex_);
   UnitState& st = units_[unit];
-  bool was = st.misbehave != Misbehaviour::kNone;
-  bool is = mode != Misbehaviour::kNone;
+  bool was = st.misbehave != Misbehave::kNone;
+  bool is = mode != Misbehave::kNone;
   st.misbehave = mode;
   if (was != is) {
     misbehaving_.fetch_add(is ? 1 : -1, std::memory_order_acq_rel);
   }
 }
 
-Misbehaviour Supervisor::misbehaviour(const std::string& unit) const {
+Misbehave Supervisor::misbehaviour(const std::string& unit) const {
   std::scoped_lock lock(mutex_);
   auto it = units_.find(unit);
-  return it == units_.end() ? Misbehaviour::kNone : it->second.misbehave;
+  return it == units_.end() ? Misbehave::kNone : it->second.misbehave;
 }
 
 UnitHealth Supervisor::health(const std::string& unit) const {
@@ -465,7 +467,7 @@ void Supervisor::forgive(const std::string& unit) {
   std::scoped_lock lock(mutex_);
   auto it = units_.find(unit);
   if (it == units_.end()) return;
-  if (it->second.misbehave != Misbehaviour::kNone) {
+  if (it->second.misbehave != Misbehave::kNone) {
     misbehaving_.fetch_sub(1, std::memory_order_acq_rel);
   }
   if (it->second.recovery_timer != kInvalidTimer) {

@@ -40,26 +40,12 @@
 
 #include "core/executor.hpp"
 #include "core/manetkit.hpp"
+#include "fault/plan.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "util/time.hpp"
 
 namespace mk::supervision {
-
-/// Deterministic misbehaviour injected at the guard boundary (driven by the
-/// FaultPlan `misbehave` action; see fault/plan.hpp):
-///  * kThrow   — the dispatch throws instead of delivering.
-///  * kStall   — the dispatch charges (deadline + 1ms) of modelled cost, so
-///               the watchdog flags it; the event is still delivered.
-///  * kCorrupt — the unit is fed a deterministically bit-flipped copy of the
-///               event's message and the injection is flagged as an
-///               output-integrity fault.
-enum class Misbehaviour : std::uint8_t {
-  kNone = 0,
-  kThrow = 1,
-  kStall = 2,
-  kCorrupt = 3,
-};
 
 enum class UnitHealth : std::uint8_t {
   kHealthy = 0,
@@ -105,8 +91,8 @@ class Supervisor final : public core::DispatchGuard, public core::HealthProvider
   std::vector<std::string> failed_units() const override;
 
   // -- misbehaviour injection (chaos) ----------------------------------------
-  void set_misbehaviour(const std::string& unit, Misbehaviour mode);
-  Misbehaviour misbehaviour(const std::string& unit) const;
+  void set_misbehaviour(const std::string& unit, fault::Misbehave mode);
+  fault::Misbehave misbehaviour(const std::string& unit) const;
 
   // -- introspection ----------------------------------------------------------
   UnitHealth health(const std::string& unit) const;
@@ -138,7 +124,7 @@ class Supervisor final : public core::DispatchGuard, public core::HealthProvider
  private:
   struct UnitState {
     UnitHealth health = UnitHealth::kHealthy;
-    Misbehaviour misbehave = Misbehaviour::kNone;
+    fault::Misbehave misbehave = fault::Misbehave::kNone;
     std::uint64_t faults = 0;               // lifetime
     std::vector<std::int64_t> window_us;    // fault times inside the window
     std::int64_t last_fault_us = -1;

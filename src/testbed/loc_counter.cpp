@@ -83,7 +83,6 @@ std::vector<ComponentLoc> manifest() {
                         std::move(used_by), 0};
   };
   const std::set<std::string> all = {"OLSR", "DYMO", "AODV"};
-  const std::set<std::string> od = {"OLSR", "DYMO"};
 
   return {
       // ---- reused generic components (Table 3's left column) ----
@@ -133,6 +132,9 @@ std::vector<ComponentLoc> manifest() {
       G("Reactive routing core",
         {"src/protocols/reactive.hpp", "src/protocols/reactive.cpp"},
         {"DYMO", "AODV"}),
+      // RFC timing read by the CFs and the monolithic baselines alike; AODV
+      // runs on the Neighbour Detection CF's HELLO timing.
+      G("Protocol timing (RFC constants)", {"src/protocols/timing.hpp"}, all),
 
       // ---- protocol-specific components ----
       S("OLSR TC Handler/Generator + State",

@@ -108,11 +108,10 @@ void SimWorld::register_gpsr_oracle() {
   }
 }
 
-baseline::MonolithicOlsr& SimWorld::olsrd(std::size_t i,
-                                          baseline::OlsrdParams params) {
+baseline::MonolithicOlsr& SimWorld::olsrd(std::size_t i) {
   auto& slot = daemons_.at(i * 2);
   if (slot == nullptr) {
-    slot = std::make_unique<baseline::MonolithicOlsr>(*nodes_.at(i), params);
+    slot = std::make_unique<baseline::MonolithicOlsr>(*nodes_.at(i));
     slot->start();
   }
   auto* daemon = dynamic_cast<baseline::MonolithicOlsr*>(slot.get());
@@ -120,11 +119,10 @@ baseline::MonolithicOlsr& SimWorld::olsrd(std::size_t i,
   return *daemon;
 }
 
-baseline::MonolithicDymo& SimWorld::dymoum(std::size_t i,
-                                           baseline::DymoumParams params) {
+baseline::MonolithicDymo& SimWorld::dymoum(std::size_t i) {
   auto& slot = daemons_.at(i * 2 + 1);
   if (slot == nullptr) {
-    slot = std::make_unique<baseline::MonolithicDymo>(*nodes_.at(i), params);
+    slot = std::make_unique<baseline::MonolithicDymo>(*nodes_.at(i));
     slot->start();
   }
   auto* daemon = dynamic_cast<baseline::MonolithicDymo*>(slot.get());
@@ -176,22 +174,7 @@ fault::FaultInjector& SimWorld::apply_fault_plan(const fault::FaultPlan& plan,
                 "fault plan misbehaves a component on a node without a "
                 "supervisor (call enable_supervision() before the action "
                 "fires)");
-      supervision::Misbehaviour mapped = supervision::Misbehaviour::kNone;
-      switch (mode) {
-        case fault::Misbehave::kNone:
-          mapped = supervision::Misbehaviour::kNone;
-          break;
-        case fault::Misbehave::kThrow:
-          mapped = supervision::Misbehaviour::kThrow;
-          break;
-        case fault::Misbehave::kStall:
-          mapped = supervision::Misbehaviour::kStall;
-          break;
-        case fault::Misbehave::kCorrupt:
-          mapped = supervision::Misbehaviour::kCorrupt;
-          break;
-      }
-      sup->set_misbehaviour(component, mapped);
+      sup->set_misbehaviour(component, mode);
     };
     injector_ = std::make_unique<fault::FaultInjector>(
         medium_, sched_, std::move(control), seed);

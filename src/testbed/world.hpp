@@ -88,10 +88,8 @@ class SimWorld {
   void register_gpsr_oracle();
 
   // -- baselines -----------------------------------------------------------------
-  baseline::MonolithicOlsr& olsrd(std::size_t i,
-                                  baseline::OlsrdParams params = {});
-  baseline::MonolithicDymo& dymoum(std::size_t i,
-                                   baseline::DymoumParams params = {});
+  baseline::MonolithicOlsr& olsrd(std::size_t i);
+  baseline::MonolithicDymo& dymoum(std::size_t i);
 
   // -- convergence helpers -----------------------------------------------------------
   /// True when every node holds a kernel route to every other node.

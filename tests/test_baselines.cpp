@@ -3,10 +3,19 @@
 // and 2 would compare apples to oranges.
 #include <gtest/gtest.h>
 
+#include "baselines/dymoum.hpp"
+#include "baselines/olsrd.hpp"
+#include "core/system_cf.hpp"
 #include "testbed/world.hpp"
 
 namespace mk::baseline {
 namespace {
+
+// DYMOUM's per-destination packet buffer matches MANETKit NetLink's, so the
+// reactive comparison buffers alike. Layering keeps the two definitions
+// apart (baselines do not link core); this pins them equal.
+static_assert(MonolithicDymo::kBufferPerDest ==
+              core::NetLinkComponent::kMaxBufferedPerDest);
 
 TEST(Olsrd, LinearChainConverges) {
   testbed::SimWorld world(5);
@@ -33,6 +42,29 @@ TEST(Olsrd, LinkBreakLosesRoutes) {
   world.medium().set_link(world.addr(1), world.addr(2), false);
   world.run_for(sec(25));
   EXPECT_FALSE(world.has_route(0, world.addr(3)));
+}
+
+// Like real olsrd's changes_* flags: once the chain has converged, TCs and
+// HELLOs that repeat what is known refresh expiries without recomputing the
+// route table.
+TEST(Olsrd, SameSetRefreshesDoNotRecomputeRoutes) {
+  testbed::SimWorld world(5);
+  world.linear();
+  for (std::size_t i = 0; i < 5; ++i) world.olsrd(i);
+  ASSERT_TRUE(world.run_until_routed(sec(60)).has_value());
+  world.run_for(sec(30));
+
+  std::vector<std::uint64_t> before;
+  for (std::size_t i = 0; i < 5; ++i) {
+    before.push_back(world.olsrd(i).route_recomputes());
+    EXPECT_GT(before.back(), 0u);
+  }
+  world.run_for(sec(20));  // four TC intervals of same-set refreshes
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(world.olsrd(i).route_recomputes(), before[i]) << "node " << i;
+    EXPECT_GT(world.olsrd(i).topology_size(), 0u) << "node " << i;
+  }
+  EXPECT_EQ(world.node(0).kernel_table().lookup(world.addr(4))->metric, 4u);
 }
 
 TEST(Olsrd, DataDeliveryEndToEnd) {

@@ -160,17 +160,12 @@ TEST(FifoOrdering, SameInterestProtocolsSeeSameOrder) {
 }
 
 TEST(TriggeredTc, MprChangePublishesTopologyEarly) {
-  // With the TC interval cranked very high, topology can only spread via
+  // Without the periodic TC generator, topology can only spread via
   // *triggered* TCs (sent on MPR_CHANGE). Routes beyond 2 hops still form.
-  proto::OlsrParams params;
-  params.tc_interval = sec(600);
-  params.topology_hold = sec(1800);
-
   testbed::SimWorld world(4);
   world.linear();
   for (std::size_t i = 0; i < 4; ++i) {
-    proto::register_olsr(world.kit(i), params);
-    world.kit(i).deploy("olsr");
+    ASSERT_TRUE(world.kit(i).deploy("olsr")->remove_source("TcGenerator"));
   }
   auto converged = world.run_until_routed(sec(60));
   EXPECT_TRUE(converged.has_value())

@@ -189,8 +189,8 @@ struct DymoHandlers {
 
   DymoHandlers() {
     cf.set_state(std::make_unique<DymoState>());
-    cf.add_handler(std::make_unique<ReHandler>(DymoParams{}));
-    cf.add_handler(std::make_unique<RerrHandler>(DymoParams{}));
+    cf.add_handler(std::make_unique<ReHandler>());
+    cf.add_handler(std::make_unique<RerrHandler>());
     cf.set_emit_hook([this](const ev::Event& e) { out.push_back(e); });
   }
 

@@ -8,6 +8,7 @@
 
 #include "fault/plan.hpp"
 #include "protocols/dymo/dymo_cf.hpp"
+#include "protocols/timing.hpp"
 #include "testbed/world.hpp"
 #include "util/rng.hpp"
 
@@ -46,9 +47,8 @@ TEST(FailureInjection, BitFlippedRealPacketsAreSurvivable) {
   world.run_for(sec(3));
 
   Rng rng(7);
-  proto::DymoParams params;
   auto msg = proto::rm::build_rreq(world.addr(0), 42, world.addr(2),
-                                   params.rreq_hop_limit);
+                                   proto::kDymoMsgHopLimit);
   pbb::Packet pkt;
   pkt.messages.push_back(msg);
   auto bytes = pbb::serialize(pkt);

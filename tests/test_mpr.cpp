@@ -188,12 +188,10 @@ TEST(Hysteresis, LinkMustProveItself) {
 TEST(MprCf, HysteresisEstablishesLosslessLinkAndDropsCutOne) {
   testbed::SimWorld world(2);
   world.full_mesh();
-  MprParams params;
-  params.use_hysteresis = true;
-  for (std::size_t i = 0; i < world.size(); ++i) {
-    register_mpr(world.kit(i), params);
-  }
   world.deploy_all("mpr");
+  for (std::size_t i = 0; i < world.size(); ++i) {
+    apply_mpr_hysteresis(world.kit(i));
+  }
   world.run_for(sec(10));
 
   auto* mpr0 = world.kit(0).protocol("mpr");
@@ -206,6 +204,37 @@ TEST(MprCf, HysteresisEstablishesLosslessLinkAndDropsCutOne) {
   world.run_for(sec(10));
   EXPECT_FALSE(mpr_state(*mpr0)->is_sym_neighbor(world.addr(1)));
   auto* hyst = mpr0->find("Hysteresis")->interface_as<IHysteresis>("IHysteresis");
+  EXPECT_TRUE(hyst->pending(world.addr(1)));
+}
+
+// Hysteresis is a runtime reconfiguration: inserted into an MPR CF that has
+// already established its links, it makes each link prove itself again and
+// drops a cut one back to pending.
+TEST(MprCf, HysteresisAppliedToRunningCfGatesLinks) {
+  testbed::SimWorld world(2);
+  world.full_mesh();
+  world.deploy_all("mpr");
+  world.run_for(sec(10));
+  auto* mpr0 = world.kit(0).protocol("mpr");
+  ASSERT_TRUE(mpr_state(*mpr0)->is_sym_neighbor(world.addr(1)));
+  ASSERT_EQ(mpr0->find("Hysteresis"), nullptr);
+
+  for (std::size_t i = 0; i < world.size(); ++i) {
+    apply_mpr_hysteresis(world.kit(i));
+    apply_mpr_hysteresis(world.kit(i));  // idempotent
+  }
+  ASSERT_NE(mpr0->find("Hysteresis"), nullptr);
+  ASSERT_NE(mpr0->control().find("HysteresisTick"), nullptr);
+  auto* hyst = mpr0->find("Hysteresis")->interface_as<IHysteresis>("IHysteresis");
+  EXPECT_TRUE(hyst->pending(world.addr(1)));
+
+  world.run_for(sec(10));
+  EXPECT_FALSE(hyst->pending(world.addr(1)));
+  EXPECT_TRUE(mpr_state(*mpr0)->is_sym_neighbor(world.addr(1)));
+
+  world.medium().set_link(world.addr(0), world.addr(1), false);
+  world.run_for(sec(10));
+  EXPECT_FALSE(mpr_state(*mpr0)->is_sym_neighbor(world.addr(1)));
   EXPECT_TRUE(hyst->pending(world.addr(1)));
 }
 

@@ -203,7 +203,7 @@ TEST(ReplicationRules, DegradedUnitEscalatesToHotStandbyAndRelaxesBack) {
   // A quarantined unit makes the health signal non-empty: escalate. The MPR
   // CF provides NHOOD_CHANGE, one of OLSR's required events, so emitting it
   // there delivers into the misbehaving OLSR unit through the guard.
-  world.supervisor(0)->set_misbehaviour("olsr", supervision::Misbehaviour::kThrow);
+  world.supervisor(0)->set_misbehaviour("olsr", fault::Misbehave::kThrow);
   for (int i = 0; i < 4; ++i) {
     kit.protocol("mpr")->emit(ev::Event(ev::etype("NHOOD_CHANGE")));
     world.run_for(msec(100));
@@ -215,7 +215,7 @@ TEST(ReplicationRules, DegradedUnitEscalatesToHotStandbyAndRelaxesBack) {
             core::ReplicationStrategy::kHotStandby);
 
   // Forgiven and clean for three consecutive evaluations: relax.
-  world.supervisor(0)->set_misbehaviour("olsr", supervision::Misbehaviour::kNone);
+  world.supervisor(0)->set_misbehaviour("olsr", fault::Misbehave::kNone);
   world.supervisor(0)->forgive("olsr");
   engine.evaluate();
   engine.evaluate();

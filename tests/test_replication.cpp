@@ -368,18 +368,18 @@ TEST(RecoveryLadder, SuspectRestartRehydratesFromPeerReplica) {
   supervision::Supervisor& sup = *world.supervisor(0);
 
   // Trip #1: in-place restart, state carried.
-  sup.set_misbehaviour("dymo", supervision::Misbehaviour::kThrow);
+  sup.set_misbehaviour("dymo", fault::Misbehave::kThrow);
   world.kit(0).protocol("poker")->emit(ev::Event(ev::etype("RERR_IN")));
   ASSERT_EQ(sup.health("dymo"), supervision::UnitHealth::kQuarantined);
-  sup.set_misbehaviour("dymo", supervision::Misbehaviour::kNone);
+  sup.set_misbehaviour("dymo", fault::Misbehave::kNone);
   world.run_for(msec(300));
   ASSERT_EQ(sup.health("dymo"), supervision::UnitHealth::kHealthy);
 
   // Trip #2 inside probation: restart goes stateless, then asks the peers.
-  sup.set_misbehaviour("dymo", supervision::Misbehaviour::kThrow);
+  sup.set_misbehaviour("dymo", fault::Misbehave::kThrow);
   world.kit(0).protocol("poker")->emit(ev::Event(ev::etype("RERR_IN")));
   ASSERT_EQ(sup.health("dymo"), supervision::UnitHealth::kQuarantined);
-  sup.set_misbehaviour("dymo", supervision::Misbehaviour::kNone);
+  sup.set_misbehaviour("dymo", fault::Misbehave::kNone);
   world.run_for(sec(1));  // backoff + solicit/offer round trip
 
   EXPECT_EQ(sup.health("dymo"), supervision::UnitHealth::kHealthy);

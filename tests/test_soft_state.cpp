@@ -21,6 +21,7 @@
 #include "protocols/neighbor/neighbor_cf.hpp"
 #include "protocols/olsr/olsr_cf.hpp"
 #include "protocols/olsr/olsr_state.hpp"
+#include "protocols/timing.hpp"
 #include "testbed/world.hpp"
 #include "util/scheduler.hpp"
 
@@ -99,20 +100,18 @@ core::ManetProtocolCf& cf(testbed::SimWorld& w, std::size_t i,
 
 const LapseCase kLapseCases[] = {
     {"olsr_topology", "olsr.topology", "olsr", 0, 1,
-     proto::OlsrParams{}.topology_hold,
-     jittered(proto::OlsrParams{}.tc_interval), false,
+     proto::kTopHoldTime, jittered(proto::kTcInterval), false,
      [](testbed::SimWorld& w, std::size_t i, net::Addr k) {
        auto origins = proto::olsr_state(cf(w, i, "olsr"))->topology_origins();
        return std::find(origins.begin(), origins.end(), k) != origins.end();
      }},
     {"mpr_selector", "mpr.selector", "olsr", 1, 0,
-     proto::MprParams{}.selector_hold,
-     jittered(proto::MprParams{}.hello_interval), false,
+     proto::kNeighbHoldTime, jittered(proto::kHelloInterval), false,
      [](testbed::SimWorld& w, std::size_t i, net::Addr k) {
        return proto::mpr_state(cf(w, i, "mpr"))->is_mpr_selector(k);
      }},
     {"dymo_route", "dymo.route", "dymo", 0, 2,
-     proto::DymoParams{}.route_lifetime, msec(500), true,
+     proto::kDymoRouteTimeout, msec(500), true,
      [](testbed::SimWorld& w, std::size_t i, net::Addr k) {
        return proto::dymo_state(cf(w, i, "dymo"))->route_to(k).has_value();
      }},
@@ -120,21 +119,19 @@ const LapseCase kLapseCases[] = {
     // entry at the active-route timeout, which is deleted DELETE_PERIOD
     // later. HELLO piggybacking may refresh the route up to the silence.
     {"aodv_route_invalidate", "aodv.route", "aodv", 0, 2,
-     proto::AodvParams{}.active_route_timeout,
-     jittered(proto::NeighborParams{}.hello_interval), true,
+     proto::kAodvActiveRouteTimeout, jittered(proto::kHelloInterval), true,
      [](testbed::SimWorld& w, std::size_t i, net::Addr k) {
        auto r = proto::aodv_state(cf(w, i, "aodv"))->route_to(k);
        return r.has_value() && r->valid;
      }},
     {"aodv_route_delete", "aodv.route", "aodv", 0, 2,
-     proto::AodvParams{}.active_route_timeout + proto::kAodvDeletePeriod,
-     jittered(proto::NeighborParams{}.hello_interval), true,
+     proto::kAodvActiveRouteTimeout + proto::kAodvDeletePeriod,
+     jittered(proto::kHelloInterval), true,
      [](testbed::SimWorld& w, std::size_t i, net::Addr k) {
        return proto::aodv_state(cf(w, i, "aodv"))->route_to(k).has_value();
      }},
     {"gpsr_position", "gpsr.position", "gpsr", 0, 1,
-     proto::GpsrParams{}.position_hold,
-     jittered(proto::NeighborParams{}.hello_interval), false,
+     proto::kGpsrPositionHold, jittered(proto::kHelloInterval), false,
      [](testbed::SimWorld& w, std::size_t i, net::Addr k) {
        return proto::gpsr_state(cf(w, i, "gpsr"))->position_of(k).has_value();
      }},

@@ -23,7 +23,7 @@
 namespace mk {
 namespace {
 
-using supervision::Misbehaviour;
+using fault::Misbehave;
 using supervision::Supervisor;
 using supervision::SupervisorOptions;
 using supervision::UnitHealth;
@@ -129,7 +129,7 @@ TEST(Supervision, QuarantineAfterThresholdFaultsThenRecovery) {
   world.kit(0).deploy("producer");
   Supervisor& sup = *world.supervisor(0);
 
-  sup.set_misbehaviour("victim", Misbehaviour::kThrow);
+  sup.set_misbehaviour("victim", Misbehave::kThrow);
   emit_v(world.kit(0), 2);
   EXPECT_EQ(sup.health("victim"), UnitHealth::kHealthy) << "below threshold";
   emit_v(world.kit(0));
@@ -143,7 +143,7 @@ TEST(Supervision, QuarantineAfterThresholdFaultsThenRecovery) {
   EXPECT_EQ(log.delivered, 0);
 
   // Root cause fixed; the recovery ladder re-instantiates the unit.
-  sup.set_misbehaviour("victim", Misbehaviour::kNone);
+  sup.set_misbehaviour("victim", Misbehave::kNone);
   world.run_for(msec(500));
   EXPECT_EQ(sup.health("victim"), UnitHealth::kHealthy);
   emit_v(world.kit(0));
@@ -168,7 +168,7 @@ TEST(Supervision, SlidingWindowForgetsOldFaults) {
   world.kit(0).deploy("producer");
   Supervisor& sup = *world.supervisor(0);
 
-  sup.set_misbehaviour("victim", Misbehaviour::kThrow);
+  sup.set_misbehaviour("victim", Misbehave::kThrow);
   for (int i = 0; i < 5; ++i) {
     emit_v(world.kit(0));
     world.run_for(sec(1));  // each fault ages out before the next lands
@@ -230,7 +230,7 @@ TEST(Supervision, StallMisbehaviourDeliversButTripsWatchdog) {
   world.kit(0).deploy("producer");
   Supervisor& sup = *world.supervisor(0);
 
-  sup.set_misbehaviour("victim", Misbehaviour::kStall);
+  sup.set_misbehaviour("victim", Misbehave::kStall);
   emit_v(world.kit(0));
   EXPECT_EQ(log.delivered, 1) << "stall delivers, unlike throw";
   EXPECT_EQ(sup.faults("victim"), 1u);
@@ -247,7 +247,7 @@ TEST(Supervision, CorruptMisbehaviourMutatesDeterministically) {
   register_producer(world.kit(0));
   world.kit(0).deploy("victim");
   world.kit(0).deploy("producer");
-  world.supervisor(0)->set_misbehaviour("victim", Misbehaviour::kCorrupt);
+  world.supervisor(0)->set_misbehaviour("victim", Misbehave::kCorrupt);
 
   for (int i = 0; i < 2; ++i) {
     ev::Event e(ev::etype("EVT_V"));
@@ -355,7 +355,7 @@ TEST(Supervision, FallbackUndeploysExhaustedUnitWhenRoutingCoDeployed) {
   kit.deploy("olsr");  // the healthy routing fallback
   Supervisor& sup = *world.supervisor(0);
 
-  sup.set_misbehaviour("flaky", Misbehaviour::kThrow);
+  sup.set_misbehaviour("flaky", Misbehave::kThrow);
   emit_v(kit);
   EXPECT_EQ(sup.health("flaky"), UnitHealth::kQuarantined);
   world.run_for(msec(300));  // restart fails, ladder exhausts
@@ -392,7 +392,7 @@ TEST(Supervision, EscalationSurfacesHealthToPolicyEngine) {
   // No co-deployed routing protocol: nothing to fall back to.
   Supervisor& sup = *world.supervisor(0);
 
-  sup.set_misbehaviour("flaky", Misbehaviour::kThrow);
+  sup.set_misbehaviour("flaky", Misbehave::kThrow);
   emit_v(kit);
   world.run_for(msec(300));
 
@@ -408,7 +408,7 @@ TEST(Supervision, EscalationSurfacesHealthToPolicyEngine) {
   EXPECT_TRUE(view.degraded("flaky"));
 
   // ...where an escalation rule swaps in a replacement protocol.
-  sup.set_misbehaviour("flaky", Misbehaviour::kNone);
+  sup.set_misbehaviour("flaky", Misbehave::kNone);
   engine.add_rule(policy::make_health_escalation_rule("flaky", "dymo"));
   auto fired = engine.evaluate();
   ASSERT_EQ(fired.size(), 1u);
@@ -451,7 +451,7 @@ TEST(Supervision, PoolExecutorFaultsAreCountedExactly) {
   world.kit(0).manager().set_concurrency(
       core::ConcurrencyModel::kThreadPerNMessages, /*threads=*/4, /*batch=*/4);
 
-  world.supervisor(0)->set_misbehaviour("victim", Misbehaviour::kThrow);
+  world.supervisor(0)->set_misbehaviour("victim", Misbehave::kThrow);
   emit_v(world.kit(0), 50);
   world.kit(0).manager().drain();
   EXPECT_EQ(world.supervisor(0)->faults("victim"), 50u);
@@ -585,10 +585,10 @@ TEST(Supervision, ProbationRetripRestartsStatelessIntoVariant) {
   EXPECT_EQ(sup.recovery_variant("victim"), "victim-lite");
 
   // Trip #1: the ordinary rung — in-place restart, S element carried.
-  sup.set_misbehaviour("victim", Misbehaviour::kThrow);
+  sup.set_misbehaviour("victim", Misbehave::kThrow);
   emit_v(kit);
   EXPECT_EQ(sup.health("victim"), UnitHealth::kQuarantined);
-  sup.set_misbehaviour("victim", Misbehaviour::kNone);
+  sup.set_misbehaviour("victim", Misbehave::kNone);
   world.run_for(msec(300));
   EXPECT_EQ(sup.health("victim"), UnitHealth::kHealthy);
   EXPECT_TRUE(kit.is_deployed("victim"));
@@ -596,10 +596,10 @@ TEST(Supervision, ProbationRetripRestartsStatelessIntoVariant) {
 
   // Trip #2 lands inside probation: the carried S element is now suspect,
   // so the next rung drops it and restarts into the cheaper variant.
-  sup.set_misbehaviour("victim", Misbehaviour::kThrow);
+  sup.set_misbehaviour("victim", Misbehave::kThrow);
   emit_v(kit);
   EXPECT_EQ(sup.health("victim"), UnitHealth::kQuarantined);
-  sup.set_misbehaviour("victim", Misbehaviour::kNone);
+  sup.set_misbehaviour("victim", Misbehave::kNone);
   world.run_for(msec(600));
 
   EXPECT_EQ(sup.health("victim"), UnitHealth::kHealthy);
@@ -635,15 +635,15 @@ TEST(Supervision, ProbationRetripWithoutVariantRestartsStateless) {
   kit.deploy("producer");
   Supervisor& sup = *world.supervisor(0);
 
-  sup.set_misbehaviour("victim", Misbehaviour::kThrow);
+  sup.set_misbehaviour("victim", Misbehave::kThrow);
   emit_v(kit);
-  sup.set_misbehaviour("victim", Misbehaviour::kNone);
+  sup.set_misbehaviour("victim", Misbehave::kNone);
   world.run_for(msec(300));
   ASSERT_EQ(sup.health("victim"), UnitHealth::kHealthy);
 
-  sup.set_misbehaviour("victim", Misbehaviour::kThrow);
+  sup.set_misbehaviour("victim", Misbehave::kThrow);
   emit_v(kit);
-  sup.set_misbehaviour("victim", Misbehaviour::kNone);
+  sup.set_misbehaviour("victim", Misbehave::kNone);
   world.run_for(msec(600));
 
   EXPECT_EQ(sup.health("victim"), UnitHealth::kHealthy);

@@ -21,7 +21,7 @@ TEST(Fisheye, InterposesOnTcPathAndScopesTtl) {
   ASSERT_TRUE(world.run_until_routed(sec(60)).has_value());
 
   // Observe TC_OUT events reaching node 2's System CF after fish-eye.
-  proto::apply_fisheye(world.kit(2), FisheyeParams{{2, 2, 2}});  // all scoped
+  proto::apply_fisheye(world.kit(2));  // first TC after insertion is scoped
   std::vector<int> ttls;
   world.kit(2).manager().subscribe("TC_OUT", [&](const ev::Event& e) {
     if (e.has_msg() && e.msg()->originator == world.addr(2)) {
