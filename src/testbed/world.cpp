@@ -310,6 +310,7 @@ obs::InvariantChecker& SimWorld::enable_invariants() {
   };
   checker_ = std::make_unique<obs::InvariantChecker>(
       addrs(), std::move(lookup), std::move(routes), std::move(link));
+  checker_->set_link_grace(kInvariantLinkGrace);
   checker_->attach(journal);
   return *checker_;
 }

@@ -3,6 +3,7 @@
 // checker stays silent across healthy converged scenarios.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -200,6 +201,19 @@ TEST(InvariantWorld, ContinuousCheckCatchesForgedLoop) {
     saw_loop |= v.kind == InvariantChecker::Violation::Kind::kLoop;
   }
   EXPECT_TRUE(saw_loop);
+}
+
+TEST(InvariantWorld, LinkGraceCoversTheLongestHoldPlusOneHello) {
+  // A protocol keeps routing over a dropped link until its link tuple
+  // lapses (NEIGHB_HOLD_TIME, or GPSR's position hold) and the next HELLO
+  // round settles; a shorter grace flags that transient as a violation.
+  static_assert(testbed::kInvariantLinkGrace ==
+                std::max(proto::kNeighbHoldTime, proto::kGpsrPositionHold) +
+                    proto::kHelloInterval);
+  EXPECT_EQ(testbed::kInvariantLinkGrace, sec(8));
+  testbed::SimWorld world(2);
+  EXPECT_EQ(world.enable_invariants().link_grace(),
+            testbed::kInvariantLinkGrace);
 }
 
 TEST(InvariantWorld, StaleNeighborRouteFlaggedAfterGrace) {
