@@ -39,9 +39,9 @@ void SoftExpiry::start(ProtocolContext& ctx) {
 void SoftExpiry::stop() {
   if (ctx_ != nullptr) {
     for (Set& set : sets_) {
-      for (auto& [key, entry] : set.entries) {
+      set.entries.for_each([this](std::uint64_t, Entry& entry) {
         ctx_->scheduler().cancel(entry.timer);
-      }
+      });
       set.entries.clear();
     }
     if (ctx_->soft_ == this) ctx_->soft_ = nullptr;
@@ -81,7 +81,7 @@ void SoftExpiry::touch(SetId set, std::uint64_t key) {
 
 void SoftExpiry::touch_at(SetId set, std::uint64_t key, TimePoint deadline) {
   MK_ASSERT(ctx_ != nullptr, "touch before the SoftExpiry source started");
-  Entry& entry = sets_[set].entries[key];
+  Entry& entry = *sets_[set].entries.emplace(key).first;
   entry.deadline = deadline;
   if (entry.timer == kInvalidTimer) {
     arm(set, key, entry, deadline);
@@ -95,15 +95,21 @@ void SoftExpiry::touch_at(SetId set, std::uint64_t key, TimePoint deadline) {
 }
 
 bool SoftExpiry::drop(SetId set, std::uint64_t key) {
-  auto it = sets_[set].entries.find(key);
-  if (it == sets_[set].entries.end()) return false;
-  if (ctx_ != nullptr) ctx_->scheduler().cancel(it->second.timer);
-  sets_[set].entries.erase(it);
+  auto entry = sets_[set].entries.take(key);
+  if (!entry) return false;
+  if (ctx_ != nullptr) ctx_->scheduler().cancel(entry->timer);
   return true;
 }
 
 bool SoftExpiry::contains(SetId set, std::uint64_t key) const {
   return sets_[set].entries.contains(key);
+}
+
+std::optional<TimePoint> SoftExpiry::deadline(SetId set,
+                                              std::uint64_t key) const {
+  const Entry* entry = sets_[set].entries.find(key);
+  if (entry == nullptr) return std::nullopt;
+  return entry->deadline;
 }
 
 std::size_t SoftExpiry::size(SetId set) const {
@@ -119,16 +125,15 @@ std::size_t SoftExpiry::armed() const {
 void SoftExpiry::fire(SetId set_id, std::uint64_t key) {
   if (ctx_ == nullptr) return;  // stopped with a timer already in flight
   Set& set = sets_[set_id];
-  auto it = set.entries.find(key);
-  if (it == set.entries.end()) return;
-  Entry& entry = it->second;
+  Entry* entry = set.entries.find(key);
+  if (entry == nullptr) return;
   const TimePoint now = ctx_->now();
-  if (entry.deadline > now) {
+  if (entry->deadline > now) {
     // Refreshed since this timer was armed: chase the recorded deadline.
-    arm(set_id, key, entry, entry.deadline);
+    arm(set_id, key, *entry, entry->deadline);
     return;
   }
-  set.entries.erase(it);
+  set.entries.erase(key);
   FrameworkManager* manager = ctx_->protocol().manager();
   if (manager != nullptr && manager->journal() != nullptr) {
     manager->journal()->append({obs::RecordKind::kSoftExpire,

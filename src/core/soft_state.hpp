@@ -20,9 +20,12 @@
 //
 // Refreshes are lazy: touch() on an already-armed entry just records the new
 // deadline, and the timer re-arms itself when the stale deadline fires. A
-// link refreshed every HELLO therefore costs a map-update per HELLO but only
-// one scheduler arm per holding time, keeping steady-state timer traffic
-// (and allocations) low.
+// link refreshed every HELLO therefore costs one probe of the set's
+// open-addressed table (util/u64_table.hpp) per HELLO but only one
+// scheduler arm per holding time, keeping steady-state timer traffic (and
+// allocations) low. The table is never iterated where order could reach
+// the journal: expiries fire in the scheduler's (time, seq) order, and
+// stop() only cancels.
 //
 // Every true expiry appends a kSoftExpire journal record (through the
 // owning Framework Manager's journal, when tracing is attached), so
@@ -31,12 +34,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/cfs.hpp"
 #include "util/time.hpp"
+#include "util/u64_table.hpp"
 
 namespace mk::core {
 
@@ -77,6 +81,9 @@ class SoftExpiry final : public EventSource {
 
   bool contains(SetId set, std::uint64_t key) const;
 
+  /// The recorded deadline of `key`, or nullopt if it is not tracked.
+  std::optional<TimePoint> deadline(SetId set, std::uint64_t key) const;
+
   /// Tracked entries (== armed deadlines) in one set / across all sets.
   std::size_t size(SetId set) const;
   std::size_t armed() const;
@@ -93,7 +100,7 @@ class SoftExpiry final : public EventSource {
     Duration hold{};
     LossFn on_expire;
     SeedFn seed;
-    std::map<std::uint64_t, Entry> entries;
+    U64Table<Entry> entries;
   };
 
   void arm(SetId set, std::uint64_t key, Entry& entry, TimePoint at);

@@ -46,10 +46,13 @@ class AodvState : public ReactiveTable<AodvRoute> {
   AodvState();
 
   /// Standard AODV acceptance rule (newer seq, or equal seq with fewer
-  /// hops, or unknown seq on the existing entry).
-  bool update_route(net::Addr dest, std::uint16_t seq, bool seq_valid,
-                    net::Addr next_hop, std::uint8_t hops, TimePoint now,
-                    Duration lifetime);
+  /// hops, or unknown seq on the existing entry), applied in one table
+  /// lookup; an accepted update keeps the entry's precursors. A rejected
+  /// update over the same next hop refreshes a valid entry's lifetime.
+  /// Returns the entry's deadline either way.
+  RouteUpdate update_route(net::Addr dest, std::uint16_t seq, bool seq_valid,
+                           net::Addr next_hop, std::uint8_t hops,
+                           TimePoint now, Duration lifetime);
 
   void add_precursor(net::Addr dest, net::Addr precursor);
 

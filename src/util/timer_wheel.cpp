@@ -13,16 +13,9 @@ namespace {
 
 constexpr std::size_t kInitialIdCapacity = 256;  // power of two
 
-/// Mixes a sequential id into a probe start (splitmix-style finalizer).
-std::size_t id_hash(std::uint64_t seq) {
-  std::uint64_t h = seq * 0x9e3779b97f4a7c15ull;
-  return static_cast<std::size_t>(h ^ (h >> 32));
-}
-
 }  // namespace
 
-TimerWheel::TimerWheel()
-    : id_keys_(kInitialIdCapacity, 0), id_vals_(kInitialIdCapacity, 0) {
+TimerWheel::TimerWheel() : ids_(kInitialIdCapacity) {
   for (auto& h : heads_) h = kNil;
   for (auto& t : tails_) t = kNil;
   std::memset(bitmap_, 0, sizeof(bitmap_));
@@ -48,58 +41,6 @@ void TimerWheel::free_node(std::uint32_t idx) {
   n.loc = kLocFree;
   n.next = free_head_;
   free_head_ = idx;
-}
-
-// ------------------------------------------------------------------ id index
-
-void TimerWheel::id_grow() {
-  std::vector<std::uint64_t> keys(id_keys_.size() * 2, 0);
-  std::vector<std::uint32_t> vals(id_vals_.size() * 2, 0);
-  const std::size_t mask = keys.size() - 1;
-  for (std::size_t i = 0; i < id_keys_.size(); ++i) {
-    if (id_keys_[i] == 0) continue;
-    std::size_t p = id_hash(id_keys_[i]) & mask;
-    while (keys[p] != 0) p = (p + 1) & mask;
-    keys[p] = id_keys_[i];
-    vals[p] = id_vals_[i];
-  }
-  id_keys_ = std::move(keys);
-  id_vals_ = std::move(vals);
-}
-
-void TimerWheel::id_put(std::uint64_t seq, std::uint32_t idx) {
-  MK_ASSERT(seq != 0, "timer sequence numbers start at 1");
-  if ((id_used_ + 1) * 10 >= id_keys_.size() * 7) id_grow();
-  const std::size_t mask = id_keys_.size() - 1;
-  std::size_t p = id_hash(seq) & mask;
-  while (id_keys_[p] != 0) p = (p + 1) & mask;
-  id_keys_[p] = seq;
-  id_vals_[p] = idx;
-  ++id_used_;
-}
-
-std::uint32_t TimerWheel::id_take(std::uint64_t seq) {
-  const std::size_t mask = id_keys_.size() - 1;
-  std::size_t p = id_hash(seq) & mask;
-  while (id_keys_[p] != seq) {
-    if (id_keys_[p] == 0) return kNil;
-    p = (p + 1) & mask;
-  }
-  const std::uint32_t val = id_vals_[p];
-  // Backward-shift deletion keeps probe chains gap-free without tombstones.
-  std::size_t q = (p + 1) & mask;
-  while (id_keys_[q] != 0) {
-    const std::size_t home = id_hash(id_keys_[q]) & mask;
-    if (((q - home) & mask) >= ((q - p) & mask)) {
-      id_keys_[p] = id_keys_[q];
-      id_vals_[p] = id_vals_[q];
-      p = q;
-    }
-    q = (q + 1) & mask;
-  }
-  id_keys_[p] = 0;
-  --id_used_;
-  return val;
 }
 
 // ------------------------------------------------------------------ placement
@@ -205,14 +146,17 @@ void TimerWheel::insert(std::int64_t us, std::uint64_t seq,
   n.us = us;
   n.seq = seq;
   n.fn = std::move(fn);
-  id_put(seq, idx);
+  auto [id, fresh] = ids_.emplace(seq);
+  MK_ASSERT(fresh, "timer sequence number already pending");
+  *id = idx;
   place(idx);
   ++size_;
 }
 
 bool TimerWheel::cancel(std::uint64_t seq) {
-  const std::uint32_t idx = id_take(seq);
-  if (idx == kNil) return false;
+  const auto taken = ids_.take(seq);
+  if (!taken) return false;
+  const std::uint32_t idx = *taken;
   Node& n = pool_[idx];
   if (n.loc == kLocOverflow) {
     overflow_.erase(Key{n.us, n.seq});
@@ -271,7 +215,7 @@ bool TimerWheel::pop(Key& key, std::function<void()>& fn) {
     const std::uint32_t idx = overflow_.begin()->second;
     overflow_.erase(overflow_.begin());
     fn = std::move(pool_[idx].fn);
-    id_take(k->seq);
+    ids_.erase(k->seq);
     free_node(idx);
     --size_;
     return true;
@@ -284,7 +228,7 @@ bool TimerWheel::pop(Key& key, std::function<void()>& fn) {
   unlink(idx);
   --wheel_count_;
   fn = std::move(pool_[idx].fn);
-  id_take(k->seq);
+  ids_.erase(k->seq);
   free_node(idx);
   --size_;
   return true;

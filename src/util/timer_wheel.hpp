@@ -12,7 +12,7 @@
 // only consulted for its minimum. Slots are intrusive doubly-linked lists
 // over a pooled node vector (free-list recycled, never shrunk), per-level
 // occupancy bitmaps make empty-region scans word-sized jumps, and an
-// open-addressed id index gives O(1) cancel by TimerId.
+// open-addressed id index (util/u64_table.hpp) gives O(1) cancel by TimerId.
 //
 // Ordering invariant: every level-0 slot is a list sorted by (us, seq), so
 // its head is the slot's minimum. Higher-level slots are unordered; a
@@ -44,6 +44,8 @@
 #include <optional>
 #include <utility>
 #include <vector>
+
+#include "util/u64_table.hpp"
 
 namespace mk {
 
@@ -122,12 +124,6 @@ class TimerWheel {
   /// level are at or ahead of the cursor's index there (see place()).
   int first_slot(int level) const;
 
-  // id -> pool index, open-addressed (linear probing, backward-shift erase).
-  std::uint32_t* id_slot(std::uint64_t seq);
-  void id_put(std::uint64_t seq, std::uint32_t idx);
-  std::uint32_t id_take(std::uint64_t seq);  // kNil if absent
-  void id_grow();
-
   std::vector<Node> pool_;
   std::uint32_t free_head_ = kNil;
   std::uint32_t heads_[kLevels * kSlots];
@@ -138,10 +134,7 @@ class TimerWheel {
   std::size_t wheel_count_ = 0; // wheel only
   std::map<Key, std::uint32_t> overflow_;
   std::vector<std::pair<Key, std::uint32_t>> cascade_scratch_;  // reused
-
-  std::vector<std::uint64_t> id_keys_;  // seq (0 = empty)
-  std::vector<std::uint32_t> id_vals_;
-  std::size_t id_used_ = 0;
+  U64Table<std::uint32_t> ids_;  // seq -> pool index of a pending entry
 };
 
 }  // namespace mk

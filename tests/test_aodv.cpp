@@ -4,6 +4,7 @@
 
 #include "protocols/aodv/aodv_cf.hpp"
 #include "protocols/aodv/aodv_state.hpp"
+#include "protocols/wire.hpp"
 #include "testbed/world.hpp"
 
 namespace mk::proto {
@@ -143,6 +144,54 @@ TEST(AodvIntegration, UnreachableTargetGivesUp) {
   world.run_for(sec(12));
   auto* st = aodv_state(*world.kit(0).protocol("aodv"));
   EXPECT_FALSE(st->pending().has(net::addr_for_index(66)));
+}
+
+TEST(AodvLearn, RouteSetDeadlineFollowsTheRouteEntry) {
+  testbed::SimWorld world(1);
+  world.kit(0).deploy("aodv");
+  core::ManetProtocolCf& cf = *world.kit(0).protocol("aodv");
+  AodvState& st = *aodv_state(cf);
+  std::uint32_t rreq_id = 0;
+  // An RREQ from originator 7 (seqnum `seq`) heard from neighbour `from`.
+  auto deliver_rreq = [&](std::uint16_t seq, net::Addr from) {
+    pbb::Message m;
+    m.type = wire::kMsgAodvRreq;
+    m.originator = 7;
+    m.seqnum = seq;
+    m.has_hops = true;
+    m.hop_limit = kAodvNetDiameter;
+    m.hop_count = 1;
+    m.tlvs.push_back(pbb::Tlv::u32(wire::kTlvRreqId, ++rreq_id));
+    pbb::AddressBlock target;
+    target.addrs.push_back(9);
+    m.addr_blocks.push_back(std::move(target));
+    ev::Event e(ev::etype(ev::types::AODV_IN));
+    e.from = from;
+    e.set_msg(std::move(m));
+    cf.deliver(e);
+  };
+  auto expect_deadline_matches = [&] {
+    auto route = st.route_to(7);
+    ASSERT_TRUE(route.has_value());
+    EXPECT_EQ(cf.context().soft()->deadline(reactive_sets::kRoute, 7),
+              route->expires);
+  };
+
+  deliver_rreq(5, 8);  // new reverse route to 7 via 8
+  EXPECT_EQ(st.route_to(7)->expires, world.now() + kAodvActiveRouteTimeout);
+  expect_deadline_matches();
+
+  world.run_for(sec(1));
+  deliver_rreq(5, 8);  // same seqnum and hops via the same hop: refresh
+  EXPECT_EQ(st.route_to(7)->expires, world.now() + kAodvActiveRouteTimeout);
+  expect_deadline_matches();
+
+  world.run_for(sec(1));
+  const TimePoint before = st.route_to(7)->expires;
+  deliver_rreq(4, 5);  // older seqnum via another neighbour: rejected
+  EXPECT_EQ(st.route_to(7)->expires, before);
+  EXPECT_EQ(st.route_to(7)->next_hop, 8u);
+  expect_deadline_matches();
 }
 
 }  // namespace

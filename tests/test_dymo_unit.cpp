@@ -8,6 +8,7 @@
 #include "protocols/dymo/dymo_cf.hpp"
 #include "protocols/aodv/aodv_state.hpp"
 #include "protocols/dymo/dymo_state.hpp"
+#include "testbed/world.hpp"
 #include "util/scheduler.hpp"
 
 namespace mk::proto {
@@ -263,6 +264,50 @@ TEST(DymoState, CodecCarriesRreqTuplesButNotRerrOnes) {
 
   blob.pop_back();  // truncated
   EXPECT_FALSE(copy.decode_state(blob));
+}
+
+TEST(DymoLearn, RouteSetDeadlineFollowsTheRouteEntry) {
+  testbed::SimWorld world(1);
+  world.kit(0).deploy("dymo");
+  core::ManetProtocolCf& cf = *world.kit(0).protocol("dymo");
+  DymoState& st = *dymo_state(cf);
+  // An RREQ from originator 7 (seqnum `seq`), relayed by 8 or heard from
+  // 7's neighbour 5 directly.
+  auto deliver_rreq = [&](std::uint16_t seq, net::Addr from) {
+    pbb::Message m = rm::build_rreq(7, seq, /*target=*/9, kDymoMsgHopLimit);
+    if (from == 8) {
+      m.hop_count = 1;
+      rm::append_self(m, 8, 4);
+    }
+    ev::Event e(ev::etype("RM_IN"));
+    e.from = from;
+    e.set_msg(std::move(m));
+    cf.deliver(e);
+  };
+  auto expect_deadlines_match = [&] {
+    for (net::Addr dest : {net::Addr{7}, net::Addr{8}}) {
+      auto route = st.route_to(dest);
+      ASSERT_TRUE(route.has_value());
+      EXPECT_EQ(cf.context().soft()->deadline(reactive_sets::kRoute, dest),
+                route->expires);
+    }
+  };
+
+  deliver_rreq(3, 8);  // new routes to 7 (two hops) and 8 (one hop)
+  EXPECT_EQ(st.route_to(7)->expires, world.now() + kDymoRouteTimeout);
+  expect_deadlines_match();
+
+  world.run_for(sec(1));
+  deliver_rreq(3, 8);  // same information: lifetimes refresh
+  EXPECT_EQ(st.route_to(7)->expires, world.now() + kDymoRouteTimeout);
+  expect_deadlines_match();
+
+  world.run_for(sec(1));
+  const TimePoint before = st.route_to(7)->expires;
+  deliver_rreq(2, 5);  // older seqnum via another neighbour: rejected
+  EXPECT_EQ(st.route_to(7)->expires, before);
+  EXPECT_EQ(st.route_to(7)->active()->next_hop, 8u);
+  expect_deadlines_match();
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // BlockingQueue, ThreadPool, ByteWriter/Reader, Summary/Samples, memtrack,
-// Result, Rng.
+// Result, Rng, U64Table.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
 
 #include "util/bytebuffer.hpp"
@@ -11,6 +12,7 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/threadpool.hpp"
+#include "util/u64_table.hpp"
 
 namespace mk {
 namespace {
@@ -179,6 +181,92 @@ TEST(RngT, UniformIntInclusiveBounds) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
+}
+
+/// Asserts `table` holds exactly what `oracle` holds.
+void expect_same(U64Table<std::uint64_t>& table,
+                 const std::map<std::uint64_t, std::uint64_t>& oracle) {
+  ASSERT_EQ(table.size(), oracle.size());
+  for (const auto& [key, val] : oracle) {
+    const std::uint64_t* found = table.find(key);
+    ASSERT_NE(found, nullptr) << "key " << key;
+    EXPECT_EQ(*found, val);
+  }
+  std::map<std::uint64_t, std::uint64_t> seen;
+  table.for_each([&](std::uint64_t k, std::uint64_t& v) { seen[k] = v; });
+  EXPECT_EQ(seen, oracle);
+}
+
+TEST(U64Table, MatchesAMapOracleThroughGrowthAndDeletion) {
+  U64Table<std::uint64_t> table;
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  Rng rng(7);
+  // Keys from a small range so inserts, hits and erases all recur; the
+  // table grows from empty through several doublings along the way.
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t key = rng.next_u64() % 3000;
+    switch (rng.next_u64() % 3) {
+      case 0:
+      case 1: {
+        auto [val, inserted] = table.emplace(key);
+        EXPECT_EQ(inserted, oracle.count(key) == 0);
+        *val = step;
+        oracle[key] = step;
+        break;
+      }
+      default:
+        EXPECT_EQ(table.erase(key), oracle.erase(key) > 0);
+        break;
+    }
+  }
+  EXPECT_GT(table.capacity(), 1024u);
+  expect_same(table, oracle);
+}
+
+TEST(U64Table, BackwardShiftKeepsCrowdedChainsReachable) {
+  // 11 keys in 16 cells (just under the growth threshold) crowd into long
+  // probe chains; erasing them one by one, in random order, must leave
+  // every survivor findable with no tombstone left behind.
+  Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    U64Table<std::uint64_t> table(16);
+    std::map<std::uint64_t, std::uint64_t> oracle;
+    while (oracle.size() < 11) {
+      const std::uint64_t key = rng.next_u64() >> 8;
+      *table.emplace(key).first = key + 1;
+      oracle[key] = key + 1;
+    }
+    ASSERT_EQ(table.capacity(), 16u);
+    std::vector<std::uint64_t> order;
+    for (const auto& [key, _] : oracle) order.push_back(key);
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.next_u64() % i]);
+    }
+    for (std::uint64_t key : order) {
+      ASSERT_TRUE(table.erase(key));
+      oracle.erase(key);
+      EXPECT_FALSE(table.contains(key));
+      expect_same(table, oracle);
+    }
+  }
+}
+
+TEST(U64Table, ZeroIsAnOrdinaryKeyAndTakeReturnsTheValue) {
+  U64Table<std::uint64_t> table;
+  EXPECT_EQ(table.find(0), nullptr);
+  *table.emplace(0).first = 42;
+  ASSERT_NE(table.find(0), nullptr);
+  EXPECT_EQ(*table.find(0), 42u);
+  EXPECT_EQ(table.take(0), std::optional<std::uint64_t>{42});
+  EXPECT_EQ(table.take(0), std::nullopt);
+  EXPECT_TRUE(table.empty());
+  // The largest key below the reserved one is storable.
+  *table.emplace(U64Table<std::uint64_t>::kEmptyKey - 1).first = 1;
+  EXPECT_TRUE(table.contains(U64Table<std::uint64_t>::kEmptyKey - 1));
+  EXPECT_FALSE(table.contains(U64Table<std::uint64_t>::kEmptyKey));
+  table.clear();
+  EXPECT_TRUE(table.empty());
+  EXPECT_FALSE(table.contains(U64Table<std::uint64_t>::kEmptyKey - 1));
 }
 
 }  // namespace
