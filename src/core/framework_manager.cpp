@@ -38,14 +38,15 @@ void FrameworkManager::register_unit(CfsUnit* unit, int layer) {
   hypothetical.push_back(unit);
   check_unit_rules(hypothetical);
 
-  registrations_.push_back(Registration{unit, layer, next_seq_++});
+  registrations_.push_back(Registration{unit, layer, next_seq_++,
+                                        obs::fnv1a_str(unit->unit_name())});
   if (auto* proto = dynamic_cast<ManetProtocolCf*>(unit)) {
     proto->set_manager(this);
   }
   if (journal_ != nullptr) {
     journal_->append({obs::RecordKind::kCfBind, journal_node_,
                       journal_clock_ != nullptr ? journal_clock_->now().us : 0,
-                      obs::fnv1a_str(unit->unit_name()),
+                      registrations_.back().name_hash,
                       static_cast<std::uint64_t>(layer), 0});
   }
   rebind();
@@ -56,7 +57,8 @@ void FrameworkManager::deregister_unit(CfsUnit* unit) {
   auto it = std::find_if(registrations_.begin(), registrations_.end(),
                          [&](const Registration& r) { return r.unit == unit; });
   if (it == registrations_.end()) return;
-  int layer = it->layer;
+  const int layer = it->layer;
+  const std::uint64_t name_hash = it->name_hash;
   registrations_.erase(it);
   if (quarantined_.erase(unit) > 0) {
     quarantined_count_.store(quarantined_.size(), std::memory_order_release);
@@ -67,7 +69,7 @@ void FrameworkManager::deregister_unit(CfsUnit* unit) {
   if (journal_ != nullptr) {
     journal_->append({obs::RecordKind::kCfUnbind, journal_node_,
                       journal_clock_ != nullptr ? journal_clock_->now().us : 0,
-                      obs::fnv1a_str(unit->unit_name()),
+                      name_hash,
                       static_cast<std::uint64_t>(layer), 0});
   }
   rebind();
@@ -156,6 +158,22 @@ void FrameworkManager::route(CfsUnit* emitter, ev::Event event) {
     }
     ++events_routed_;
     if (routed_ctr_ != nullptr) routed_ctr_->inc();
+    // The emitter's layer and journaled name hash, from its registration.
+    // A unit emitting after its deregistration has neither: it sits above
+    // every interposer, and its name is hashed on the spot.
+    int emitter_layer = std::numeric_limits<int>::max();
+    std::uint64_t emitter_hash = 0;
+    if (emitter != nullptr) {
+      auto reg = std::find_if(
+          registrations_.begin(), registrations_.end(),
+          [emitter](const Registration& r) { return r.unit == emitter; });
+      if (reg != registrations_.end()) {
+        emitter_layer = reg->layer;
+        emitter_hash = reg->name_hash;
+      } else if (journal_ != nullptr) {
+        emitter_hash = obs::fnv1a_str(emitter->unit_name());
+      }
+    }
     auto it = routes_.find(event.type());
     if (it != routes_.end()) {
       const Route& r = it->second;
@@ -163,13 +181,6 @@ void FrameworkManager::route(CfsUnit* emitter, ev::Event event) {
       // Position of the emitter in the interposer chain: events always flow
       // *down* the chain (to interposers at strictly lower layers than the
       // emitter), which both orders interpositions and prevents loops.
-      int emitter_layer = std::numeric_limits<int>::max();
-      for (const auto& reg : registrations_) {
-        if (reg.unit == emitter) {
-          emitter_layer = reg.layer;
-          break;
-        }
-      }
       const Registration* next = nullptr;
       for (const auto& interposer : r.interposers) {
         if (interposer.unit == emitter) continue;
@@ -201,8 +212,7 @@ void FrameworkManager::route(CfsUnit* emitter, ev::Event event) {
           {obs::RecordKind::kEventDispatch, journal_node_,
            journal_clock_ != nullptr ? journal_clock_->now().us : 0,
            ev::EventTypeRegistry::instance().stable_hash(event.type()),
-           targets.size(),
-           emitter != nullptr ? obs::fnv1a_str(emitter->unit_name()) : 0});
+           targets.size(), emitter_hash});
     }
   }
 

@@ -129,6 +129,7 @@ class FrameworkManager : public oc::ComponentFramework {
     CfsUnit* unit;
     int layer;
     std::uint64_t seq;
+    std::uint64_t name_hash;  // fnv1a of unit_name() (fixed once registered)
   };
 
   struct Route {

@@ -18,16 +18,18 @@ ReactiveProtocol dymo_reactive() {
   p.name = "dymo";
   p.route_lifetime = kDymoRouteTimeout;
   p.rreq_wait = kDymoRreqWaitTime;
-  p.send_rreq = [](core::ProtocolContext& ctx, net::Addr target) {
+  p.send_rreq = [rm_out = ev::etype("RM_OUT")](core::ProtocolContext& ctx,
+                                               net::Addr target) {
     DymoState& st = ctx.state_as<DymoState>();
-    ev::Event e(ev::etype("RM_OUT"));
+    ev::Event e(rm_out);
     e.set_msg(
         rm::build_rreq(ctx.self(), st.bump_seq(), target, kDymoMsgHopLimit));
     ctx.emit(std::move(e));
   };
-  p.build_rerr = [](core::ProtocolContext& ctx,
-                    const Unreachable& unreachable) {
-    ev::Event e(ev::etype("RERR_OUT"));
+  p.build_rerr = [rerr_out = ev::etype("RERR_OUT")](
+                     core::ProtocolContext& ctx,
+                     const Unreachable& unreachable) {
+    ev::Event e(rerr_out);
     e.set_msg(rm::build_rerr(ctx.self(),
                              ctx.state_as<DymoState>().next_rerr_seq(),
                              unreachable, kDymoRerrHopLimit));
@@ -125,7 +127,8 @@ pbb::Message build_rerr(
 ReHandler::ReHandler() : ReHandler("dymo.ReHandler") {}
 
 ReHandler::ReHandler(std::string type_name)
-    : core::EventHandler(std::move(type_name), {"RM_IN"}) {
+    : core::EventHandler(std::move(type_name), {"RM_IN"}),
+      rm_out_(ev::etype("RM_OUT")) {
   set_instance_name("ReHandler");
 }
 
@@ -166,7 +169,7 @@ void ReHandler::send_rrep(const ev::Event& rreq_event,
                           core::ProtocolContext& ctx, bool bump_seq) {
   const pbb::Message& rreq = *rreq_event.msg();
   DymoState& st = ctx.state_as<DymoState>();
-  ev::Event out(ev::etype("RM_OUT"));
+  ev::Event out(rm_out_);
   out.set_msg(rm::build_rrep(ctx.self(),
                              bump_seq ? st.bump_seq() : st.own_seq(),
                              *rreq.originator, kDymoMsgHopLimit));
@@ -239,9 +242,10 @@ void ReHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
     if (msg.hop_limit <= 1) return;
     unicast_to = route->next_hop;
   }
-  // Path accumulation + relay.
-  ev::Event out(ev::etype("RM_OUT"));
-  pbb::Message& fwd = out.set_msg(msg);
+  // Path accumulation + relay: copy-assign into a pooled message, whose
+  // warm vectors absorb the copy without allocating.
+  ev::Event out(rm_out_);
+  pbb::Message& fwd = out.acquire_msg() = msg;
   fwd.hop_limit -= 1;
   fwd.hop_count += 1;
   rm::append_self(fwd, ctx.self(), st.own_seq());
@@ -252,12 +256,14 @@ void ReHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
 // ---------------------------------------------------------------- RerrHandler
 
 RerrHandler::RerrHandler()
-    : core::EventHandler("dymo.RerrHandler", {"RERR_IN"}) {
+    : core::EventHandler("dymo.RerrHandler", {"RERR_IN"}),
+      rerr_out_(ev::etype("RERR_OUT")) {
   set_instance_name("RerrHandler");
 }
 
 void RerrHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
-  ctx.metrics().counter("dymo.rerr_in").inc();
+  if (rerr_in_ == nullptr) rerr_in_ = &ctx.metrics().counter("dymo.rerr_in");
+  rerr_in_->inc();
   if (!event.has_msg() || !event.msg()->originator || !event.msg()->seqnum) {
     return;
   }
@@ -270,7 +276,7 @@ void RerrHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
 
   Unreachable still_unreachable = invalidate_reported(ctx, msg, event.from);
   if (!still_unreachable.empty() && msg.has_hops && msg.hop_limit > 1) {
-    ev::Event out(ev::etype("RERR_OUT"));
+    ev::Event out(rerr_out_);
     out.set_msg(rm::build_rerr(ctx.self(), st.next_rerr_seq(),
                                still_unreachable,
                                static_cast<std::uint8_t>(msg.hop_limit - 1)));

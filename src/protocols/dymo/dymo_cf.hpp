@@ -98,6 +98,7 @@ class ReHandler : public core::EventHandler {
   void send_rrep(const ev::Event& rreq_event, core::ProtocolContext& ctx,
                  bool bump_seq = true);
 
+  const ev::EventTypeId rm_out_;       // "RM_OUT", resolved once
   obs::Counter* rm_in_ = nullptr;      // cached "dymo.rm_in"
   obs::Counter* rrep_sent_ = nullptr;  // cached "dymo.rrep_sent"
 };
@@ -107,6 +108,10 @@ class RerrHandler final : public core::EventHandler {
  public:
   RerrHandler();
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override;
+
+ private:
+  const ev::EventTypeId rerr_out_;   // "RERR_OUT", resolved once
+  obs::Counter* rerr_in_ = nullptr;  // cached "dymo.rerr_in"
 };
 
 /// DYMO's binding to the reactive core: RM_OUT RREQs, RERR_OUT RERRs.
