@@ -63,12 +63,20 @@ bool SimScheduler::step() {
     try {
       fn();
     } catch (...) {
+      if (std::exchange(fault_declined_, false)) throw;
       if (!fault_trap_(std::current_exception())) throw;
     }
   } else {
     fn();
   }
   return true;
+}
+
+bool SimScheduler::trap_fault(std::exception_ptr fault) {
+  if (!fault_trap_) return false;
+  if (fault_trap_(std::move(fault))) return true;
+  fault_declined_ = true;
+  return false;
 }
 
 void SimScheduler::run_until(TimePoint t) {

@@ -41,6 +41,14 @@ class Scheduler {
   TimerId schedule_after(Duration d, std::function<void()> fn) {
     return schedule_at(now() + d, std::move(fn));
   }
+
+  /// Offers an exception thrown by one unit of work inside a fired callback
+  /// to the scheduler's fault barrier, as if that unit had been a callback
+  /// of its own: true if the barrier swallowed it (carry on with the next
+  /// unit), false if the caller must rethrow. A callback that batches
+  /// independent work (the medium's one-event broadcast) calls this per
+  /// unit so one fault does not cost the rest of the batch.
+  virtual bool trap_fault(std::exception_ptr) { return false; }
 };
 
 /// Deterministic discrete-event scheduler. Single-threaded: callers drive it
@@ -69,6 +77,7 @@ class SimScheduler final : public Scheduler {
   /// running), false — or no trap installed — rethrows to the driver.
   using FaultTrap = std::function<bool(std::exception_ptr)>;
   void set_fault_trap(FaultTrap trap) { fault_trap_ = std::move(trap); }
+  bool trap_fault(std::exception_ptr fault) override;
 
   /// Runs the next pending event; returns false if the queue is empty.
   bool step();
@@ -104,6 +113,9 @@ class SimScheduler final : public Scheduler {
   std::map<TimerId, Key> by_id_;
   FireHook fire_hook_;
   FaultTrap fault_trap_;
+  // Set when trap_fault() saw the trap decline a fault the caller is now
+  // rethrowing, so step() does not offer it to the trap a second time.
+  bool fault_declined_ = false;
 };
 
 }  // namespace mk
