@@ -18,6 +18,7 @@
 #include "net/medium.hpp"
 #include "net/node.hpp"
 #include "obs/journal.hpp"
+#include "protocols/dymo/dymo_cf.hpp"
 #include "protocols/hello_codec.hpp"
 #include "protocols/mpr/mpr_calculator.hpp"
 #include "protocols/olsr/olsr_cf.hpp"
@@ -169,8 +170,10 @@ BENCHMARK(BM_EventRouting)->Arg(1)->Arg(3)->Arg(8);
 
 // Broadcast fan-out across the simulated medium: one control frame reaching
 // k neighbours. With shared payload buffers the payload is allocated once
-// per send regardless of k; the remaining allocations/op are the scheduler's
-// per-delivery closures.
+// per send regardless of k, and the frame parks with its receivers in one
+// recycled delivery slot under one scheduler event: `fires_per_op` counts
+// the events run per broadcast (run_hotpaths.sh holds /32 at one, with
+// zero allocations).
 void BM_BroadcastFanout(benchmark::State& state) {
   auto k = static_cast<std::uint32_t>(state.range(0));
   SimScheduler sched;
@@ -187,12 +190,15 @@ void BM_BroadcastFanout(benchmark::State& state) {
   auto payload = net::make_payload(net::PayloadBuffer(512, 0xAB));
 
   AllocWindow window;
+  std::size_t fires = 0;
   for (auto _ : state) {
     nodes[0]->send_control(payload);
-    sched.run_all();
+    fires += sched.run_all();
   }
   state.counters["allocs_per_op"] = benchmark::Counter(
       static_cast<double>(window.sample()), benchmark::Counter::kAvgIterations);
+  state.counters["fires_per_op"] = benchmark::Counter(
+      static_cast<double>(fires), benchmark::Counter::kAvgIterations);
   state.SetItemsProcessed(static_cast<std::int64_t>(received));
 }
 BENCHMARK(BM_BroadcastFanout)->Arg(2)->Arg(8)->Arg(32);
@@ -538,6 +544,71 @@ void BM_OlsrRecompute(benchmark::State& state) {
   benchmark::DoNotOptimize(world.node(0).kernel_table().generation());
 }
 BENCHMARK(BM_OlsrRecompute)->Arg(0)->Arg(1);
+
+/// Exposes ReHandler's learn step, so the bench times it without the
+/// duplicate check and relay that follow it in handle().
+class LearnProbe final : public proto::ReHandler {
+ public:
+  LearnProbe() : ReHandler("bench.LearnProbe") {}
+  using ReHandler::learn;
+};
+
+// DYMO's learn path, the dymo_rwp200 hot spot: one RREQ accumulated over
+// eight relays (nine routes: the originator plus each relay) into node 0's
+// DymoState, which already holds 200 routes with their soft-state entries.
+// /0 replays the same message, so every hop is a same-info refresh: a
+// route lookup and a soft-state touch (run_hotpaths.sh holds it at zero
+// allocations). /1 bumps every seqnum each iteration, so every hop
+// replaces its route, reinstalls the kernel route and emits ROUTE_FOUND.
+void BM_DymoLearn(benchmark::State& state) {
+  testbed::SimWorld world(1);
+  world.kit(0).deploy("dymo");
+  core::ManetProtocolCf& cf = *world.kit(0).protocol("dymo");
+  core::ProtocolContext& ctx = cf.context();
+  proto::DymoState& st = *proto::dymo_state(cf);
+  for (std::uint32_t i = 1; i <= 200; ++i) {
+    const net::Addr dest = net::addr_for_index(i);
+    const proto::RouteUpdate update =
+        st.update_route(dest, 1, net::addr_for_index(1), 2, world.now(),
+                        proto::kDymoRouteTimeout);
+    ctx.soft()->touch_at(proto::reactive_sets::kRoute, dest, update.expires);
+  }
+
+  // Originator 10, relayed by 20, 30, ..., 90; node 0 hears 90.
+  std::uint16_t seq = 2;
+  pbb::Message m = proto::rm::build_rreq(net::addr_for_index(10), seq,
+                                         net::addr_for_index(199),
+                                         proto::kDymoMsgHopLimit);
+  for (std::uint8_t hop = 1; hop <= 8; ++hop) {
+    m.hop_count = hop;
+    proto::rm::append_self(m, net::addr_for_index(10 + 10 * hop), seq);
+  }
+  ev::Event event(ev::etype("RM_IN"));
+  event.from = net::addr_for_index(90);
+  event.set_msg(std::move(m));
+
+  LearnProbe probe;
+  const bool bump = state.range(0) == 1;
+  probe.learn(event, ctx);  // first sighting: every route changes once
+  AllocWindow window;
+  for (auto _ : state) {
+    if (bump) {
+      ++seq;
+      pbb::Message& msg = event.mutable_msg();
+      msg.seqnum = seq;
+      for (pbb::AddressTlv& tlv : msg.addr_blocks[1].tlvs) {
+        if (tlv.type != proto::wire::kAtlvSeqnum) continue;
+        tlv.value[2] = static_cast<std::uint8_t>(seq >> 8);
+        tlv.value[3] = static_cast<std::uint8_t>(seq);
+      }
+    }
+    probe.learn(event, ctx);
+  }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(window.sample()), benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations() * 9);
+}
+BENCHMARK(BM_DymoLearn)->Arg(0)->Arg(1);
 
 void BM_MprSelection(benchmark::State& state) {
   // A dense neighbourhood: n neighbours, each covering a slice of 2n

@@ -11,7 +11,10 @@
 # (wheel) may not be slower than BM_SchedulerHoldBurst/1 (ordered map) in
 # the same run. A third holds the OLSR route calculator's memo to its
 # purpose: BM_OlsrRecompute/0 (unchanged inputs) must be faster than
-# BM_OlsrRecompute/1 (one TC set changed, a full recompute).
+# BM_OlsrRecompute/1 (one TC set changed, a full recompute). A fourth holds
+# the medium to one scheduler event per broadcast: BM_BroadcastFanout/32
+# must run one timer fire per op and allocate nothing. A fifth holds DYMO's
+# same-info refresh (BM_DymoLearn/0) at zero allocations per op.
 #
 # The report records its provenance: the build type and compiler of the
 # bench binary, the git SHA of the checkout, and the host's CPU count.
@@ -90,9 +93,9 @@ for b in benches:
         "real_time_ns": round(b["real_time"], 1),
         "cpu_time_ns": round(b["cpu_time"], 1),
     }
-    for counter in ("allocs_per_op", "faults_fired", "pair_evals",
-                    "link_flips", "recovered_cycles", "reconverge_us",
-                    "rehydrates"):
+    for counter in ("allocs_per_op", "fires_per_op", "faults_fired",
+                    "pair_evals", "link_flips", "recovered_cycles",
+                    "reconverge_us", "rehydrates"):
         if counter in b:
             entry[counter] = round(b[counter], 2)
     if b["name"] in BASELINE_NS:
@@ -154,7 +157,16 @@ report = {
             "a converged, frozen 50-node Gauss-Markov world: /0 with unchanged "
             "inputs (the memoised no-op a same-set TC refresh triggers), /1 "
             "with one origin's TC set flipped every iteration (a full Dijkstra "
-            "and kernel-table sync); the script fails unless /0 is faster.",
+            "and kernel-table sync); the script fails unless /0 is faster. "
+            "BM_BroadcastFanout/{2,8,32} reports fires_per_op, the scheduler "
+            "events one broadcast costs: the medium parks the frame and its "
+            "k receivers in one slot under one event, so the script fails "
+            "unless /32 runs exactly one fire and zero allocations per op. "
+            "BM_DymoLearn/{0,1} feeds an 8-hop accumulated RREQ (nine "
+            "routes) to ReHandler::learn on a node holding 200 DYMO routes: "
+            "/0 replays it (every hop a same-info refresh, gated at zero "
+            "allocations per op), /1 bumps every seqnum per iteration (every "
+            "hop replaces its route and emits ROUTE_FOUND).",
     "provenance": {
         "build_type": raw.get("context", {}).get("mk_build_type"),
         "compiler": raw.get("context", {}).get("mk_compiler"),
@@ -219,4 +231,28 @@ if memo >= full:
     sys.exit(1)
 print(f"route-memo gate: unchanged {memo:.0f} ns vs full recompute "
       f"{full:.0f} ns")
+
+# Medium gate: one broadcast is one scheduler event, allocation-free.
+by_name = {e["name"]: e for e in results}
+fanout = by_name.get("BM_BroadcastFanout/32")
+if fanout is None:
+    print("error: BM_BroadcastFanout/32 missing from run", file=sys.stderr)
+    sys.exit(1)
+if fanout.get("fires_per_op") != 1.0 or fanout.get("allocs_per_op") != 0.0:
+    print(f"error: BM_BroadcastFanout/32 ran {fanout.get('fires_per_op')} "
+          f"timer fires and {fanout.get('allocs_per_op')} allocations per "
+          "broadcast (want 1 and 0)", file=sys.stderr)
+    sys.exit(1)
+print("medium gate: BM_BroadcastFanout/32 at 1 fire, 0 allocs per broadcast")
+
+# Learn-path gate: a same-info refresh of nine routes allocates nothing.
+learn = by_name.get("BM_DymoLearn/0")
+if learn is None:
+    print("error: BM_DymoLearn/0 missing from run", file=sys.stderr)
+    sys.exit(1)
+if learn.get("allocs_per_op") != 0.0:
+    print(f"error: BM_DymoLearn/0 measured {learn.get('allocs_per_op')} "
+          "allocs/op (want 0)", file=sys.stderr)
+    sys.exit(1)
+print("learn gate: BM_DymoLearn/0 at 0 allocs per op")
 EOF
