@@ -72,24 +72,6 @@ EventTypeId etype(std::string_view name) {
   return EventTypeRegistry::instance().intern(name);
 }
 
-void AttrMap::set(std::string key, AttrValue value) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const Entry& e, const std::string& k) { return e.first < k; });
-  if (it != entries_.end() && it->first == key) {
-    it->second = std::move(value);
-  } else {
-    entries_.emplace(it, std::move(key), std::move(value));
-  }
-}
-
-const AttrValue* AttrMap::find(std::string_view key) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const Entry& e, std::string_view k) { return e.first < k; });
-  return (it != entries_.end() && it->first == key) ? &it->second : nullptr;
-}
-
 std::string Event::type_name() const {
   return EventTypeRegistry::instance().name(type_);
 }
@@ -129,30 +111,6 @@ pbb::Message& Event::mutable_msg() {
   // Safe: every message reachable here was allocated non-const via
   // acquire_message above or in set_msg, and is uniquely owned.
   return const_cast<pbb::Message&>(*msg_);
-}
-
-std::int64_t Event::get_int(std::string_view key, std::int64_t fallback) const {
-  const AttrValue* v = attrs_.find(key);
-  if (v == nullptr) return fallback;
-  if (const auto* i = std::get_if<std::int64_t>(v)) return *i;
-  return fallback;
-}
-
-double Event::get_double(std::string_view key, double fallback) const {
-  const AttrValue* v = attrs_.find(key);
-  if (v == nullptr) return fallback;
-  if (const auto* d = std::get_if<double>(v)) return *d;
-  if (const auto* i = std::get_if<std::int64_t>(v)) {
-    return static_cast<double>(*i);
-  }
-  return fallback;
-}
-
-std::string Event::get_string(std::string_view key, std::string fallback) const {
-  const AttrValue* v = attrs_.find(key);
-  if (v == nullptr) return fallback;
-  if (const auto* s = std::get_if<std::string>(v)) return *s;
-  return fallback;
 }
 
 std::set<EventTypeId> EventTuple::ids(const std::vector<std::string>& names) {

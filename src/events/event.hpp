@@ -3,22 +3,25 @@
 // Communication between CFS units is carried out using events drawn from an
 // extensible polymorphic ontology: event types are interned strings (dense
 // ids), and an Event optionally carries a PacketBB message — the paper bases
-// its event structure on the PacketBB format — plus a small attribute map for
-// context values (battery level, link quality, ...).
+// its event structure on the PacketBB format — plus a few context values
+// (battery level, link quality, the destination a route refers to, ...).
 //
 // Events are designed to be *cheap to fan out*: the carried PacketBB message
 // is held as a shared immutable pointer, so copying an Event to N co-deployed
 // protocols shares one message allocation instead of deep-copying the nested
 // TLV/address-block structure N times. A component that wants to modify the
 // carried message goes through mutable_msg(), which clones lazily
-// (copy-on-write) only when the message is actually shared. The attribute map
-// is a small sorted flat vector — events carry at most a handful of context
-// attributes, where a node-based std::map costs one allocation per entry.
+// (copy-on-write) only when the message is actually shared. The context
+// values come from a closed, typed key set (IntAttr, RealAttr) held inline —
+// one slot per key plus a presence mask — so setting one or copying an Event
+// never allocates.
 //
 // Each CFS unit declares an EventTuple <required-events, provided-events>;
 // the Framework Manager derives bindings from these (see core/).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -26,7 +29,6 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "packetbb/packetbb.hpp"
@@ -104,35 +106,29 @@ inline const std::string POWER_STATUS = "POWER_STATUS";
 inline const std::string LINK_QUALITY = "LINK_QUALITY";
 }  // namespace types
 
-using AttrValue = std::variant<std::int64_t, double, std::string>;
+/// Integer-valued context attributes. The key fixes the value type.
+enum class IntAttr : std::uint8_t {
+  unicast_to,  // *_OUT: unicast link-level destination; absent = broadcast
+  dest,        // destination a route refers to (NO_ROUTE, ROUTE_FOUND, ...)
+  src,         // source address of the data packet that raised the event
+  next_hop,    // SEND_ROUTE_ERR: the broken next hop
+  neighbor,    // NHOOD_CHANGE, LINK_QUALITY: the neighbour affected
+  up,          // NHOOD_CHANGE: 1 if the link is now up, 0 if it broke
+};
+inline constexpr std::size_t kIntAttrCount = 6;
+
+/// Real-valued context attributes, in [0,1].
+enum class RealAttr : std::uint8_t {
+  battery,  // POWER_STATUS: battery level
+  quality,  // LINK_QUALITY: link quality estimate
+};
+inline constexpr std::size_t kRealAttrCount = 2;
 
 /// Shared immutable PacketBB message. Always created via
 /// std::make_shared<pbb::Message> (Event::set_msg does this); the const in
 /// the type expresses the sharing contract, not storage constness — COW
 /// mutation through Event::mutable_msg() is well-defined.
 using MsgPtr = std::shared_ptr<const pbb::Message>;
-
-/// Small sorted flat map for event attributes. Events carry a handful of
-/// context values at most, so a contiguous vector with binary search beats a
-/// node-based map on both lookup and copy (one allocation total instead of
-/// one per entry).
-class AttrMap {
- public:
-  using Entry = std::pair<std::string, AttrValue>;
-  using const_iterator = std::vector<Entry>::const_iterator;
-
-  void set(std::string key, AttrValue value);
-  const AttrValue* find(std::string_view key) const;
-  bool contains(std::string_view key) const { return find(key) != nullptr; }
-
-  bool empty() const { return entries_.empty(); }
-  std::size_t size() const { return entries_.size(); }
-  const_iterator begin() const { return entries_.begin(); }
-  const_iterator end() const { return entries_.end(); }
-
- private:
-  std::vector<Entry> entries_;  // sorted by key
-};
 
 /// A unit of communication between CFS units.
 class Event {
@@ -172,26 +168,39 @@ class Event {
   /// other events (or creates an empty one if absent).
   pbb::Message& mutable_msg();
 
-  // -- attribute map ----------------------------------------------------------
-  void set_int(std::string key, std::int64_t v) {
-    attrs_.set(std::move(key), v);
+  // -- context attributes (inline: setting and copying never allocate) ------
+  void set_attr(IntAttr key, std::int64_t v) {
+    ints_[index(key)] = v;
+    present_ |= bit(key);
   }
-  void set_double(std::string key, double v) { attrs_.set(std::move(key), v); }
-  void set_string(std::string key, std::string v) {
-    attrs_.set(std::move(key), std::move(v));
+  void set_attr(RealAttr key, double v) {
+    reals_[index(key)] = v;
+    present_ |= bit(key);
   }
-
-  std::int64_t get_int(std::string_view key, std::int64_t fallback = 0) const;
-  double get_double(std::string_view key, double fallback = 0.0) const;
-  std::string get_string(std::string_view key, std::string fallback = "") const;
-  bool has_attr(std::string_view key) const { return attrs_.contains(key); }
-
-  const AttrMap& attrs() const { return attrs_; }
+  /// The value set for `key`, or `fallback` when the event carries none.
+  std::int64_t attr(IntAttr key, std::int64_t fallback = 0) const {
+    return (present_ & bit(key)) != 0 ? ints_[index(key)] : fallback;
+  }
+  double attr(RealAttr key, double fallback = 0.0) const {
+    return (present_ & bit(key)) != 0 ? reals_[index(key)] : fallback;
+  }
 
  private:
+  template <typename Key>
+  static constexpr std::size_t index(Key key) {
+    return static_cast<std::size_t>(key);
+  }
+  static constexpr unsigned bit(IntAttr key) { return 1u << index(key); }
+  static constexpr unsigned bit(RealAttr key) {
+    return 1u << (kIntAttrCount + index(key));
+  }
+
   EventTypeId type_ = kInvalidEventType;
+  std::uint8_t present_ = 0;  // one bit per IntAttr, then one per RealAttr
+  static_assert(kIntAttrCount + kRealAttrCount <= 8);
   MsgPtr msg_;
-  AttrMap attrs_;
+  std::array<std::int64_t, kIntAttrCount> ints_{};
+  std::array<double, kRealAttrCount> reals_{};
 };
 
 /// The declarative composition contract of a CFS unit (§4.2): the set of

@@ -1,6 +1,5 @@
 #include "policy/policy_engine.hpp"
 
-#include "core/attrs.hpp"
 #include "protocols/olsr/power_aware.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -10,11 +9,11 @@ namespace mk::policy {
 Engine::Engine(core::Manetkit& kit) : kit_(kit) {
   // Pushed context events feed the signal map (the concentrator facade).
   kit_.manager().subscribe(ev::types::POWER_STATUS, [this](const ev::Event& e) {
-    signals_["battery"] = e.get_double(core::attrs::kBattery, 1.0);
+    signals_["battery"] = e.attr(ev::RealAttr::battery, 1.0);
   });
   kit_.manager().subscribe(ev::types::NHOOD_CHANGE, [this](const ev::Event& e) {
     signals_["last_nhood_up"] =
-        e.get_int(core::attrs::kUp, 1) != 0 ? 1.0 : 0.0;
+        e.attr(ev::IntAttr::up, 1) != 0 ? 1.0 : 0.0;
   });
 }
 

@@ -1,6 +1,5 @@
 #include "protocols/aodv/aodv_cf.hpp"
 
-#include "core/attrs.hpp"
 #include "core/soft_state.hpp"
 #include "protocols/neighbor/neighbor_cf.hpp"
 #include "protocols/wire.hpp"
@@ -10,7 +9,6 @@ namespace mk::proto {
 
 namespace {
 
-using core::attrs::kUnicastTo;
 
 pbb::Message build_rreq(AodvState& st, net::Addr self, net::Addr target) {
   pbb::Message m;
@@ -161,7 +159,7 @@ class AodvHandler final : public core::EventHandler {
       st.bump_seq();
       ev::Event out(aodv_out_);
       out.set_msg(build_rrep(ctx.self(), st.own_seq(), *msg.originator, 0));
-      out.set_int(kUnicastTo, event.from);
+      out.set_attr(ev::IntAttr::unicast_to, event.from);
       ctx.emit(std::move(out));
       return;
     }
@@ -176,7 +174,7 @@ class AodvHandler final : public core::EventHandler {
       ev::Event out(aodv_out_);
       out.set_msg(build_rrep(target, route->dest_seq, *msg.originator,
                              route->hops));
-      out.set_int(kUnicastTo, event.from);
+      out.set_attr(ev::IntAttr::unicast_to, event.from);
       ctx.emit(std::move(out));
       return;
     }
@@ -212,7 +210,7 @@ class AodvHandler final : public core::EventHandler {
     pbb::Message& fwd = out.acquire_msg() = msg;  // pooled, no deep copy
     fwd.hop_limit -= 1;
     fwd.hop_count += 1;
-    out.set_int(kUnicastTo, reverse->next_hop);
+    out.set_attr(ev::IntAttr::unicast_to, reverse->next_hop);
     ctx.emit(std::move(out));
   }
 

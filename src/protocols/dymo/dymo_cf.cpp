@@ -1,6 +1,5 @@
 #include "protocols/dymo/dymo_cf.hpp"
 
-#include "core/attrs.hpp"
 #include "protocols/neighbor/neighbor_cf.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -9,7 +8,6 @@ namespace mk::proto {
 
 namespace {
 
-using core::attrs::kUnicastTo;
 
 }  // namespace
 
@@ -174,7 +172,7 @@ void ReHandler::send_rrep(const ev::Event& rreq_event,
                              bump_seq ? st.bump_seq() : st.own_seq(),
                              *rreq.originator, kDymoMsgHopLimit));
   // Unicast back along the (just learned) reverse route.
-  out.set_int(kUnicastTo, rreq_event.from);
+  out.set_attr(ev::IntAttr::unicast_to, rreq_event.from);
   if (rrep_sent_ == nullptr) {
     rrep_sent_ = &ctx.metrics().counter("dymo.rrep_sent");
   }
@@ -249,7 +247,9 @@ void ReHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
   fwd.hop_limit -= 1;
   fwd.hop_count += 1;
   rm::append_self(fwd, ctx.self(), st.own_seq());
-  if (unicast_to != net::kNoAddr) out.set_int(kUnicastTo, unicast_to);
+  if (unicast_to != net::kNoAddr) {
+    out.set_attr(ev::IntAttr::unicast_to, unicast_to);
+  }
   ctx.emit(std::move(out));
 }
 

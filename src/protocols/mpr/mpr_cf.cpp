@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/attrs.hpp"
 #include "core/soft_state.hpp"
 #include "protocols/mpr/mpr_handlers.hpp"
 #include "protocols/timing.hpp"
@@ -14,7 +13,6 @@ namespace mk::proto {
 
 namespace {
 
-using core::attrs::kBattery;
 
 /// The shared HELLO emission, advertising MPR link codes for selected
 /// relays, this node's willingness and the MPR-aware marker.
@@ -53,7 +51,7 @@ class PowerStatusHandler final : public core::EventHandler {
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     ctx.state_as<MprState>().set_own_willingness(
-        willingness_from_battery(event.get_double(kBattery, 1.0)));
+        willingness_from_battery(event.attr(ev::RealAttr::battery, 1.0)));
   }
 };
 

@@ -3,15 +3,14 @@
 #include <memory>
 #include <utility>
 
-#include "core/attrs.hpp"
 #include "util/assert.hpp"
 
 namespace mk::proto {
 
 void emit_nhood_change(core::ProtocolContext& ctx, net::Addr neighbor, bool up) {
   ev::Event e(ev::types::NHOOD_CHANGE);
-  e.set_int(core::attrs::kNeighbor, neighbor);
-  e.set_int(core::attrs::kUp, up ? 1 : 0);
+  e.set_attr(ev::IntAttr::neighbor, neighbor);
+  e.set_attr(ev::IntAttr::up, up ? 1 : 0);
   ctx.emit(std::move(e));
 }
 

@@ -1,6 +1,5 @@
 #include "protocols/olsr/power_aware.hpp"
 
-#include "core/attrs.hpp"
 #include "protocols/mpr/mpr_calculator.hpp"
 #include "protocols/mpr/mpr_cf.hpp"
 #include "protocols/mpr/mpr_handlers.hpp"
@@ -70,7 +69,7 @@ class PowerTrackHandler final : public core::EventHandler {
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     ctx.state_as<OlsrState>().set_own_battery(
-        event.get_double(core::attrs::kBattery, 1.0));
+        event.attr(ev::RealAttr::battery, 1.0));
   }
 };
 

@@ -3,7 +3,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/attrs.hpp"
 #include "protocols/olsr/olsr_cf.hpp"
 #include "protocols/reactive.hpp"
 #include "protocols/wire.hpp"
@@ -394,7 +393,7 @@ void ReplicationManager::handle_solicit(const pbb::Solicit& s, net::Addr from,
   if (m.tlvs.empty()) return;
   ev::Event e(std::string_view{"REPL_OUT"});
   e.set_msg(std::move(m));
-  e.set_int(core::attrs::kUnicastTo, from);
+  e.set_attr(ev::IntAttr::unicast_to, from);
   ctx.emit(std::move(e));
 }
 

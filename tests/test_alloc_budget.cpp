@@ -113,6 +113,25 @@ TEST(AllocBudget, CowEventCloneCostsAtMostOneAllocation) {
          "the pool is warm)";
 }
 
+TEST(AllocBudget, EventAttributesAndFanOutCopiesAreAllocationFree) {
+  REQUIRE_PROBE();
+  const ev::EventTypeId type = ev::etype(ev::types::ROUTE_FOUND);
+  std::vector<ev::Event> targets(3);  // the fan-out copies land here
+
+  auto scope = AllocProbe::scoped();
+  for (int i = 0; i < 100; ++i) {
+    ev::Event e(type);
+    e.set_attr(ev::IntAttr::dest, i);
+    e.set_attr(ev::IntAttr::unicast_to, i + 1);
+    e.set_attr(ev::RealAttr::battery, 0.5);
+    for (ev::Event& target : targets) target = e;
+  }
+  EXPECT_EQ(scope.allocs(), 0u)
+      << "attributes live inline: setting them and copying the event to "
+         "three targets must not allocate";
+  EXPECT_EQ(targets[2].attr(ev::IntAttr::dest), 99);
+}
+
 TEST(AllocBudget, TimerArmCancelIsAllocationFreeWhenWarm) {
   REQUIRE_PROBE();
   SimScheduler sched;  // hierarchical wheel backend: pooled timer nodes

@@ -1,7 +1,6 @@
 // Link-quality context sensing and the gossip-flooding DYMO variant.
 #include <gtest/gtest.h>
 
-#include "core/attrs.hpp"
 #include "protocols/dymo/gossip.hpp"
 #include "testbed/world.hpp"
 
@@ -39,12 +38,11 @@ TEST(LinkQuality, EventsReachTheConcentrator) {
   world.kit(0).system().ensure_link_quality(sec(1));
 
   std::map<net::Addr, double> latest;
-  world.kit(0).manager().subscribe(ev::types::LINK_QUALITY,
-                                   [&](const ev::Event& e) {
-                                     latest[static_cast<net::Addr>(e.get_int(
-                                         core::attrs::kNeighbor))] =
-                                         e.get_double(core::attrs::kQuality);
-                                   });
+  world.kit(0).manager().subscribe(
+      ev::types::LINK_QUALITY, [&](const ev::Event& e) {
+        latest[static_cast<net::Addr>(e.attr(ev::IntAttr::neighbor))] =
+            e.attr(ev::RealAttr::quality);
+      });
   world.run_for(sec(10));
   ASSERT_TRUE(latest.count(world.addr(1)) > 0);
   EXPECT_GT(latest[world.addr(1)], 0.5);

@@ -3,7 +3,6 @@
 // ordering across same-interest protocols, and OLSR's triggered TCs.
 #include <gtest/gtest.h>
 
-#include "core/attrs.hpp"
 #include "core/manetkit.hpp"
 #include "protocols/olsr/olsr_cf.hpp"
 #include "testbed/world.hpp"
@@ -72,7 +71,7 @@ TEST(Aggregation, UnicastAndBroadcastKeptApart) {
   sys.deliver(bcast);
   ev::Event ucast(ev::etype("AGG_OUT"));
   ucast.set_msg(tiny_msg(60, 2));
-  ucast.set_int(attrs::kUnicastTo, world.addr(1));
+  ucast.set_attr(ev::IntAttr::unicast_to, world.addr(1));
   sys.deliver(ucast);
 
   world.run_for(msec(200));
@@ -128,7 +127,7 @@ TEST(FifoOrdering, SameInterestProtocolsSeeSameOrder) {
     explicit OrderHandler(std::vector<std::int64_t>* log)
         : EventHandler("test.OrderHandler", {"SEQD"}), log_(log) {}
     void handle(const ev::Event& e, ProtocolContext&) override {
-      log_->push_back(e.get_int("i"));
+      log_->push_back(e.attr(ev::IntAttr::dest));
     }
     std::vector<std::int64_t>* log_;
   };
@@ -150,7 +149,7 @@ TEST(FifoOrdering, SameInterestProtocolsSeeSameOrder) {
 
   for (int i = 0; i < 100; ++i) {
     ev::Event e(ev::etype("SEQD"));
-    e.set_int("i", i);
+    e.set_attr(ev::IntAttr::dest, i);
     kit.system().emit(std::move(e));
   }
   kit.manager().drain();

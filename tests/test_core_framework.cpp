@@ -33,13 +33,8 @@ class RelayHandler final : public EventHandler {
   void handle(const ev::Event& event, ProtocolContext& ctx) override {
     log_->push_back(tag_ + ":" + event.type_name());
     if (!out_.empty()) {
-      ev::Event e = event;
       ev::Event renamed(ev::etype(out_));
-      renamed.set_msg(e.shared_msg());
-      for (const auto& [k, v] : e.attrs()) {
-        // carry attributes forward
-        if (const auto* i = std::get_if<std::int64_t>(&v)) renamed.set_int(k, *i);
-      }
+      renamed.set_msg(event.shared_msg());
       ctx.emit(std::move(renamed));
     }
   }

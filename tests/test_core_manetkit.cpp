@@ -4,7 +4,6 @@
 // ManetProtocol CF structural rules.
 #include <gtest/gtest.h>
 
-#include "core/attrs.hpp"
 #include "core/manetkit.hpp"
 #include "net/medium.hpp"
 #include "net/topology.hpp"
@@ -247,7 +246,7 @@ TEST(SystemCf, PowerStatusSensorEmitsContextEvents) {
 
   std::vector<double> seen;
   kit.manager().subscribe(ev::types::POWER_STATUS, [&](const ev::Event& e) {
-    seen.push_back(e.get_double(attrs::kBattery));
+    seen.push_back(e.attr(ev::RealAttr::battery));
   });
   world.run_for(sec(2));
   ASSERT_GE(seen.size(), 2u);
@@ -273,7 +272,7 @@ TEST(SystemCf, NetlinkBuffersAndReinjects) {
   world.node(0).kernel_table().set_route(
       net::RouteEntry{world.addr(1), world.addr(1), "wlan0", 1, {}});
   ev::Event found(ev::types::ROUTE_FOUND);
-  found.set_int(attrs::kDest, world.addr(1));
+  found.set_attr(ev::IntAttr::dest, world.addr(1));
   kit.system().deliver(found);
   world.run_for(msec(100));
   EXPECT_EQ(world.node(1).deliveries().size(), 1u);

@@ -1,5 +1,8 @@
-// Event type registry (interning), Event attribute map, EventTuple.
+// Event type registry (interning), typed Event attributes, EventTuple.
 #include <gtest/gtest.h>
+
+#include <type_traits>
+#include <utility>
 
 #include "events/event.hpp"
 
@@ -32,30 +35,31 @@ TEST(Event, TypeFromName) {
   EXPECT_EQ(e.type_name(), "TEST_EVENT_D");
 }
 
-TEST(Event, AttributeMapTypedAccess) {
+TEST(Event, TypedAttributesFallBackWhenAbsent) {
   Event e(etype("TEST_EVENT_E"));
-  e.set_int("n", 42);
-  e.set_double("x", 2.5);
-  e.set_string("s", "hi");
-  EXPECT_EQ(e.get_int("n"), 42);
-  EXPECT_DOUBLE_EQ(e.get_double("x"), 2.5);
-  EXPECT_EQ(e.get_string("s"), "hi");
-  EXPECT_TRUE(e.has_attr("n"));
-  EXPECT_FALSE(e.has_attr("missing"));
-  EXPECT_EQ(e.get_int("missing", -1), -1);
-  // double accessor coerces ints
-  EXPECT_DOUBLE_EQ(e.get_double("n"), 42.0);
-  // wrong-type access falls back
-  EXPECT_EQ(e.get_int("s", -1), -1);
+  e.set_attr(IntAttr::dest, 42);
+  e.set_attr(RealAttr::quality, 2.5);
+  EXPECT_EQ(e.attr(IntAttr::dest), 42);
+  EXPECT_DOUBLE_EQ(e.attr(RealAttr::quality), 2.5);
+  EXPECT_EQ(e.attr(IntAttr::src, -1), -1);
+  EXPECT_DOUBLE_EQ(e.attr(RealAttr::battery, 1.0), 1.0);
+  // A value of 0 is present, not absent.
+  e.set_attr(IntAttr::up, 0);
+  EXPECT_EQ(e.attr(IntAttr::up, 1), 0);
 }
+
+// The key fixes the value type: a real-keyed attribute reads as a double.
+static_assert(std::is_same_v<decltype(std::declval<const Event&>().attr(
+                                 RealAttr::battery)),
+                             double>);
 
 TEST(Event, CopyIsIndependent) {
   Event a(etype("TEST_EVENT_F"));
-  a.set_int("v", 1);
+  a.set_attr(IntAttr::neighbor, 1);
   Event b = a;
-  b.set_int("v", 2);
-  EXPECT_EQ(a.get_int("v"), 1);
-  EXPECT_EQ(b.get_int("v"), 2);
+  b.set_attr(IntAttr::neighbor, 2);
+  EXPECT_EQ(a.attr(IntAttr::neighbor), 1);
+  EXPECT_EQ(b.attr(IntAttr::neighbor), 2);
 }
 
 TEST(EventTuple, MembershipQueries) {

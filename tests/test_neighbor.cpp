@@ -6,7 +6,6 @@
 
 #include <algorithm>
 
-#include "core/attrs.hpp"
 #include "protocols/aodv/aodv_cf.hpp"
 #include "protocols/hello_codec.hpp"
 #include "protocols/neighbor/neighbor_cf.hpp"
@@ -168,8 +167,8 @@ TEST(NeighborCf, LinkBreakEmitsNhoodChangeDown) {
   world.kit(0).manager().subscribe(
       ev::types::NHOOD_CHANGE, [&](const ev::Event& e) {
         changes.emplace_back(
-            static_cast<net::Addr>(e.get_int(core::attrs::kNeighbor)),
-            e.get_int(core::attrs::kUp) != 0);
+            static_cast<net::Addr>(e.attr(ev::IntAttr::neighbor)),
+            e.attr(ev::IntAttr::up) != 0);
       });
 
   world.medium().set_link(world.addr(0), world.addr(1), false);
