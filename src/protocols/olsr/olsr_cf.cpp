@@ -151,7 +151,7 @@ class TopologyChangeHandler final : public core::EventHandler {
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     recompute_routes(ctx);
-    if (event.type() != ev::etype(ev::types::MPR_CHANGE)) return;
+    if (event.type() != mpr_change_) return;
     if (ctx.now() - last_triggered_ >= kMinTriggeredGap) {
       if (emit_tc(ctx, kit_)) {
         last_triggered_ = ctx.now();
@@ -170,6 +170,7 @@ class TopologyChangeHandler final : public core::EventHandler {
 
  private:
   core::Manetkit& kit_;
+  const ev::EventTypeId mpr_change_ = ev::etype(ev::types::MPR_CHANGE);
   TimePoint last_triggered_{-10'000'000};
   OneShotTimer reemit_;
 };

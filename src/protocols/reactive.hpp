@@ -336,6 +336,8 @@ class LinkBreakHandler : public core::EventHandler {
 
   ReactiveProtocol proto_;
   std::string rerr_out_;  // counter name
+  const ev::EventTypeId send_route_err_ =
+      ev::etype(ev::types::SEND_ROUTE_ERR);
 };
 
 }  // namespace mk::proto
