@@ -65,6 +65,13 @@ for proto in PROTOCOLS:
                     if v is None or not isinstance(v, (int, float)) \
                             or math.isnan(v) or math.isinf(v):
                         errors.append(f"{key}: {field} missing or NaN ({v!r})")
+                kinds = sum(cell.get(k, 0) for k in (
+                    "loop_violations", "invalid_next_hop_violations",
+                    "asymmetric_link_violations"))
+                if kinds != cell.get("invariant_violations"):
+                    errors.append(f"{key}: violations by kind sum to {kinds}, "
+                                  f"not the total "
+                                  f"{cell.get('invariant_violations')}")
                 if cell.get("sent", 0) <= 0:
                     errors.append(f"{key}: no traffic sent")
                 if not cell.get("digest_stable", False):

@@ -69,6 +69,11 @@ void emit_cell(std::ostream& out, const CellSpec& spec, const CellResult& r,
       << r.control_bytes_per_delivery << ",\n"
       << "      \"convergence_ms\": " << r.convergence_ms << ",\n"
       << "      \"invariant_violations\": " << r.invariant_violations << ",\n"
+      << "      \"loop_violations\": " << r.loop_violations << ",\n"
+      << "      \"invalid_next_hop_violations\": "
+      << r.invalid_next_hop_violations << ",\n"
+      << "      \"asymmetric_link_violations\": "
+      << r.asymmetric_link_violations << ",\n"
       << "      \"journal_records\": " << r.digest.records << ",\n"
       << "      \"digest_ordered\": \"" << hex(r.digest.ordered) << "\",\n"
       << "      \"digest_canonical\": \"" << hex(r.digest.canonical) << "\",\n"

@@ -121,6 +121,14 @@ CellResult run_cell(const CellSpec& spec) {
       static_cast<double>(out.received == 0 ? 1 : out.received);
   out.convergence_ms = convergence.count() < 0 ? -1.0 : to_ms(convergence);
   out.invariant_violations = checker.violations().size();
+  for (const obs::InvariantChecker::Violation& v : checker.violations()) {
+    using Kind = obs::InvariantChecker::Violation::Kind;
+    switch (v.kind) {
+      case Kind::kLoop: ++out.loop_violations; break;
+      case Kind::kInvalidNextHop: ++out.invalid_next_hop_violations; break;
+      case Kind::kAsymmetricLink: ++out.asymmetric_link_violations; break;
+    }
+  }
   out.digest = journal.digests();
   out.flows = traffic.all_flow_stats();
   return out;

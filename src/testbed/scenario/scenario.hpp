@@ -93,7 +93,11 @@ struct CellResult {
   /// reactive protocols only acquire the routes traffic asks for.
   double convergence_ms = -1.0;
 
+  /// Routing-invariant violations over the run: the total, then by kind.
   std::uint64_t invariant_violations = 0;
+  std::uint64_t loop_violations = 0;
+  std::uint64_t invalid_next_hop_violations = 0;
+  std::uint64_t asymmetric_link_violations = 0;
   obs::Journal::DigestSnapshot digest;  // over the cell's entire record stream
 
   std::vector<FlowStats> flows;

@@ -67,6 +67,10 @@ TEST(ScenarioMatrix, CellsAreDigestStableAndSane) {
 
     // (b) clean runs: the continuous invariant checker saw nothing.
     EXPECT_EQ(a.invariant_violations, 0u) << key;
+    EXPECT_EQ(a.loop_violations + a.invalid_next_hop_violations +
+                  a.asymmetric_link_violations,
+              a.invariant_violations)
+        << key;
 
     // (c) sanity: traffic flowed and the metrics are in range.
     EXPECT_GT(a.sent, 0u) << key;
