@@ -14,7 +14,8 @@
 # BM_OlsrRecompute/1 (one TC set changed, a full recompute). A fourth holds
 # the medium to one scheduler event per broadcast: BM_BroadcastFanout/32
 # must run one timer fire per op and allocate nothing. A fifth holds DYMO's
-# same-info refresh (BM_DymoLearn/0) at zero allocations per op.
+# learn path at zero allocations per op, both for a same-info refresh
+# (BM_DymoLearn/0) and for a learn that replaces every route (/1).
 #
 # The report records its provenance: the build type and compiler of the
 # bench binary, the git SHA of the checkout, and the host's CPU count.
@@ -166,7 +167,8 @@ report = {
             "routes) to ReHandler::learn on a node holding 200 DYMO routes: "
             "/0 replays it (every hop a same-info refresh, gated at zero "
             "allocations per op), /1 bumps every seqnum per iteration (every "
-            "hop replaces its route and emits ROUTE_FOUND).",
+            "hop replaces its route and emits ROUTE_FOUND, also gated at zero "
+            "allocations per op).",
     "provenance": {
         "build_type": raw.get("context", {}).get("mk_build_type"),
         "compiler": raw.get("context", {}).get("mk_compiler"),
@@ -245,14 +247,17 @@ if fanout.get("fires_per_op") != 1.0 or fanout.get("allocs_per_op") != 0.0:
     sys.exit(1)
 print("medium gate: BM_BroadcastFanout/32 at 1 fire, 0 allocs per broadcast")
 
-# Learn-path gate: a same-info refresh of nine routes allocates nothing.
-learn = by_name.get("BM_DymoLearn/0")
-if learn is None:
-    print("error: BM_DymoLearn/0 missing from run", file=sys.stderr)
-    sys.exit(1)
-if learn.get("allocs_per_op") != 0.0:
-    print(f"error: BM_DymoLearn/0 measured {learn.get('allocs_per_op')} "
-          "allocs/op (want 0)", file=sys.stderr)
-    sys.exit(1)
-print("learn gate: BM_DymoLearn/0 at 0 allocs per op")
+# Learn-path gate: learning nine routes allocates nothing, whether every hop
+# is a same-info refresh (/0) or replaces its route and emits ROUTE_FOUND
+# (/1).
+for name in ("BM_DymoLearn/0", "BM_DymoLearn/1"):
+    learn = by_name.get(name)
+    if learn is None:
+        print(f"error: {name} missing from run", file=sys.stderr)
+        sys.exit(1)
+    if learn.get("allocs_per_op") != 0.0:
+        print(f"error: {name} measured {learn.get('allocs_per_op')} "
+              "allocs/op (want 0)", file=sys.stderr)
+        sys.exit(1)
+print("learn gate: BM_DymoLearn/0 and /1 at 0 allocs per op")
 EOF
