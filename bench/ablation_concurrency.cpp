@@ -25,9 +25,7 @@ int g_work_iters = 12000;  // per-handler busy work (see main)
 
 class CountingHandler final : public core::EventHandler {
  public:
-  CountingHandler() : core::EventHandler("bench.CountingHandler", {"BENCH"}) {
-    set_instance_name("CountingHandler");
-  }
+  CountingHandler() : core::EventHandler("CountingHandler", {"BENCH"}) {}
 
   void handle(const ev::Event& event, core::ProtocolContext&) override {
     // A few microseconds of protocol-ish work (table lookups, checksum-y

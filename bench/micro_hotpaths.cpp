@@ -549,7 +549,6 @@ BENCHMARK(BM_OlsrRecompute)->Arg(0)->Arg(1);
 /// duplicate check and relay that follow it in handle().
 class LearnProbe final : public proto::ReHandler {
  public:
-  LearnProbe() : ReHandler("bench.LearnProbe") {}
   using ReHandler::learn;
 };
 

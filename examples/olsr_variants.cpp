@@ -18,7 +18,7 @@ namespace {
 void show_composition(mk::core::ManetProtocolCf& cf) {
   std::printf("  %s CF members:", cf.unit_name().c_str());
   for (auto id : cf.members()) {
-    std::printf(" %s", cf.member(id)->instance_name().c_str());
+    std::printf(" %s", cf.member(id)->name().c_str());
   }
   std::printf("\n");
 }

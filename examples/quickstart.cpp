@@ -50,7 +50,7 @@ int main() {
 
   // 5. The S element is introspectable through the CFS pattern.
   auto* dymo = world.kit(0).protocol("dymo");
-  auto* state = dymo->state_component()->interface_as<core::IState>("IState");
+  auto* state = dynamic_cast<core::IState*>(dymo->state_component());
   std::printf("node 0 DYMO state: %s\n", state->describe().c_str());
   return 0;
 }

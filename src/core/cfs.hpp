@@ -122,7 +122,7 @@ class ProtocolContext {
 /// Plug-in event-processing component (the protocol logic lives here).
 class EventHandler : public oc::Component {
  public:
-  EventHandler(std::string type_name, const std::vector<std::string>& handled);
+  EventHandler(std::string name, const std::vector<std::string>& handled);
 
   const std::set<ev::EventTypeId>& handles() const { return handles_; }
 
@@ -137,8 +137,7 @@ class EventHandler : public oc::Component {
 /// Plug-in event source, typically driven by a PeriodicTimer.
 class EventSource : public oc::Component {
  public:
-  explicit EventSource(std::string type_name)
-      : oc::Component(std::move(type_name)) {}
+  explicit EventSource(std::string name) : oc::Component(std::move(name)) {}
 
   virtual void start(ProtocolContext& ctx) = 0;
   virtual void stop() = 0;
@@ -149,9 +148,9 @@ class EventSource : public oc::Component {
 /// plus `seed_offset`, so each periodic source of a node draws its own.
 class PeriodicSource : public EventSource {
  public:
-  PeriodicSource(std::string type_name, Duration interval, double jitter,
+  PeriodicSource(std::string name, Duration interval, double jitter,
                  std::uint64_t seed_offset)
-      : EventSource(std::move(type_name)),
+      : EventSource(std::move(name)),
         interval_(interval),
         jitter_(jitter),
         seed_offset_(seed_offset) {}

@@ -1,6 +1,7 @@
 #include "core/manet_protocol.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/framework_manager.hpp"
 #include "util/assert.hpp"
@@ -15,15 +16,13 @@ ManetControlCf::ManetControlCf()
     : oc::ComponentFramework("core.ManetControl") {
   // The paper: "ManetControl rejects attempts to add more than one C
   // element". Our C element functionality is folded into this CF itself, so
-  // the analogous rule polices duplicate *source/handler instance names*,
-  // which would make the Event Registry ambiguous on replace.
+  // the analogous rule polices duplicate *source/handler names*, which would
+  // make the Event Registry ambiguous on replace.
   add_integrity_rule([](const oc::CfView& view, std::string& err) {
     for (std::size_t i = 0; i < view.members().size(); ++i) {
       for (std::size_t j = i + 1; j < view.members().size(); ++j) {
-        if (view.members()[i]->instance_name() ==
-            view.members()[j]->instance_name()) {
-          err = "duplicate plug-in instance name: " +
-                view.members()[i]->instance_name();
+        if (view.members()[i]->name() == view.members()[j]->name()) {
+          err = "duplicate plug-in name: " + view.members()[i]->name();
           return false;
         }
       }
@@ -71,39 +70,32 @@ std::vector<EventHandler*> ManetControlCf::handlers() const {
 
 ManetProtocolCf::ManetProtocolCf(std::string proto_name, Scheduler& sched,
                                  net::Addr self, ISysState* sys)
-    : oc::ComponentFramework("core.ManetProtocol"),
-      proto_name_(std::move(proto_name)),
+    : oc::ComponentFramework(std::move(proto_name)),
       ctx_(*this, sched, self, sys) {
-  set_instance_name(proto_name_);
-
-  // Structural invariants of the CFS pattern: at most one S and one F
-  // element, and exactly one nested ManetControl CF.
-  add_integrity_rule([](const oc::CfView& view, std::string& err) {
-    auto count_named = [&](std::string_view name) {
-      std::size_t n = 0;
-      for (const auto* c : view.members()) {
-        if (c->instance_name() == name) ++n;
-      }
-      return n;
-    };
-    if (count_named("State") > 1) {
-      err = "a ManetProtocol may have at most one S element";
-      return false;
-    }
-    if (count_named("Forward") > 1) {
-      err = "a ManetProtocol may have at most one F element";
-      return false;
-    }
-    if (view.count_type("core.ManetControl") > 1) {
+  // Structural invariants of the CFS pattern: exactly one nested
+  // ManetControl CF, and the S and F elements leave only through their
+  // slots, so a slot never points at a member the generic remove, extract
+  // or replace took away. (At most one S and one F element holds by
+  // construction: each has one slot.)
+  add_integrity_rule([this](const oc::CfView& view, std::string& err) {
+    if (view.count<ManetControlCf>() > 1) {
       err = "a ManetProtocol has exactly one ManetControl CF";
       return false;
+    }
+    for (const Slot* slot : {&state_, &forward_}) {
+      if (slot->comp != nullptr &&
+          std::find(view.members().begin(), view.members().end(),
+                    slot->comp) == view.members().end()) {
+        err = "the S and F elements change only through their slots";
+        return false;
+      }
     }
     return true;
   });
 
   auto control = std::make_unique<ManetControlCf>();
   control_ = control.get();
-  control_id_ = insert(std::move(control));
+  insert(std::move(control));
 }
 
 ManetProtocolCf::~ManetProtocolCf() {
@@ -158,19 +150,19 @@ oc::ComponentId ManetProtocolCf::add_handler(
 }
 
 oc::ComponentId ManetProtocolCf::replace_handler(
-    std::string_view instance_name, std::unique_ptr<EventHandler> handler) {
+    std::string_view name, std::unique_ptr<EventHandler> handler) {
   auto lock = quiesce();
-  oc::ComponentId old_id = control_->find_id(instance_name);
+  oc::ComponentId old_id = control_->find_id(name);
   MK_ENSURE(old_id != oc::kNoComponent,
-            "no handler named " + std::string{instance_name});
+            "no handler named " + std::string{name});
   oc::ComponentId id = control_->replace(old_id, std::move(handler));
   control_->rebuild_registry();
   return id;
 }
 
-bool ManetProtocolCf::remove_handler(std::string_view instance_name) {
+bool ManetProtocolCf::remove_handler(std::string_view name) {
   auto lock = quiesce();
-  oc::ComponentId id = control_->find_id(instance_name);
+  oc::ComponentId id = control_->find_id(name);
   if (id == oc::kNoComponent) return false;
   control_->remove(id);
   control_->rebuild_registry();
@@ -185,9 +177,9 @@ oc::ComponentId ManetProtocolCf::add_source(std::unique_ptr<EventSource> source)
   return id;
 }
 
-bool ManetProtocolCf::remove_source(std::string_view instance_name) {
+bool ManetProtocolCf::remove_source(std::string_view name) {
   auto lock = quiesce();
-  oc::ComponentId id = control_->find_id(instance_name);
+  oc::ComponentId id = control_->find_id(name);
   if (id == oc::kNoComponent) return false;
   if (auto* src = dynamic_cast<EventSource*>(control_->member(id))) {
     src->stop();
@@ -196,38 +188,48 @@ bool ManetProtocolCf::remove_source(std::string_view instance_name) {
   return true;
 }
 
+void ManetProtocolCf::fill(Slot& slot, std::unique_ptr<oc::Component> comp) {
+  // Empty the slot first, so the slot rule lets its own member go.
+  const Slot old = std::exchange(slot, Slot{});
+  oc::Component* raw = comp.get();
+  try {
+    slot.id = old.id == oc::kNoComponent ? insert(std::move(comp))
+                                         : replace(old.id, std::move(comp));
+  } catch (...) {
+    slot = old;
+    throw;
+  }
+  slot.comp = raw;
+}
+
 void ManetProtocolCf::set_state(std::unique_ptr<oc::Component> state) {
   auto lock = quiesce();
-  state->set_instance_name("State");
-  oc::ComponentId old_id = find_id("State");
-  if (old_id != oc::kNoComponent) {
-    replace(old_id, std::move(state));
-  } else {
-    insert(std::move(state));
-  }
+  fill(state_, std::move(state));
 }
 
 std::unique_ptr<oc::Component> ManetProtocolCf::take_state() {
   auto lock = quiesce();
-  oc::ComponentId id = find_id("State");
-  MK_ENSURE(id != oc::kNoComponent, "protocol has no S element");
-  return extract(id);
+  MK_ENSURE(state_.comp != nullptr, "protocol has no S element");
+  const Slot old = std::exchange(state_, Slot{});
+  try {
+    return extract(old.id);
+  } catch (...) {
+    state_ = old;
+    throw;
+  }
 }
 
 void ManetProtocolCf::set_forward(std::unique_ptr<oc::Component> forward) {
   auto lock = quiesce();
-  MK_ASSERT(forward->interface_as<IForward>("IForward") != nullptr,
+  MK_ASSERT(dynamic_cast<IForward*>(forward.get()) != nullptr,
             "F element must provide IForward");
-  forward->set_instance_name("Forward");
-  oc::ComponentId old_id = find_id("Forward");
-  if (old_id != oc::kNoComponent) {
-    replace(old_id, std::move(forward));
-  } else {
-    insert(std::move(forward));
-  }
+  fill(forward_, std::move(forward));
 }
 
-oc::Component* ManetProtocolCf::state_component() const { return find("State"); }
+oc::Component* ManetProtocolCf::state_component() const {
+  auto lock = quiesce();
+  return state_.comp;
+}
 
 void ManetProtocolCf::start() {
   auto lock = quiesce();
@@ -265,7 +267,7 @@ void ManetProtocolCf::emit(ev::Event event) {
   } else if (emit_hook_) {
     emit_hook_(event);
   } else {
-    MK_TRACE("proto", proto_name_, " dropped event ", event.type_name(),
+    MK_TRACE("proto", name(), " dropped event ", event.type_name(),
              " (no manager)");
   }
 }
@@ -303,10 +305,10 @@ obs::MetricsRegistry& ProtocolContext::metrics() {
 
 // --------------------------------------------------------------- EventHandler
 
-EventHandler::EventHandler(std::string type_name,
+EventHandler::EventHandler(std::string name,
                            const std::vector<std::string>& handled)
-    : oc::Component(std::move(type_name)) {
-  for (const auto& name : handled) handles_.insert(ev::etype(name));
+    : oc::Component(std::move(name)) {
+  for (const auto& type : handled) handles_.insert(ev::etype(type));
 }
 
 }  // namespace mk::core

@@ -1,12 +1,15 @@
 // The generic ManetProtocol CF (§4.2, Fig. 3): the component framework that
 // is instantiated and tailored for each ad-hoc routing protocol.
 //
-// Structure (all policed by integrity rules):
+// Structure:
 //   ManetProtocolCf  (outer CF, a CfsUnit)
 //     ├── ManetControlCf  (nested CF: Control element + Event Handlers +
-//     │                    Event Sources + the Event Registry)
-//     ├── "State"    — at most one S component (protocol state)
-//     └── "Forward"  — at most one F component (forwarding strategy)
+//     │                    Event Sources + the Event Registry; an integrity
+//     │                    rule keeps it the only one)
+//     ├── S slot — at most one S component (protocol state)
+//     └── F slot — at most one F component (forwarding strategy)
+// The S and F elements are members of the CF like any plug-in; the slots
+// record which members they are, so one cannot hold two elements.
 //
 // deliver() runs the unit's handlers inside the CF lock, giving the paper's
 // guarantee that user-provided parts of a ManetProtocol run as a single
@@ -60,13 +63,10 @@ class ManetProtocolCf : public oc::ComponentFramework, public CfsUnit {
   ~ManetProtocolCf() override;
 
   // -- CfsUnit ----------------------------------------------------------------
-  const std::string& unit_name() const override { return proto_name_; }
+  const std::string& unit_name() const override { return name(); }
   /// Renames the unit (used when one protocol's composition is reused as the
   /// basis of another, e.g. the zone-hybrid built from DYMO).
-  void set_unit_name(std::string name) {
-    proto_name_ = std::move(name);
-    set_instance_name(proto_name_);
-  }
+  void set_unit_name(std::string name) { set_name(std::move(name)); }
   std::string_view category() const override { return category_; }
   void set_category(std::string category) { category_ = std::move(category); }
   const ev::EventTuple& tuple() const override { return tuple_; }
@@ -88,32 +88,35 @@ class ManetProtocolCf : public oc::ComponentFramework, public CfsUnit {
   /// Adds a handler plug-in to the nested ManetControl CF.
   oc::ComponentId add_handler(std::unique_ptr<EventHandler> handler);
 
-  /// Replaces a handler (by instance name) with a new one; used by protocol
+  /// Replaces a handler (by name) with a new one; used by protocol
   /// variants (power-aware Hello Handler, multipath RE Handler, ...).
-  oc::ComponentId replace_handler(std::string_view instance_name,
+  oc::ComponentId replace_handler(std::string_view name,
                                   std::unique_ptr<EventHandler> handler);
 
-  /// Removes a handler by instance name; returns false if not found.
-  bool remove_handler(std::string_view instance_name);
+  /// Removes a handler by name; returns false if not found.
+  bool remove_handler(std::string_view name);
 
   oc::ComponentId add_source(std::unique_ptr<EventSource> source);
 
-  /// Removes a source by instance name (stopping it first); returns false if
-  /// not found.
-  bool remove_source(std::string_view instance_name);
+  /// Removes a source by name (stopping it first); returns false if not
+  /// found.
+  bool remove_source(std::string_view name);
 
-  /// Installs/replaces the S element.
+  /// Installs the S element into its slot, replacing the current one. The S
+  /// and F elements leave the CF only through these slot operations.
   void set_state(std::unique_ptr<oc::Component> state);
 
   /// Extracts the S element for carry-over to another protocol instance
-  /// (§4.5 state management). The protocol keeps running stateless until a
-  /// new S element is installed.
+  /// (§4.5 state management) and empties the slot. The protocol keeps
+  /// running stateless until a new S element is installed.
   std::unique_ptr<oc::Component> take_state();
 
-  /// Installs/replaces the F element.
+  /// Installs the F element into its slot, replacing the current one; it
+  /// must provide IForward.
   void set_forward(std::unique_ptr<oc::Component> forward);
 
-  /// This protocol's S element (null if none).
+  /// This protocol's S element (null if none). Read under the CF lock, so a
+  /// dedicated-thread handler and a reconfigurer see the slot consistently.
   oc::Component* state_component() const;
 
   ManetControlCf& control() { return *control_; }
@@ -153,11 +156,19 @@ class ManetProtocolCf : public oc::ComponentFramework, public CfsUnit {
   }
 
  private:
-  std::string proto_name_;
+  /// A CFS slot: which member is the S (or F) element.
+  struct Slot {
+    oc::ComponentId id = oc::kNoComponent;
+    oc::Component* comp = nullptr;
+  };
+  /// Inserts `comp`, or replaces the slot's current member with it.
+  void fill(Slot& slot, std::unique_ptr<oc::Component> comp);
+
   std::string category_;
   ev::EventTuple tuple_;
   ManetControlCf* control_ = nullptr;  // owned as a CF member
-  oc::ComponentId control_id_ = oc::kNoComponent;
+  Slot state_;
+  Slot forward_;
   FrameworkManager* manager_ = nullptr;
   EmitHook emit_hook_;
   ProtocolContext ctx_;

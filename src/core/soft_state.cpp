@@ -19,9 +19,7 @@ constexpr std::uint64_t kKeyMask = (std::uint64_t{1} << kKeyBits) - 1;
 
 }  // namespace
 
-SoftExpiry::SoftExpiry() : EventSource("core.SoftExpiry") {
-  set_instance_name("SoftExpiry");
-}
+SoftExpiry::SoftExpiry() : EventSource("SoftExpiry") {}
 
 void SoftExpiry::start(ProtocolContext& ctx) {
   ctx_ = &ctx;

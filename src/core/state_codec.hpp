@@ -31,7 +31,8 @@
 
 namespace mk::core {
 
-/// Provided as "IStateCodec" by replication-capable S elements.
+/// Implemented by replication-capable S elements; callers find it with
+/// dynamic_cast on the protocol's S element.
 struct IStateCodec : oc::Interface {
   /// Writes a self-contained snapshot of this S element into `out`,
   /// replacing its contents.

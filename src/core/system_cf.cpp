@@ -18,11 +18,7 @@ namespace {
 class SysStateComponent : public oc::Component, public ISysState {
  public:
   explicit SysStateComponent(net::SimNode& node)
-      : oc::Component("core.SysState"), node_(node) {
-    set_instance_name("State");
-    provide("ISysState", this);
-    provide("IState", static_cast<IState*>(this));
-  }
+      : oc::Component("State"), node_(node) {}
 
   net::KernelRouteTable& kernel_table() override { return node_.kernel_table(); }
 
@@ -44,10 +40,7 @@ class SysStateComponent : public oc::Component, public ISysState {
 class SysForwardComponent : public oc::Component, public IForward {
  public:
   explicit SysForwardComponent(SystemCf& system)
-      : oc::Component("core.SysForward"), system_(system) {
-    set_instance_name("Forward");
-    provide("IForward", this);
-  }
+      : oc::Component("Forward"), system_(system) {}
 
   void forward(const ev::Event& event) override { system_.deliver(event); }
 
@@ -59,11 +52,7 @@ class SysForwardComponent : public oc::Component, public IForward {
 class SysControlComponent : public oc::Component, public IControl, public IContext {
  public:
   explicit SysControlComponent(SystemCf& system, net::SimNode& node)
-      : oc::Component("core.SysControl"), system_(system), node_(node) {
-    set_instance_name("SysControl");
-    provide("IControl", static_cast<IControl*>(this));
-    provide("IContext", static_cast<IContext*>(this));
-  }
+      : oc::Component("SysControl"), system_(system), node_(node) {}
 
   void init() override { system_.init_routing_env(); }
   void start() override { running_ = true; }
@@ -86,11 +75,10 @@ class SysControlComponent : public oc::Component, public IControl, public IConte
 // ------------------------------------------------------------- NetLink plug-in
 
 NetLinkComponent::NetLinkComponent(SystemCf& system, net::SimNode& node)
-    : oc::Component("core.NetLink"),
+    : oc::Component("Netlink"),
       system_(system),
       node_(node),
       sweep_timer_(node.scheduler(), sec(1), [this] { sweep_buffer(); }) {
-  set_instance_name("Netlink");
   net::ForwardingEngine::Hooks hooks;
   hooks.on_no_route = [this](const net::DataHeader& hdr) {
     return on_no_route(hdr);
@@ -116,7 +104,7 @@ bool NetLinkComponent::on_no_route(const net::DataHeader& hdr) {
   }
   q.push_back(Buffered{hdr, node_.scheduler().now()});
 
-  ev::Event e(ev::types::NO_ROUTE);
+  ev::Event e(no_route_);
   e.set_attr(ev::IntAttr::dest, hdr.dst);
   e.set_attr(ev::IntAttr::src, hdr.src);
   system_.emit(std::move(e));
@@ -124,14 +112,14 @@ bool NetLinkComponent::on_no_route(const net::DataHeader& hdr) {
 }
 
 void NetLinkComponent::on_route_used(net::Addr dest) {
-  ev::Event e(ev::types::ROUTE_UPDATE);
+  ev::Event e(route_update_);
   e.set_attr(ev::IntAttr::dest, dest);
   system_.emit(std::move(e));
 }
 
 void NetLinkComponent::on_send_failure(const net::DataHeader& hdr,
                                        net::Addr broken_hop) {
-  ev::Event e(ev::types::SEND_ROUTE_ERR);
+  ev::Event e(send_route_err_);
   e.set_attr(ev::IntAttr::dest, hdr.dst);
   e.set_attr(ev::IntAttr::src, hdr.src);
   e.set_attr(ev::IntAttr::next_hop, broken_hop);
@@ -170,23 +158,12 @@ void NetLinkComponent::sweep_buffer() {
 // ------------------------------------------------------------------- SystemCf
 
 SystemCf::SystemCf(net::SimNode& node)
-    : oc::ComponentFramework("core.System"), node_(node) {
-  set_instance_name("System");
-
-  // CFS structural invariants, as in ManetProtocolCf.
-  add_integrity_rule([](const oc::CfView& view, std::string& err) {
-    std::size_t n = 0;
-    for (const auto* c : view.members()) {
-      if (c->instance_name() == "State") ++n;
-    }
-    if (n > 1) {
-      err = "System CF has exactly one S element";
-      return false;
-    }
-    return true;
-  });
-
-  insert(std::make_unique<SysStateComponent>(node_));
+    : oc::ComponentFramework("System"), node_(node) {
+  // The S element is fixed for the CF's lifetime, so one pointer to it is
+  // its slot.
+  auto state = std::make_unique<SysStateComponent>(node_);
+  state_ = state.get();
+  insert(std::move(state));
   insert(std::make_unique<SysForwardComponent>(*this));
   insert(std::make_unique<SysControlComponent>(*this, node_));
 
@@ -288,13 +265,7 @@ void SystemCf::ensure_netlink() {
 
 NetLinkComponent* SystemCf::netlink() { return netlink_; }
 
-ISysState& SystemCf::sys_state() {
-  auto* comp = find("State");
-  MK_ASSERT(comp != nullptr);
-  auto* state = comp->interface_as<ISysState>("ISysState");
-  MK_ASSERT(state != nullptr);
-  return *state;
-}
+ISysState& SystemCf::sys_state() { return *state_; }
 
 void SystemCf::refresh_tuple() {
   ev::EventTuple t;

@@ -73,6 +73,10 @@ class NetLinkComponent : public oc::Component {
   std::map<net::Addr, std::vector<Buffered>> buffer_;
   std::uint64_t buffer_drops_ = 0;
   PeriodicTimer sweep_timer_;
+  // Resolved once: these events are raised per data packet.
+  const ev::EventTypeId no_route_ = ev::etype(ev::types::NO_ROUTE);
+  const ev::EventTypeId route_update_ = ev::etype(ev::types::ROUTE_UPDATE);
+  const ev::EventTypeId send_route_err_ = ev::etype(ev::types::SEND_ROUTE_ERR);
 };
 
 class SystemCf : public oc::ComponentFramework, public CfsUnit {
@@ -81,7 +85,7 @@ class SystemCf : public oc::ComponentFramework, public CfsUnit {
   ~SystemCf() override;
 
   // -- CfsUnit -------------------------------------------------------------------
-  const std::string& unit_name() const override { return name_; }
+  const std::string& unit_name() const override { return name(); }
   const ev::EventTuple& tuple() const override { return tuple_; }
   void deliver(const ev::Event& event) override;
 
@@ -175,8 +179,8 @@ class SystemCf : public oc::ComponentFramework, public CfsUnit {
   void flush_aggregation();
   void refresh_tuple();
 
-  std::string name_ = "System";
   net::SimNode& node_;
+  ISysState* state_ = nullptr;  // the S element, owned as a CF member
   FrameworkManager* manager_ = nullptr;
   ev::EventTuple tuple_;
 

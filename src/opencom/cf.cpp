@@ -7,21 +7,8 @@
 
 namespace mk::oc {
 
-std::size_t CfView::count_type(std::string_view type_name) const {
-  return static_cast<std::size_t>(
-      std::count_if(members_.begin(), members_.end(),
-                    [&](const Component* c) { return c->type_name() == type_name; }));
-}
-
-std::size_t CfView::count_providing(std::string_view iface_name) const {
-  return static_cast<std::size_t>(
-      std::count_if(members_.begin(), members_.end(), [&](const Component* c) {
-        return c->interface(iface_name) != nullptr;
-      }));
-}
-
-ComponentFramework::ComponentFramework(std::string type_name)
-    : Component(std::move(type_name)) {}
+ComponentFramework::ComponentFramework(std::string name)
+    : Component(std::move(name)) {}
 
 ComponentFramework::~ComponentFramework() = default;
 
@@ -44,7 +31,7 @@ void ComponentFramework::check_integrity(
   for (const auto& rule : rules_) {
     std::string err;
     if (!rule(view, err)) {
-      throw std::logic_error("integrity rule violated in " + instance_name() +
+      throw std::logic_error("integrity rule violated in " + name() +
                              ": " + (err.empty() ? "(no detail)" : err));
     }
   }
@@ -115,18 +102,18 @@ Component* ComponentFramework::member(ComponentId id) const {
   return it == members_.end() ? nullptr : it->second.get();
 }
 
-Component* ComponentFramework::find(std::string_view instance_name) const {
+Component* ComponentFramework::find(std::string_view name) const {
   std::scoped_lock lock(lock_);
   for (const auto& [_, comp] : members_) {
-    if (comp->instance_name() == instance_name) return comp.get();
+    if (comp->name() == name) return comp.get();
   }
   return nullptr;
 }
 
-ComponentId ComponentFramework::find_id(std::string_view instance_name) const {
+ComponentId ComponentFramework::find_id(std::string_view name) const {
   std::scoped_lock lock(lock_);
   for (const auto& [id, comp] : members_) {
-    if (comp->instance_name() == instance_name) return id;
+    if (comp->name() == name) return id;
   }
   return kNoComponent;
 }

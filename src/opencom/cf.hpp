@@ -37,8 +37,15 @@ class CfView {
 
   const std::vector<const Component*>& members() const { return members_; }
 
-  std::size_t count_type(std::string_view type_name) const;
-  std::size_t count_providing(std::string_view iface_name) const;
+  /// Members that are, or provide, T: a component class or an interface.
+  template <class T>
+  std::size_t count() const {
+    std::size_t n = 0;
+    for (const Component* c : members_) {
+      if (dynamic_cast<const T*>(c) != nullptr) ++n;
+    }
+    return n;
+  }
 
  private:
   std::vector<const Component*> members_;
@@ -50,7 +57,7 @@ using IntegrityRule =
 
 class ComponentFramework : public Component {
  public:
-  explicit ComponentFramework(std::string type_name);
+  explicit ComponentFramework(std::string name);
   ~ComponentFramework() override;
 
   // -- integrity ------------------------------------------------------------
@@ -82,9 +89,9 @@ class ComponentFramework : public Component {
   std::vector<ComponentId> members() const;
   Component* member(ComponentId id) const;
 
-  /// Finds the first member with the given instance name (nullptr if none).
-  Component* find(std::string_view instance_name) const;
-  ComponentId find_id(std::string_view instance_name) const;
+  /// Finds the first member with the given name (nullptr if none).
+  Component* find(std::string_view name) const;
+  ComponentId find_id(std::string_view name) const;
 
   std::size_t member_count() const { return members_.size(); }
 

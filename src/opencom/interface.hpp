@@ -1,10 +1,11 @@
 // OpenCom-style interfaces.
 //
-// A component exposes named interfaces (points at which it can be invoked).
-// Interfaces are plain abstract classes rooted at oc::Interface; the name
-// string is the interface *type* a caller looks up (the paper's interface
-// meta-model). Who calls whom is not wired by hand: the Framework Manager
-// derives every unit's bindings from its <required, provided> event tuple.
+// An interface is a point at which a component can be invoked: a plain
+// abstract class rooted at oc::Interface. A component provides an interface
+// by deriving from it, and a caller asks for one with dynamic_cast (the
+// paper's interface meta-model). Who calls whom is not wired by hand: the
+// Framework Manager derives every unit's bindings from its <required,
+// provided> event tuple.
 #pragma once
 
 namespace mk::oc {

@@ -17,10 +17,7 @@ constexpr std::uint8_t kFloodHopLimit = 16;
 /// S element: registered actions, per-origin campaign epochs, counters.
 class ReconfigState final : public oc::Component, public core::IState {
  public:
-  ReconfigState() : oc::Component("policy.ReconfigState") {
-    set_instance_name("State");
-    provide("IState", static_cast<core::IState*>(this));
-  }
+  ReconfigState() : oc::Component("State") {}
 
   std::map<std::string, CoordinatedAction> actions;
   core::Manetkit* kit = nullptr;
@@ -65,10 +62,8 @@ pbb::Message build_command(net::Addr self, std::uint16_t epoch,
 class ReconfigHandler final : public core::EventHandler {
  public:
   explicit ReconfigHandler(core::Manetkit& kit)
-      : core::EventHandler("policy.ReconfigHandler", {"RECONFIG_IN"}),
-        kit_(kit) {
-    set_instance_name("ReconfigHandler");
-  }
+      : core::EventHandler("ReconfigHandler", {"RECONFIG_IN"}),
+        kit_(kit) {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     if (!event.has_msg() || !event.msg()->originator || !event.msg()->seqnum) {

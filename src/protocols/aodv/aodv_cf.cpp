@@ -84,9 +84,7 @@ ReactiveProtocol aodv_reactive() {
 /// RREQ / RREP / RERR processing, demultiplexed on the PacketBB type.
 class AodvHandler final : public core::EventHandler {
  public:
-  AodvHandler() : core::EventHandler("aodv.AodvHandler", {ev::types::AODV_IN}) {
-    set_instance_name("AodvHandler");
-  }
+  AodvHandler() : core::EventHandler("AodvHandler", {ev::types::AODV_IN}) {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     if (msgs_in_ == nullptr) {

@@ -7,7 +7,7 @@
 
 namespace mk::proto {
 
-AodvState::AodvState() : ReactiveTable("aodv.AodvState", kMaxTries) {}
+AodvState::AodvState() : ReactiveTable(kMaxTries) {}
 
 RouteUpdate AodvState::update_route(net::Addr dest, std::uint16_t seq,
                                     bool seq_valid, net::Addr next_hop,

@@ -122,13 +122,9 @@ pbb::Message build_rerr(
 
 // ------------------------------------------------------------------ ReHandler
 
-ReHandler::ReHandler() : ReHandler("dymo.ReHandler") {}
-
-ReHandler::ReHandler(std::string type_name)
-    : core::EventHandler(std::move(type_name), {"RM_IN"}),
-      rm_out_(ev::etype("RM_OUT")) {
-  set_instance_name("ReHandler");
-}
+ReHandler::ReHandler()
+    : core::EventHandler("ReHandler", {"RM_IN"}),
+      rm_out_(ev::etype("RM_OUT")) {}
 
 void ReHandler::learn(const ev::Event& event, core::ProtocolContext& ctx) {
   const pbb::Message& msg = *event.msg();
@@ -256,10 +252,8 @@ void ReHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
 // ---------------------------------------------------------------- RerrHandler
 
 RerrHandler::RerrHandler()
-    : core::EventHandler("dymo.RerrHandler", {"RERR_IN"}),
-      rerr_out_(ev::etype("RERR_OUT")) {
-  set_instance_name("RerrHandler");
-}
+    : core::EventHandler("RerrHandler", {"RERR_IN"}),
+      rerr_out_(ev::etype("RERR_OUT")) {}
 
 void RerrHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
   if (rerr_in_ == nullptr) rerr_in_ = &ctx.metrics().counter("dymo.rerr_in");

@@ -67,8 +67,6 @@ class ReHandler : public core::EventHandler {
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override;
 
  protected:
-  explicit ReHandler(std::string type_name);
-
   /// A duplicate RREQ arrived at the *target*; default: discard.
   virtual void on_duplicate_rreq_at_target(const ev::Event& event,
                                            core::ProtocolContext& ctx);

@@ -9,7 +9,7 @@
 
 namespace mk::proto {
 
-DymoState::DymoState() : ReactiveTable("dymo.DymoState", kMaxTries) {}
+DymoState::DymoState() : ReactiveTable(kMaxTries) {}
 
 RouteUpdate DymoState::update_route(net::Addr dest, std::uint16_t seq,
                                     net::Addr next_hop, std::uint8_t hops,

@@ -10,9 +10,7 @@ namespace {
 class GossipReHandler final : public ReHandler {
  public:
   explicit GossipReHandler(GossipParams gossip)
-      : ReHandler("dymo.GossipReHandler"),
-        gossip_(gossip),
-        rng_(gossip.seed) {}
+      : gossip_(gossip), rng_(gossip.seed) {}
 
  protected:
   bool should_relay_rreq(const ev::Event& event,
@@ -52,7 +50,7 @@ bool is_dymo_gossip_flooding(core::Manetkit& kit) {
   core::ManetProtocolCf* dymo = kit.protocol("dymo");
   if (dymo == nullptr) return false;
   auto* h = dymo->control().find("ReHandler");
-  return h != nullptr && h->type_name() == "dymo.GossipReHandler";
+  return dynamic_cast<GossipReHandler*>(h) != nullptr;
 }
 
 }  // namespace mk::proto

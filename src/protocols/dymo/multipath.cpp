@@ -9,9 +9,6 @@ namespace {
 
 /// RE handler mining duplicates for link-disjoint paths.
 class MultipathReHandler final : public ReHandler {
- public:
-  MultipathReHandler() : ReHandler("dymo.MultipathReHandler") {}
-
  protected:
   /// Duplicate RREQ at the target: answer it too (bounded by kMaxPaths), so
   /// the originator learns one RREP per disjoint approach direction.
@@ -54,8 +51,7 @@ class MultipathReHandler final : public ReHandler {
 class MultipathInvalidationHandler final : public LinkBreakHandler {
  public:
   MultipathInvalidationHandler()
-      : LinkBreakHandler("dymo.MultipathInvalidationHandler", dymo_reactive(),
-                         "RouteErrHandler") {}
+      : LinkBreakHandler(dymo_reactive(), "RouteErrHandler") {}
 
  protected:
   Unreachable fail_via(net::Addr hop, core::ProtocolContext& ctx) override {

@@ -12,7 +12,7 @@ namespace {
 class OptFloodReHandler final : public ReHandler {
  public:
   explicit OptFloodReHandler(core::Manetkit& kit)
-      : ReHandler("dymo.OptFloodReHandler"), kit_(kit) {}
+      : kit_(kit) {}
 
  protected:
   bool should_relay_rreq(const ev::Event& event,
@@ -61,7 +61,7 @@ bool is_dymo_optimized_flooding(core::Manetkit& kit) {
   core::ManetProtocolCf* dymo = kit.protocol("dymo");
   if (dymo == nullptr) return false;
   auto* h = dymo->control().find("ReHandler");
-  return h != nullptr && h->type_name() == "dymo.OptFloodReHandler";
+  return dynamic_cast<OptFloodReHandler*>(h) != nullptr;
 }
 
 }  // namespace mk::proto

@@ -67,11 +67,9 @@ void set_position_beacon(core::Manetkit& kit, NeighborTable& table) {
 class GreedyRouteHandler final : public core::EventHandler {
  public:
   GreedyRouteHandler(LocationService locate, core::Manetkit& kit)
-      : core::EventHandler("gpsr.GreedyRouteHandler", {ev::types::NO_ROUTE}),
+      : core::EventHandler("GreedyRouteHandler", {ev::types::NO_ROUTE}),
         locate_(std::move(locate)),
-        kit_(kit) {
-    set_instance_name("GreedyRouteHandler");
-  }
+        kit_(kit) {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     auto dest = static_cast<net::Addr>(event.attr(ev::IntAttr::dest));
@@ -123,11 +121,9 @@ class GreedyRouteHandler final : public core::EventHandler {
 class GpsrMaintenance final : public core::PeriodicSource {
  public:
   explicit GpsrMaintenance(GreedyRouteHandler* greedy)
-      : core::PeriodicSource("gpsr.Maintenance", kGpsrSweepInterval,
+      : core::PeriodicSource("Maintenance", kGpsrSweepInterval,
                              /*jitter=*/0.0, /*seed_offset=*/9),
-        greedy_(greedy) {
-    set_instance_name("Maintenance");
-  }
+        greedy_(greedy) {}
 
  private:
   void fire(core::ProtocolContext& ctx) override {
@@ -145,10 +141,8 @@ class GpsrMaintenance final : public core::PeriodicSource {
 class GpsrEventHandler final : public core::EventHandler {
  public:
   GpsrEventHandler()
-      : core::EventHandler("gpsr.EventHandler",
-                           {ev::types::ROUTE_UPDATE, ev::types::NHOOD_CHANGE}) {
-    set_instance_name("EventHandler");
-  }
+      : core::EventHandler("EventHandler", {ev::types::ROUTE_UPDATE,
+                                            ev::types::NHOOD_CHANGE}) {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     GpsrState& st = ctx.state_as<GpsrState>();
@@ -183,11 +177,7 @@ class GpsrEventHandler final : public core::EventHandler {
 
 // ---------------------------------------------------------------- GpsrState
 
-GpsrState::GpsrState() : oc::Component("gpsr.GpsrState") {
-  set_instance_name("State");
-  provide("IGpsrState", static_cast<IGpsrState*>(this));
-  provide("IState", static_cast<core::IState*>(this));
-}
+GpsrState::GpsrState() : oc::Component("State") {}
 
 std::vector<net::Addr> GpsrState::position_addrs() const {
   std::vector<net::Addr> out;

@@ -5,16 +5,7 @@
 
 namespace mk::proto {
 
-MprCalculator::MprCalculator() : oc::Component("mpr.MprCalculator") {
-  set_instance_name("MprCalculator");
-  provide("IMprCalculator", static_cast<IMprCalculator*>(this));
-}
-
-MprCalculator::MprCalculator(std::string type_name)
-    : oc::Component(std::move(type_name)) {
-  set_instance_name("MprCalculator");
-  provide("IMprCalculator", static_cast<IMprCalculator*>(this));
-}
+MprCalculator::MprCalculator() : oc::Component("MprCalculator") {}
 
 bool MprCalculator::prefer(const MprState& state, net::Addr a, net::Addr b,
                            std::size_t cover_a, std::size_t cover_b) const {
@@ -132,9 +123,6 @@ std::set<net::Addr> MprCalculator::compute(const MprState& state,
   }
   return mprs;
 }
-
-EnergyMprCalculator::EnergyMprCalculator()
-    : MprCalculator("mpr.EnergyMprCalculator") {}
 
 bool EnergyMprCalculator::prefer(const MprState& state, net::Addr a,
                                  net::Addr b, std::size_t cover_a,

@@ -29,8 +29,6 @@ class MprCalculator : public oc::Component, public IMprCalculator {
                               net::Addr self) const override;
 
  protected:
-  explicit MprCalculator(std::string type_name);
-
   /// Selection preference between candidates covering the same number of
   /// uncovered nodes. Overridden by the energy-aware variant.
   virtual bool prefer(const MprState& state, net::Addr a, net::Addr b,
@@ -58,9 +56,6 @@ class MprCalculator : public oc::Component, public IMprCalculator {
 /// from residual battery) dominates the choice so low-energy nodes are
 /// relieved of relaying duty.
 class EnergyMprCalculator final : public MprCalculator {
- public:
-  EnergyMprCalculator();
-
  protected:
   bool prefer(const MprState& state, net::Addr a, net::Addr b,
               std::size_t cover_a, std::size_t cover_b) const override;

@@ -18,7 +18,7 @@ namespace {
 /// relays, this node's willingness and the MPR-aware marker.
 class MprHelloSource final : public HelloSource {
  public:
-  MprHelloSource() : HelloSource("mpr.HelloSource", kHelloInterval) {}
+  MprHelloSource() : HelloSource(kHelloInterval) {}
 
  protected:
   // The MPR CF's S element is always an MprState.
@@ -44,10 +44,8 @@ class MprHelloSource final : public HelloSource {
 class PowerStatusHandler final : public core::EventHandler {
  public:
   PowerStatusHandler()
-      : core::EventHandler("mpr.PowerStatusHandler",
-                           {ev::types::POWER_STATUS}) {
-    set_instance_name("PowerStatusHandler");
-  }
+      : core::EventHandler("PowerStatusHandler",
+                           {ev::types::POWER_STATUS}) {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     ctx.state_as<MprState>().set_own_willingness(
@@ -69,9 +67,7 @@ std::vector<std::string> suffixed(const std::vector<std::string>& bases,
 class FloodOutHandler final : public core::EventHandler {
  public:
   explicit FloodOutHandler(const std::vector<std::string>& bases)
-      : core::EventHandler("mpr.FloodOutHandler", suffixed(bases, "_OUT")) {
-    set_instance_name("FloodOut");
-  }
+      : core::EventHandler("FloodOut", suffixed(bases, "_OUT")) {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     if (!event.has_msg()) return;
@@ -99,8 +95,7 @@ class FloodOutHandler final : public core::EventHandler {
 class FloodRelayHandler final : public core::EventHandler {
  public:
   explicit FloodRelayHandler(const std::vector<std::string>& bases)
-      : core::EventHandler("mpr.FloodRelayHandler", suffixed(bases, "_IN")) {
-    set_instance_name("FloodRelay");
+      : core::EventHandler("FloodRelay", suffixed(bases, "_IN")) {
     for (const auto& b : bases) {
       out_for_in_[ev::etype(b + "_IN")] = ev::etype(b + "_OUT");
     }
@@ -143,10 +138,7 @@ class FloodRelayHandler final : public core::EventHandler {
 class MprForward final : public oc::Component, public core::IForward {
  public:
   explicit MprForward(core::ManetProtocolCf& cf)
-      : oc::Component("mpr.Forward"), cf_(cf) {
-    set_instance_name("Forward");
-    provide("IForward", static_cast<core::IForward*>(this));
-  }
+      : oc::Component("Forward"), cf_(cf) {}
 
   void forward(const ev::Event& event) override { cf_.deliver(event); }
 
@@ -162,18 +154,15 @@ class MprForward final : public oc::Component, public core::IForward {
 class HysteresisTick final : public core::PeriodicSource {
  public:
   HysteresisTick()
-      : core::PeriodicSource("mpr.HysteresisTick", kHelloInterval,
-                             /*jitter=*/0.0, /*seed_offset=*/1) {
-    set_instance_name("HysteresisTick");
-  }
+      : core::PeriodicSource("HysteresisTick", kHelloInterval,
+                             /*jitter=*/0.0, /*seed_offset=*/1) {}
 
  private:
   void fire(core::ProtocolContext& ctx) override {
     MprState& st = ctx.state_as<MprState>();
-    if (auto* hyst_comp = ctx.protocol().find("Hysteresis")) {
-      if (auto* hyst = hyst_comp->interface_as<IHysteresis>("IHysteresis")) {
-        for (net::Addr a : st.heard_neighbors()) hyst->on_interval(a);
-      }
+    if (auto* hyst =
+            dynamic_cast<IHysteresis*>(ctx.protocol().find("Hysteresis"))) {
+      for (net::Addr a : st.heard_neighbors()) hyst->on_interval(a);
     }
   }
 };
@@ -205,7 +194,7 @@ std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit) {
 
   // Integrity: exactly one MPR-calculation strategy at a time.
   cf->add_integrity_rule([](const oc::CfView& view, std::string& err) {
-    if (view.count_providing("IMprCalculator") > 1) {
+    if (view.count<IMprCalculator>() > 1) {
       err = "MPR CF admits a single IMprCalculator plug-in";
       return false;
     }

@@ -6,9 +6,8 @@ namespace mk::proto {
 
 void recompute_mprs(core::ProtocolContext& ctx) {
   MprState& st = ctx.state_as<MprState>();
-  auto* calc_comp = ctx.protocol().find("MprCalculator");
-  if (calc_comp == nullptr) return;
-  auto* calc = calc_comp->interface_as<IMprCalculator>("IMprCalculator");
+  auto* calc =
+      dynamic_cast<IMprCalculator*>(ctx.protocol().find("MprCalculator"));
   if (calc == nullptr) return;
   if (st.set_mprs(calc->compute(st, ctx.self()))) {
     ctx.emit(ev::Event(ev::types::MPR_CHANGE));
@@ -31,9 +30,6 @@ bool forget_selector(core::ProtocolContext& ctx, net::Addr neighbor) {
   return was_selector;
 }
 
-MprHelloHandler::MprHelloHandler(std::string type_name)
-    : HelloHandler(std::move(type_name)) {}
-
 std::uint8_t MprHelloHandler::effective_willingness(const pbb::Message& msg,
                                                     core::ProtocolContext&) {
   return hello::willingness(msg);
@@ -44,11 +40,10 @@ bool MprHelloHandler::on_heard(const pbb::Message& msg, net::Addr from,
   ctx.state_as<MprState>().set_willingness_of(from,
                                               effective_willingness(msg, ctx));
   // Optional hysteresis plug-in gates link establishment.
-  if (auto* hyst_comp = ctx.protocol().find("Hysteresis")) {
-    if (auto* hyst = hyst_comp->interface_as<IHysteresis>("IHysteresis")) {
-      hyst->on_hello(from);
-      return !hyst->pending(from);
-    }
+  if (auto* hyst =
+          dynamic_cast<IHysteresis*>(ctx.protocol().find("Hysteresis"))) {
+    hyst->on_hello(from);
+    return !hyst->pending(from);
   }
   return true;
 }

@@ -38,9 +38,6 @@ std::uint8_t willingness_from_battery(double level);
 /// The shared HELLO handler plus willingness tracking, the optional
 /// hysteresis gate, MPR-selector detection and relay recomputation.
 class MprHelloHandler : public HelloHandler {
- public:
-  explicit MprHelloHandler(std::string type_name = "mpr.HelloHandler");
-
  protected:
   /// Willingness attributed to the sender. The power-aware variant derives
   /// it from the advertised residual battery (transmission-power cost).

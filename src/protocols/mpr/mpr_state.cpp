@@ -5,11 +5,6 @@
 
 namespace mk::proto {
 
-MprState::MprState() {
-  set_instance_name("State");
-  provide("IMprState", static_cast<IMprState*>(this));
-}
-
 void MprState::set_willingness_of(net::Addr a, std::uint8_t w) {
   willingness_[a] = w;
 }
@@ -52,13 +47,10 @@ std::string MprState::describe() const {
 }
 
 Hysteresis::Hysteresis(double scaling, double thresh_high, double thresh_low)
-    : oc::Component("mpr.Hysteresis"),
+    : oc::Component("Hysteresis"),
       scaling_(scaling),
       high_(thresh_high),
-      low_(thresh_low) {
-  set_instance_name("Hysteresis");
-  provide("IHysteresis", static_cast<IHysteresis*>(this));
-}
+      low_(thresh_low) {}
 
 void Hysteresis::on_hello(net::Addr from) {
   Link& l = links_[from];

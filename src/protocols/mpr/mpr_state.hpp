@@ -30,8 +30,6 @@ struct IMprState : oc::Interface {
 
 class MprState : public NeighborTable, public IMprState {
  public:
-  MprState();
-
   // -- willingness ---------------------------------------------------------------
   void set_willingness_of(net::Addr a, std::uint8_t w);
   std::uint8_t willingness_of(net::Addr a) const override;

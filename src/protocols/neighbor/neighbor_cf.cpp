@@ -8,7 +8,9 @@
 namespace mk::proto {
 
 void emit_nhood_change(core::ProtocolContext& ctx, net::Addr neighbor, bool up) {
-  ev::Event e(ev::types::NHOOD_CHANGE);
+  static const ev::EventTypeId kNhoodChange =
+      ev::etype(ev::types::NHOOD_CHANGE);
+  ev::Event e(kNhoodChange);
   e.set_attr(ev::IntAttr::neighbor, neighbor);
   e.set_attr(ev::IntAttr::up, up ? 1 : 0);
   ctx.emit(std::move(e));
@@ -31,11 +33,9 @@ void define_link_set(core::SoftExpiry& soft, std::string name, Duration hold,
   MK_ASSERT(id == kLinkSet, "the link set must be the first soft set");
 }
 
-HelloSource::HelloSource(std::string type_name, Duration interval)
-    : core::PeriodicSource(std::move(type_name), interval, /*jitter=*/0.1,
-                           /*seed_offset=*/0) {
-  set_instance_name("HelloSource");
-}
+HelloSource::HelloSource(Duration interval)
+    : core::PeriodicSource("HelloSource", interval, /*jitter=*/0.1,
+                           /*seed_offset=*/0) {}
 
 void HelloSource::fire(core::ProtocolContext& ctx) {
   NeighborTable& nt = ctx.state_as<NeighborTable>();
@@ -53,10 +53,8 @@ void HelloSource::fire(core::ProtocolContext& ctx) {
   ctx.emit(std::move(e));
 }
 
-HelloHandler::HelloHandler(std::string type_name)
-    : core::EventHandler(std::move(type_name), {ev::types::HELLO_IN}) {
-  set_instance_name("HelloHandler");
-}
+HelloHandler::HelloHandler()
+    : core::EventHandler("HelloHandler", {ev::types::HELLO_IN}) {}
 
 void HelloHandler::on_lost(net::Addr from, core::ProtocolContext& ctx) {
   if (auto* soft = ctx.soft()) soft->drop(kLinkSet, from);
@@ -103,9 +101,8 @@ namespace {
 class LinkLayerFeedback final : public oc::Component {
  public:
   LinkLayerFeedback(core::Manetkit& kit, core::ManetProtocolCf& cf)
-      : oc::Component("neighbor.LinkLayerFeedback"),
+      : oc::Component("LinkLayerFeedback"),
         alive_(std::make_shared<bool>(true)) {
-    set_instance_name("LinkLayerFeedback");
     net::Addr self = kit.self();
     auto alive = alive_;
     core::ManetProtocolCf* proto = &cf;
@@ -153,9 +150,8 @@ std::unique_ptr<core::ManetProtocolCf> build_neighbor_cf(core::Manetkit& kit) {
   define_link_set(*soft, "neighbor.link", kNeighbHoldTime);
   cf->add_source(std::move(soft));
 
-  cf->add_handler(std::make_unique<HelloHandler>("neighbor.HelloHandler"));
-  cf->add_source(
-      std::make_unique<HelloSource>("neighbor.HelloSource", kHelloInterval));
+  cf->add_handler(std::make_unique<HelloHandler>());
+  cf->add_source(std::make_unique<HelloSource>(kHelloInterval));
   cf->declare_events({ev::types::HELLO_IN},
                      {ev::types::HELLO_OUT, ev::types::NHOOD_CHANGE});
   return cf;
@@ -173,8 +169,7 @@ void enable_link_layer_feedback(core::Manetkit& kit,
 }
 
 INeighborState* neighbor_state(core::ManetProtocolCf& cf) {
-  oc::Component* s = cf.state_component();
-  return s == nullptr ? nullptr : s->interface_as<INeighborState>("INeighborState");
+  return dynamic_cast<INeighborState*>(cf.state_component());
 }
 
 INeighborState* neighbor_state(core::Manetkit& kit, const std::string& unit) {

@@ -55,7 +55,7 @@ void define_link_set(core::SoftExpiry& soft, std::string name, Duration hold,
 /// not swept here.
 class HelloSource : public core::PeriodicSource {
  public:
-  HelloSource(std::string type_name, Duration interval);
+  explicit HelloSource(Duration interval);
 
  protected:
   /// Code advertised for a neighbour (SYM / ASYM by default).
@@ -80,7 +80,7 @@ class HelloSource : public core::PeriodicSource {
 /// Link sensing from received HELLOs.
 class HelloHandler : public core::EventHandler {
  public:
-  explicit HelloHandler(std::string type_name);
+  HelloHandler();
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override;
 

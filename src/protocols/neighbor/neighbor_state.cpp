@@ -19,10 +19,7 @@ void sorted_erase(std::vector<net::Addr>& v, net::Addr a) {
 
 }  // namespace
 
-NeighborTable::NeighborTable() : oc::Component("neighbor.NeighborTable") {
-  provide("INeighborState", static_cast<INeighborState*>(this));
-  provide("IState", static_cast<core::IState*>(this));
-}
+NeighborTable::NeighborTable() : oc::Component("State") {}
 
 void NeighborTable::note_heard(net::Addr a) { entries_.try_emplace(a); }
 

@@ -7,9 +7,7 @@ namespace {
 class FisheyeHandler final : public core::EventHandler {
  public:
   FisheyeHandler()
-      : core::EventHandler("olsr.FisheyeHandler", {ev::types::TC_OUT}) {
-    set_instance_name("FisheyeHandler");
-  }
+      : core::EventHandler("FisheyeHandler", {ev::types::TC_OUT}) {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     if (!event.has_msg()) return;

@@ -56,9 +56,8 @@ bool emit_tc(core::ProtocolContext& ctx, core::Manetkit& kit) {
 }
 
 void recompute_routes(core::ProtocolContext& ctx) {
-  auto* comp = ctx.protocol().find("RouteCalculator");
-  if (comp == nullptr) return;
-  if (auto* calc = comp->interface_as<IRouteCalculator>("IRouteCalculator")) {
+  if (auto* calc = dynamic_cast<IRouteCalculator*>(
+          ctx.protocol().find("RouteCalculator"))) {
     calc->recompute(ctx);
   }
 }
@@ -69,11 +68,9 @@ void recompute_routes(core::ProtocolContext& ctx) {
 class TcGenerator final : public core::PeriodicSource {
  public:
   explicit TcGenerator(core::Manetkit& kit)
-      : core::PeriodicSource("olsr.TcGenerator", kTcInterval,
+      : core::PeriodicSource("TcGenerator", kTcInterval,
                              /*jitter=*/0.1, /*seed_offset=*/2),
-        kit_(kit) {
-    set_instance_name("TcGenerator");
-  }
+        kit_(kit) {}
 
  private:
   void fire(core::ProtocolContext& ctx) override { emit_tc(ctx, kit_); }
@@ -85,11 +82,9 @@ class TcGenerator final : public core::PeriodicSource {
 class TcHandler final : public core::EventHandler {
  public:
   TcHandler(core::Manetkit& kit, core::SoftExpiry::SetId topo_set)
-      : core::EventHandler("olsr.TcHandler", {ev::types::TC_IN}),
+      : core::EventHandler("TcHandler", {ev::types::TC_IN}),
         kit_(kit),
-        topo_set_(topo_set) {
-    set_instance_name("TcHandler");
-  }
+        topo_set_(topo_set) {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     if (tc_in_ == nullptr) tc_in_ = &ctx.metrics().counter("olsr.tc_in");
@@ -142,12 +137,10 @@ class TopologyChangeHandler final : public core::EventHandler {
   static constexpr Duration kReemitDelay = sec(3);  // > one HELLO interval
 
   explicit TopologyChangeHandler(core::Manetkit& kit)
-      : core::EventHandler("olsr.TopologyChangeHandler",
+      : core::EventHandler("TopologyChangeHandler",
                            {ev::types::NHOOD_CHANGE, ev::types::MPR_CHANGE}),
         kit_(kit),
-        reemit_(kit.scheduler()) {
-    set_instance_name("TopologyChangeHandler");
-  }
+        reemit_(kit.scheduler()) {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     recompute_routes(ctx);
@@ -184,7 +177,7 @@ std::unique_ptr<core::ManetProtocolCf> build_olsr_cf(core::Manetkit& kit) {
       "olsr", kit.scheduler(), kit.self(), &kit.system().sys_state());
 
   cf->add_integrity_rule([](const oc::CfView& view, std::string& err) {
-    if (view.count_providing("IRouteCalculator") > 1) {
+    if (view.count<IRouteCalculator>() > 1) {
       err = "OLSR CF admits a single IRouteCalculator plug-in";
       return false;
     }

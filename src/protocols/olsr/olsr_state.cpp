@@ -17,12 +17,7 @@ std::uint64_t next_epoch() {
 }  // namespace
 
 OlsrState::OlsrState()
-    : oc::Component("olsr.OlsrState"), epoch_(next_epoch()) {
-  set_instance_name("State");
-  provide("IOlsrState", static_cast<IOlsrState*>(this));
-  provide("IState", static_cast<core::IState*>(this));
-  provide("IStateCodec", static_cast<core::IStateCodec*>(this));
-}
+    : oc::Component("State"), epoch_(next_epoch()) {}
 
 bool OlsrState::update_topology(net::Addr origin, std::uint16_t ansn,
                                 const std::vector<net::Addr>& advertised,

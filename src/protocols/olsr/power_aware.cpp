@@ -19,9 +19,6 @@ constexpr const char* kPiggybackOwner = "olsr";
 /// (link cost) from the residual battery it piggybacks, rather than from the
 /// neighbour's self-declared willingness alone.
 class PowerAwareHelloHandler final : public MprHelloHandler {
- public:
-  PowerAwareHelloHandler() : MprHelloHandler("mpr.PowerAwareHelloHandler") {}
-
  protected:
   std::uint8_t effective_willingness(const pbb::Message& msg,
                                      core::ProtocolContext& ctx) override {
@@ -37,10 +34,8 @@ class PowerAwareHelloHandler final : public MprHelloHandler {
 class ResidualPowerSource final : public core::PeriodicSource {
  public:
   ResidualPowerSource()
-      : core::PeriodicSource("olsr.ResidualPowerSource", sec(5),
-                             /*jitter=*/0.1, /*seed_offset=*/3) {
-    set_instance_name("ResidualPower");
-  }
+      : core::PeriodicSource("ResidualPower", sec(5),
+                             /*jitter=*/0.1, /*seed_offset=*/3) {}
 
  private:
   void fire(core::ProtocolContext& ctx) override {
@@ -62,10 +57,8 @@ class ResidualPowerSource final : public core::PeriodicSource {
 class PowerTrackHandler final : public core::EventHandler {
  public:
   PowerTrackHandler()
-      : core::EventHandler("olsr.PowerTrackHandler",
-                           {ev::types::POWER_STATUS}) {
-    set_instance_name("PowerTrackHandler");
-  }
+      : core::EventHandler("PowerTrackHandler",
+                           {ev::types::POWER_STATUS}) {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     ctx.state_as<OlsrState>().set_own_battery(
@@ -77,9 +70,7 @@ class PowerTrackHandler final : public core::EventHandler {
 class ResidualPowerHandler final : public core::EventHandler {
  public:
   ResidualPowerHandler()
-      : core::EventHandler("olsr.ResidualPowerHandler", {"RP_IN"}) {
-    set_instance_name("ResidualPowerHandler");
-  }
+      : core::EventHandler("ResidualPowerHandler", {"RP_IN"}) {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     if (!event.has_msg() || !event.msg()->originator) return;
@@ -168,8 +159,8 @@ void remove_power_aware(core::Manetkit& kit) {
 bool is_power_aware(core::Manetkit& kit) {
   core::ManetProtocolCf* olsr = kit.protocol("olsr");
   if (olsr == nullptr) return false;
-  auto* rc = olsr->find("RouteCalculator");
-  return rc != nullptr && rc->type_name() == "olsr.EnergyRouteCalculator";
+  return dynamic_cast<EnergyRouteCalculator*>(olsr->find("RouteCalculator")) !=
+         nullptr;
 }
 
 }  // namespace mk::proto

@@ -13,13 +13,7 @@
 namespace mk::proto {
 
 RouteCalculator::RouteCalculator(core::Manetkit& kit)
-    : RouteCalculator("olsr.RouteCalculator", kit) {}
-
-RouteCalculator::RouteCalculator(std::string type_name, core::Manetkit& kit)
-    : oc::Component(std::move(type_name)), kit_(kit) {
-  set_instance_name("RouteCalculator");
-  provide("IRouteCalculator", static_cast<IRouteCalculator*>(this));
-}
+    : oc::Component("RouteCalculator"), kit_(kit) {}
 
 double RouteCalculator::node_cost(const OlsrState&, net::Addr) const {
   return 1.0;
@@ -178,9 +172,6 @@ void RouteCalculator::build_index(net::Addr self) {
   }
   adj_start_.pop_back();
 }
-
-EnergyRouteCalculator::EnergyRouteCalculator(core::Manetkit& kit)
-    : RouteCalculator("olsr.EnergyRouteCalculator", kit) {}
 
 double EnergyRouteCalculator::node_cost(const OlsrState& st,
                                         net::Addr via) const {

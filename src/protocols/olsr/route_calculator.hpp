@@ -36,8 +36,6 @@ class RouteCalculator : public oc::Component, public IRouteCalculator {
   void recompute(core::ProtocolContext& ctx) override;
 
  protected:
-  RouteCalculator(std::string type_name, core::Manetkit& kit);
-
   /// Cost of traversing intermediate node `via` (hop metric = 1.0). Read
   /// once per node per recompute; it may depend only on `st` and `via`.
   virtual double node_cost(const OlsrState& st, net::Addr via) const;
@@ -80,7 +78,7 @@ class RouteCalculator : public oc::Component, public IRouteCalculator {
 /// longest-lifetime paths.
 class EnergyRouteCalculator final : public RouteCalculator {
  public:
-  explicit EnergyRouteCalculator(core::Manetkit& kit);
+  using RouteCalculator::RouteCalculator;
 
  protected:
   double node_cost(const OlsrState& st, net::Addr via) const override;

@@ -6,13 +6,8 @@
 
 namespace mk::proto {
 
-
-ReactiveState::ReactiveState(std::string type_name, std::uint8_t max_tries)
-    : oc::Component(std::move(type_name)), pending_(max_tries) {
-  set_instance_name("State");
-  provide("IState", static_cast<core::IState*>(this));
-  provide("IStateCodec", static_cast<core::IStateCodec*>(this));
-}
+ReactiveState::ReactiveState(std::uint8_t max_tries)
+    : oc::Component("State"), pending_(max_tries) {}
 
 void ReactiveState::reset_reactive() {
   own_seq_ = 1;
@@ -20,7 +15,8 @@ void ReactiveState::reset_reactive() {
 }
 
 void emit_route_found(core::ProtocolContext& ctx, net::Addr dest) {
-  ev::Event e(ev::types::ROUTE_FOUND);
+  static const ev::EventTypeId kRouteFound = ev::etype(ev::types::ROUTE_FOUND);
+  ev::Event e(kRouteFound);
   e.set_attr(ev::IntAttr::dest, dest);
   ctx.emit(std::move(e));
 }
@@ -120,15 +116,9 @@ core::SoftExpiry::SetId define_pending_set(core::SoftExpiry& soft,
 }
 
 NoRouteHandler::NoRouteHandler(const ReactiveProtocol& proto)
-    : NoRouteHandler(proto.name + ".NoRouteHandler", proto) {}
-
-NoRouteHandler::NoRouteHandler(std::string type_name,
-                               const ReactiveProtocol& proto)
-    : core::EventHandler(std::move(type_name), {ev::types::NO_ROUTE}),
+    : core::EventHandler("NoRouteHandler", {ev::types::NO_ROUTE}),
       proto_(proto),
-      discoveries_(proto_.name + ".discoveries") {
-  set_instance_name("NoRouteHandler");
-}
+      discoveries_(proto_.name + ".discoveries") {}
 
 void NoRouteHandler::handle(const ev::Event& event,
                             core::ProtocolContext& ctx) {
@@ -147,11 +137,8 @@ void NoRouteHandler::handle(const ev::Event& event,
 }
 
 RouteUpdateHandler::RouteUpdateHandler(const ReactiveProtocol& proto)
-    : core::EventHandler(proto.name + ".RouteUpdateHandler",
-                         {ev::types::ROUTE_UPDATE}),
-      lifetime_(proto.route_lifetime) {
-  set_instance_name("RouteUpdateHandler");
-}
+    : core::EventHandler("RouteUpdateHandler", {ev::types::ROUTE_UPDATE}),
+      lifetime_(proto.route_lifetime) {}
 
 void RouteUpdateHandler::handle(const ev::Event& event,
                                 core::ProtocolContext& ctx) {
@@ -165,19 +152,11 @@ void RouteUpdateHandler::handle(const ev::Event& event,
 }
 
 LinkBreakHandler::LinkBreakHandler(const ReactiveProtocol& proto,
-                                   std::string instance_name)
-    : LinkBreakHandler(proto.name + ".InvalidationHandler", proto,
-                       std::move(instance_name)) {}
-
-LinkBreakHandler::LinkBreakHandler(std::string type_name,
-                                   const ReactiveProtocol& proto,
-                                   std::string instance_name)
-    : core::EventHandler(std::move(type_name),
+                                   std::string name)
+    : core::EventHandler(std::move(name),
                          {ev::types::SEND_ROUTE_ERR, ev::types::NHOOD_CHANGE}),
       proto_(proto),
-      rerr_out_(proto_.name + ".rerr_out") {
-  set_instance_name(std::move(instance_name));
-}
+      rerr_out_(proto_.name + ".rerr_out") {}
 
 Unreachable LinkBreakHandler::fail_via(net::Addr hop,
                                        core::ProtocolContext& ctx) {

@@ -130,7 +130,7 @@ class ReactiveState : public oc::Component,
   virtual Unreachable invalidate_via(net::Addr next_hop) = 0;
 
  protected:
-  ReactiveState(std::string type_name, std::uint8_t max_tries);
+  explicit ReactiveState(std::uint8_t max_tries);
   /// Cold start: sequence number 1, no discovery in flight.
   void reset_reactive();
 
@@ -295,8 +295,6 @@ class NoRouteHandler : public core::EventHandler {
   const ReactiveProtocol& protocol() const { return proto_; }
 
  protected:
-  NoRouteHandler(std::string type_name, const ReactiveProtocol& proto);
-
   /// Returns true if a route to `dest` was produced from local knowledge
   /// (and ROUTE_FOUND emitted); false to fall through to discovery. A
   /// purely reactive protocol has no proactive knowledge.
@@ -323,13 +321,10 @@ class RouteUpdateHandler final : public core::EventHandler {
 /// overrides fail_via() to switch to alternate paths first.
 class LinkBreakHandler : public core::EventHandler {
  public:
-  LinkBreakHandler(const ReactiveProtocol& proto, std::string instance_name);
+  LinkBreakHandler(const ReactiveProtocol& proto, std::string name);
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override;
 
  protected:
-  LinkBreakHandler(std::string type_name, const ReactiveProtocol& proto,
-                   std::string instance_name);
-
   /// Invalidates paths through `hop` and withdraws their kernel routes;
   /// returns the pairs that became unreachable.
   virtual Unreachable fail_via(net::Addr hop, core::ProtocolContext& ctx);

@@ -33,7 +33,7 @@ std::uint8_t zone_route(core::Manetkit& kit, net::Addr dest,
 class ZoneReHandler final : public ReHandler {
  public:
   explicit ZoneReHandler(core::Manetkit& kit)
-      : ReHandler("zrp.ZoneReHandler"), kit_(kit) {}
+      : kit_(kit) {}
 
  protected:
   bool should_relay_rreq(const ev::Event& event,
@@ -67,7 +67,7 @@ class ZoneReHandler final : public ReHandler {
 class ZoneNoRouteHandler final : public NoRouteHandler {
  public:
   explicit ZoneNoRouteHandler(core::Manetkit& kit)
-      : NoRouteHandler("zrp.ZoneNoRouteHandler", dymo_reactive()), kit_(kit) {}
+      : NoRouteHandler(dymo_reactive()), kit_(kit) {}
 
  protected:
   bool try_local_knowledge(net::Addr dest,
@@ -89,11 +89,9 @@ class ZoneNoRouteHandler final : public NoRouteHandler {
 class ZoneMaintenance final : public core::PeriodicSource {
  public:
   explicit ZoneMaintenance(core::Manetkit& kit)
-      : core::PeriodicSource("zrp.ZoneMaintenance", kZrpZoneRefresh,
+      : core::PeriodicSource("ZoneMaintenance", kZrpZoneRefresh,
                              /*jitter=*/0.1, /*seed_offset=*/8),
-        kit_(kit) {
-    set_instance_name("ZoneMaintenance");
-  }
+        kit_(kit) {}
 
  private:
   void fire(core::ProtocolContext& ctx) override {

@@ -44,9 +44,7 @@ void reinstall_routes(core::ManetProtocolCf& proto) {
 class CheckpointPublisher final : public core::EventSource {
  public:
   explicit CheckpointPublisher(ReplicationManager* mgr)
-      : core::EventSource("repl.CheckpointPublisher"), mgr_(mgr) {
-    set_instance_name("CheckpointPublisher");
-  }
+      : core::EventSource("CheckpointPublisher"), mgr_(mgr) {}
 
   void start(core::ProtocolContext& ctx) override {
     ctx_ = &ctx;
@@ -72,9 +70,7 @@ class CheckpointPublisher final : public core::EventSource {
 class ReplHandler final : public core::EventHandler {
  public:
   explicit ReplHandler(ReplicationManager* mgr)
-      : core::EventHandler("repl.ReplHandler", {"REPL_IN"}), mgr_(mgr) {
-    set_instance_name("ReplHandler");
-  }
+      : core::EventHandler("ReplHandler", {"REPL_IN"}), mgr_(mgr) {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     mgr_->handle_repl_message(event, ctx);
@@ -88,12 +84,10 @@ class ReplHandler final : public core::EventHandler {
 
 ReplicationManager::ReplicationManager(core::Manetkit& kit,
                                        ReplicationParams params)
-    : oc::Component("repl.ReplicationManager"),
+    : oc::Component("State"),
       kit_(kit),
       params_(params),
       strategy_(params.initial) {
-  set_instance_name("State");
-  provide("IState", static_cast<core::IState*>(this));
   MK_ASSERT(params_.full_every >= 1);
 }
 
@@ -145,19 +139,19 @@ ReplicationManager::codec_units() const {
   for (const std::string& name : kit_.deployed()) {  // sorted (std::map)
     if (name == "replication") continue;
     core::ManetProtocolCf* proto = kit_.protocol(name);
-    if (proto == nullptr || proto->state_component() == nullptr) continue;
-    auto* codec = proto->state_component()->interface_as<core::IStateCodec>(
-        "IStateCodec");
-    if (codec != nullptr) out.emplace_back(name, codec);
+    if (proto == nullptr) continue;
+    if (auto* codec =
+            dynamic_cast<core::IStateCodec*>(proto->state_component())) {
+      out.emplace_back(name, codec);
+    }
   }
   return out;
 }
 
 core::IStateCodec* ReplicationManager::codec_of(const std::string& unit) const {
   core::ManetProtocolCf* proto = kit_.protocol(unit);
-  if (proto == nullptr || proto->state_component() == nullptr) return nullptr;
-  return proto->state_component()->interface_as<core::IStateCodec>(
-      "IStateCodec");
+  if (proto == nullptr) return nullptr;
+  return dynamic_cast<core::IStateCodec*>(proto->state_component());
 }
 
 void ReplicationManager::journal(obs::RecordKind kind, std::uint64_t unit_hash,

@@ -197,10 +197,11 @@ void SimWorld::crash_node(std::size_t i) {
     }
     for (const std::string& name : k->deployed()) {
       core::ManetProtocolCf* p = k->protocol(name);
-      if (p == nullptr || p->state_component() == nullptr) continue;
-      auto* codec = p->state_component()->interface_as<core::IStateCodec>(
-          "IStateCodec");
-      if (codec != nullptr) codec->reset_state();
+      if (p == nullptr) continue;
+      if (auto* codec =
+              dynamic_cast<core::IStateCodec*>(p->state_component())) {
+        codec->reset_state();
+      }
     }
     nodes_.at(i)->kernel_table().clear();
     if (core::ManetProtocolCf* rp = k->protocol("replication")) {

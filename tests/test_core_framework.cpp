@@ -23,12 +23,10 @@ class RelayHandler final : public EventHandler {
  public:
   RelayHandler(const std::vector<std::string>& in, std::string out,
                std::string tag, std::vector<std::string>* log)
-      : EventHandler("test.RelayHandler", in),
+      : EventHandler("Relay:" + tag, in),
         out_(std::move(out)),
         tag_(std::move(tag)),
-        log_(log) {
-    set_instance_name("Relay:" + tag_);
-  }
+        log_(log) {}
 
   void handle(const ev::Event& event, ProtocolContext& ctx) override {
     log_->push_back(tag_ + ":" + event.type_name());
@@ -360,6 +358,64 @@ TEST(Concurrency, DestroyingADedicatedThreadCfDeliversIntoAWholeCf) {
   cf.reset();
   releaser.join();
   EXPECT_EQ(handled.load(), kSent);
+}
+
+/// An S element stamped with the order it was installed in.
+class StampedState final : public oc::Component {
+ public:
+  explicit StampedState(int stamp) : oc::Component("State"), stamp(stamp) {}
+  const int stamp;
+};
+
+/// Reads the S element on every delivery and checks the stamps it sees never
+/// go backwards: each read must see the slot's latest element.
+class StateReader final : public EventHandler {
+ public:
+  StateReader(std::atomic<int>& handled, std::atomic<bool>& backwards)
+      : EventHandler("StateReader", {"EVT_S"}),
+        handled_(handled),
+        backwards_(backwards) {}
+  void handle(const ev::Event&, ProtocolContext& ctx) override {
+    int stamp = ctx.state_as<StampedState>().stamp;
+    if (stamp < last_) backwards_.store(true);
+    last_ = stamp;
+    ++handled_;
+  }
+
+ private:
+  std::atomic<int>& handled_;
+  std::atomic<bool>& backwards_;
+  int last_ = 0;
+};
+
+// The S slot is written by the reconfiguring thread and read by the CF's
+// dedicated worker; both go through the CF lock.
+TEST(Concurrency, ReplaceStateUnderDedicatedThread) {
+  SimScheduler sched;
+  std::atomic<int> handled{0};
+  std::atomic<bool> backwards{false};
+  auto cf = std::make_unique<ManetProtocolCf>("stateful", sched, 1, nullptr);
+  cf->set_state(std::make_unique<StampedState>(0));
+  cf->add_handler(std::make_unique<StateReader>(handled, backwards));
+  cf->enable_dedicated_thread();
+
+  constexpr int kEvents = 2000;
+  constexpr int kEventsPerSwap = 10;
+  int stamp = 0;
+  for (int i = 0; i < kEvents; ++i) {
+    cf->dedicated()->enqueue(ev::Event(ev::etype("EVT_S")));
+    if (i % kEventsPerSwap == 0) {
+      cf->set_state(std::make_unique<StampedState>(++stamp));
+    }
+  }
+  cf->disable_dedicated_thread();  // delivers what is still queued
+
+  EXPECT_EQ(handled.load(), kEvents);
+  EXPECT_FALSE(backwards.load());
+  auto* state = dynamic_cast<StampedState*>(cf->state_component());
+  ASSERT_NE(state, nullptr);
+  EXPECT_EQ(state->stamp, stamp);
+  EXPECT_EQ(cf->member_count(), 2u);  // ManetControl CF + one S element
 }
 
 }  // namespace

@@ -16,9 +16,7 @@ namespace {
 class SpyHandler final : public EventHandler {
  public:
   SpyHandler(std::vector<std::string>* log, std::vector<std::string> types)
-      : EventHandler("test.SpyHandler", types), log_(log) {
-    set_instance_name("Spy");
-  }
+      : EventHandler("Spy", types), log_(log) {}
   void handle(const ev::Event& event, ProtocolContext&) override {
     log_->push_back(event.type_name());
   }
@@ -107,9 +105,7 @@ TEST(Manetkit, SwitchProtocolWithoutState) {
 TEST(ManetProtocol, StateTransferCarriesSElement) {
   KitFixture f;
   auto cf = std::make_unique<ManetProtocolCf>("p1", f.sched, 1, nullptr);
-  auto state = std::make_unique<oc::Component>("test.State");
-  state->set_instance_name("State");
-  cf->set_state(std::move(state));
+  cf->set_state(std::make_unique<oc::Component>("test.State"));
 
   auto taken = cf->take_state();
   ASSERT_NE(taken, nullptr);
@@ -118,22 +114,44 @@ TEST(ManetProtocol, StateTransferCarriesSElement) {
   auto cf2 = std::make_unique<ManetProtocolCf>("p2", f.sched, 1, nullptr);
   cf2->set_state(std::move(taken));
   EXPECT_NE(cf2->state_component(), nullptr);
-  EXPECT_EQ(cf2->state_component()->type_name(), "test.State");
+  EXPECT_EQ(cf2->state_component()->name(), "test.State");
 }
 
-TEST(ManetProtocol, IntegrityRejectsSecondState) {
+// The S element is whatever occupies the slot, not a member with a
+// particular name, and the slot holds one element at a time.
+TEST(ManetProtocol, StateSlotHoldsOneElement) {
   KitFixture f;
   ManetProtocolCf cf("p", f.sched, 1, nullptr);
-  auto s1 = std::make_unique<oc::Component>("test.S1");
-  s1->set_instance_name("State");
-  cf.insert(std::move(s1));
+  const std::size_t base = cf.member_count();  // the ManetControl CF
+
+  // A plain insert() does not fill the slot, whatever the member's name.
+  cf.insert(std::make_unique<oc::Component>("State"));
+  EXPECT_EQ(cf.state_component(), nullptr);
+  EXPECT_THROW(cf.take_state(), std::logic_error);
+
+  // A second set_state replaces the first: one S member, the newer one.
+  cf.set_state(std::make_unique<oc::Component>("test.S1"));
   auto s2 = std::make_unique<oc::Component>("test.S2");
-  s2->set_instance_name("State");
-  EXPECT_THROW(cf.insert(std::move(s2)), std::logic_error);
-  // set_state replaces instead.
-  auto s3 = std::make_unique<oc::Component>("test.S3");
-  cf.set_state(std::move(s3));
-  EXPECT_EQ(cf.state_component()->type_name(), "test.S3");
+  oc::Component* second = s2.get();
+  cf.set_state(std::move(s2));
+  EXPECT_EQ(cf.state_component(), second);
+  EXPECT_EQ(cf.member_count(), base + 2);  // the plain member and S
+  EXPECT_EQ(cf.find("test.S1"), nullptr);
+
+  // The generic meta-model operations cannot take the S element out from
+  // under its slot.
+  EXPECT_THROW(cf.remove(cf.find_id("test.S2")), std::logic_error);
+  EXPECT_THROW(cf.replace(cf.find_id("test.S2"),
+                          std::make_unique<oc::Component>("test.S3")),
+               std::logic_error);
+  EXPECT_EQ(cf.state_component(), second);
+
+  // take_state hands the element out and empties the slot.
+  auto taken = cf.take_state();
+  EXPECT_EQ(taken.get(), second);
+  EXPECT_EQ(cf.state_component(), nullptr);
+  EXPECT_EQ(cf.member_count(), base + 1);
+  EXPECT_THROW(cf.take_state(), std::logic_error);
 }
 
 TEST(ManetProtocol, HandlerReplaceUpdatesRegistry) {

@@ -318,9 +318,7 @@ void register_flaky(core::Manetkit& kit, const std::string& name,
 class StartProbe final : public core::EventSource {
  public:
   StartProbe(int* starts, bool fail)
-      : core::EventSource("test.StartProbe"), starts_(starts), fail_(fail) {
-    set_instance_name("StartProbe");
-  }
+      : core::EventSource("StartProbe"), starts_(starts), fail_(fail) {}
   void start(core::ProtocolContext&) override {
     ++*starts_;
     if (fail_) throw std::runtime_error("start failure");

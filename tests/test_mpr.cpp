@@ -203,7 +203,8 @@ TEST(MprCf, HysteresisEstablishesLosslessLinkAndDropsCutOne) {
   world.medium().set_link(world.addr(0), world.addr(1), false);
   world.run_for(sec(10));
   EXPECT_FALSE(mpr_state(*mpr0)->is_sym_neighbor(world.addr(1)));
-  auto* hyst = mpr0->find("Hysteresis")->interface_as<IHysteresis>("IHysteresis");
+  auto* hyst = dynamic_cast<IHysteresis*>(mpr0->find("Hysteresis"));
+  ASSERT_NE(hyst, nullptr);
   EXPECT_TRUE(hyst->pending(world.addr(1)));
 }
 
@@ -225,7 +226,8 @@ TEST(MprCf, HysteresisAppliedToRunningCfGatesLinks) {
   }
   ASSERT_NE(mpr0->find("Hysteresis"), nullptr);
   ASSERT_NE(mpr0->control().find("HysteresisTick"), nullptr);
-  auto* hyst = mpr0->find("Hysteresis")->interface_as<IHysteresis>("IHysteresis");
+  auto* hyst = dynamic_cast<IHysteresis*>(mpr0->find("Hysteresis"));
+  ASSERT_NE(hyst, nullptr);
   EXPECT_TRUE(hyst->pending(world.addr(1)));
 
   world.run_for(sec(10));
@@ -260,7 +262,7 @@ TEST(MprCf, ChainSelectsMiddleAsMprAndRelaysTc) {
 
   // Node 2 must have heard node 0's TC (relayed by node 1 as its MPR).
   auto* olsr2 = world.kit(2).protocol("olsr");
-  auto* s2 = olsr2->state_component()->interface_as<IOlsrState>("IOlsrState");
+  auto* s2 = dynamic_cast<IOlsrState*>(olsr2->state_component());
   ASSERT_NE(s2, nullptr);
   bool has_edge_from_0 = false;
   for (auto [origin, dest] : s2->topology_edges()) {

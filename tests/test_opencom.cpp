@@ -12,24 +12,38 @@ struct IGreeter : Interface {
   virtual std::string greet() const = 0;
 };
 
+struct IBogus : Interface {
+  virtual void bogus() = 0;
+};
+
 class Greeter : public Component, public IGreeter {
  public:
-  explicit Greeter(std::string word = "hello")
-      : Component("test.Greeter"), word_(std::move(word)) {
-    provide("IGreeter", static_cast<IGreeter*>(this));
-  }
+  explicit Greeter(std::string word = "hello", std::string name = "Greeter")
+      : Component(std::move(name)), word_(std::move(word)) {}
   std::string greet() const override { return word_; }
 
  private:
   std::string word_;
 };
 
+// The interface meta-model is the type system: a component provides exactly
+// the interfaces it derives from.
 TEST(Component, InterfaceMetaModel) {
   Greeter g;
-  EXPECT_EQ(g.interfaces(), std::vector<std::string>{"IGreeter"});
-  EXPECT_NE(g.interface("IGreeter"), nullptr);
-  EXPECT_EQ(g.interface("IBogus"), nullptr);
-  EXPECT_NE(g.interface_as<IGreeter>("IGreeter"), nullptr);
+  Component* c = &g;
+  EXPECT_EQ(c->name(), "Greeter");
+  EXPECT_NE(dynamic_cast<IGreeter*>(c), nullptr);
+  EXPECT_EQ(dynamic_cast<IBogus*>(c), nullptr);
+}
+
+TEST(Cf, ViewCountsMembersByTypeAndInterface) {
+  Greeter g1, g2;
+  Component plain("Plain");
+  CfView view({&g1, &plain, &g2});
+  EXPECT_EQ(view.count<IGreeter>(), 2u);
+  EXPECT_EQ(view.count<Greeter>(), 2u);
+  EXPECT_EQ(view.count<IBogus>(), 0u);
+  EXPECT_EQ(view.count<Component>(), 3u);
 }
 
 TEST(Cf, InsertRemoveMembers) {
@@ -45,7 +59,7 @@ TEST(Cf, InsertRemoveMembers) {
 TEST(Cf, IntegrityRuleBlocksIllegalInsert) {
   ComponentFramework cf("test.CF");
   cf.add_integrity_rule([](const CfView& view, std::string& err) {
-    if (view.count_type("test.Greeter") > 1) {
+    if (view.count<Greeter>() > 1) {
       err = "only one greeter";
       return false;
     }
@@ -59,7 +73,7 @@ TEST(Cf, IntegrityRuleBlocksIllegalInsert) {
 TEST(Cf, IntegrityRuleBlocksIllegalRemove) {
   ComponentFramework cf("test.CF");
   cf.add_integrity_rule([](const CfView& view, std::string& err) {
-    if (view.count_type("test.Greeter") < 1) {
+    if (view.count<Greeter>() < 1) {
       err = "greeter is mandatory";
       return false;
     }
@@ -73,7 +87,7 @@ TEST(Cf, IntegrityRuleBlocksIllegalRemove) {
 TEST(Cf, ReplaceSwapsMemberUnlessARuleRejectsIt) {
   ComponentFramework cf("test.CF");
   cf.add_integrity_rule([](const CfView& view, std::string& err) {
-    if (view.count_providing("IGreeter") != 1) {
+    if (view.count<IGreeter>() != 1) {
       err = "exactly one greeter";
       return false;
     }
@@ -86,14 +100,14 @@ TEST(Cf, ReplaceSwapsMemberUnlessARuleRejectsIt) {
   EXPECT_NE(g2, g);
   EXPECT_EQ(cf.member(g), nullptr);
   ASSERT_NE(cf.member(g2), nullptr);
-  EXPECT_EQ(cf.member(g2)->interface_as<IGreeter>("IGreeter")->greet(), "new");
+  EXPECT_EQ(dynamic_cast<IGreeter*>(cf.member(g2))->greet(), "new");
 
   // A swap the rule rejects throws and leaves the current member in place.
   EXPECT_THROW(
-      cf.replace(g2, std::make_unique<Component>("test.NotAGreeter")),
+      cf.replace(g2, std::make_unique<Component>("NotAGreeter")),
       std::logic_error);
   EXPECT_EQ(cf.members(), std::vector<ComponentId>{g2});
-  EXPECT_EQ(cf.member(g2)->interface_as<IGreeter>("IGreeter")->greet(), "new");
+  EXPECT_EQ(dynamic_cast<IGreeter*>(cf.member(g2))->greet(), "new");
   EXPECT_THROW(cf.replace(g, std::make_unique<Greeter>()), std::logic_error);
 }
 
@@ -118,9 +132,7 @@ TEST(Cf, NestsAsComponents) {
 
 TEST(Cf, FindByInstanceName) {
   ComponentFramework cf("test.CF");
-  auto g = std::make_unique<Greeter>();
-  g->set_instance_name("TheGreeter");
-  cf.insert(std::move(g));
+  cf.insert(std::make_unique<Greeter>("hello", "TheGreeter"));
   EXPECT_NE(cf.find("TheGreeter"), nullptr);
   EXPECT_EQ(cf.find("Missing"), nullptr);
 }

@@ -38,11 +38,9 @@ struct VictimLog {
 class VictimHandler final : public core::EventHandler {
  public:
   VictimHandler(VictimLog* log, Duration charge)
-      : core::EventHandler("test.VictimHandler", {"EVT_V"}),
+      : core::EventHandler("Victim", {"EVT_V"}),
         log_(log),
-        charge_(charge) {
-    set_instance_name("Victim");
-  }
+        charge_(charge) {}
 
   void handle(const ev::Event& event, core::ProtocolContext&) override {
     ++log_->delivered;
@@ -656,9 +654,7 @@ TEST(Supervision, ProbationRetripWithoutVariantRestartsStateless) {
 
 class HogHandler final : public core::EventHandler {
  public:
-  HogHandler() : core::EventHandler("test.HogHandler", {"EVT_V"}) {
-    set_instance_name("Hog");
-  }
+  HogHandler() : core::EventHandler("Hog", {"EVT_V"}) {}
   void handle(const ev::Event&, core::ProtocolContext&) override {
     // ~256 KiB of churn inside one dispatch — far past any sane budget.
     std::vector<std::unique_ptr<std::uint8_t[]>> keep;
