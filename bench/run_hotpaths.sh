@@ -9,9 +9,9 @@
 # exits non-zero — the CI-facing regression gate for the arena/pool layer.
 # A second gate holds the timer wheel to its oracle: BM_SchedulerHoldBurst/0
 # (wheel) may not be slower than BM_SchedulerHoldBurst/1 (ordered map) in
-# the same run. A third holds the OLSR route calculator's memo to its
-# purpose: BM_OlsrRecompute/0 (unchanged inputs) must be faster than
-# BM_OlsrRecompute/1 (one TC set changed, a full recompute). A fourth holds
+# the same run. A third holds the OLSR route calculator's memo to an O(1)
+# check: BM_OlsrRecompute/0 (unchanged inputs) must be at least 20x faster
+# than BM_OlsrRecompute/1 (one TC set changed, a full recompute). A fourth holds
 # the medium to one scheduler event per broadcast: BM_BroadcastFanout/32
 # must run one timer fire per op and allocate nothing. A fifth holds DYMO's
 # learn path at zero allocations per op, both for a same-info refresh
@@ -158,7 +158,8 @@ report = {
             "a converged, frozen 50-node Gauss-Markov world: /0 with unchanged "
             "inputs (the memoised no-op a same-set TC refresh triggers), /1 "
             "with one origin's TC set flipped every iteration (a full Dijkstra "
-            "and kernel-table sync); the script fails unless /0 is faster. "
+            "and kernel-table sync); the script fails unless /0 is at least "
+            "20x faster. "
             "BM_BroadcastFanout/{2,8,32} reports fires_per_op, the scheduler "
             "events one broadcast costs: the medium parks the frame and its "
             "k receivers in one slot under one event, so the script fails "
@@ -220,19 +221,21 @@ if wheel > oracle:
 print(f"scheduler gate: wheel {wheel / 1e6:.3f} ms vs ordered map "
       f"{oracle / 1e6:.3f} ms per sim-second")
 
-# Route-memo gate: a recompute with unchanged inputs must beat a full one.
+# Route-memo gate: a recompute with unchanged inputs is an O(1) stamp check,
+# so it must beat a full one by at least MEMO_SPEEDUP.
+MEMO_SPEEDUP = 20
 memo = times.get("BM_OlsrRecompute/0")
 full = times.get("BM_OlsrRecompute/1")
 if memo is None or full is None:
     print("error: BM_OlsrRecompute/{0,1} missing from run", file=sys.stderr)
     sys.exit(1)
-if memo >= full:
+if memo * MEMO_SPEEDUP > full:
     print(f"error: BM_OlsrRecompute/0 (unchanged inputs) took {memo:.0f} ns, "
-          f"not faster than /1 (one TC set changed) at {full:.0f} ns",
-          file=sys.stderr)
+          f"not {MEMO_SPEEDUP}x faster than /1 (one TC set changed) at "
+          f"{full:.0f} ns", file=sys.stderr)
     sys.exit(1)
 print(f"route-memo gate: unchanged {memo:.0f} ns vs full recompute "
-      f"{full:.0f} ns")
+      f"{full:.0f} ns ({full / memo:.1f}x, need {MEMO_SPEEDUP}x)")
 
 # Medium gate: one broadcast is one scheduler event, allocation-free.
 by_name = {e["name"]: e for e in results}

@@ -4,6 +4,7 @@
 // between units along the Framework Manager's routes.
 #pragma once
 
+#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,6 +31,13 @@ struct IForward : oc::Interface {
   /// multipoint relays).
   virtual void forward(const ev::Event& event) = 0;
 };
+
+/// A fresh S-element version stamp: unique in the process, so a memo keyed
+/// on a stamp also misses once its S element is replaced or restarted.
+inline std::uint64_t next_version() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 /// Generic state access (the S element). Protocol-specific state interfaces
 /// (IOlsrState, INeighborState, ...) derive from this.

@@ -203,7 +203,8 @@ void SystemCf::ensure_power_status(Duration interval) {
   power_timer_ = std::make_unique<PeriodicTimer>(
       scheduler(), interval,
       [this] {
-        ev::Event e(ev::types::POWER_STATUS);
+        static const auto kPowerStatus = ev::etype(ev::types::POWER_STATUS);
+        ev::Event e(kPowerStatus);
         e.set_attr(ev::RealAttr::battery, node_.battery());
         emit(std::move(e));
       },
@@ -232,7 +233,8 @@ void SystemCf::ensure_link_quality(Duration period) {
           double& q = link_quality_.try_emplace(neighbor, sample).first->second;
           q = (1.0 - kAlpha) * q + kAlpha * sample;
 
-          ev::Event e(ev::types::LINK_QUALITY);
+          static const auto kLinkQuality = ev::etype(ev::types::LINK_QUALITY);
+          ev::Event e(kLinkQuality);
           e.set_attr(ev::IntAttr::neighbor, neighbor);
           e.set_attr(ev::RealAttr::quality, q);
           emit(std::move(e));

@@ -75,7 +75,8 @@ class GreedyRouteHandler final : public core::EventHandler {
     auto dest = static_cast<net::Addr>(event.attr(ev::IntAttr::dest));
     if (dest == net::kNoAddr) return;
     if (try_install(dest, ctx)) {
-      ev::Event found(ev::types::ROUTE_FOUND);
+      static const auto kRouteFound = ev::etype(ev::types::ROUTE_FOUND);
+      ev::Event found(kRouteFound);
       found.set_attr(ev::IntAttr::dest, dest);
       ctx.emit(std::move(found));
     }

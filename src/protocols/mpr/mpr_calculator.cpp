@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 
 namespace mk::proto {
 
@@ -122,6 +123,12 @@ std::set<net::Addr> MprCalculator::compute(const MprState& state,
     mark_covers(cands_[best]);
   }
   return mprs;
+}
+
+bool MprCalculator::update(MprState& state, net::Addr self) {
+  const std::pair inputs{state.version(), self};
+  if (std::exchange(updated_, inputs) == inputs) return false;
+  return state.set_mprs(compute(state, self));
 }
 
 bool EnergyMprCalculator::prefer(const MprState& state, net::Addr a,

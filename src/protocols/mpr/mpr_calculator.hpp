@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "net/address.hpp"
@@ -14,9 +15,10 @@
 namespace mk::proto {
 
 struct IMprCalculator : oc::Interface {
-  /// Computes the MPR set covering every strict 2-hop neighbour.
-  virtual std::set<net::Addr> compute(const MprState& state,
-                                      net::Addr self) const = 0;
+  /// Sets `state`'s MPR set to one covering every strict 2-hop neighbour;
+  /// true if it changed. A no-op while `state`'s version() and `self` equal
+  /// this calculator's previous update's: the set is already that result.
+  virtual bool update(MprState& state, net::Addr self) = 0;
 };
 
 /// Standard greedy cover: WILL_ALWAYS first, then sole-cover neighbours,
@@ -25,8 +27,9 @@ struct IMprCalculator : oc::Interface {
 class MprCalculator : public oc::Component, public IMprCalculator {
  public:
   MprCalculator();
-  std::set<net::Addr> compute(const MprState& state,
-                              net::Addr self) const override;
+  /// Computes the MPR set covering every strict 2-hop neighbour.
+  std::set<net::Addr> compute(const MprState& state, net::Addr self) const;
+  bool update(MprState& state, net::Addr self) override;
 
  protected:
   /// Selection preference between candidates covering the same number of
@@ -50,6 +53,9 @@ class MprCalculator : public oc::Component, public IMprCalculator {
   mutable std::vector<net::Addr> covers_flat_;
   mutable std::vector<net::Addr> uncovered_;
   mutable std::vector<char> covered_;
+
+  // (version(), self) of the last update; stamps are never 0.
+  std::pair<std::uint64_t, net::Addr> updated_{0, net::kNoAddr};
 };
 
 /// Power-aware variant [Mahfoudh & Minet 2008 flavour]: willingness (derived

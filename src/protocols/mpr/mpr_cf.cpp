@@ -217,7 +217,7 @@ std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit) {
         auto addr = static_cast<net::Addr>(key);
         bool was_selector = forget_selector(ctx, addr);
         drop_link(addr, ctx);
-        if (was_selector) ctx.emit(ev::Event(ev::types::MPR_CHANGE));
+        if (was_selector) emit_mpr_change(ctx);
         recompute_mprs(ctx);
       });
   soft->define_set(
@@ -227,7 +227,7 @@ std::unique_ptr<core::ManetProtocolCf> build_mpr_cf(core::Manetkit& kit) {
         auto addr = static_cast<net::Addr>(key);
         if (st.is_mpr_selector(addr)) {
           st.drop_selector(addr);
-          ctx.emit(ev::Event(ev::types::MPR_CHANGE));
+          emit_mpr_change(ctx);
         }
       },
       [](core::ProtocolContext& ctx) {

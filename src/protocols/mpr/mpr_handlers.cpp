@@ -5,12 +5,10 @@
 namespace mk::proto {
 
 void recompute_mprs(core::ProtocolContext& ctx) {
-  MprState& st = ctx.state_as<MprState>();
   auto* calc =
       dynamic_cast<IMprCalculator*>(ctx.protocol().find("MprCalculator"));
-  if (calc == nullptr) return;
-  if (st.set_mprs(calc->compute(st, ctx.self()))) {
-    ctx.emit(ev::Event(ev::types::MPR_CHANGE));
+  if (calc != nullptr && calc->update(ctx.state_as<MprState>(), ctx.self())) {
+    emit_mpr_change(ctx);
   }
 }
 
@@ -52,7 +50,7 @@ void MprHelloHandler::on_lost(net::Addr from, core::ProtocolContext& ctx) {
   // Same steps, in the same order, as the mpr.link expiry path.
   const bool was_selector = forget_selector(ctx, from);
   HelloHandler::on_lost(from, ctx);
-  if (was_selector) ctx.emit(ev::Event(ev::types::MPR_CHANGE));
+  if (was_selector) emit_mpr_change(ctx);
   recompute_mprs(ctx);
 }
 
@@ -74,9 +72,7 @@ void MprHelloHandler::on_listed(const pbb::Message& msg,
   }
   // Relay selection changed from the selector side too: protocols above
   // (OLSR's triggered TC) need to hear about it.
-  if (was_selector != st.is_mpr_selector(from)) {
-    ctx.emit(ev::Event(ev::types::MPR_CHANGE));
-  }
+  if (was_selector != st.is_mpr_selector(from)) emit_mpr_change(ctx);
 }
 
 bool MprHelloHandler::two_hop_code(wire::LinkCode code) const {

@@ -25,6 +25,12 @@ inline std::uint64_t mpr_dup_key(net::Addr origin, std::uint16_t seq) {
   return (static_cast<std::uint64_t>(origin) << 16) | seq;
 }
 
+/// Emits MPR_CHANGE (its type id resolved once).
+inline void emit_mpr_change(core::ProtocolContext& ctx) {
+  static const ev::EventTypeId kMprChange = ev::etype(ev::types::MPR_CHANGE);
+  ctx.emit(ev::Event(kMprChange));
+}
+
 /// Recomputes MPRs via the protocol's IMprCalculator plug-in; emits
 /// MPR_CHANGE on change.
 void recompute_mprs(core::ProtocolContext& ctx);

@@ -6,7 +6,8 @@
 namespace mk::proto {
 
 void MprState::set_willingness_of(net::Addr a, std::uint8_t w) {
-  willingness_[a] = w;
+  auto [it, added] = willingness_.try_emplace(a, w);
+  if (added || std::exchange(it->second, w) != w) restamp();
 }
 
 std::uint8_t MprState::willingness_of(net::Addr a) const {

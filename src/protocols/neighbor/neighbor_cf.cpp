@@ -43,7 +43,8 @@ void HelloSource::fire(core::ProtocolContext& ctx) {
   nt.for_each_neighbor([&](net::Addr a, bool sym) {
     links_scratch_.push_back(hello::Link{a, link_code(nt, a, sym)});
   });
-  ev::Event e(ev::types::HELLO_OUT);
+  static const ev::EventTypeId kHelloOut = ev::etype(ev::types::HELLO_OUT);
+  ev::Event e(kHelloOut);
   // Build straight into a pooled message slot (stale-warm: build_into
   // rewrites every field).
   pbb::Message& m = e.acquire_msg();

@@ -27,6 +27,7 @@ bool NeighborTable::set_symmetric(net::Addr a, bool sym) {
   auto& e = entries_[a];
   if (e.symmetric == sym) return false;
   e.symmetric = sym;
+  restamp();
   if (sym) {
     sorted_insert(sym_cache_, a);
   } else {
@@ -43,14 +44,17 @@ void NeighborTable::set_two_hop(net::Addr a,
   while (it != cur.end() && sit != sorted.end()) {
     if (*it < *sit) {
       it = cur.erase(it);
+      restamp();
     } else if (*sit < *it) {
       cur.insert(it, *sit);  // hinted: lands just before `it`
       ++sit;
+      restamp();
     } else {
       ++it;
       ++sit;
     }
   }
+  if (it != cur.end() || sit != sorted.end()) restamp();
   while (it != cur.end()) it = cur.erase(it);
   for (; sit != sorted.end(); ++sit) cur.insert(cur.end(), *sit);
 }
@@ -61,6 +65,7 @@ bool NeighborTable::remove(net::Addr a) {
   bool was_sym = it->second.symmetric;
   if (was_sym) sorted_erase(sym_cache_, a);
   entries_.erase(it);
+  restamp();
   return was_sym;
 }
 

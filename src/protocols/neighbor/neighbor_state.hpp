@@ -33,6 +33,9 @@ struct INeighborState : core::IState {
   /// Nodes exactly two hops away (reachable via some sym neighbour, not
   /// neighbours themselves, not us).
   virtual std::set<net::Addr> strict_two_hop(net::Addr self) const = 0;
+  /// Version stamp (core::next_version()), taken anew on every change to the
+  /// symmetric set, a 2-hop set or (MprState) a willingness.
+  virtual std::uint64_t version() const = 0;
 };
 
 class NeighborTable : public oc::Component, public INeighborState {
@@ -58,6 +61,7 @@ class NeighborTable : public oc::Component, public INeighborState {
   std::vector<net::Addr> heard_neighbors() const override;
   const std::set<net::Addr>& two_hop_via(net::Addr n) const override;
   std::set<net::Addr> strict_two_hop(net::Addr self) const override;
+  std::uint64_t version() const override { return version_; }
   std::string describe() const override;
 
   /// Visits (addr, is_symmetric) for every tracked neighbour in address
@@ -86,6 +90,9 @@ class NeighborTable : public oc::Component, public INeighborState {
   void append_piggyback(std::vector<pbb::Tlv>& out) const;
   void dispatch_piggyback(net::Addr from, const pbb::Tlv& tlv) const;
 
+ protected:
+  void restamp() { version_ = core::next_version(); }
+
  private:
   struct Entry {
     bool symmetric = false;
@@ -101,6 +108,7 @@ class NeighborTable : public oc::Component, public INeighborState {
     PiggybackObserver observe;
   };
   std::vector<Piggyback> piggyback_;
+  std::uint64_t version_ = core::next_version();
 };
 
 }  // namespace mk::proto

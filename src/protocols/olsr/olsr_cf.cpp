@@ -48,7 +48,8 @@ bool emit_tc(core::ProtocolContext& ctx, core::Manetkit& kit) {
     st.bump_ansn();
     st.set_last_advertised(selectors);
   }
-  ev::Event e(ev::types::TC_OUT);
+  static const ev::EventTypeId kTcOut = ev::etype(ev::types::TC_OUT);
+  ev::Event e(kTcOut);
   e.set_msg(tc::build(ctx.self(), st.next_msg_seq(), st.ansn(), selectors));
   ctx.metrics().counter("olsr.tc_out").inc();
   ctx.emit(std::move(e));

@@ -1,7 +1,6 @@
 #include "protocols/olsr/olsr_state.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 
 #include "util/bytebuffer.hpp"
@@ -9,15 +8,7 @@
 
 namespace mk::proto {
 
-namespace {
-std::uint64_t next_epoch() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-}  // namespace
-
-OlsrState::OlsrState()
-    : oc::Component("State"), epoch_(next_epoch()) {}
+OlsrState::OlsrState() : oc::Component("State") {}
 
 bool OlsrState::update_topology(net::Addr origin, std::uint16_t ansn,
                                 const std::vector<net::Addr>& advertised,
@@ -27,10 +18,14 @@ bool OlsrState::update_topology(net::Addr origin, std::uint16_t ansn,
   if (it != topology_.end() && serial_newer(it->second.ansn, ansn)) {
     return false;  // stale information
   }
-  if (it == topology_.end()) it = topology_.try_emplace(origin).first;
+  const bool added = it == topology_.end();
+  if (added) it = topology_.try_emplace(origin).first;
   TopologyEntry& entry = it->second;
   entry.ansn = ansn;
-  if (entry.advertised != advertised) entry.advertised = advertised;
+  if (added || entry.advertised != advertised) {
+    entry.advertised = advertised;
+    version_ = core::next_version();
+  }
   entry.expires = now + hold;
   return true;
 }
@@ -125,7 +120,7 @@ void OlsrState::reset_state() {
   installed_.clear();
   energy_.clear();
   own_battery_ = 1.0;
-  epoch_ = next_epoch();
+  version_ = core::next_version();
 }
 
 std::string OlsrState::describe() const {

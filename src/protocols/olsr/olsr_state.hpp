@@ -42,7 +42,11 @@ class OlsrState : public oc::Component,
 
   /// Removes one origin's advertisements (soft-state expiry); returns true
   /// if the origin was present.
-  bool drop_topology(net::Addr origin) { return topology_.erase(origin) > 0; }
+  bool drop_topology(net::Addr origin) {
+    if (topology_.erase(origin) == 0) return false;
+    version_ = core::next_version();
+    return true;
+  }
 
   /// Origins with live advertisements (expiry re-seeding after restart).
   std::vector<net::Addr> topology_origins() const;
@@ -66,22 +70,24 @@ class OlsrState : public oc::Component,
   }
 
   // -- installed kernel routes owned by OLSR ---------------------------------------
-  /// Sorted ascending; the route calculator swaps a freshly computed set in
-  /// each recompute (vector, not set: the hot path only needs ordered
-  /// iteration and binary search, without per-node allocation).
+  /// Sorted ascending, rewritten by each full route recompute (a vector: the
+  /// hot path only iterates in order and binary-searches, allocation-free).
   std::vector<net::Addr>& installed_dests() { return installed_; }
 
   // -- residual energy (power-aware variant) -----------------------------------------
-  void set_energy(net::Addr node, double level) { energy_[node] = level; }
+  void set_energy(net::Addr node, double level) {
+    if (energy_of(node) == level) return;
+    energy_[node] = level;
+    version_ = core::next_version();
+  }
   double energy_of(net::Addr node) const;
   void set_own_battery(double level) { own_battery_ = level; }
   double own_battery() const { return own_battery_; }
 
-  /// Identifies the current contents wholesale: a fresh value, unique in the
-  /// process, on construction and on every reset_state/decode_state. The
-  /// route calculator's memo keys on it, since those replace
-  /// installed_dests() behind its back.
-  std::uint64_t epoch() const { return epoch_; }
+  /// Version stamp (core::next_version()) of what a route recompute reads:
+  /// new on reset/decode_state, a new origin or changed advertised set,
+  /// drop_topology and a changed energy level, not on a same-set refresh.
+  std::uint64_t version() const { return version_; }
 
   std::string describe() const override;
 
@@ -106,7 +112,7 @@ class OlsrState : public oc::Component,
   std::vector<net::Addr> installed_;
   std::map<net::Addr, double> energy_;
   double own_battery_ = 1.0;
-  std::uint64_t epoch_;
+  std::uint64_t version_ = core::next_version();
 };
 
 }  // namespace mk::proto

@@ -6,7 +6,7 @@
 #include <limits>
 
 #include "core/manet_protocol.hpp"
-#include "protocols/neighbor/neighbor_cf.hpp"
+#include "protocols/mpr/mpr_cf.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 
@@ -21,20 +21,25 @@ double RouteCalculator::node_cost(const OlsrState&, net::Addr) const {
 
 void RouteCalculator::recompute(core::ProtocolContext& ctx) {
   OlsrState& st = ctx.state_as<OlsrState>();
-  INeighborState* nbr = neighbor_state(kit_, "mpr");
+  const INeighborState* nbr = mpr_state(kit_);
   if (ctx.sys() == nullptr || nbr == nullptr) return;
   const net::KernelRouteTable& table = ctx.sys()->kernel_table();
+  const net::Addr self = ctx.self();
 
-  net::Addr self = ctx.self();
+  // RFC 3626 §10: recalculate only when the inputs change. The result is a
+  // pure function of `self`, the neighbour table and the S element, and the
+  // sync touches only the kernel table and installed_dests(): while their
+  // stamps and generation match the last sync, it would change nothing.
+  if (Inputs{self, nbr->version(), st.version(), table.generation()} ==
+      synced_) {
+    return;
+  }
 
   // Build the adjacency view: symmetric 1-hop links, 2-hop links learned
-  // from HELLOs, and TC-advertised links. Edges are *directed* away from the
-  // node that vouches for them (RFC 3626 §10): a destination is reachable
-  // only through a chain of still-fresh advertisements starting at our own
-  // link set. Treating TC edges as bidirectional — the pre-ISSUE-6 bug —
-  // let a partitioned-away origin's stale TC (topology hold 15 s) resurrect
-  // the severed link from the *far* side, so mid-partition recomputes never
-  // dropped routes and kRouteDel was only ever journaled after the heal.
+  // from HELLOs, and TC-advertised links, each *directed* away from the node
+  // that vouches for it (RFC 3626 §10). Bidirectional TC edges would let a
+  // partitioned-away origin's stale TC resurrect the severed link from the
+  // far side, so mid-partition recomputes would never drop a route.
   scratch_edges_.clear();
   for (net::Addr n : nbr->sym_neighbors()) {
     scratch_edges_.emplace_back(self, n);
@@ -43,26 +48,11 @@ void RouteCalculator::recompute(core::ProtocolContext& ctx) {
     }
   }
   st.append_topology_edges(scratch_edges_);
-
-  // RFC 3626 §10: the table is recalculated only when its inputs change.
-  // The result is a pure function of the edge list, the per-node costs and
-  // `self`; the sync below reads and writes only the kernel table and
-  // installed_dests(). So when all of those match the last sync — the
-  // table by generation, which counts effective changes only, and
-  // installed_dests() by the S element's epoch — a full recompute would
-  // reinstall every route unchanged and remove none: skip it.
-  const bool same_graph =
-      synced_ && self == synced_self_ && scratch_edges_ == synced_edges_;
-  if (!same_graph) build_index(self);
+  build_index(self);
   const auto n = static_cast<std::uint32_t>(scratch_nodes_.size());
   scratch_cost_.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     scratch_cost_[i] = node_cost(st, scratch_nodes_[i]);
-  }
-  if (same_graph && scratch_cost_ == synced_cost_ &&
-      st.epoch() == synced_epoch_ &&
-      table.generation() == synced_generation_) {
-    return;
   }
 
   // Dijkstra from self; edge weight = cost of the entered node.
@@ -95,7 +85,10 @@ void RouteCalculator::recompute(core::ProtocolContext& ctx) {
     }
   }
 
-  // Resolve next hops and sync the kernel table.
+  // Resolve next hops and sync the kernel table. While the generation is the
+  // last sync's, the table holds routes_: write only new or changed routes.
+  const bool diff = table.generation() == synced_.generation;
+  auto prev = routes_.cbegin();
   fresh_.clear();
   for (std::uint32_t i = 0; i < n; ++i) {
     if (i == self_idx || parent_[i] == kNoParent) continue;
@@ -104,23 +97,23 @@ void RouteCalculator::recompute(core::ProtocolContext& ctx) {
       hop = parent_[hop];
     }
     if (parent_[hop] == kNoParent) continue;  // unreachable glitch
-    ctx.set_route(scratch_nodes_[i], scratch_nodes_[hop], hops_[i]);
-    fresh_.push_back(scratch_nodes_[i]);  // ascending: index order
+    const Route r{scratch_nodes_[i], scratch_nodes_[hop], hops_[i]};
+    while (prev != routes_.cend() && prev->dest < r.dest) ++prev;
+    if (!diff || prev == routes_.cend() || *prev != r) {
+      ctx.set_route(r.dest, r.next_hop, r.hops);
+    }
+    fresh_.push_back(r);  // ascending: index order
   }
   for (net::Addr old_dest : st.installed_dests()) {
-    if (!std::binary_search(fresh_.begin(), fresh_.end(), old_dest)) {
+    if (!std::ranges::binary_search(fresh_, old_dest, {}, &Route::dest)) {
       ctx.remove_route(old_dest);
     }
   }
+  st.installed_dests().clear();
+  for (const Route& r : fresh_) st.installed_dests().push_back(r.dest);
   // Swap, don't move: fresh_ keeps the displaced capacity for next time.
-  st.installed_dests().swap(fresh_);
-
-  synced_ = true;
-  synced_self_ = self;
-  synced_edges_.swap(scratch_edges_);
-  synced_cost_.swap(scratch_cost_);
-  synced_epoch_ = st.epoch();
-  synced_generation_ = table.generation();
+  routes_.swap(fresh_);
+  synced_ = {self, nbr->version(), st.version(), table.generation()};
 }
 
 void RouteCalculator::build_index(net::Addr self) {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,17 +18,17 @@
 namespace mk::proto {
 
 struct IRouteCalculator : oc::Interface {
-  /// Recomputes all routes and syncs the kernel table (adding new routes,
-  /// removing stale OLSR-owned ones). A no-op when neither the inputs (link,
-  /// 2-hop and topology sets, per-node costs, the S element) nor the kernel
-  /// table changed since the last sync: the result would be the same.
+  /// Recomputes all routes and syncs the kernel table (writing new or changed
+  /// routes, removing stale OLSR-owned ones). A no-op while `self`, both S
+  /// elements' version() stamps and the kernel table's generation equal the
+  /// last sync's: the result would be the same.
   virtual void recompute(core::ProtocolContext& ctx) = 0;
 };
 
 class RouteCalculator : public oc::Component, public IRouteCalculator {
  public:
-  /// Neighbourhood information comes from the S element of `kit`'s "mpr"
-  /// CF, looked up on every recompute (a cross-CF direct-call binding in the
+  /// Neighbourhood information comes from the MprState of `kit`'s "mpr" CF,
+  /// looked up on every recompute (a cross-CF direct-call binding in the
   /// paper's terms, resolved at use so a restarted MPR CF is seen).
   explicit RouteCalculator(core::Manetkit& kit);
 
@@ -59,18 +58,23 @@ class RouteCalculator : public oc::Component, public IRouteCalculator {
   std::vector<double> dist_;
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint32_t> hops_;
-  std::vector<net::Addr> fresh_;
 
-  // Inputs of the last sync (RFC 3626 §10: recalculate only when the link,
-  // 2-hop or topology sets change). Once synced_, the dense index above
-  // describes synced_edges_. The kernel table needs no identity check: a
-  // CF's System S element is fixed at construction.
-  bool synced_ = false;
-  net::Addr synced_self_ = net::kNoAddr;
-  std::vector<std::pair<net::Addr, net::Addr>> synced_edges_;
-  std::vector<double> synced_cost_;
-  std::uint64_t synced_epoch_ = 0;       // OlsrState::epoch()
-  std::uint64_t synced_generation_ = 0;  // KernelRouteTable::generation()
+  // Routes the last sync installed, sorted by dest, and the next sync's.
+  struct Route {
+    net::Addr dest, next_hop;
+    std::uint32_t hops;
+    bool operator==(const Route&) const = default;
+  };
+  std::vector<Route> routes_, fresh_;
+
+  // Inputs of the last sync (RFC 3626 §10): stamps (never 0) and generation.
+  // The table needs no identity check: a CF's System S element is fixed at
+  // construction.
+  struct Inputs {
+    net::Addr self = net::kNoAddr;
+    std::uint64_t neighbors = 0, olsr = 0, generation = 0;
+    bool operator==(const Inputs&) const = default;
+  } synced_;
 };
 
 /// Energy-aware path selection: traversal cost grows steeply as the relay's

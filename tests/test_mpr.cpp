@@ -97,6 +97,77 @@ TEST(EnergyMprCalculatorT, PrefersHighWillingnessRelay) {
   EXPECT_EQ(calc.compute(*stp, kSelf), (std::set<net::Addr>{11}));
 }
 
+TEST(MprState, VersionMovesWithEveryCalculatorInput) {
+  // The MPR and route calculators read the symmetric set, the 2-hop sets
+  // and willingness; version() must move with each change and only then.
+  MprState st;
+  std::uint64_t v = st.version();
+  auto moved = [&] {
+    const bool m = st.version() != v;
+    v = st.version();
+    return m;
+  };
+  auto two_hop = [&](net::Addr via, std::vector<net::Addr> sorted) {
+    st.set_two_hop(via, sorted);
+  };
+  st.note_heard(10);
+  EXPECT_FALSE(moved()) << "heard, not symmetric";
+  EXPECT_TRUE(st.set_symmetric(10, true));
+  EXPECT_TRUE(moved()) << "became symmetric";
+  EXPECT_FALSE(st.set_symmetric(10, true));
+  EXPECT_FALSE(moved()) << "already symmetric";
+
+  two_hop(10, {20, 21});
+  EXPECT_TRUE(moved()) << "2-hop inserts";
+  two_hop(10, {20, 21});
+  EXPECT_FALSE(moved()) << "same 2-hop set";
+  two_hop(10, {20});
+  EXPECT_TRUE(moved()) << "2-hop erase at the tail";
+  two_hop(10, {19, 20});
+  EXPECT_TRUE(moved()) << "2-hop insert in the merge";
+  two_hop(10, {20});
+  EXPECT_TRUE(moved()) << "2-hop erase in the merge";
+  two_hop(10, {20, 22});
+  EXPECT_TRUE(moved()) << "2-hop insert at the tail";
+
+  st.set_willingness_of(10, wire::kWillHigh);
+  EXPECT_TRUE(moved()) << "willingness";
+  st.set_willingness_of(10, wire::kWillHigh);
+  EXPECT_FALSE(moved()) << "same willingness";
+  st.set_willingness_of(10, wire::kWillLow);
+  EXPECT_TRUE(moved()) << "changed willingness";
+
+  EXPECT_TRUE(st.set_symmetric(10, false));
+  EXPECT_TRUE(moved()) << "lost symmetry";
+  EXPECT_FALSE(st.remove(11));
+  EXPECT_FALSE(moved()) << "removing an unknown neighbour";
+  EXPECT_FALSE(st.remove(10));
+  EXPECT_TRUE(moved()) << "removed an entry";
+  EXPECT_NE(MprState().version(), st.version());
+}
+
+TEST(MprMemo, WillingnessAloneReselects) {
+  // 10 and 11 cover the same 2-hop node, so willingness alone decides.
+  auto stp = make_state({{10, {100}}, {11, {100}}});
+  stp->set_willingness_of(10, wire::kWillLow);
+  stp->set_willingness_of(11, wire::kWillHigh);
+  EnergyMprCalculator calc;
+  EXPECT_TRUE(calc.update(*stp, kSelf));
+  EXPECT_EQ(stp->mprs(), (std::set<net::Addr>{11}));
+  EXPECT_FALSE(calc.update(*stp, kSelf)) << "unchanged inputs";
+
+  stp->set_willingness_of(10, wire::kWillHigh);
+  stp->set_willingness_of(11, wire::kWillLow);
+  EXPECT_TRUE(calc.update(*stp, kSelf));
+  EXPECT_EQ(stp->mprs(), (std::set<net::Addr>{10}));
+
+  // A new self, or a calculator swapped in without a memo, recomputes.
+  EXPECT_TRUE(calc.update(*stp, 100)) << "self is the 2-hop node: none left";
+  EXPECT_TRUE(stp->mprs().empty());
+  EXPECT_TRUE(EnergyMprCalculator().update(*stp, kSelf));
+  EXPECT_EQ(stp->mprs(), (std::set<net::Addr>{10}));
+}
+
 // Property: the MPR set must cover every strict 2-hop neighbour reachable
 // through a willing neighbour, and never contain non-neighbours.
 class MprCoverageProperty : public ::testing::TestWithParam<std::uint64_t> {};

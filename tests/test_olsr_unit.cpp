@@ -3,6 +3,9 @@
 // memo), energy-cost routing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "protocols/mpr/mpr_cf.hpp"
 #include "protocols/olsr/olsr_cf.hpp"
 #include "protocols/olsr/power_aware.hpp"
@@ -158,30 +161,55 @@ TEST(EnergyRouteCalc, AvoidsDrainedRelay) {
 }
 
 TEST(OlsrState, SameSetRefreshKeepsEdgesAndTakesNewAnsn) {
+  // version() moves with every change a route recompute can read, and only
+  // then: a same-set refresh moves the ANSN and the expiry alone.
   OlsrState st;
-  const std::uint64_t epoch = st.epoch();
+  std::uint64_t v = st.version();
+  auto moved = [&] {
+    const bool m = st.version() != v;
+    v = st.version();
+    return m;
+  };
   EXPECT_TRUE(st.update_topology(10, 5, {20, 21}, TimePoint{0}, sec(15)));
+  EXPECT_TRUE(moved()) << "new origin";
   EXPECT_TRUE(st.update_topology(10, 5, {20, 21}, TimePoint{1}, sec(15)));
-  EXPECT_FALSE(st.update_topology(10, 4, {22}, TimePoint{2}, sec(15)));
   EXPECT_TRUE(st.update_topology(10, 6, {20, 21}, TimePoint{3}, sec(15)));
+  EXPECT_FALSE(moved()) << "same-set refresh";
   EXPECT_FALSE(st.update_topology(10, 5, {22}, TimePoint{4}, sec(15)));
+  EXPECT_FALSE(moved()) << "stale ANSN";
   EXPECT_EQ(st.topology_edges().size(), 2u);
-  EXPECT_EQ(st.epoch(), epoch) << "topology updates are not wholesale";
+  EXPECT_TRUE(st.update_topology(11, 1, {}, TimePoint{5}, sec(15)));
+  EXPECT_TRUE(moved()) << "new origin, empty set";
+  EXPECT_TRUE(st.update_topology(10, 7, {20}, TimePoint{6}, sec(15)));
+  EXPECT_TRUE(moved()) << "changed set";
+  EXPECT_FALSE(st.drop_topology(12));
+  EXPECT_FALSE(moved()) << "absent origin";
+  EXPECT_TRUE(st.drop_topology(11));
+  EXPECT_TRUE(moved()) << "dropped origin";
+
+  st.set_energy(30, 0.5);
+  EXPECT_TRUE(moved()) << "new energy level";
+  st.set_energy(30, 0.5);
+  EXPECT_FALSE(moved()) << "equal energy level";
+  st.set_energy(30, 0.25);
+  EXPECT_TRUE(moved()) << "changed energy level";
+  st.set_energy(31, 1.0);
+  EXPECT_FALSE(moved()) << "the default level";
 
   std::vector<std::uint8_t> blob;
   st.encode_state(blob);
   ASSERT_TRUE(st.decode_state(blob));
-  EXPECT_NE(st.epoch(), epoch);
-  EXPECT_EQ(st.topology_edges().size(), 2u);
-  const std::uint64_t decoded = st.epoch();
+  EXPECT_TRUE(moved()) << "decode_state";
+  EXPECT_EQ(st.topology_edges().size(), 1u);
   st.reset_state();
-  EXPECT_NE(st.epoch(), decoded);
-  EXPECT_NE(OlsrState().epoch(), st.epoch());
+  EXPECT_TRUE(moved()) << "reset_state";
+  EXPECT_NE(OlsrState().version(), st.version());
 }
 
-// The memo in RouteCalculator::recompute skips a recompute whose inputs and
-// kernel table match the last sync. (a)-(d) each change one input the memo
-// must see, through a path that emits no event of its own.
+// The memo in RouteCalculator::recompute skips a recompute whose input
+// stamps and kernel table generation match the last sync. The first four
+// tests each change one input the memo must see, through a path that emits
+// no event of its own.
 
 TEST(RouteCalcMemo, SilentTwoHopChangeSeenOnNextTcRefresh) {
   testbed::SimWorld world(3);
@@ -275,6 +303,69 @@ TEST(RouteCalcMemo, EnergyCalculatorReroutesOnResidualPowerAlone) {
   deliver_residual_power(world, 0, a[1], 100);
   deliver_residual_power(world, 0, a[2], 5);
   EXPECT_EQ(table.lookup(a[3])->next_hop, a[1]);
+}
+
+// While the kernel table is as the last sync left it, a full recompute
+// writes only new or changed routes. Each step below flips one link of
+// node 0 in its neighbour table, without an event, then recomputes: the
+// generation must rise by exactly the number of routes that changed, so
+// every changed route was written and nothing else was.
+TEST(RouteCalcMemo, DiffedInstallTouchesOnlyChangedRoutes) {
+  testbed::SimWorld world(4);
+  world.linear();
+  world.deploy_all("olsr");
+  ASSERT_TRUE(world.run_until_routed(sec(60)).has_value());
+
+  const auto a = world.addrs();
+  core::ManetProtocolCf& olsr = *world.kit(0).protocol("olsr");
+  MprState& nbr = *mpr_state(world.kit(0));
+  const auto& table = world.node(0).kernel_table();
+  using Routes = std::map<net::Addr, std::pair<net::Addr, std::uint32_t>>;
+  auto routes = [&] {
+    Routes out;
+    for (const auto& e : table.entries()) out[e.dest] = {e.next_hop, e.metric};
+    return out;
+  };
+  auto recompute_changes = [&](std::size_t expected, const char* step) {
+    const Routes before = routes();
+    const std::uint64_t generation = table.generation();
+    olsr_recompute_routes(olsr);
+    const Routes after = routes();
+    std::size_t changed = 0;
+    for (const auto& [dest, route] : before) {
+      auto it = after.find(dest);
+      changed += it == after.end() || it->second != route ? 1 : 0;
+    }
+    for (const auto& [dest, route] : after) changed += before.count(dest) == 0;
+    EXPECT_EQ(changed, expected) << step;
+    EXPECT_EQ(table.generation() - generation, changed) << step;
+    olsr_recompute_routes(olsr);
+    EXPECT_EQ(table.generation() - generation, changed) << step << ", again";
+  };
+  auto two_hop = [&](std::size_t via, std::vector<net::Addr> sorted) {
+    std::sort(sorted.begin(), sorted.end());
+    nbr.set_two_hop(a[via], sorted);
+  };
+
+  recompute_changes(0, "in sync");
+  two_hop(1, {a[0], a[2], a[3]});
+  recompute_changes(1, "1-3 up: a metric alone changes");
+  EXPECT_EQ(routes()[a[3]], std::make_pair(a[1], 2u));
+  two_hop(1, {a[0], a[2]});
+  recompute_changes(1, "1-3 down");
+
+  nbr.note_heard(a[2]);
+  nbr.set_symmetric(a[2], true);
+  two_hop(2, {a[1], a[3]});
+  recompute_changes(2, "0-2 up: next hops change");
+  EXPECT_EQ(routes(), (Routes{{a[1], {a[1], 1u}},
+                              {a[2], {a[2], 1u}},
+                              {a[3], {a[2], 2u}}}));
+  nbr.set_symmetric(a[2], false);
+  recompute_changes(2, "0-2 down");
+  nbr.set_symmetric(a[1], false);
+  recompute_changes(3, "0-1 down: every route goes");
+  EXPECT_TRUE(table.entries().empty());
 }
 
 // RFC 3626 §10 parity: on a mobile 50-node world, after every mobility step
