@@ -1,6 +1,6 @@
 // Table 1 reproduction: Comparative Performance of MANETKit Protocols.
 //
-//   rows:    Time to Process Message (ms), Route Establishment Delay (ms)
+//   rows:    Time to Process Message (us), Route Establishment Delay (ms)
 //   columns: Unik-olsrd | MKit-OLSR | DYMOUM-0.3 | MKit-DYMO
 //
 // Methodology mirrors the paper (§6.1): 5-node 802.11-style emulated linear
@@ -206,15 +206,17 @@ int main() {
 
   std::printf("%-34s %12s %12s %14s %12s\n", "", "Unik-olsrd", "MKit-OLSR",
               "DYMOUM-0.3", "MKit-DYMO");
-  std::printf("%-34s %12.4f %12.4f %14.4f %12.4f\n",
-              "Time to Process Message (ms)", olsrd_proc, mkit_olsr_proc,
-              dymoum_proc, mkit_dymo_proc);
+  // Per-message processing takes 0.5-3 us here: print microseconds with
+  // three decimals so one run resolves the cells and their ratios.
+  std::printf("%-34s %12.3f %12.3f %14.3f %12.3f\n",
+              "Time to Process Message (us)", olsrd_proc * 1e3,
+              mkit_olsr_proc * 1e3, dymoum_proc * 1e3, mkit_dymo_proc * 1e3);
   std::printf("%-34s %12.1f %12.1f %14.1f %12.1f\n",
               "Route Establishment Delay (ms)", olsrd_delay, mkit_olsr_delay,
               dymoum_delay, mkit_dymo_delay);
 
   std::printf(
-      "\nPaper reported: 0.045 / 0.096 / 0.135 / 0.122 ms processing and\n"
+      "\nPaper reported: 45 / 96 / 135 / 122 us processing and\n"
       "995 / 1026 / 37 / 27.3 ms establishment. Expected shape: per-message\n"
       "processing within the same order of magnitude as the monolith;\n"
       "proactive establishment ~seconds (driven by HELLO/TC intervals),\n"

@@ -74,6 +74,7 @@ ManetProtocolCf* Manetkit::instantiate(
   raw->set_metrics(&metrics_);
   manager_->register_unit(raw, spec.layer);  // may throw (deployment rules)
   deployed_.emplace(name, DeployedProto{std::move(instance), spec.layer});
+  deployment_ = next_version();
 
   // The carried S element goes in before the first start, so the instance's
   // timers are armed once, against the state it will actually run on.
@@ -115,6 +116,7 @@ void Manetkit::undeploy(const std::string& name) {
   it->second.instance->stop();
   manager_->deregister_unit(it->second.instance.get());
   deployed_.erase(it);
+  deployment_ = next_version();
   MK_DEBUG("manetkit", "undeployed ", name);
 }
 
@@ -165,6 +167,7 @@ Manetkit::ReplaceReport Manetkit::replace_protocol(const std::string& from,
   }
   manager_->deregister_unit(old_proto);
   deployed_.erase(it);
+  deployment_ = next_version();
 
   ReplaceReport report;
   metrics_.counter("fm.replace_attempts").inc();

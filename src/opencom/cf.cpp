@@ -45,6 +45,8 @@ ComponentId ComponentFramework::insert(std::unique_ptr<Component> comp) {
   check_integrity(hypothetical);
   ComponentId id = next_id_++;
   members_.emplace(id, std::move(comp));
+  providers_.clear();
+  ++composition_;
   return id;
 }
 
@@ -63,6 +65,8 @@ std::unique_ptr<Component> ComponentFramework::extract(ComponentId id) {
   check_integrity(hypothetical);
   auto comp = std::move(it->second);
   members_.erase(it);
+  providers_.clear();
+  ++composition_;
   return comp;
 }
 
@@ -85,6 +89,8 @@ ComponentId ComponentFramework::replace(ComponentId old_id,
   members_.erase(it);
   ComponentId new_id = next_id_++;
   members_.emplace(new_id, std::move(replacement));
+  providers_.clear();
+  ++composition_;
   return new_id;
 }
 

@@ -12,6 +12,7 @@
 // mechanism, with OpenCom quiescence folded into the same lock).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -19,6 +20,8 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "opencom/component.hpp"
@@ -93,7 +96,27 @@ class ComponentFramework : public Component {
   Component* find(std::string_view name) const;
   ComponentId find_id(std::string_view name) const;
 
+  /// The first member (in id order) that is or provides T, null if none;
+  /// the answer is kept until the composition changes, so a hot path pays
+  /// a lock and a pointer compare, not a by-name scan and a cast.
+  template <class T>
+  T* provider() const {
+    std::scoped_lock lock(lock_);
+    for (const auto& [type, p] : providers_) {
+      if (type == &typeid(T)) return static_cast<T*>(p);
+    }
+    T* found = nullptr;
+    for (auto it = members_.begin(); !found && it != members_.end(); ++it) {
+      found = dynamic_cast<T*>(it->second.get());
+    }
+    providers_.emplace_back(&typeid(T), found);
+    return found;
+  }
+
   std::size_t member_count() const { return members_.size(); }
+
+  /// Moves on every insert, extract and replace (kept member pointers).
+  std::uint64_t composition() const { return composition_.load(); }
 
   // -- quiescence -------------------------------------------------------------
 
@@ -109,6 +132,9 @@ class ComponentFramework : public Component {
 
   ComponentId next_id_ = 1;
   std::map<ComponentId, std::unique_ptr<Component>> members_;
+  // provider<T>()'s answers for the current composition.
+  mutable std::vector<std::pair<const std::type_info*, void*>> providers_;
+  std::atomic<std::uint64_t> composition_{0};
   std::vector<IntegrityRule> rules_;
   mutable std::recursive_mutex lock_;
 };

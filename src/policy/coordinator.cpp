@@ -82,7 +82,8 @@ class ReconfigHandler final : public core::EventHandler {
     // Relay first ("make before break": keep the campaign spreading even if
     // our own enactment rewires this node's stack).
     if (msg.has_hops && msg.hop_limit > 1) {
-      ev::Event out(ev::etype("RECONFIG_OUT"));
+      static const ev::EventTypeId kReconfigOut = ev::etype("RECONFIG_OUT");
+      ev::Event out(kReconfigOut);
       pbb::Message& fwd = out.set_msg(msg);
       fwd.hop_limit -= 1;
       fwd.hop_count += 1;
@@ -151,7 +152,8 @@ std::uint16_t initiate(core::ManetProtocolCf& coordinator,
     st.seen(ctx.self(), epoch);  // don't re-execute our own flood
     ++st.executed;
 
-    ev::Event out(ev::etype("RECONFIG_OUT"));
+    static const ev::EventTypeId kReconfigOut = ev::etype("RECONFIG_OUT");
+    ev::Event out(kReconfigOut);
     out.set_msg(build_command(ctx.self(), epoch, action_name));
     ctx.emit(std::move(out));
   }

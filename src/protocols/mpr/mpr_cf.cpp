@@ -160,8 +160,7 @@ class HysteresisTick final : public core::PeriodicSource {
  private:
   void fire(core::ProtocolContext& ctx) override {
     MprState& st = ctx.state_as<MprState>();
-    if (auto* hyst =
-            dynamic_cast<IHysteresis*>(ctx.protocol().find("Hysteresis"))) {
+    if (auto* hyst = ctx.protocol().provider<IHysteresis>()) {
       for (net::Addr a : st.heard_neighbors()) hyst->on_interval(a);
     }
   }

@@ -5,8 +5,7 @@
 namespace mk::proto {
 
 void recompute_mprs(core::ProtocolContext& ctx) {
-  auto* calc =
-      dynamic_cast<IMprCalculator*>(ctx.protocol().find("MprCalculator"));
+  auto* calc = ctx.protocol().provider<IMprCalculator>();
   if (calc != nullptr && calc->update(ctx.state_as<MprState>(), ctx.self())) {
     emit_mpr_change(ctx);
   }
@@ -38,8 +37,7 @@ bool MprHelloHandler::on_heard(const pbb::Message& msg, net::Addr from,
   ctx.state_as<MprState>().set_willingness_of(from,
                                               effective_willingness(msg, ctx));
   // Optional hysteresis plug-in gates link establishment.
-  if (auto* hyst =
-          dynamic_cast<IHysteresis*>(ctx.protocol().find("Hysteresis"))) {
+  if (auto* hyst = ctx.protocol().provider<IHysteresis>()) {
     hyst->on_hello(from);
     return !hyst->pending(from);
   }

@@ -20,11 +20,6 @@ inline constexpr core::SoftExpiry::SetId kSelector = 1;
 inline constexpr core::SoftExpiry::SetId kDuplicate = 2;
 }  // namespace mpr_sets
 
-/// Packs a flooding duplicate-set tuple into a soft-state key.
-inline std::uint64_t mpr_dup_key(net::Addr origin, std::uint16_t seq) {
-  return (static_cast<std::uint64_t>(origin) << 16) | seq;
-}
-
 /// Emits MPR_CHANGE (its type id resolved once).
 inline void emit_mpr_change(core::ProtocolContext& ctx) {
   static const ev::EventTypeId kMprChange = ev::etype(ev::types::MPR_CHANGE);

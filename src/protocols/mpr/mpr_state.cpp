@@ -1,5 +1,6 @@
 #include "protocols/mpr/mpr_state.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -26,18 +27,21 @@ bool MprState::is_mpr_selector(net::Addr a) const {
 }
 
 bool MprState::check_duplicate(net::Addr origin, std::uint16_t seq) {
-  // insert, not emplace: set::emplace allocates a node before the lookup,
-  // and most flooded messages arrive as duplicates.
-  return !duplicates_.insert({origin, seq}).second;
+  return !duplicates_.emplace(mpr_dup_key(origin, seq)).second;
 }
 
 bool MprState::drop_duplicate(net::Addr origin, std::uint16_t seq) {
-  return duplicates_.erase(std::make_pair(origin, seq)) > 0;
+  return duplicates_.erase(mpr_dup_key(origin, seq));
 }
 
 std::vector<std::pair<net::Addr, std::uint16_t>> MprState::duplicate_entries()
     const {
-  return {duplicates_.begin(), duplicates_.end()};
+  std::vector<std::pair<net::Addr, std::uint16_t>> out;
+  duplicates_.for_each([&](std::uint64_t key, char) {
+    out.emplace_back(key >> 16, static_cast<std::uint16_t>(key));
+  });
+  std::sort(out.begin(), out.end());  // from the table's hash order
+  return out;
 }
 
 std::string MprState::describe() const {

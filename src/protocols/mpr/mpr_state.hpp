@@ -17,43 +17,43 @@
 #include "net/address.hpp"
 #include "protocols/neighbor/neighbor_state.hpp"
 #include "protocols/wire.hpp"
+#include "util/u64_table.hpp"
 
 namespace mk::proto {
 
-struct IMprState : oc::Interface {
-  virtual const std::set<net::Addr>& mprs() const = 0;
-  virtual std::set<net::Addr> mpr_selectors() const = 0;
-  virtual bool is_mpr_selector(net::Addr a) const = 0;
-  virtual std::uint8_t willingness_of(net::Addr a) const = 0;
-  virtual std::uint8_t own_willingness() const = 0;
-};
+/// Packs a flooding duplicate-set tuple into one key, ordered as the
+/// (origin, seq) pair: the duplicate set's and its soft-state set's key.
+inline std::uint64_t mpr_dup_key(net::Addr origin, std::uint16_t seq) {
+  return (static_cast<std::uint64_t>(origin) << 16) | seq;
+}
 
-class MprState : public NeighborTable, public IMprState {
+class MprState : public NeighborTable {
  public:
   // -- willingness ---------------------------------------------------------------
   void set_willingness_of(net::Addr a, std::uint8_t w);
-  std::uint8_t willingness_of(net::Addr a) const override;
+  std::uint8_t willingness_of(net::Addr a) const;
   void set_own_willingness(std::uint8_t w) { own_willingness_ = w; }
-  std::uint8_t own_willingness() const override { return own_willingness_; }
+  std::uint8_t own_willingness() const { return own_willingness_; }
 
   // -- MPR set -------------------------------------------------------------------
   /// Returns true if the set changed.
   bool set_mprs(std::set<net::Addr> mprs);
-  const std::set<net::Addr>& mprs() const override { return mprs_; }
+  const std::set<net::Addr>& mprs() const { return mprs_; }
   bool is_mpr(net::Addr a) const { return mprs_.count(a) > 0; }
 
   // -- MPR selector set -------------------------------------------------------------
   void note_selector(net::Addr a) { selectors_.insert(a); }
   void drop_selector(net::Addr a) { selectors_.erase(a); }
-  std::set<net::Addr> mpr_selectors() const override { return selectors_; }
-  bool is_mpr_selector(net::Addr a) const override;
+  std::set<net::Addr> mpr_selectors() const { return selectors_; }
+  bool is_mpr_selector(net::Addr a) const;
 
   // -- duplicate set (flooding) --------------------------------------------------------
   /// Returns true if (origin, seq) was already seen; notes it otherwise.
   bool check_duplicate(net::Addr origin, std::uint16_t seq);
   /// Removes one tuple (soft-state expiry); returns true if it was present.
   bool drop_duplicate(net::Addr origin, std::uint16_t seq);
-  /// All live tuples (expiry re-seeding after restart).
+  /// All live tuples, (origin, seq) ascending (expiry re-seeding after
+  /// restart re-arms them in this order).
   std::vector<std::pair<net::Addr, std::uint16_t>> duplicate_entries() const;
   std::size_t duplicate_count() const { return duplicates_.size(); }
 
@@ -64,7 +64,7 @@ class MprState : public NeighborTable, public IMprState {
   std::uint8_t own_willingness_ = wire::kWillDefault;
   std::set<net::Addr> mprs_;
   std::set<net::Addr> selectors_;
-  std::set<std::pair<net::Addr, std::uint16_t>> duplicates_;
+  U64Table<char> duplicates_;  // keyed by mpr_dup_key
 };
 
 /// Optional link-hysteresis plug-in (RFC 3626 §14): a link must prove itself

@@ -170,7 +170,9 @@ void enable_link_layer_feedback(core::Manetkit& kit,
 }
 
 INeighborState* neighbor_state(core::ManetProtocolCf& cf) {
-  return dynamic_cast<INeighborState*>(cf.state_component());
+  // Every neighbour S element is a NeighborTable: a downcast, not the
+  // costlier cross-cast to the interface.
+  return dynamic_cast<NeighborTable*>(cf.state_component());
 }
 
 INeighborState* neighbor_state(core::Manetkit& kit, const std::string& unit) {

@@ -57,8 +57,7 @@ bool emit_tc(core::ProtocolContext& ctx, core::Manetkit& kit) {
 }
 
 void recompute_routes(core::ProtocolContext& ctx) {
-  if (auto* calc = dynamic_cast<IRouteCalculator*>(
-          ctx.protocol().find("RouteCalculator"))) {
+  if (auto* calc = ctx.protocol().provider<IRouteCalculator>()) {
     calc->recompute(ctx);
   }
 }

@@ -39,15 +39,10 @@ std::vector<net::Addr> OlsrState::topology_origins() const {
 
 std::vector<std::pair<net::Addr, net::Addr>> OlsrState::topology_edges() const {
   std::vector<std::pair<net::Addr, net::Addr>> out;
-  append_topology_edges(out);
-  return out;
-}
-
-void OlsrState::append_topology_edges(
-    std::vector<std::pair<net::Addr, net::Addr>>& out) const {
   for (const auto& [origin, e] : topology_) {
     for (net::Addr d : e.advertised) out.emplace_back(origin, d);
   }
+  return out;
 }
 
 double OlsrState::energy_of(net::Addr node) const {

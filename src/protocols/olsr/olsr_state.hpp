@@ -52,10 +52,12 @@ class OlsrState : public oc::Component,
   std::vector<net::Addr> topology_origins() const;
 
   std::vector<std::pair<net::Addr, net::Addr>> topology_edges() const override;
-  /// Appends the directed edges to `out` without clearing it — the route
-  /// recompute collects its whole edge view in one reused scratch vector.
-  void append_topology_edges(
-      std::vector<std::pair<net::Addr, net::Addr>>& out) const;
+  /// Visits (origin, advertised set) in origin order, copying nothing: the
+  /// route search reads each origin's set in place.
+  template <class Fn>
+  void for_each_origin(Fn&& fn) const {
+    for (const auto& [origin, e] : topology_) fn(origin, e.advertised);
+  }
   std::size_t topology_size() const override { return topology_.size(); }
 
   // -- sequence numbers ---------------------------------------------------------
@@ -71,7 +73,7 @@ class OlsrState : public oc::Component,
 
   // -- installed kernel routes owned by OLSR ---------------------------------------
   /// Sorted ascending, rewritten by each full route recompute (a vector: the
-  /// hot path only iterates in order and binary-searches, allocation-free).
+  /// recompute merges it against its new routes in order, allocation-free).
   std::vector<net::Addr>& installed_dests() { return installed_; }
 
   // -- residual energy (power-aware variant) -----------------------------------------

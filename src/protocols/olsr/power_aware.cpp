@@ -47,7 +47,8 @@ class ResidualPowerSource final : public core::PeriodicSource {
     m.tlvs.push_back(pbb::Tlv::u8(
         wire::kTlvBattery,
         static_cast<std::uint8_t>(st.own_battery() * 100.0)));
-    ev::Event e(ev::etype("RP_OUT"));
+    static const ev::EventTypeId kRpOut = ev::etype("RP_OUT");
+    ev::Event e(kRpOut);
     e.set_msg(std::move(m));
     ctx.emit(std::move(e));
   }
@@ -159,8 +160,7 @@ void remove_power_aware(core::Manetkit& kit) {
 bool is_power_aware(core::Manetkit& kit) {
   core::ManetProtocolCf* olsr = kit.protocol("olsr");
   if (olsr == nullptr) return false;
-  return dynamic_cast<EnergyRouteCalculator*>(olsr->find("RouteCalculator")) !=
-         nullptr;
+  return olsr->provider<EnergyRouteCalculator>() != nullptr;
 }
 
 }  // namespace mk::proto

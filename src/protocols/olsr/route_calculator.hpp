@@ -1,8 +1,8 @@
 // OLSR routing-table calculation, as a replaceable component: the default
-// computes min-hop shortest paths (Dijkstra) over 1-hop/2-hop neighbourhood
-// plus the TC-learned topology set, and installs host routes in the kernel
-// table. The power-aware variant substitutes an energy-cost metric
-// (maximise route lifetime by avoiding low-battery relays).
+// computes min-hop routes by breadth-first search straight over the 1-hop/
+// 2-hop neighbourhood plus the TC-learned topology set, and installs host
+// routes in the kernel table. The power-aware variant substitutes an
+// energy-cost metric (avoiding low-battery relays) and Dijkstra.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +13,9 @@
 #include "core/manetkit.hpp"
 #include "net/address.hpp"
 #include "opencom/component.hpp"
+#include "protocols/neighbor/neighbor_state.hpp"
 #include "protocols/olsr/olsr_state.hpp"
+#include "util/u64_table.hpp"
 
 namespace mk::proto {
 
@@ -27,37 +29,49 @@ struct IRouteCalculator : oc::Interface {
 
 class RouteCalculator : public oc::Component, public IRouteCalculator {
  public:
-  /// Neighbourhood information comes from the MprState of `kit`'s "mpr" CF,
-  /// looked up on every recompute (a cross-CF direct-call binding in the
-  /// paper's terms, resolved at use so a restarted MPR CF is seen).
+  /// Neighbourhood information comes from the MprState of `kit`'s "mpr" CF
+  /// (a cross-CF direct-call binding in the paper's terms), resolved again
+  /// only when the kit's deployment or that CF's composition moves, so a
+  /// restarted MPR CF or a replaced S element is seen.
   explicit RouteCalculator(core::Manetkit& kit);
 
   void recompute(core::ProtocolContext& ctx) override;
 
  protected:
-  /// Cost of traversing intermediate node `via` (hop metric = 1.0). Read
-  /// once per node per recompute; it may depend only on `st` and `via`.
-  virtual double node_cost(const OlsrState& st, net::Addr via) const;
+  static constexpr std::uint32_t kNone = 0xFFFF'FFFFu;
 
-  core::Manetkit& kit_;
+  /// Sets hops_ and first_ (the first hop's index) of each index reachable
+  /// from self_, hops_ = kNone elsewhere. Hops: RFC 3626 §10's level-by-level
+  /// search, each level in index order, so parents are those of a
+  /// (dist, index)-ordered Dijkstra.
+  virtual void search(const OlsrState& st);
+
+  /// Calls fn(v) per directed edge u -> v, directed away from the node that
+  /// vouches for it (RFC 3626 §10: a bidirectional TC edge would let a
+  /// partitioned-away origin's stale TC resurrect a severed link): self ->
+  /// symmetric neighbour -> its 2-hop set minus self, origin -> advertised.
+  /// An address without an index is noted for recompute() and skipped.
+  template <class Fn>
+  void expand(std::uint32_t u, Fn&& fn);
+
+  // Every address met so far, sorted, so index order is address order (it
+  // decides tie-breaks and install order). Arrays indexed by it keep their
+  // capacity: a steady-state recompute allocates nothing.
+  std::vector<net::Addr> known_;
+  std::uint32_t self_ = kNone;
+  std::vector<std::uint32_t> hops_, first_;
 
  private:
-  void build_index(net::Addr self);
+  std::uint32_t index_of(net::Addr a);
 
-  // Dijkstra scratch, reused across recomputes: addresses are mapped onto a
-  // dense index space so distance/parent lookups are array reads and the
-  // whole computation performs no steady-state allocation (the capacity of
-  // every vector survives between calls).
-  std::vector<std::pair<net::Addr, net::Addr>> scratch_edges_;
-  std::vector<net::Addr> scratch_nodes_;  // sorted; position = dense index
-  std::vector<std::uint32_t> slots_;      // address hash table -> index
-  std::vector<std::uint32_t> adj_;        // CSR targets, grouped by source
-  std::vector<std::uint32_t> adj_start_;  // CSR offsets into adj_
-  std::vector<double> scratch_cost_;      // node_cost per dense index
-  std::vector<std::pair<double, std::uint32_t>> heap_;
-  std::vector<double> dist_;
-  std::vector<std::uint32_t> parent_;
-  std::vector<std::uint32_t> hops_;
+  core::Manetkit& kit_;
+  std::uint64_t deployment_ = 0, composition_ = 0;  // at the last lookup
+  core::ManetProtocolCf* mpr_ = nullptr;
+  const INeighborState* nbr_ = nullptr;
+  U64Table<std::uint32_t> index_;          // address -> index in known_
+  std::vector<net::Addr> unseen_;          // met without an index
+  std::vector<const std::vector<net::Addr>*> adv_;  // advertised set or null
+  std::vector<std::uint32_t> frontier_, next_;
 
   // Routes the last sync installed, sorted by dest, and the next sync's.
   struct Route {
@@ -85,7 +99,11 @@ class EnergyRouteCalculator final : public RouteCalculator {
   using RouteCalculator::RouteCalculator;
 
  protected:
-  double node_cost(const OlsrState& st, net::Addr via) const override;
+  void search(const OlsrState& st) override;
+
+ private:
+  std::vector<double> dist_;
+  std::vector<std::pair<double, std::uint32_t>> heap_;
 };
 
 }  // namespace mk::proto

@@ -113,6 +113,12 @@ class U64Table {
       if (keys_[i] != kEmptyKey) fn(keys_[i], vals_[i]);
     }
   }
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      if (keys_[i] != kEmptyKey) fn(keys_[i], vals_[i]);
+    }
+  }
 
  private:
   static constexpr std::size_t kNone = ~std::size_t{0};

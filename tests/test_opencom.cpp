@@ -2,6 +2,8 @@
 // with integrity rules, replace, nesting, and the architecture meta-model.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "opencom/cf.hpp"
 #include "opencom/component.hpp"
 
@@ -135,6 +137,39 @@ TEST(Cf, FindByInstanceName) {
   cf.insert(std::make_unique<Greeter>("hello", "TheGreeter"));
   EXPECT_NE(cf.find("TheGreeter"), nullptr);
   EXPECT_EQ(cf.find("Missing"), nullptr);
+}
+
+// provider<T>() caches its answer per composition: every insert, replace,
+// extract and remove must move composition() and be seen by the next call.
+TEST(Cf, ProviderFollowsEveryCompositionChange) {
+  ComponentFramework cf("test.CF");
+  std::uint64_t seen = cf.composition();
+  auto moved = [&] {
+    const std::uint64_t before = std::exchange(seen, cf.composition());
+    return before != seen;
+  };
+  EXPECT_EQ(cf.provider<IGreeter>(), nullptr);
+  cf.insert(std::make_unique<Component>("Plain"));
+  EXPECT_TRUE(moved());
+  EXPECT_EQ(cf.provider<IGreeter>(), nullptr) << "insert of a non-provider";
+  ComponentId id = cf.insert(std::make_unique<Greeter>("hi"));
+  EXPECT_TRUE(moved());
+  ASSERT_NE(cf.provider<IGreeter>(), nullptr) << "insert";
+  EXPECT_EQ(cf.provider<IGreeter>()->greet(), "hi");
+  EXPECT_EQ(cf.provider<Greeter>(), cf.member(id)) << "by class too";
+  id = cf.replace(id, std::make_unique<Greeter>("ho"));
+  EXPECT_TRUE(moved());
+  EXPECT_EQ(cf.provider<IGreeter>()->greet(), "ho") << "replace";
+  auto taken = cf.extract(id);
+  EXPECT_TRUE(moved());
+  EXPECT_EQ(cf.provider<IGreeter>(), nullptr) << "extract";
+  id = cf.insert(std::move(taken));
+  EXPECT_EQ(cf.provider<IGreeter>()->greet(), "ho");
+  cf.remove(id);
+  EXPECT_TRUE(moved());
+  EXPECT_EQ(cf.provider<IGreeter>(), nullptr) << "remove";
+  EXPECT_NE(cf.provider<Component>(), nullptr);
+  EXPECT_FALSE(moved()) << "lookups leave the composition alone";
 }
 
 TEST(Cf, QuiesceIsReentrant) {
