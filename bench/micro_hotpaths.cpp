@@ -362,7 +362,7 @@ BENCHMARK(BM_OlsrWorldSecond)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
 // Mobile-world stepping at scale: n nodes under RandomWaypoint on a field
 // sized for constant density (~5 neighbours/node at range 250), one
 // sim-second (10 x 100ms mobility steps) per iteration. BM_WorldSecond runs
-// the spatial-hash grid backend with incremental link tracking;
+// the spatial-hash grid backend (one grid sweep per step);
 // BM_WorldSecondRef reruns the identical seeded scenario on the exhaustive
 // O(n²) reference oracle. The /1000 pair is the ISSUE 7 acceptance bar
 // (grid >= 10x faster); pair_evals/link_flips counters come from the

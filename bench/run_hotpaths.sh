@@ -18,7 +18,9 @@
 # (BM_DymoLearn/0) and for a learn that replaces every route (/1).
 #
 # The report records its provenance: the build type and compiler of the
-# bench binary, the git SHA of the checkout, and the host's CPU count.
+# bench binary, the git SHA of the checkout, the host's CPU count, and the
+# size of src/ (non-comment and raw line counts, as table3_code_reuse from
+# the same build dir counts them).
 #
 # Usage: bench/run_hotpaths.sh [build-dir]
 set -euo pipefail
@@ -26,15 +28,19 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 bench_bin="$build_dir/bench/micro_hotpaths"
+table3_bin="$build_dir/bench/table3_code_reuse"
 
-if [[ ! -x "$bench_bin" ]]; then
-  echo "error: $bench_bin not built (cmake --build $build_dir --target micro_hotpaths)" >&2
-  exit 1
-fi
+for bin in "$bench_bin" "$table3_bin"; do
+  if [[ ! -x "$bin" ]]; then
+    echo "error: $bin not built (cmake --build $build_dir --target $(basename "$bin"))" >&2
+    exit 1
+  fi
+done
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 "$bench_bin" --benchmark_min_time=0.05 --benchmark_format=json > "$raw"
+src_size="$("$table3_bin" | tail -n 2)"
 
 git_sha="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)"
 if [[ -n "$(git -C "$repo_root" status --porcelain 2>/dev/null)" ]]; then
@@ -44,7 +50,7 @@ fi
 # Pre-zero-copy numbers (same bench, commit before the shared-payload / COW /
 # single-allocation-serialize change), kept here so the report always carries
 # its reference point.
-python3 - "$raw" "$repo_root/BENCH_hotpaths.json" "$git_sha" <<'EOF'
+python3 - "$raw" "$repo_root/BENCH_hotpaths.json" "$git_sha" "$src_size" <<'EOF'
 import json
 import os
 import sys
@@ -66,6 +72,9 @@ BASELINE_NS = {
 
 raw = json.load(open(sys.argv[1]))
 benches = raw.get("benchmarks", [])
+# table3_code_reuse's last two lines end in src/'s non-comment and raw line
+# counts.
+code_line, raw_line = sys.argv[4].splitlines()
 
 # Benchmarks declare their own display unit (the world-scale ones run in
 # milliseconds); normalise everything to nanoseconds so the *_ns columns
@@ -175,6 +184,8 @@ report = {
         "compiler": raw.get("context", {}).get("mk_compiler"),
         "git_sha": sys.argv[3],
         "nproc": os.cpu_count(),
+        "src_code_lines": int(code_line.split()[-1]),
+        "src_raw_lines": int(raw_line.split()[-1]),
     },
     "context": raw.get("context", {}),
     "results": results,

@@ -39,8 +39,9 @@ inline std::uint64_t next_version() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-/// Generic state access (the S element). Protocol-specific state interfaces
-/// (IOlsrState, INeighborState, ...) derive from this.
+/// Generic state access (the S element). Every S element implements this;
+/// protocol-specific state is read through the concrete class (OlsrState,
+/// NeighborTable, ...).
 struct IState : oc::Interface {
   virtual std::string describe() const = 0;
 };

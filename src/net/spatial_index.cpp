@@ -17,8 +17,6 @@ std::uint64_t SpatialGrid::key_of(Position p) const {
   return pack(cx, cy);
 }
 
-void SpatialGrid::clear() { cells_.clear(); }
-
 void SpatialGrid::insert(std::uint32_t slot, Position p) {
   cells_[key_of(p)].push_back(slot);
 }
@@ -38,18 +36,6 @@ void SpatialGrid::move(std::uint32_t slot, Position from, Position to) {
   if (key_of(from) == key_of(to)) return;
   erase(slot, from);
   insert(slot, to);
-}
-
-void SpatialGrid::gather(Position p, std::vector<std::uint32_t>& out) const {
-  auto cx = static_cast<std::int64_t>(std::floor(p.x * inv_cell_));
-  auto cy = static_cast<std::int64_t>(std::floor(p.y * inv_cell_));
-  for (std::int64_t dx = -1; dx <= 1; ++dx) {
-    for (std::int64_t dy = -1; dy <= 1; ++dy) {
-      auto it = cells_.find(pack(cx + dx, cy + dy));
-      if (it == cells_.end()) continue;
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
-  }
 }
 
 }  // namespace mk::net

@@ -1,14 +1,15 @@
 // Spatial-hash grid over node positions (the medium's topology core at
 // scale). Cell size equals the radio range, so any pair within range shares a
-// 3x3 cell neighbourhood: a 9-cell probe around a node is a complete
-// candidate set for its range query, turning the all-pairs O(n²) link scan
-// into O(n·k) for k nodes per neighbourhood.
+// cell or sits in adjacent cells: one sweep over each cell and its forward
+// neighbours (for_each_candidate_pair) is a complete candidate set for the
+// range test, turning the all-pairs O(n²) link scan into O(n·k) for k nodes
+// per neighbourhood.
 //
-// Determinism: cells are stored in an unordered_map and gather() returns
-// candidates in insertion order, which depends on movement history. Callers
-// that journal link flips must therefore sort the flips they derive before
-// applying them (topology.cpp sorts by (min addr, max addr)) — the *set* of
-// candidates is deterministic, only its order is not.
+// Determinism: cells are stored in an unordered_map, so the sweep visits
+// pairs in an order that depends on the hash layout and movement history.
+// Callers that journal link flips must therefore sort the flips they derive
+// before applying them (topology.cpp sorts by (min addr, max addr)) — the
+// *set* of candidate pairs is deterministic, only its order is not.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +25,6 @@ class SpatialGrid {
   /// `cell_size` must be >= the query range used against the grid.
   explicit SpatialGrid(double cell_size);
 
-  void clear();
-
   /// Registers `slot` at `p`. A slot lives in exactly one cell; insert twice
   /// only after an intervening erase/move.
   void insert(std::uint32_t slot, Position p);
@@ -35,10 +34,6 @@ class SpatialGrid {
 
   /// Relocates `slot`; a no-op when both positions land in the same cell.
   void move(std::uint32_t slot, Position from, Position to);
-
-  /// Appends every slot in the 9 cells around `p` to `out` (including the
-  /// querying slot itself, if registered). Does not clear `out`.
-  void gather(Position p, std::vector<std::uint32_t>& out) const;
 
   /// Visits every unordered slot pair that shares a cell or sits in adjacent
   /// cells — the complete candidate set for range queries — exactly once:

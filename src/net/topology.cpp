@@ -79,8 +79,8 @@ void apply_range_links(SimMedium& medium, std::span<SimNode* const> nodes,
   if (backend == TopologyBackend::kReference) {
     apply_range_links_reference(medium, nodes, range);
   } else {
-    // A transient tracker: construction runs rebuild(), which grid-indexes
-    // the nodes and synchronises every link from scratch.
+    // A transient tracker: construction grid-indexes the nodes and
+    // synchronises every link from scratch.
     RangeLinkTracker tracker(medium, nodes, range);
   }
 }
@@ -101,126 +101,47 @@ RangeLinkTracker::RangeLinkTracker(SimMedium& medium,
                                    double range)
     : medium_(medium),
       nodes_(nodes.begin(), nodes.end()),
-      range_(range),
       range2_(range * range),
-      grid_(range) {
+      grid_(range),
+      fresh_(nodes.size()) {
   MK_ASSERT(range > 0.0);
-  const std::size_t n = nodes_.size();
+  const auto n = static_cast<std::uint32_t>(nodes_.size());
   addr_.reserve(n);
-  for (const SimNode* node : nodes_) addr_.push_back(node->addr());
-  anchor_.resize(n);
-  dirty_.assign(n, 0);
-  mark_.assign(n, 0);
-  moved_flag_.assign(n, 0);
+  anchor_.reserve(n);
   slot_of_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
+    addr_.push_back(nodes_[i]->addr());
+    anchor_.push_back(nodes_[i]->position());
+    grid_.insert(i, anchor_[i]);
     auto [_, inserted] = slot_of_.emplace(addr_[i], i);
     MK_ASSERT(inserted, "duplicate node address in tracked set");
   }
-  rebuild();
-}
-
-void RangeLinkTracker::rebuild() {
-  grid_.clear();
-  const auto n = static_cast<std::uint32_t>(nodes_.size());
-  for (std::uint32_t i = 0; i < n; ++i) {
-    anchor_[i] = nodes_[i]->position();
-    grid_.insert(i, anchor_[i]);
-  }
-  for (std::uint32_t slot : moved_) moved_flag_[slot] = 0;
-  moved_.clear();
-  bulk_sync();
-}
-
-void RangeLinkTracker::note_moved(std::size_t slot) {
-  MK_ASSERT(slot < nodes_.size());
-  if (moved_flag_[slot] != 0) return;
-  moved_flag_[slot] = 1;
-  moved_.push_back(static_cast<std::uint32_t>(slot));
+  sync();
 }
 
 void RangeLinkTracker::update() {
-  if (moved_.empty()) return;
-  // Dirty = noted nodes that left their anchor. Ascending slot order
-  // makes the pair-ownership rule in evaluate_pair deterministic.
-  std::sort(moved_.begin(), moved_.end());
-  std::size_t kept = 0;
-  for (std::uint32_t slot : moved_) {
-    moved_flag_[slot] = 0;
-    Position cur = nodes_[slot]->position();
-    if (dist_sq(cur, anchor_[slot]) == 0.0) continue;
-    // Phase 1: relocate every dirty node in the grid before any evaluation,
-    // so each probe sees all post-move cells.
-    grid_.move(slot, anchor_[slot], cur);
-    anchor_[slot] = cur;
-    moved_[kept++] = slot;
+  bool moved = false;
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    const Position cur = nodes_[i]->position();
+    if (dist_sq(cur, anchor_[i]) == 0.0) continue;
+    grid_.move(i, anchor_[i], cur);
+    anchor_[i] = cur;
+    moved = true;
   }
-  moved_.resize(kept);
-  if (kept * 3 >= nodes_.size()) {
-    // Most of the fleet drifted (continuous mobility): a full half-
-    // neighbourhood sweep is cheaper than per-node incremental probes and
-    // produces the identical flip set.
-    moved_.clear();
-    bulk_sync();
-    return;
-  }
-  for (std::uint32_t slot : moved_) dirty_[slot] = 1;
-  for (std::uint32_t slot : moved_) evaluate_node(slot);
-  for (std::uint32_t slot : moved_) dirty_[slot] = 0;
-  moved_.clear();
-  apply_flips();
+  if (moved) sync();
 }
 
-void RangeLinkTracker::evaluate_node(std::uint32_t i) {
-  ++stamp_;
-  const Addr ai = addr_[i];
-  const Position pi = anchor_[i];
-  // One adjacency fetch per node; per-candidate linkedness is then a binary
-  // search over this contiguous span instead of a medium map walk per pair.
-  const std::span<const Addr> links = medium_.neighbors_of(ai);
-  cand_.clear();
-  grid_.gather(pi, cand_);
-  // Everything now within range sits in the 9-cell probe (cell size =
-  // range). Links that must *drop* can reach beyond it, so the node's
-  // current links are scanned as a second candidate source below.
-  for (std::uint32_t j : cand_) {
-    if (j == i) continue;
-    mark_[j] = stamp_;
-    bool linked = std::binary_search(links.begin(), links.end(), addr_[j]);
-    evaluate_pair(i, j, ai, pi, linked);
-  }
-  for (Addr nb : links) {
-    auto it = slot_of_.find(nb);
-    if (it == slot_of_.end()) continue;  // link outside the tracked set
-    std::uint32_t j = it->second;
-    if (mark_[j] == stamp_) continue;  // already probed via the grid
-    evaluate_pair(i, j, ai, pi, /*linked=*/true);
-  }
-}
-
-void RangeLinkTracker::evaluate_pair(std::uint32_t i, std::uint32_t j, Addr ai,
-                                     Position pi, bool linked) {
-  // Exactly-once per pair and update: when both endpoints are dirty the
-  // lower slot owns the pair (its probe ran first and saw j's new cell).
-  if (dirty_[j] != 0 && j < i) return;
-  ++pair_evals_;
-  bool in_range = dist_sq(pi, anchor_[j]) <= range2_;
-  if (linked == in_range) return;
-  flips_.push_back(make_flip(ai, addr_[j], in_range));
-}
-
-void RangeLinkTracker::bulk_sync() {
-  const auto n = static_cast<std::uint32_t>(nodes_.size());
-  if (fresh_.size() < n) fresh_.resize(n);
+void RangeLinkTracker::sync() {
   for (auto& v : fresh_) v.clear();
-  grid_.for_each_candidate_pair([this](std::uint32_t a, std::uint32_t b) {
-    ++pair_evals_;
+  std::uint64_t evals = 0;
+  grid_.for_each_candidate_pair([&](std::uint32_t a, std::uint32_t b) {
+    ++evals;
     if (dist_sq(anchor_[a], anchor_[b]) <= range2_) {
       fresh_[a].push_back(addr_[b]);
       fresh_[b].push_back(addr_[a]);
     }
   });
-  for (std::uint32_t i = 0; i < n; ++i) {
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     const Addr ai = addr_[i];
     std::vector<Addr>& now = fresh_[i];
     std::sort(now.begin(), now.end());
@@ -246,12 +167,7 @@ void RangeLinkTracker::bulk_sync() {
       }
     }
   }
-  apply_flips();
-}
-
-void RangeLinkTracker::apply_flips() {
-  medium_.pair_evals_counter().inc(pair_evals_);
-  pair_evals_ = 0;
+  medium_.pair_evals_counter().inc(evals);
   std::sort(flips_.begin(), flips_.end());
   for (const LinkFlip& f : flips_) medium_.set_link(f.a, f.b, f.up);
   flips_.clear();
@@ -277,12 +193,6 @@ void RangeMobilityBase::init_links() {
     topo::apply_range_links(medium_, nodes_, range_,
                             topo::TopologyBackend::kReference);
   }
-}
-
-void RangeMobilityBase::note_moved(std::size_t i) {
-  // The tracker filters no-op moves (unchanged position) itself, so every
-  // moved node is simply noted; the reference backend recomputes from scratch.
-  if (tracker_ != nullptr) tracker_->note_moved(i);
 }
 
 void RangeMobilityBase::sync_links() {
@@ -337,7 +247,6 @@ void RandomWaypoint::step(Duration dt) {
       nodes_[i]->set_position(
           {p.x + dx / dist * travel, p.y + dy / dist * travel});
     }
-    note_moved(i);
   }
   sync_links();
 }
@@ -396,7 +305,6 @@ void GaussMarkov::step(Duration dt) {
     p.x = std::clamp(p.x, 0.0, params_.width);
     p.y = std::clamp(p.y, 0.0, params_.height);
     nodes_[i]->set_position(p);
-    note_moved(i);
   }
   sync_links();
 }

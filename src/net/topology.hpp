@@ -8,9 +8,9 @@
 // backend-oracle pattern, applied to the medium):
 //
 //  * TopologyBackend::kGrid       — spatial-hash index (cell size = radio
-//                                   range): each node probes only its 9-cell
-//                                   neighbourhood plus its current links,
-//                                   O(n·k) pair tests per pass.
+//                                   range): one sweep tests each pair that
+//                                   shares or borders a cell, O(n·k) pair
+//                                   tests per pass.
 //  * TopologyBackend::kReference  — the original exhaustive O(n²) scan, kept
 //                                   as the conformance oracle.
 //
@@ -81,68 +81,42 @@ void random_geometric(SimMedium& medium, std::span<SimNode* const> nodes,
                       double w, double h, double range, Rng& rng,
                       TopologyBackend backend = TopologyBackend::kGrid);
 
-/// Incremental range-link maintenance over a fixed node set: the persistent
-/// form of apply_range_links(kGrid) for mobility stepping. Nodes are indexed
-/// by their position ("slot") in the vector handed to the constructor.
+/// Range-link maintenance over a fixed node set: the persistent form of
+/// apply_range_links(kGrid) for mobility stepping. Nodes are indexed by their
+/// position ("slot") in the vector handed to the constructor.
 ///
-/// Protocol per mobility step: mutate positions, note_moved() each node that
-/// moved, then update(). Only noted nodes that left their last-evaluated
-/// anchor are re-evaluated — each against its 9-cell grid neighbourhood plus
-/// its current links — so paused nodes cost nothing. The maintained links are
-/// exactly the reference backend's at every step.
+/// Protocol per mobility step: mutate positions, then update(). The grid
+/// index survives between steps (nodes that left their anchor are moved in
+/// it, not reinserted), and the links are re-derived by one sweep whenever
+/// any node moved. The maintained links are exactly the reference backend's
+/// at every step.
 class RangeLinkTracker {
  public:
+  /// Grid-indexes `nodes` at their current positions and synchronises every
+  /// link among them from scratch.
   RangeLinkTracker(SimMedium& medium, std::span<SimNode* const> nodes,
                    double range);
 
-  /// Re-anchors every node at its current position and synchronises all
-  /// links from scratch (grid-indexed; called by the constructor).
-  void rebuild();
-
-  /// Marks node `slot` as having moved since the last update()/rebuild().
-  void note_moved(std::size_t slot);
-
-  /// Re-evaluates links around every noted node that moved, applying
-  /// the resulting flips in (min addr, max addr) order.
+  /// Re-anchors every node that moved since the last update() and, if any
+  /// did, synchronises the links.
   void update();
 
-  double range() const { return range_; }
-  std::size_t size() const { return nodes_.size(); }
-
  private:
-  /// Evaluates one candidate pair (i, j); appends a flip if the link state
-  /// must change. `linked` is i's current adjacency verdict for j, resolved
-  /// by the caller from the span it fetched once per node. Skips pairs
-  /// already owned by an earlier dirty node.
-  void evaluate_pair(std::uint32_t i, std::uint32_t j, Addr ai, Position pi,
-                     bool linked);
-  /// Probes slot i's 9-cell neighbourhood and its current links.
-  void evaluate_node(std::uint32_t i);
-  /// Full resync: one half-neighbourhood sweep over the grid cells tests
-  /// every candidate pair exactly once, then each node's rebuilt neighbour
-  /// list is merge-diffed against the medium. Cheaper than per-node probes
-  /// when most of the fleet is dirty (no dedupe stamps, no teardown scans);
-  /// the flip set — and hence the journal — is identical.
-  void bulk_sync();
-  void apply_flips();
+  /// One half-neighbourhood sweep over the grid cells tests every candidate
+  /// pair exactly once; each node's rebuilt neighbour list is then
+  /// merge-diffed against the medium, and the flips are applied in
+  /// (min addr, max addr) order.
+  void sync();
 
   SimMedium& medium_;
   std::vector<SimNode*> nodes_;
   std::vector<Addr> addr_;  // addr_[slot] == nodes_[slot]->addr()
-  double range_;
   double range2_;
   SpatialGrid grid_;
-  std::vector<Position> anchor_;      // position at last link evaluation
-  std::vector<std::uint8_t> dirty_;   // re-evaluating this update
-  std::vector<std::uint64_t> mark_;   // per-slot probe stamp (pair dedupe)
-  std::uint64_t stamp_ = 0;
-  std::vector<std::uint32_t> moved_;  // noted slots, deduped via moved_flag_
-  std::vector<std::uint8_t> moved_flag_;
-  std::vector<std::uint32_t> cand_;   // gather scratch
-  std::vector<std::vector<Addr>> fresh_;  // bulk_sync neighbour-list scratch
+  std::vector<Position> anchor_;          // position at last link evaluation
+  std::vector<std::vector<Addr>> fresh_;  // sync neighbour-list scratch
   std::vector<LinkFlip> flips_;
   std::unordered_map<Addr, std::uint32_t> slot_of_;
-  std::uint64_t pair_evals_ = 0;
 };
 
 }  // namespace mk::net::topo
@@ -162,7 +136,7 @@ class MobilityModel {
 };
 
 /// Shared range-link maintenance for position-stepping models: under the
-/// grid backend an incremental RangeLinkTracker carries links across steps;
+/// grid backend a RangeLinkTracker carries the grid index across steps;
 /// under the reference backend every sync is a full O(n²) oracle recompute
 /// (bit-identical journal either way — the PR-7 conformance contract).
 class RangeMobilityBase : public MobilityModel {
@@ -176,9 +150,8 @@ class RangeMobilityBase : public MobilityModel {
   /// Builds the tracker (grid) or runs the first oracle pass (reference).
   /// Called by subclasses after initial placement.
   void init_links();
-  /// Marks node i moved this step (no-op under the reference backend).
-  void note_moved(std::size_t i);
-  /// Applies the accumulated flips / reruns the oracle.
+  /// Brings the links back in sync with the current positions (tracker
+  /// update / oracle rerun). Called by subclasses after each step's moves.
   void sync_links();
 
   SimMedium& medium_;
@@ -192,8 +165,8 @@ class RangeMobilityBase : public MobilityModel {
 
 /// Random-waypoint mobility: each node picks a waypoint, travels at a random
 /// speed, pauses, repeats. step(dt) advances positions and updates
-/// range-based adjacency on the medium — incrementally via a RangeLinkTracker
-/// under the grid backend, or with a full reference recompute as the oracle.
+/// range-based adjacency on the medium — via a RangeLinkTracker under the
+/// grid backend, or with a full reference recompute as the oracle.
 class RandomWaypoint : public RangeMobilityBase {
  public:
   struct Params {
@@ -232,7 +205,7 @@ class RandomWaypoint : public RangeMobilityBase {
 /// tunably smooth trajectories (alpha→1: near-linear; alpha→0: Brownian).
 /// Nodes reflect off the field boundary (heading and its mean are mirrored),
 /// so the fleet stays inside [0,width]×[0,height]. Link maintenance shares
-/// RandomWaypoint's incremental RangeLinkTracker path.
+/// RandomWaypoint's RangeLinkTracker path.
 class GaussMarkov : public RangeMobilityBase {
  public:
   struct Params {

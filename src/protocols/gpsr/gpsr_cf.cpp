@@ -91,7 +91,7 @@ class GreedyRouteHandler final : public core::EventHandler {
       MK_TRACE("gpsr", "no location for ", pbb::addr_to_string(dest));
       return false;
     }
-    INeighborState* ns = neighbor_state(kit_);
+    NeighborTable* ns = neighbor_state(kit_);
     if (ns == nullptr) return false;
 
     GpsrState& st = ctx.state_as<GpsrState>();

@@ -169,13 +169,11 @@ void enable_link_layer_feedback(core::Manetkit& kit,
   neighbor_cf.insert(std::make_unique<LinkLayerFeedback>(kit, neighbor_cf));
 }
 
-INeighborState* neighbor_state(core::ManetProtocolCf& cf) {
-  // Every neighbour S element is a NeighborTable: a downcast, not the
-  // costlier cross-cast to the interface.
+NeighborTable* neighbor_state(core::ManetProtocolCf& cf) {
   return dynamic_cast<NeighborTable*>(cf.state_component());
 }
 
-INeighborState* neighbor_state(core::Manetkit& kit, const std::string& unit) {
+NeighborTable* neighbor_state(core::Manetkit& kit, const std::string& unit) {
   core::ManetProtocolCf* cf = kit.protocol(unit);
   return cf == nullptr ? nullptr : neighbor_state(*cf);
 }

@@ -122,12 +122,12 @@ void register_neighbor(core::Manetkit& kit);
 void enable_link_layer_feedback(core::Manetkit& kit,
                                 core::ManetProtocolCf& neighbor_cf);
 
-/// Fetches the S element interface of a Neighbour Detection (or MPR) CF.
-INeighborState* neighbor_state(core::ManetProtocolCf& cf);
+/// Fetches the S element of a Neighbour Detection (or MPR) CF.
+NeighborTable* neighbor_state(core::ManetProtocolCf& cf);
 
 /// The same for `kit`'s deployed `unit`, looked up now (so a restarted CF
 /// is the live one); null while that CF is not deployed.
-INeighborState* neighbor_state(core::Manetkit& kit,
-                               const std::string& unit = "neighbor");
+NeighborTable* neighbor_state(core::Manetkit& kit,
+                              const std::string& unit = "neighbor");
 
 }  // namespace mk::proto

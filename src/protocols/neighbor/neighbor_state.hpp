@@ -20,25 +20,7 @@
 
 namespace mk::proto {
 
-struct INeighborState : core::IState {
-  virtual bool is_sym_neighbor(net::Addr a) const = 0;
-  /// Symmetric neighbours, sorted ascending. The reference stays valid until
-  /// the next table mutation — route/MPR recomputes read it in place instead
-  /// of copying (allocation-free steady state).
-  virtual const std::vector<net::Addr>& sym_neighbors() const = 0;
-  virtual std::vector<net::Addr> heard_neighbors() const = 0;
-  /// Symmetric neighbours of neighbour `n` (as reported in its HELLOs).
-  /// Same lifetime contract as sym_neighbors().
-  virtual const std::set<net::Addr>& two_hop_via(net::Addr n) const = 0;
-  /// Nodes exactly two hops away (reachable via some sym neighbour, not
-  /// neighbours themselves, not us).
-  virtual std::set<net::Addr> strict_two_hop(net::Addr self) const = 0;
-  /// Version stamp (core::next_version()), taken anew on every change to the
-  /// symmetric set, a 2-hop set or (MprState) a willingness.
-  virtual std::uint64_t version() const = 0;
-};
-
-class NeighborTable : public oc::Component, public INeighborState {
+class NeighborTable : public oc::Component, public core::IState {
  public:
   NeighborTable();
 
@@ -55,13 +37,22 @@ class NeighborTable : public oc::Component, public INeighborState {
   /// Forced removal (LOST link code); returns true if it was symmetric.
   bool remove(net::Addr a);
 
-  // -- INeighborState ---------------------------------------------------------------
-  bool is_sym_neighbor(net::Addr a) const override;
-  const std::vector<net::Addr>& sym_neighbors() const override;
-  std::vector<net::Addr> heard_neighbors() const override;
-  const std::set<net::Addr>& two_hop_via(net::Addr n) const override;
-  std::set<net::Addr> strict_two_hop(net::Addr self) const override;
-  std::uint64_t version() const override { return version_; }
+  // -- queries ---------------------------------------------------------------------
+  bool is_sym_neighbor(net::Addr a) const;
+  /// Symmetric neighbours, sorted ascending. The reference stays valid until
+  /// the next table mutation — route/MPR recomputes read it in place instead
+  /// of copying (allocation-free steady state).
+  const std::vector<net::Addr>& sym_neighbors() const;
+  std::vector<net::Addr> heard_neighbors() const;
+  /// Symmetric neighbours of neighbour `n` (as reported in its HELLOs).
+  /// Same lifetime contract as sym_neighbors().
+  const std::set<net::Addr>& two_hop_via(net::Addr n) const;
+  /// Nodes exactly two hops away (reachable via some sym neighbour, not
+  /// neighbours themselves, not us).
+  std::set<net::Addr> strict_two_hop(net::Addr self) const;
+  /// Version stamp (core::next_version()), taken anew on every change to the
+  /// symmetric set, a 2-hop set or (MprState) a willingness.
+  std::uint64_t version() const { return version_; }
   std::string describe() const override;
 
   /// Visits (addr, is_symmetric) for every tracked neighbour in address

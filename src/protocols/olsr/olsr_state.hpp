@@ -17,16 +17,9 @@
 
 namespace mk::proto {
 
-struct IOlsrState : oc::Interface {
-  /// Directed topology edges (origin -> advertised neighbour).
-  virtual std::vector<std::pair<net::Addr, net::Addr>> topology_edges() const = 0;
-  virtual std::size_t topology_size() const = 0;
-};
-
 class OlsrState : public oc::Component,
                   public core::IState,
-                  public core::IStateCodec,
-                  public IOlsrState {
+                  public core::IStateCodec {
  public:
   OlsrState();
 
@@ -51,14 +44,15 @@ class OlsrState : public oc::Component,
   /// Origins with live advertisements (expiry re-seeding after restart).
   std::vector<net::Addr> topology_origins() const;
 
-  std::vector<std::pair<net::Addr, net::Addr>> topology_edges() const override;
+  /// Directed topology edges (origin -> advertised neighbour).
+  std::vector<std::pair<net::Addr, net::Addr>> topology_edges() const;
   /// Visits (origin, advertised set) in origin order, copying nothing: the
   /// route search reads each origin's set in place.
   template <class Fn>
   void for_each_origin(Fn&& fn) const {
     for (const auto& [origin, e] : topology_) fn(origin, e.advertised);
   }
-  std::size_t topology_size() const override { return topology_.size(); }
+  std::size_t topology_size() const { return topology_.size(); }
 
   // -- sequence numbers ---------------------------------------------------------
   std::uint16_t next_msg_seq() { return msg_seq_++; }

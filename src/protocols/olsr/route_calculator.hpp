@@ -67,7 +67,7 @@ class RouteCalculator : public oc::Component, public IRouteCalculator {
   core::Manetkit& kit_;
   std::uint64_t deployment_ = 0, composition_ = 0;  // at the last lookup
   core::ManetProtocolCf* mpr_ = nullptr;
-  const INeighborState* nbr_ = nullptr;
+  const NeighborTable* nbr_ = nullptr;
   U64Table<std::uint32_t> index_;          // address -> index in known_
   std::vector<net::Addr> unseen_;          // met without an index
   std::vector<const std::vector<net::Addr>*> adv_;  // advertised set or null

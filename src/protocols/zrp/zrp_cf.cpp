@@ -12,7 +12,7 @@ namespace {
 /// symmetric neighbour reporting it. Returns hops (0 = not in zone).
 std::uint8_t zone_route(core::Manetkit& kit, net::Addr dest,
                         net::Addr& next_hop) {
-  INeighborState* ns = neighbor_state(kit);
+  NeighborTable* ns = neighbor_state(kit);
   if (ns == nullptr) return 0;
   if (ns->is_sym_neighbor(dest)) {
     next_hop = dest;
@@ -95,7 +95,7 @@ class ZoneMaintenance final : public core::PeriodicSource {
 
  private:
   void fire(core::ProtocolContext& ctx) override {
-    INeighborState* ns = neighbor_state(kit_);
+    NeighborTable* ns = neighbor_state(kit_);
     if (ns == nullptr || ctx.sys() == nullptr) return;
 
     std::set<net::Addr> zone;

@@ -1,7 +1,7 @@
 // Determinism and conformance for the Gauss–Markov mobility model and the
 // on-off traffic generator (scenario-matrix ISSUE).
 //
-// Gauss–Markov shares RandomWaypoint's incremental RangeLinkTracker path, so
+// Gauss–Markov shares RandomWaypoint's RangeLinkTracker path, so
 // it inherits the same acceptance bar: the grid backend must be bit-identical
 // to the O(n²) reference oracle (link sets and ordered journal digests at
 // every step), one seed must reproduce one trajectory exactly, and different
@@ -69,7 +69,7 @@ TEST(GaussMarkov, GridMatchesReferenceUnderMobility) {
       << "30s of Gauss-Markov motion must churn links";
   EXPECT_LT(grid_world.medium().stats().pair_evals,
             ref_world.medium().stats().pair_evals / 4)
-      << "incremental grid stepping must test far fewer pairs";
+      << "grid stepping must test far fewer pairs";
 }
 
 TEST(GaussMarkov, SameSeedReproducesDigest) {

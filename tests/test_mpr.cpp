@@ -333,7 +333,7 @@ TEST(MprCf, ChainSelectsMiddleAsMprAndRelaysTc) {
 
   // Node 2 must have heard node 0's TC (relayed by node 1 as its MPR).
   auto* olsr2 = world.kit(2).protocol("olsr");
-  auto* s2 = dynamic_cast<IOlsrState*>(olsr2->state_component());
+  auto* s2 = dynamic_cast<OlsrState*>(olsr2->state_component());
   ASSERT_NE(s2, nullptr);
   bool has_edge_from_0 = false;
   for (auto [origin, dest] : s2->topology_edges()) {

@@ -154,7 +154,7 @@ using RouteMap = std::map<net::Addr, std::pair<net::Addr, std::uint32_t>>;
 /// search over the explicit directed edge list (self -> symmetric
 /// neighbour, symmetric neighbour -> its 2-hop set minus self, TC origin ->
 /// advertised), each level expanded in address order.
-RouteMap reference_routes(net::Addr self, const INeighborState& nbr,
+RouteMap reference_routes(net::Addr self, const NeighborTable& nbr,
                           const OlsrState& st) {
   std::map<net::Addr, std::set<net::Addr>> edges;
   for (net::Addr n : nbr.sym_neighbors()) {
