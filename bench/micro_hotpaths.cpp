@@ -10,8 +10,10 @@
 // — are measurable, not just asserted.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 
 #include "core/manetkit.hpp"
@@ -19,6 +21,8 @@
 #include "net/node.hpp"
 #include "obs/journal.hpp"
 #include "protocols/dymo/dymo_cf.hpp"
+#include "protocols/dymo/multipath.hpp"
+#include "protocols/dymo/opt_flood.hpp"
 #include "protocols/hello_codec.hpp"
 #include "protocols/mpr/mpr_calculator.hpp"
 #include "protocols/olsr/olsr_cf.hpp"
@@ -608,6 +612,76 @@ void BM_DymoLearn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 9);
 }
 BENCHMARK(BM_DymoLearn)->Arg(0)->Arg(1);
+
+/// A 3x3 DYMO grid with supervision and checkpoint replication, warmed for
+/// 10 simulated seconds: the composition perfbench's reconfig_rwp100
+/// reconfigures, on a node (the centre) with four neighbours.
+std::unique_ptr<testbed::SimWorld> warm_reconfig_world() {
+  auto world = std::make_unique<testbed::SimWorld>(9, /*seed=*/42);
+  world->grid(3);
+  world->enable_supervision();
+  world->enable_replication();
+  world->deploy_all("dymo");
+  world->run_for(sec(10));
+  return world;
+}
+
+/// perfbench's rolling enactment schedule, one op per phase; op k leaves
+/// the node where op k+1 (mod 6) applies.
+void enact(core::Manetkit& kit, int op) {
+  switch (op) {
+    case 0: proto::apply_multipath_dymo(kit); break;
+    case 1: proto::remove_multipath_dymo(kit); break;
+    case 2: proto::apply_dymo_optimized_flooding(kit); break;
+    case 3: proto::remove_dymo_optimized_flooding(kit); break;
+    case 4: kit.switch_protocol("dymo", "aodv", false); break;
+    default: kit.switch_protocol("aodv", "dymo", false); break;
+  }
+}
+
+// One reconfiguration enactment: /k times op k of the rolling schedule on
+// the warm centre node. Each iteration runs the whole six-op cycle (with
+// 100 ms of simulated traffic after it) so every op meets the composition
+// it meets in the benchmark; only op k is timed and its allocations counted.
+void BM_Enactment(benchmark::State& state) {
+  auto world = warm_reconfig_world();
+  core::Manetkit& kit = world->kit(4);
+  const auto timed = static_cast<int>(state.range(0));
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    for (int op = 0; op < 6; ++op) {
+      if (op != timed) {
+        enact(kit, op);
+        continue;
+      }
+      AllocWindow window;
+      const auto t0 = std::chrono::steady_clock::now();
+      enact(kit, op);
+      state.SetIterationTime(std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count());
+      allocs += window.sample();
+    }
+    world->run_for(msec(100));
+  }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_Enactment)->DenseRange(0, 5)->UseManualTime();
+
+// The Framework Manager's binding derivation on the same warm node: every
+// enactment above runs it at least once. run_hotpaths.sh holds it at zero
+// allocations.
+void BM_Rebind(benchmark::State& state) {
+  auto world = warm_reconfig_world();
+  core::FrameworkManager& fm = world->kit(4).manager();
+  fm.rebind();
+  AllocWindow window;
+  for (auto _ : state) fm.rebind();
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(window.sample()), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_Rebind);
 
 void BM_MprSelection(benchmark::State& state) {
   // A dense neighbourhood: n neighbours, each covering a slice of 2n

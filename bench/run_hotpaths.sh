@@ -15,7 +15,9 @@
 # the medium to one scheduler event per broadcast: BM_BroadcastFanout/32
 # must run one timer fire per op and allocate nothing. A fifth holds DYMO's
 # learn path at zero allocations per op, both for a same-info refresh
-# (BM_DymoLearn/0) and for a learn that replaces every route (/1).
+# (BM_DymoLearn/0) and for a learn that replaces every route (/1). A sixth
+# holds the Framework Manager's binding derivation on a warm composition
+# (BM_Rebind) at zero allocations per op.
 #
 # The report records its provenance: the build type and compiler of the
 # bench binary, the git SHA of the checkout, the host's CPU count, and the
@@ -178,7 +180,14 @@ report = {
             "/0 replays it (every hop a same-info refresh, gated at zero "
             "allocations per op), /1 bumps every seqnum per iteration (every "
             "hop replaces its route and emits ROUTE_FOUND, also gated at zero "
-            "allocations per op).",
+            "allocations per op). "
+            "BM_Enactment/{0..5} times one op of perfbench's rolling "
+            "reconfiguration schedule (multipath apply/remove, optimised "
+            "flooding apply/remove, dymo->aodv, aodv->dymo) on the centre "
+            "node of a warm 3x3 DYMO grid with supervision and checkpoint "
+            "replication; each iteration runs the whole cycle, timing only "
+            "op k. BM_Rebind re-derives that node's event bindings (gated at "
+            "zero allocations per op).",
     "provenance": {
         "build_type": raw.get("context", {}).get("mk_build_type"),
         "compiler": raw.get("context", {}).get("mk_compiler"),
@@ -274,4 +283,16 @@ for name in ("BM_DymoLearn/0", "BM_DymoLearn/1"):
               "allocs/op (want 0)", file=sys.stderr)
         sys.exit(1)
 print("learn gate: BM_DymoLearn/0 and /1 at 0 allocs per op")
+
+# Rebind gate: re-deriving a warm composition's bindings refills the
+# per-type tables in place, so it allocates nothing.
+rebind = by_name.get("BM_Rebind")
+if rebind is None:
+    print("error: BM_Rebind missing from run", file=sys.stderr)
+    sys.exit(1)
+if rebind.get("allocs_per_op") != 0.0:
+    print(f"error: BM_Rebind measured {rebind.get('allocs_per_op')} "
+          "allocs/op (want 0)", file=sys.stderr)
+    sys.exit(1)
+print("rebind gate: BM_Rebind at 0 allocs per op")
 EOF

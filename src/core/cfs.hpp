@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -124,14 +123,15 @@ class EventHandler : public oc::Component {
  public:
   EventHandler(std::string name, const std::vector<std::string>& handled);
 
-  const std::set<ev::EventTypeId>& handles() const { return handles_; }
+  /// The event types handled, sorted and duplicate-free.
+  const std::vector<ev::EventTypeId>& handles() const { return handles_; }
 
   /// Processes one event. Guaranteed atomic w.r.t. other handlers of the
   /// same protocol and w.r.t. reconfiguration.
   virtual void handle(const ev::Event& event, ProtocolContext& ctx) = 0;
 
  protected:
-  std::set<ev::EventTypeId> handles_;
+  std::vector<ev::EventTypeId> handles_;
 };
 
 /// Plug-in event source, typically driven by a PeriodicTimer.

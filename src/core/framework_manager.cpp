@@ -97,47 +97,42 @@ void FrameworkManager::add_unit_rule(UnitRule rule) {
 
 void FrameworkManager::rebind() {
   auto lock = quiesce();
-  routes_.clear();
-
-  // Collect every event type any unit requires or provides. Quarantined
-  // units contribute nothing: their tuples are unbound, so the chains and
-  // exclusive-delivery designations below are recomputed over the survivors
-  // — the breaker's "route around it" step (ISSUE 5).
-  std::vector<ev::EventTypeId> all_types;
-  for (const auto& r : registrations_) {
-    if (quarantined_.count(r.unit) > 0) continue;
-    const auto& t = r.unit->tuple();
-    for (auto id : t.required) all_types.push_back(id);
-    for (auto id : t.provided) all_types.push_back(id);
+  for (Route& r : routes_) {
+    r.interposers.clear();
+    r.consumers.clear();
+    r.exclusive = nullptr;
   }
-  std::sort(all_types.begin(), all_types.end());
-  all_types.erase(std::unique(all_types.begin(), all_types.end()),
-                  all_types.end());
 
-  for (ev::EventTypeId type : all_types) {
-    Route route;
-    for (const auto& r : registrations_) {
-      if (quarantined_.count(r.unit) > 0) continue;
-      const auto& t = r.unit->tuple();
-      bool req = t.requires_type(type);
-      bool prov = t.provides(type);
-      if (req && prov) {
-        route.interposers.push_back(r);
-      } else if (req) {
-        route.consumers.push_back(r);
-        if (t.exclusive.count(type) > 0 && route.exclusive == nullptr) {
-          route.exclusive = r.unit;
+  // One pass in registration order. Quarantined units contribute nothing:
+  // their tuples are unbound, so the chains and exclusive-delivery
+  // designations are recomputed over the survivors — the circuit breaker's
+  // "route around it" step. A type that is only provided keeps an empty
+  // route.
+  for (const auto& reg : registrations_) {
+    if (is_quarantined(reg.unit)) continue;
+    const ev::EventTuple& t = reg.unit->tuple();
+    for (ev::EventTypeId type : t.required) {
+      if (type >= routes_.size()) routes_.resize(type + 1);
+      Route& route = routes_[type];
+      if (t.provides(type)) {
+        route.interposers.push_back(reg);
+      } else {
+        route.consumers.push_back(reg);
+        if (route.exclusive == nullptr && t.is_exclusive(type)) {
+          route.exclusive = reg.unit;
         }
       }
     }
-    // Interposer chain: descending layer; registration order as tiebreak so
-    // later-inserted variants (e.g. fish-eye) slot deterministically.
-    std::sort(route.interposers.begin(), route.interposers.end(),
+  }
+
+  // Interposer chain: descending layer; registration order as tiebreak so
+  // later-inserted variants (e.g. fish-eye) slot deterministically.
+  for (Route& r : routes_) {
+    std::sort(r.interposers.begin(), r.interposers.end(),
               [](const Registration& a, const Registration& b) {
                 if (a.layer != b.layer) return a.layer > b.layer;
                 return a.seq < b.seq;
               });
-    routes_.emplace(type, std::move(route));
   }
 }
 
@@ -150,8 +145,7 @@ void FrameworkManager::route(CfsUnit* emitter, ev::Event event) {
     auto lock = quiesce();
     // A quarantined unit's event sources may still be winding down; their
     // emissions must not leak into the live composition.
-    if (emitter != nullptr && quarantined_count_.load(std::memory_order_relaxed) != 0 &&
-        quarantined_.count(emitter) > 0) {
+    if (emitter != nullptr && is_quarantined(emitter)) {
       ++quarantine_drops_;
       if (quarantine_drop_ctr_ != nullptr) quarantine_drop_ctr_->inc();
       return;
@@ -174,9 +168,8 @@ void FrameworkManager::route(CfsUnit* emitter, ev::Event event) {
         emitter_hash = obs::fnv1a_str(emitter->unit_name());
       }
     }
-    auto it = routes_.find(event.type());
-    if (it != routes_.end()) {
-      const Route& r = it->second;
+    if (event.type() < routes_.size()) {
+      const Route& r = routes_[event.type()];
 
       // Position of the emitter in the interposer chain: events always flow
       // *down* the chain (to interposers at strictly lower layers than the
@@ -200,9 +193,8 @@ void FrameworkManager::route(CfsUnit* emitter, ev::Event event) {
       }
     }
     // Context concentrator: subscribers see every routed event of the type.
-    auto range = subscribers_.equal_range(event.type());
-    for (auto sit = range.first; sit != range.second; ++sit) {
-      sit->second(event);
+    if (event.type() < subscribers_.size()) {
+      for (const Subscriber& fn : subscribers_[event.type()]) fn(event);
     }
 
     if (journal_ != nullptr) {
@@ -328,7 +320,9 @@ void FrameworkManager::drain() {
 void FrameworkManager::subscribe(const std::string& event_name, Subscriber fn) {
   MK_ASSERT(fn != nullptr);
   auto lock = quiesce();
-  subscribers_.emplace(ev::etype(event_name), std::move(fn));
+  const ev::EventTypeId type = ev::etype(event_name);
+  if (type >= subscribers_.size()) subscribers_.resize(type + 1);
+  subscribers_[type].push_back(std::move(fn));
 }
 
 }  // namespace mk::core

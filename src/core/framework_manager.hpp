@@ -16,7 +16,10 @@
 //    the chain (the paper's loop-avoidance mechanism).
 //
 // Changing any unit's tuple at runtime triggers rebind() — the paper's
-// declarative reconfiguration-enactment method. The manager also hosts the
+// declarative reconfiguration-enactment method. Event-type ids are dense, so
+// the derived routes live in a vector indexed by type: rebind() empties them
+// in place and refills them in one pass over the registrations, and once
+// warm an enactment allocates nothing. The manager also hosts the
 // *context concentrator*: a façade through which higher-level (decision
 // making) software observes context events without knowing which sensor or
 // protocol produced them.
@@ -24,7 +27,6 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -133,10 +135,15 @@ class FrameworkManager : public oc::ComponentFramework {
   };
 
   struct Route {
-    std::vector<Registration> interposers;  // descending layer
-    std::vector<Registration> consumers;
+    std::vector<Registration> interposers;  // descending layer, then seq
+    std::vector<Registration> consumers;    // registration order
     CfsUnit* exclusive = nullptr;
   };
+
+  bool is_quarantined(const CfsUnit* unit) const {
+    return quarantined_count_.load(std::memory_order_relaxed) != 0 &&
+           quarantined_.count(unit) > 0;
+  }
 
   void dispatch(CfsUnit& target, ev::Event event);
   void check_unit_rules(const std::vector<CfsUnit*>& hypothetical) const;
@@ -149,9 +156,11 @@ class FrameworkManager : public oc::ComponentFramework {
   std::atomic<DispatchGuard*> guard_{nullptr};
   std::uint64_t quarantine_drops_ = 0;
   std::uint64_t next_seq_ = 1;
-  std::map<ev::EventTypeId, Route> routes_;
+  // Both indexed by event-type id; a type nobody registered reads as empty.
+  // rebind() keeps every Route's capacity.
+  std::vector<Route> routes_;
+  std::vector<std::vector<Subscriber>> subscribers_;
   std::vector<UnitRule> unit_rules_;
-  std::multimap<ev::EventTypeId, Subscriber> subscribers_;
   ConcurrencyModel model_ = ConcurrencyModel::kSingleThreaded;
   std::unique_ptr<Executor> executor_;
   std::uint64_t events_routed_ = 0;

@@ -31,23 +31,68 @@ ManetControlCf::ManetControlCf()
   });
 }
 
-void ManetControlCf::rebuild_registry() {
+oc::ComponentId ManetControlCf::add_handler(
+    std::unique_ptr<EventHandler> handler) {
   auto lock = quiesce();
-  registry_.clear();
-  for (oc::ComponentId id : members()) {
-    auto* handler = dynamic_cast<EventHandler*>(member(id));
-    if (handler == nullptr) continue;
-    for (ev::EventTypeId type : handler->handles()) {
-      registry_[type].push_back(handler);
-    }
+  EventHandler& raw = *handler;
+  oc::ComponentId id = insert(std::move(handler));
+  subscribe(id, raw);
+  return id;
+}
+
+oc::ComponentId ManetControlCf::replace_handler(
+    oc::ComponentId old_id, std::unique_ptr<EventHandler> handler) {
+  auto lock = quiesce();
+  EventHandler& raw = *handler;
+  // The old handler leaves the registry while it can still say what it
+  // handles, and returns to its place if the swap is refused.
+  auto* old = dynamic_cast<EventHandler*>(member(old_id));
+  if (old != nullptr) unsubscribe(*old);
+  oc::ComponentId id;
+  try {
+    id = replace(old_id, std::move(handler));
+  } catch (...) {
+    if (old != nullptr) subscribe(old_id, *old);
+    throw;
+  }
+  subscribe(id, raw);
+  return id;
+}
+
+void ManetControlCf::remove_handler(oc::ComponentId id) {
+  auto lock = quiesce();
+  auto* old = dynamic_cast<EventHandler*>(member(id));
+  if (old != nullptr) unsubscribe(*old);
+  try {
+    remove(id);
+  } catch (...) {
+    if (old != nullptr) subscribe(id, *old);
+    throw;
   }
 }
 
-const std::vector<EventHandler*>& ManetControlCf::handlers_for(
+void ManetControlCf::subscribe(oc::ComponentId id, EventHandler& handler) {
+  for (ev::EventTypeId type : handler.handles()) {
+    if (type >= registry_.size()) registry_.resize(type + 1);
+    auto& list = registry_[type];
+    auto at = std::find_if(list.begin(), list.end(),
+                           [id](const Subscription& s) { return s.id > id; });
+    list.insert(at, Subscription{id, &handler});
+  }
+}
+
+void ManetControlCf::unsubscribe(const EventHandler& handler) {
+  for (ev::EventTypeId type : handler.handles()) {
+    std::erase_if(registry_[type], [&](const Subscription& s) {
+      return s.handler == &handler;
+    });
+  }
+}
+
+const std::vector<ManetControlCf::Subscription>& ManetControlCf::handlers_for(
     ev::EventTypeId type) const {
-  static const std::vector<EventHandler*> kEmpty;
-  auto it = registry_.find(type);
-  return it == registry_.end() ? kEmpty : it->second;
+  static const std::vector<Subscription> kEmpty;
+  return type < registry_.size() ? registry_[type] : kEmpty;
 }
 
 std::vector<EventSource*> ManetControlCf::sources() const {
@@ -107,14 +152,18 @@ ManetProtocolCf::~ManetProtocolCf() {
 void ManetProtocolCf::deliver(const ev::Event& event) {
   auto lock = quiesce();  // the critical section of §4.4
   ++events_delivered_;
+  if (delivered_ctr_ == nullptr) {
+    delivered_ctr_ = &metrics_registry().counter("proto.events_delivered");
+  }
   delivered_ctr_->inc();
   // Snapshot the handler list: a handler may reconfigure the protocol
   // (replace handlers) while we iterate. Stack-local inline storage — a
   // delivery can reenter through emit(), and the few handlers per type fit
   // without touching the heap.
-  const std::vector<EventHandler*>& live = control_->handlers_for(event.type());
   InlinedVector<EventHandler*, 8> handlers;
-  for (EventHandler* h : live) handlers.push_back(h);
+  for (const auto& sub : control_->handlers_for(event.type())) {
+    handlers.push_back(sub.handler);
+  }
   for (std::size_t i = 0; i < handlers.size(); ++i) {
     handlers[i]->handle(event, ctx_);
   }
@@ -136,7 +185,7 @@ void ManetProtocolCf::declare_events(const std::vector<std::string>& required,
   t.provided = ev::EventTuple::ids(provided);
   t.exclusive = ev::EventTuple::ids(exclusive);
   for (ev::EventTypeId e : t.exclusive) {
-    MK_ASSERT(t.required.count(e) > 0, "exclusive must be a subset of required");
+    MK_ASSERT(t.requires_type(e), "exclusive must be a subset of required");
   }
   set_tuple(std::move(t));
 }
@@ -144,9 +193,7 @@ void ManetProtocolCf::declare_events(const std::vector<std::string>& required,
 oc::ComponentId ManetProtocolCf::add_handler(
     std::unique_ptr<EventHandler> handler) {
   auto lock = quiesce();
-  oc::ComponentId id = control_->insert(std::move(handler));
-  control_->rebuild_registry();
-  return id;
+  return control_->add_handler(std::move(handler));
 }
 
 oc::ComponentId ManetProtocolCf::replace_handler(
@@ -155,17 +202,14 @@ oc::ComponentId ManetProtocolCf::replace_handler(
   oc::ComponentId old_id = control_->find_id(name);
   MK_ENSURE(old_id != oc::kNoComponent,
             "no handler named " + std::string{name});
-  oc::ComponentId id = control_->replace(old_id, std::move(handler));
-  control_->rebuild_registry();
-  return id;
+  return control_->replace_handler(old_id, std::move(handler));
 }
 
 bool ManetProtocolCf::remove_handler(std::string_view name) {
   auto lock = quiesce();
   oc::ComponentId id = control_->find_id(name);
   if (id == oc::kNoComponent) return false;
-  control_->remove(id);
-  control_->rebuild_registry();
+  control_->remove_handler(id);
   return true;
 }
 
@@ -248,7 +292,7 @@ void ManetProtocolCf::stop() {
 void ManetProtocolCf::set_metrics(obs::MetricsRegistry* metrics) {
   auto lock = quiesce();
   metrics_ = metrics;
-  delivered_ctr_ = &metrics_registry().counter("proto.events_delivered");
+  delivered_ctr_ = nullptr;
 }
 
 void ManetProtocolCf::enable_dedicated_thread() {
@@ -307,8 +351,6 @@ obs::MetricsRegistry& ProtocolContext::metrics() {
 
 EventHandler::EventHandler(std::string name,
                            const std::vector<std::string>& handled)
-    : oc::Component(std::move(name)) {
-  for (const auto& type : handled) handles_.insert(ev::etype(type));
-}
+    : oc::Component(std::move(name)), handles_(ev::EventTuple::ids(handled)) {}
 
 }  // namespace mk::core

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,23 +35,39 @@ class FrameworkManager;
 
 /// Nested CF holding the C element machinery: plug-in Event Handlers and
 /// Event Sources, plus the Event Registry mapping event types to the
-/// handlers subscribed to them.
+/// handlers subscribed to them. The registry is a vector indexed by event
+/// type; each list is in component-id order, so a replacement (fresh id)
+/// runs last for its types. The handler operations below keep it current;
+/// the generic insert/replace/remove do not touch it.
 class ManetControlCf : public oc::ComponentFramework {
  public:
+  struct Subscription {
+    oc::ComponentId id;
+    EventHandler* handler;
+  };
+
   ManetControlCf();
 
-  /// Rebuilds the Event Registry from current members. Called by the owning
-  /// protocol after any handler mutation.
-  void rebuild_registry();
+  /// Inserts a handler and subscribes it to the types it handles.
+  oc::ComponentId add_handler(std::unique_ptr<EventHandler> handler);
+  /// Replaces member `old_id` with `handler` (fresh id). Throws, leaving the
+  /// composition and registry as they were, if an integrity rule rejects it.
+  oc::ComponentId replace_handler(oc::ComponentId old_id,
+                                  std::unique_ptr<EventHandler> handler);
+  /// Removes member `id`, unsubscribing it first if it is a handler.
+  void remove_handler(oc::ComponentId id);
 
-  /// Handlers subscribed to `type` (registry lookup).
-  const std::vector<EventHandler*>& handlers_for(ev::EventTypeId type) const;
+  /// Handlers subscribed to `type`, in component-id order.
+  const std::vector<Subscription>& handlers_for(ev::EventTypeId type) const;
 
   std::vector<EventSource*> sources() const;
   std::vector<EventHandler*> handlers() const;
 
  private:
-  std::map<ev::EventTypeId, std::vector<EventHandler*>> registry_;
+  void subscribe(oc::ComponentId id, EventHandler& handler);
+  void unsubscribe(const EventHandler& handler);
+
+  std::vector<std::vector<Subscription>> registry_;
 };
 
 class ManetProtocolCf : public oc::ComponentFramework, public CfsUnit {
@@ -177,7 +192,9 @@ class ManetProtocolCf : public oc::ComponentFramework, public CfsUnit {
   std::uint64_t events_delivered_ = 0;
   obs::MetricsRegistry own_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Counter* delivered_ctr_ = &own_metrics_.counter("proto.events_delivered");
+  // Resolved on the first delivery into the current registry, so building
+  // an instance interns nothing.
+  obs::Counter* delivered_ctr_ = nullptr;
 };
 
 }  // namespace mk::core

@@ -170,18 +170,15 @@ Manetkit::ReplaceReport Manetkit::replace_protocol(const std::string& from,
   deployment_ = next_version();
 
   ReplaceReport report;
-  metrics_.counter("fm.replace_attempts").inc();
+  replace_attempts_.inc();
   try {
     report.instance = instantiate(to, carried);
     report.committed = true;
     journal_reconfig(obs::ReconfigPhase::kCommit, from, to);
-    metrics_.counter("fm.replace_commits").inc();
+    replace_commits_.inc();
     // Split by outcome so recovery rungs are individually countable: an
     // in-place restart (same protocol back) vs a switch to another one.
-    metrics_
-        .counter(from == to ? "fm.replace_commits_inplace"
-                            : "fm.replace_commits_switch")
-        .inc();
+    (from == to ? replace_inplace_ : replace_switch_).inc();
     return report;
   } catch (const std::exception& e) {
     report.error = e.what();
@@ -193,7 +190,7 @@ Manetkit::ReplaceReport Manetkit::replace_protocol(const std::string& from,
   // element goes back in, so no protocol state is lost either.
   MK_WARN("manetkit", "replace ", from, " -> ", to, " failed (", report.error,
           "); rolling back");
-  metrics_.counter("fm.replace_rollbacks").inc();
+  replace_rollbacks_.inc();
   report.instance = instantiate(from, carried);  // throws if `from` is gone
   journal_reconfig(obs::ReconfigPhase::kRollback, from, to);
   return report;

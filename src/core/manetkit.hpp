@@ -203,6 +203,13 @@ class Manetkit {
 
   net::SimNode& node_;
   obs::MetricsRegistry metrics_;
+  // replace_protocol's counters ("fm.replace_*"), resolved once per kit.
+  obs::Counter& replace_attempts_ = metrics_.counter("fm.replace_attempts");
+  obs::Counter& replace_commits_ = metrics_.counter("fm.replace_commits");
+  obs::Counter& replace_inplace_ =
+      metrics_.counter("fm.replace_commits_inplace");
+  obs::Counter& replace_switch_ = metrics_.counter("fm.replace_commits_switch");
+  obs::Counter& replace_rollbacks_ = metrics_.counter("fm.replace_rollbacks");
   obs::Journal* journal_ = nullptr;
   std::unique_ptr<FrameworkManager> manager_;
   std::unique_ptr<SystemCf> system_;
@@ -211,6 +218,40 @@ class Manetkit {
   std::atomic<std::uint64_t> deployment_{next_version()};
   HealthProvider* health_ = nullptr;
   ReplicationControl* replication_ = nullptr;
+};
+
+/// The S element of `kit`'s deployed CF `unit` as a T, kept between calls
+/// and looked up again only when the kit's deployment or that CF's
+/// composition moves, so a restarted CF or a replaced S element is seen.
+/// get() is null while the CF is not deployed or its S element is no T.
+/// For plug-ins that read a sibling CF's state on every message.
+template <class T>
+class StateRef {
+ public:
+  StateRef(Manetkit& kit, std::string unit)
+      : kit_(kit), unit_(std::move(unit)) {}
+
+  T* get() {
+    if (deployment_ != kit_.deployment()) {
+      deployment_ = kit_.deployment();
+      cf_ = kit_.protocol(unit_);
+      state_ = nullptr;
+      composition_ = 0;
+    }
+    if (cf_ != nullptr &&
+        (state_ == nullptr || composition_ != cf_->composition())) {
+      composition_ = cf_->composition();
+      state_ = dynamic_cast<T*>(cf_->state_component());
+    }
+    return state_;
+  }
+
+ private:
+  Manetkit& kit_;
+  std::string unit_;
+  std::uint64_t deployment_ = 0, composition_ = 0;  // at the last lookup
+  ManetProtocolCf* cf_ = nullptr;
+  T* state_ = nullptr;
 };
 
 }  // namespace mk::core

@@ -272,20 +272,20 @@ ISysState& SystemCf::sys_state() { return *state_; }
 void SystemCf::refresh_tuple() {
   ev::EventTuple t;
   for (const auto& [_, binding] : msg_registry_) {
-    t.provided.insert(binding.in);
-    t.required.insert(binding.out);
+    ev::EventTuple::add(t.provided, binding.in);
+    ev::EventTuple::add(t.required, binding.out);
   }
   if (netlink_ != nullptr) {
-    t.provided.insert(ev::etype(ev::types::NO_ROUTE));
-    t.provided.insert(ev::etype(ev::types::ROUTE_UPDATE));
-    t.provided.insert(ev::etype(ev::types::SEND_ROUTE_ERR));
-    t.required.insert(route_found_);
+    ev::EventTuple::add(t.provided, ev::etype(ev::types::NO_ROUTE));
+    ev::EventTuple::add(t.provided, ev::etype(ev::types::ROUTE_UPDATE));
+    ev::EventTuple::add(t.provided, ev::etype(ev::types::SEND_ROUTE_ERR));
+    ev::EventTuple::add(t.required, route_found_);
   }
   if (power_timer_ != nullptr) {
-    t.provided.insert(ev::etype(ev::types::POWER_STATUS));
+    ev::EventTuple::add(t.provided, ev::etype(ev::types::POWER_STATUS));
   }
   if (linkq_timer_ != nullptr) {
-    t.provided.insert(ev::etype(ev::types::LINK_QUALITY));
+    ev::EventTuple::add(t.provided, ev::etype(ev::types::LINK_QUALITY));
   }
   tuple_ = std::move(t);
   if (manager_ != nullptr) manager_->rebind();

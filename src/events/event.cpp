@@ -113,10 +113,19 @@ pbb::Message& Event::mutable_msg() {
   return const_cast<pbb::Message&>(*msg_);
 }
 
-std::set<EventTypeId> EventTuple::ids(const std::vector<std::string>& names) {
-  std::set<EventTypeId> out;
-  for (const auto& n : names) out.insert(etype(n));
+std::vector<EventTypeId> EventTuple::ids(
+    const std::vector<std::string>& names) {
+  std::vector<EventTypeId> out;
+  out.reserve(names.size());
+  for (const auto& n : names) out.push_back(etype(n));
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+void EventTuple::add(std::vector<EventTypeId>& ids, EventTypeId t) {
+  auto it = std::lower_bound(ids.begin(), ids.end(), t);
+  if (it == ids.end() || *it != t) ids.insert(it, t);
 }
 
 }  // namespace mk::ev

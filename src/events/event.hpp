@@ -20,11 +20,11 @@
 // the Framework Manager derives bindings from these (see core/).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -206,16 +206,25 @@ class Event {
 /// The declarative composition contract of a CFS unit (§4.2): the set of
 /// event types it wants to receive, the set it can generate, and the subset
 /// of required events it wants *exclusively* (other requirers are then
-/// skipped — footnote 2 of the paper).
+/// skipped — footnote 2 of the paper). Each set is a sorted, duplicate-free
+/// vector of ids.
 struct EventTuple {
-  std::set<EventTypeId> required;
-  std::set<EventTypeId> provided;
-  std::set<EventTypeId> exclusive;
+  std::vector<EventTypeId> required;
+  std::vector<EventTypeId> provided;
+  std::vector<EventTypeId> exclusive;
 
-  bool requires_type(EventTypeId t) const { return required.count(t) > 0; }
-  bool provides(EventTypeId t) const { return provided.count(t) > 0; }
+  bool requires_type(EventTypeId t) const { return has(required, t); }
+  bool provides(EventTypeId t) const { return has(provided, t); }
+  bool is_exclusive(EventTypeId t) const { return has(exclusive, t); }
 
-  static std::set<EventTypeId> ids(const std::vector<std::string>& names);
+  /// The ids of `names`, sorted and duplicate-free.
+  static std::vector<EventTypeId> ids(const std::vector<std::string>& names);
+  /// Adds `t` to the sorted set `ids` unless it is already there.
+  static void add(std::vector<EventTypeId>& ids, EventTypeId t);
+  /// Whether the sorted set `ids` holds `t`.
+  static bool has(const std::vector<EventTypeId>& ids, EventTypeId t) {
+    return std::binary_search(ids.begin(), ids.end(), t);
+  }
 };
 
 }  // namespace mk::ev

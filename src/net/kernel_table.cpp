@@ -9,8 +9,7 @@ void KernelRouteTable::set_route(const RouteEntry& entry) {
   auto [it, inserted] = routes_.try_emplace(entry.dest, entry);
   if (!inserted) {
     RouteEntry& cur = it->second;
-    if (cur.next_hop == entry.next_hop && cur.metric == entry.metric &&
-        cur.iface == entry.iface) {
+    if (cur.next_hop == entry.next_hop && cur.metric == entry.metric) {
       return;  // identical reinstall: nothing to write, count or journal
     }
     cur = entry;

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "net/address.hpp"
@@ -22,7 +21,6 @@ namespace mk::net {
 struct RouteEntry {
   Addr dest = kNoAddr;
   Addr next_hop = kNoAddr;
-  std::string iface = "wlan0";
   std::uint32_t metric = 0;  // hop count
   TimePoint installed_at{};
 };
@@ -30,7 +28,7 @@ struct RouteEntry {
 class KernelRouteTable {
  public:
   /// Adds or replaces the route to `entry.dest`. Reinstalling a route with
-  /// the same next hop, metric and interface is a no-op: the stored entry
+  /// the same next hop and metric is a no-op: the stored entry
   /// (its `installed_at` included) stays as it was.
   void set_route(const RouteEntry& entry);
 
@@ -49,7 +47,7 @@ class KernelRouteTable {
   void clear();
 
   /// Monotonic change counter, bumped once per effective change: an install
-  /// that adds a route or moves its next hop, metric or interface, a removal,
+  /// that adds a route or moves its next hop or metric, a removal,
   /// or clearing a non-empty table. Identical reinstalls leave it alone, so
   /// an unchanged generation means an unchanged table — the OLSR route
   /// calculator's memo relies on that.

@@ -11,18 +11,17 @@ namespace {
 /// Relaying: only relay floods from neighbours that selected us as MPR.
 class OptFloodReHandler final : public ReHandler {
  public:
-  explicit OptFloodReHandler(core::Manetkit& kit)
-      : kit_(kit) {}
+  explicit OptFloodReHandler(core::Manetkit& kit) : mpr_(kit, "mpr") {}
 
  protected:
   bool should_relay_rreq(const ev::Event& event,
                          core::ProtocolContext&) override {
-    MprState* st = mpr_state(kit_);
+    MprState* st = mpr_.get();
     return st == nullptr || st->is_mpr_selector(event.from);
   }
 
  private:
-  core::Manetkit& kit_;
+  core::StateRef<MprState> mpr_;
 };
 
 }  // namespace

@@ -69,7 +69,8 @@ class GreedyRouteHandler final : public core::EventHandler {
   GreedyRouteHandler(LocationService locate, core::Manetkit& kit)
       : core::EventHandler("GreedyRouteHandler", {ev::types::NO_ROUTE}),
         locate_(std::move(locate)),
-        kit_(kit) {}
+        kit_(kit),
+        neighbors_(kit, "neighbor") {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     auto dest = static_cast<net::Addr>(event.attr(ev::IntAttr::dest));
@@ -91,7 +92,7 @@ class GreedyRouteHandler final : public core::EventHandler {
       MK_TRACE("gpsr", "no location for ", pbb::addr_to_string(dest));
       return false;
     }
-    NeighborTable* ns = neighbor_state(kit_);
+    NeighborTable* ns = neighbors_.get();
     if (ns == nullptr) return false;
 
     GpsrState& st = ctx.state_as<GpsrState>();
@@ -114,6 +115,7 @@ class GreedyRouteHandler final : public core::EventHandler {
  private:
   LocationService locate_;
   core::Manetkit& kit_;
+  core::StateRef<NeighborTable> neighbors_;
 };
 
 /// Re-evaluates greedy choices for active destinations (mobility!). Stale

@@ -173,9 +173,4 @@ NeighborTable* neighbor_state(core::ManetProtocolCf& cf) {
   return dynamic_cast<NeighborTable*>(cf.state_component());
 }
 
-NeighborTable* neighbor_state(core::Manetkit& kit, const std::string& unit) {
-  core::ManetProtocolCf* cf = kit.protocol(unit);
-  return cf == nullptr ? nullptr : neighbor_state(*cf);
-}
-
 }  // namespace mk::proto

@@ -125,9 +125,4 @@ void enable_link_layer_feedback(core::Manetkit& kit,
 /// Fetches the S element of a Neighbour Detection (or MPR) CF.
 NeighborTable* neighbor_state(core::ManetProtocolCf& cf);
 
-/// The same for `kit`'s deployed `unit`, looked up now (so a restarted CF
-/// is the live one); null while that CF is not deployed.
-NeighborTable* neighbor_state(core::Manetkit& kit,
-                              const std::string& unit = "neighbor");
-
 }  // namespace mk::proto

@@ -36,10 +36,10 @@ namespace {
 /// Builds and emits this node's TC (advertising its MPR-selector set),
 /// bumping the ANSN when the advertised set changed. Shared by the periodic
 /// generator and the triggered path. Returns false when there is nothing to
-/// advertise (and nothing was previously advertised).
-bool emit_tc(core::ProtocolContext& ctx, core::Manetkit& kit) {
+/// advertise (and nothing was previously advertised), or no MPR CF.
+bool emit_tc(core::ProtocolContext& ctx, core::StateRef<MprState>& mprs) {
   OlsrState& st = ctx.state_as<OlsrState>();
-  auto* mpr = mpr_state(kit);
+  MprState* mpr = mprs.get();
   if (mpr == nullptr) return false;
   std::set<net::Addr> selectors = mpr->mpr_selectors();
   if (selectors.empty() && st.last_advertised().empty()) return false;
@@ -70,12 +70,12 @@ class TcGenerator final : public core::PeriodicSource {
   explicit TcGenerator(core::Manetkit& kit)
       : core::PeriodicSource("TcGenerator", kTcInterval,
                              /*jitter=*/0.1, /*seed_offset=*/2),
-        kit_(kit) {}
+        mpr_(kit, "mpr") {}
 
  private:
-  void fire(core::ProtocolContext& ctx) override { emit_tc(ctx, kit_); }
+  void fire(core::ProtocolContext& ctx) override { emit_tc(ctx, mpr_); }
 
-  core::Manetkit& kit_;
+  core::StateRef<MprState> mpr_;
 };
 
 /// Applies received Topology Change messages to the topology set.
@@ -83,7 +83,7 @@ class TcHandler final : public core::EventHandler {
  public:
   TcHandler(core::Manetkit& kit, core::SoftExpiry::SetId topo_set)
       : core::EventHandler("TcHandler", {ev::types::TC_IN}),
-        kit_(kit),
+        mpr_(kit, "mpr"),
         topo_set_(topo_set) {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
@@ -95,7 +95,7 @@ class TcHandler final : public core::EventHandler {
     if (*msg.originator == ctx.self()) return;
 
     // RFC 3626: process TCs only from symmetric neighbours.
-    auto* mpr = mpr_state(kit_);
+    MprState* mpr = mpr_.get();
     if (mpr != nullptr && !mpr->is_sym_neighbor(event.from)) return;
 
     const auto* ansn_tlv = msg.find_tlv(wire::kTlvAnsn);
@@ -118,7 +118,7 @@ class TcHandler final : public core::EventHandler {
   }
 
  private:
-  core::Manetkit& kit_;
+  core::StateRef<MprState> mpr_;
   core::SoftExpiry::SetId topo_set_;
   obs::Counter* tc_in_ = nullptr;  // cached: interned once, then atomic inc
   std::vector<net::Addr> advertised_;  // per-TC scratch; capacity reused
@@ -139,14 +139,14 @@ class TopologyChangeHandler final : public core::EventHandler {
   explicit TopologyChangeHandler(core::Manetkit& kit)
       : core::EventHandler("TopologyChangeHandler",
                            {ev::types::NHOOD_CHANGE, ev::types::MPR_CHANGE}),
-        kit_(kit),
+        mpr_(kit, "mpr"),
         reemit_(kit.scheduler()) {}
 
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
     recompute_routes(ctx);
     if (event.type() != mpr_change_) return;
     if (ctx.now() - last_triggered_ >= kMinTriggeredGap) {
-      if (emit_tc(ctx, kit_)) {
+      if (emit_tc(ctx, mpr_)) {
         last_triggered_ = ctx.now();
         ctx.metrics().counter("olsr.triggered_tc").inc();
       }
@@ -154,15 +154,14 @@ class TopologyChangeHandler final : public core::EventHandler {
     // Coalesced follow-up re-emission (safe: the protocol CF outlives its
     // handlers only across replace, which cancels via OneShotTimer's dtor).
     core::ManetProtocolCf* proto = &ctx.protocol();
-    core::Manetkit* kit = &kit_;
-    reemit_.schedule(kReemitDelay, [proto, kit] {
+    reemit_.schedule(kReemitDelay, [this, proto] {
       auto lock = proto->quiesce();
-      emit_tc(proto->context(), *kit);
+      emit_tc(proto->context(), mpr_);
     });
   }
 
  private:
-  core::Manetkit& kit_;
+  core::StateRef<MprState> mpr_;
   const ev::EventTypeId mpr_change_ = ev::etype(ev::types::MPR_CHANGE);
   TimePoint last_triggered_{-10'000'000};
   OneShotTimer reemit_;

@@ -21,7 +21,7 @@ void reset(std::vector<T>& v, std::size_t n, T value) {
 }  // namespace
 
 RouteCalculator::RouteCalculator(core::Manetkit& kit)
-    : oc::Component("RouteCalculator"), kit_(kit) {}
+    : oc::Component("RouteCalculator"), mpr_(kit, "mpr") {}
 
 std::uint32_t RouteCalculator::index_of(net::Addr a) {
   if (const std::uint32_t* i = index_.find(a)) return *i;
@@ -49,16 +49,7 @@ void RouteCalculator::expand(std::uint32_t u, Fn&& fn) {
 
 void RouteCalculator::recompute(core::ProtocolContext& ctx) {
   OlsrState& st = ctx.state_as<OlsrState>();
-  if (deployment_ != kit_.deployment()) {
-    deployment_ = kit_.deployment();
-    mpr_ = kit_.protocol("mpr");
-    nbr_ = nullptr;
-  }
-  if (mpr_ != nullptr &&
-      (nbr_ == nullptr || composition_ != mpr_->composition())) {
-    composition_ = mpr_->composition();
-    nbr_ = mpr_->provider<MprState>();
-  }
+  nbr_ = mpr_.get();
   if (ctx.sys() == nullptr || nbr_ == nullptr) return;
   const net::KernelRouteTable& table = ctx.sys()->kernel_table();
   const net::Addr self = ctx.self();

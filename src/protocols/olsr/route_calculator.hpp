@@ -19,6 +19,8 @@
 
 namespace mk::proto {
 
+class MprState;
+
 struct IRouteCalculator : oc::Interface {
   /// Recomputes all routes and syncs the kernel table (writing new or changed
   /// routes, removing stale OLSR-owned ones). A no-op while `self`, both S
@@ -64,10 +66,8 @@ class RouteCalculator : public oc::Component, public IRouteCalculator {
  private:
   std::uint32_t index_of(net::Addr a);
 
-  core::Manetkit& kit_;
-  std::uint64_t deployment_ = 0, composition_ = 0;  // at the last lookup
-  core::ManetProtocolCf* mpr_ = nullptr;
-  const NeighborTable* nbr_ = nullptr;
+  core::StateRef<MprState> mpr_;
+  const NeighborTable* nbr_ = nullptr;  // mpr_'s, as of this recompute
   U64Table<std::uint32_t> index_;          // address -> index in known_
   std::vector<net::Addr> unseen_;          // met without an index
   std::vector<const std::vector<net::Addr>*> adv_;  // advertised set or null

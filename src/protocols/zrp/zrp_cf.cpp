@@ -1,5 +1,7 @@
 #include "protocols/zrp/zrp_cf.hpp"
 
+#include <algorithm>
+
 #include "protocols/neighbor/neighbor_cf.hpp"
 #include "util/log.hpp"
 
@@ -10,16 +12,15 @@ namespace {
 /// Zone lookup against the Neighbour Detection CF's S element:
 /// distance 1 -> next hop is the destination; distance 2 -> next hop is a
 /// symmetric neighbour reporting it. Returns hops (0 = not in zone).
-std::uint8_t zone_route(core::Manetkit& kit, net::Addr dest,
+std::uint8_t zone_route(const NeighborTable* ns, net::Addr dest,
                         net::Addr& next_hop) {
-  NeighborTable* ns = neighbor_state(kit);
   if (ns == nullptr) return 0;
   if (ns->is_sym_neighbor(dest)) {
     next_hop = dest;
     return 1;
   }
   for (net::Addr n : ns->sym_neighbors()) {
-    if (ns->two_hop_via(n).count(dest) > 0) {
+    if (std::ranges::binary_search(ns->two_hop_via(n), dest)) {
       next_hop = n;
       return 2;
     }
@@ -32,15 +33,14 @@ std::uint8_t zone_route(core::Manetkit& kit, net::Addr dest,
 /// re-flooding the query.
 class ZoneReHandler final : public ReHandler {
  public:
-  explicit ZoneReHandler(core::Manetkit& kit)
-      : kit_(kit) {}
+  explicit ZoneReHandler(core::Manetkit& kit) : neighbors_(kit, "neighbor") {}
 
  protected:
   bool should_relay_rreq(const ev::Event& event,
                          core::ProtocolContext& ctx) override {
     net::Addr target = rm::target(*event.msg());
     net::Addr hop = net::kNoAddr;
-    std::uint8_t dist = zone_route(kit_, target, hop);
+    std::uint8_t dist = zone_route(neighbors_.get(), target, hop);
     if (dist == 0) return true;  // target beyond our zone: keep flooding
 
     // Proxy reply: we vouch for the in-zone target. Sequence number 0
@@ -60,20 +60,20 @@ class ZoneReHandler final : public ReHandler {
   }
 
  private:
-  core::Manetkit& kit_;
+  core::StateRef<NeighborTable> neighbors_;
 };
 
 /// NO_ROUTE short-circuit: in-zone destinations are served proactively.
 class ZoneNoRouteHandler final : public NoRouteHandler {
  public:
   explicit ZoneNoRouteHandler(core::Manetkit& kit)
-      : NoRouteHandler(dymo_reactive()), kit_(kit) {}
+      : NoRouteHandler(dymo_reactive()), neighbors_(kit, "neighbor") {}
 
  protected:
   bool try_local_knowledge(net::Addr dest,
                            core::ProtocolContext& ctx) override {
     net::Addr hop = net::kNoAddr;
-    std::uint8_t dist = zone_route(kit_, dest, hop);
+    std::uint8_t dist = zone_route(neighbors_.get(), dest, hop);
     if (dist == 0) return false;
     ctx.set_route(dest, hop, dist);
     emit_route_found(ctx, dest);
@@ -82,7 +82,7 @@ class ZoneNoRouteHandler final : public NoRouteHandler {
   }
 
  private:
-  core::Manetkit& kit_;
+  core::StateRef<NeighborTable> neighbors_;
 };
 
 /// IARP: keeps kernel routes for every zone member installed and fresh.
@@ -91,11 +91,11 @@ class ZoneMaintenance final : public core::PeriodicSource {
   explicit ZoneMaintenance(core::Manetkit& kit)
       : core::PeriodicSource("ZoneMaintenance", kZrpZoneRefresh,
                              /*jitter=*/0.1, /*seed_offset=*/8),
-        kit_(kit) {}
+        neighbors_(kit, "neighbor") {}
 
  private:
   void fire(core::ProtocolContext& ctx) override {
-    NeighborTable* ns = neighbor_state(kit_);
+    NeighborTable* ns = neighbors_.get();
     if (ns == nullptr || ctx.sys() == nullptr) return;
 
     std::set<net::Addr> zone;
@@ -105,7 +105,7 @@ class ZoneMaintenance final : public core::PeriodicSource {
     }
     for (net::Addr t : ns->strict_two_hop(ctx.self())) {
       net::Addr hop = net::kNoAddr;
-      std::uint8_t dist = zone_route(kit_, t, hop);
+      std::uint8_t dist = zone_route(ns, t, hop);
       if (dist == 0) continue;
       zone.insert(t);
       ctx.set_route(t, hop, dist);
@@ -122,7 +122,7 @@ class ZoneMaintenance final : public core::PeriodicSource {
     installed_ = std::move(zone);
   }
 
-  core::Manetkit& kit_;
+  core::StateRef<NeighborTable> neighbors_;
   std::set<net::Addr> installed_;
 };
 

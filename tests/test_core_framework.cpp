@@ -4,14 +4,19 @@
 // models and the context concentrator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
+#include <map>
+#include <set>
 #include <thread>
 
 #include "core/framework_manager.hpp"
 #include "core/manet_protocol.hpp"
 #include "net/medium.hpp"
 #include "net/node.hpp"
+#include "util/rng.hpp"
 #include "util/scheduler.hpp"
 
 namespace mk::core {
@@ -188,6 +193,192 @@ TEST(FrameworkManager, EventsRoutedCounterAdvances) {
   auto before = f.manager.events_routed();
   p->emit(ev::Event(ev::etype("EVT_N")));
   EXPECT_EQ(f.manager.events_routed(), before + 1);
+}
+
+/// A bare CFS unit whose tuple the test sets directly and whose deliveries
+/// land in a shared log, so route()'s targets can be read off in order.
+class StubUnit final : public CfsUnit {
+ public:
+  StubUnit(std::string name, std::vector<const CfsUnit*>* log)
+      : name_(std::move(name)), log_(log) {}
+  const std::string& unit_name() const override { return name_; }
+  const ev::EventTuple& tuple() const override { return tuple_; }
+  void deliver(const ev::Event&) override { log_->push_back(this); }
+  ev::EventTuple tuple_;
+
+ private:
+  std::string name_;
+  std::vector<const CfsUnit*>* log_;
+};
+
+/// The binding derivation as a per-type std::map rebuilt from scratch: the
+/// reference the dense tables must reproduce.
+struct RefRegistration {
+  const CfsUnit* unit;
+  int layer;
+  std::uint64_t seq;
+};
+
+struct RefRoute {
+  std::vector<RefRegistration> interposers;
+  std::vector<RefRegistration> consumers;
+  const CfsUnit* exclusive = nullptr;
+};
+
+std::map<ev::EventTypeId, RefRoute> reference_routes(
+    const std::vector<RefRegistration>& regs,
+    const std::set<const CfsUnit*>& quarantined) {
+  std::set<ev::EventTypeId> all_types;
+  for (const auto& r : regs) {
+    if (quarantined.count(r.unit) > 0) continue;
+    const auto& t = r.unit->tuple();
+    all_types.insert(t.required.begin(), t.required.end());
+    all_types.insert(t.provided.begin(), t.provided.end());
+  }
+  std::map<ev::EventTypeId, RefRoute> routes;
+  for (ev::EventTypeId type : all_types) {
+    RefRoute route;
+    for (const auto& r : regs) {
+      if (quarantined.count(r.unit) > 0) continue;
+      const auto& t = r.unit->tuple();
+      const bool req = t.requires_type(type);
+      const bool prov = t.provides(type);
+      if (req && prov) {
+        route.interposers.push_back(r);
+      } else if (req) {
+        route.consumers.push_back(r);
+        const bool excl = std::find(t.exclusive.begin(), t.exclusive.end(),
+                                    type) != t.exclusive.end();
+        if (excl && route.exclusive == nullptr) route.exclusive = r.unit;
+      }
+    }
+    std::sort(route.interposers.begin(), route.interposers.end(),
+              [](const RefRegistration& a, const RefRegistration& b) {
+                if (a.layer != b.layer) return a.layer > b.layer;
+                return a.seq < b.seq;
+              });
+    routes.emplace(type, std::move(route));
+  }
+  return routes;
+}
+
+/// The targets the reference derivation sends `emitter`'s event of `type` to.
+std::vector<const CfsUnit*> reference_targets(
+    const std::map<ev::EventTypeId, RefRoute>& routes,
+    const std::vector<RefRegistration>& regs,
+    const std::set<const CfsUnit*>& quarantined, const CfsUnit* emitter,
+    ev::EventTypeId type) {
+  std::vector<const CfsUnit*> out;
+  if (emitter != nullptr && quarantined.count(emitter) > 0) return out;
+  int emitter_layer = std::numeric_limits<int>::max();
+  for (const auto& r : regs) {
+    if (r.unit == emitter) emitter_layer = r.layer;
+  }
+  auto it = routes.find(type);
+  if (it == routes.end()) return out;
+  const RefRoute& route = it->second;
+  for (const auto& i : route.interposers) {
+    if (i.unit != emitter && i.layer < emitter_layer) {
+      out.push_back(i.unit);
+      return out;
+    }
+  }
+  if (route.exclusive != nullptr) {
+    if (route.exclusive != emitter) out.push_back(route.exclusive);
+    return out;
+  }
+  for (const auto& c : route.consumers) {
+    if (c.unit != emitter) out.push_back(c.unit);
+  }
+  return out;
+}
+
+TEST(FrameworkManager, RebindMatchesReferenceDerivation) {
+  constexpr std::size_t kUnits = 8;
+  constexpr std::size_t kTypes = 6;
+  std::vector<ev::EventTypeId> types;
+  for (std::size_t i = 0; i < kTypes; ++i) {
+    types.push_back(ev::etype("REF_T" + std::to_string(i)));
+  }
+  std::sort(types.begin(), types.end());
+
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    std::vector<const CfsUnit*> log;
+    std::vector<std::unique_ptr<StubUnit>> units;
+    for (std::size_t i = 0; i < kUnits; ++i) {
+      units.push_back(
+          std::make_unique<StubUnit>("u" + std::to_string(i), &log));
+    }
+    auto random_tuple = [&] {
+      ev::EventTuple t;
+      for (ev::EventTypeId type : types) {
+        const bool req = rng.bernoulli(0.5);
+        if (req) t.required.push_back(type);
+        if (rng.bernoulli(0.3)) t.provided.push_back(type);
+        if (req && rng.bernoulli(0.3)) t.exclusive.push_back(type);
+      }
+      return t;
+    };
+    for (auto& u : units) u->tuple_ = random_tuple();
+
+    FrameworkManager manager;
+    std::vector<RefRegistration> regs;
+    std::set<const CfsUnit*> quarantined;
+    std::uint64_t next_seq = 1;
+    auto registered = [&](const CfsUnit* u) {
+      return std::any_of(regs.begin(), regs.end(),
+                         [u](const RefRegistration& r) { return r.unit == u; });
+    };
+
+    for (int step = 0; step < 60; ++step) {
+      StubUnit* u = units[rng.uniform_int(0, kUnits - 1)].get();
+      switch (rng.uniform_int(0, 3)) {
+        case 0:  // register, or deregister a registered unit
+          if (!registered(u)) {
+            const int layer = static_cast<int>(rng.uniform_int(0, 3)) * 10;
+            manager.register_unit(u, layer);
+            regs.push_back({u, layer, next_seq++});
+          } else {
+            manager.deregister_unit(u);
+            std::erase_if(regs,
+                          [u](const RefRegistration& r) { return r.unit == u; });
+            quarantined.erase(u);
+          }
+          break;
+        case 1:  // a new tuple, then the rebind set_tuple() would trigger
+          u->tuple_ = random_tuple();
+          manager.rebind();
+          break;
+        default: {  // quarantine toggle; a no-op on unregistered units
+          const bool on = quarantined.count(u) == 0;
+          manager.set_quarantined(u, on);
+          if (registered(u)) {
+            if (on) {
+              quarantined.insert(u);
+            } else {
+              quarantined.erase(u);
+            }
+          }
+          break;
+        }
+      }
+
+      const auto routes = reference_routes(regs, quarantined);
+      std::vector<CfsUnit*> emitters{nullptr};
+      for (auto& unit : units) emitters.push_back(unit.get());
+      for (CfsUnit* emitter : emitters) {
+        for (ev::EventTypeId type : types) {
+          log.clear();
+          manager.route(emitter, ev::Event(type));
+          EXPECT_EQ(log, reference_targets(routes, regs, quarantined, emitter,
+                                           type))
+              << "seed " << seed << " step " << step << " type "
+              << ev::EventTypeRegistry::instance().name(type);
+        }
+      }
+    }
+  }
 }
 
 TEST(Concurrency, ThreadedModelsDeliverEverything) {

@@ -170,6 +170,64 @@ TEST(ManetProtocol, HandlerReplaceUpdatesRegistry) {
   EXPECT_EQ(log2.size(), 1u);
 }
 
+/// Logs its tag per delivery. The tag is apart from the plug-in name, so a
+/// replacement under the same name is told apart from the original.
+class TagHandler final : public EventHandler {
+ public:
+  TagHandler(std::string name, std::string tag,
+             std::vector<std::string> types, std::vector<std::string>* log)
+      : EventHandler(std::move(name), types), tag_(std::move(tag)), log_(log) {}
+  void handle(const ev::Event&, ProtocolContext&) override {
+    log_->push_back(tag_);
+  }
+
+ private:
+  std::string tag_;
+  std::vector<std::string>* log_;
+};
+
+TEST(ManetControl, RegistryOrderFollowsHandlerMutations) {
+  KitFixture f;
+  ManetProtocolCf cf("p", f.sched, 1, nullptr);
+  std::vector<std::string> log;
+  auto handler = [&](std::string name, std::string tag,
+                     std::vector<std::string> types) {
+    return std::make_unique<TagHandler>(std::move(name), std::move(tag),
+                                        std::move(types), &log);
+  };
+  auto deliver = [&](const char* type) {
+    log.clear();
+    cf.deliver(ev::Event(ev::etype(type)));
+    return log;
+  };
+  using Tags = std::vector<std::string>;
+
+  cf.add_handler(handler("a", "a", {"REG_X", "REG_Y"}));
+  cf.add_handler(handler("b", "b", {"REG_X"}));
+  cf.add_handler(handler("c", "c", {"REG_X", "REG_Y"}));
+  EXPECT_EQ(deliver("REG_X"), (Tags{"a", "b", "c"}));
+  EXPECT_EQ(deliver("REG_Y"), (Tags{"a", "c"}));
+
+  // A replacement takes a fresh component id, so it runs last for its types
+  // and leaves the types it no longer handles.
+  cf.replace_handler("a", handler("a", "a2", {"REG_X"}));
+  EXPECT_EQ(deliver("REG_X"), (Tags{"b", "c", "a2"}));
+  EXPECT_EQ(deliver("REG_Y"), (Tags{"c"}));
+
+  EXPECT_TRUE(cf.remove_handler("b"));
+  EXPECT_EQ(deliver("REG_X"), (Tags{"c", "a2"}));
+
+  cf.add_handler(handler("d", "d", {"REG_Y"}));
+  EXPECT_EQ(deliver("REG_Y"), (Tags{"c", "d"}));
+
+  // A refused replacement (its name collides with "d") leaves every type's
+  // handlers, and their order, as they were.
+  EXPECT_THROW(cf.replace_handler("c", handler("d", "c2", {"REG_X"})),
+               std::logic_error);
+  EXPECT_EQ(deliver("REG_X"), (Tags{"c", "a2"}));
+  EXPECT_EQ(deliver("REG_Y"), (Tags{"c", "d"}));
+}
+
 TEST(ManetProtocol, RemoveHandlerStopsDelivery) {
   KitFixture f;
   ManetProtocolCf cf("p", f.sched, 1, nullptr);
@@ -252,7 +310,7 @@ TEST(SystemCf, SysStateExposesKernelAndDevices) {
   EXPECT_EQ(sys.sys_state().list_devices(),
             std::vector<std::string>{"wlan0"});
   sys.sys_state().kernel_table().set_route(
-      net::RouteEntry{99, 98, "wlan0", 1, {}});
+      net::RouteEntry{99, 98, 1, {}});
   EXPECT_TRUE(world.node(0).kernel_table().lookup(99).has_value());
 }
 
@@ -288,7 +346,7 @@ TEST(SystemCf, NetlinkBuffersAndReinjects) {
 
   // Install the route and signal ROUTE_FOUND: buffered packet re-injected.
   world.node(0).kernel_table().set_route(
-      net::RouteEntry{world.addr(1), world.addr(1), "wlan0", 1, {}});
+      net::RouteEntry{world.addr(1), world.addr(1), 1, {}});
   ev::Event found(ev::types::ROUTE_FOUND);
   found.set_attr(ev::IntAttr::dest, world.addr(1));
   kit.system().deliver(found);

@@ -268,7 +268,7 @@ TEST(MediumBroadcast, DeclinedThrowReachesTheDriverOnceAndTheRestStayPending) {
 
 TEST(KernelTable, SetLookupRemove) {
   KernelRouteTable table;
-  table.set_route(RouteEntry{10, 20, "wlan0", 2, {}});
+  table.set_route(RouteEntry{10, 20, 2, {}});
   ASSERT_TRUE(table.lookup(10).has_value());
   EXPECT_EQ(table.lookup(10)->next_hop, 20u);
   EXPECT_FALSE(table.lookup(11).has_value());
@@ -279,9 +279,9 @@ TEST(KernelTable, SetLookupRemove) {
 TEST(KernelTable, DestsViaAndGeneration) {
   KernelRouteTable table;
   auto gen0 = table.generation();
-  table.set_route(RouteEntry{10, 99, "wlan0", 1, {}});
-  table.set_route(RouteEntry{11, 99, "wlan0", 2, {}});
-  table.set_route(RouteEntry{12, 50, "wlan0", 1, {}});
+  table.set_route(RouteEntry{10, 99, 1, {}});
+  table.set_route(RouteEntry{11, 99, 2, {}});
+  table.set_route(RouteEntry{12, 50, 1, {}});
   EXPECT_EQ(table.dests_via(99).size(), 2u);
   EXPECT_GT(table.generation(), gen0);
 }
@@ -290,16 +290,16 @@ TEST(KernelTable, IdenticalReinstallIsNoOp) {
   obs::Journal journal;
   KernelRouteTable table;
   table.set_journal(&journal, 1, nullptr);
-  table.set_route(RouteEntry{10, 20, "wlan0", 2, TimePoint{5}});
+  table.set_route(RouteEntry{10, 20, 2, TimePoint{5}});
   const auto gen = table.generation();
   const auto records = journal.total();
 
-  table.set_route(RouteEntry{10, 20, "wlan0", 2, TimePoint{9}});
+  table.set_route(RouteEntry{10, 20, 2, TimePoint{9}});
   EXPECT_EQ(table.generation(), gen);
   EXPECT_EQ(journal.total(), records);
   EXPECT_EQ(table.lookup(10)->installed_at, TimePoint{5}) << "not rewritten";
 
-  table.set_route(RouteEntry{10, 20, "wlan0", 3, TimePoint{9}});
+  table.set_route(RouteEntry{10, 20, 3, TimePoint{9}});
   EXPECT_EQ(table.generation(), gen + 1);
   EXPECT_EQ(journal.total(), records + 1);
   EXPECT_EQ(table.lookup(10)->metric, 3u);
@@ -311,8 +311,8 @@ TEST(Forwarding, DeliversLocallyAcrossTwoHops) {
   SimNode a(0, medium, sched), b(1, medium, sched), c(2, medium, sched);
   topo::linear(medium, std::vector<Addr>{a.addr(), b.addr(), c.addr()});
 
-  a.kernel_table().set_route(RouteEntry{c.addr(), b.addr(), "wlan0", 2, {}});
-  b.kernel_table().set_route(RouteEntry{c.addr(), c.addr(), "wlan0", 1, {}});
+  a.kernel_table().set_route(RouteEntry{c.addr(), b.addr(), 2, {}});
+  b.kernel_table().set_route(RouteEntry{c.addr(), c.addr(), 1, {}});
 
   EXPECT_TRUE(a.forwarding().send(c.addr(), 100));
   sched.run_all();
@@ -343,7 +343,7 @@ TEST(Forwarding, NoRouteWithoutHookDrops) {
 
 TEST(Forwarding, SendFailureHookFiresOnBrokenLink) {
   TwoNodes t;
-  t.a.kernel_table().set_route(RouteEntry{t.b.addr(), t.b.addr(), "wlan0", 1, {}});
+  t.a.kernel_table().set_route(RouteEntry{t.b.addr(), t.b.addr(), 1, {}});
   Addr broken = kNoAddr;
   ForwardingEngine::Hooks hooks;
   hooks.on_send_failure = [&](const DataHeader&, Addr hop) { broken = hop; };
@@ -357,8 +357,8 @@ TEST(Forwarding, TtlExpiryDrops) {
   SimMedium medium(sched);
   SimNode a(0, medium, sched), b(1, medium, sched), c(2, medium, sched);
   topo::linear(medium, std::vector<Addr>{a.addr(), b.addr(), c.addr()});
-  a.kernel_table().set_route(RouteEntry{c.addr(), b.addr(), "wlan0", 2, {}});
-  b.kernel_table().set_route(RouteEntry{c.addr(), c.addr(), "wlan0", 1, {}});
+  a.kernel_table().set_route(RouteEntry{c.addr(), b.addr(), 2, {}});
+  b.kernel_table().set_route(RouteEntry{c.addr(), c.addr(), 1, {}});
 
   EXPECT_TRUE(a.forwarding().send(c.addr(), 10, /*ttl=*/1));
   sched.run_all();
@@ -369,7 +369,7 @@ TEST(Forwarding, TtlExpiryDrops) {
 TEST(Forwarding, RouteUsedHookFires) {
   TwoNodes t;
   t.medium.set_link(t.a.addr(), t.b.addr(), true);
-  t.a.kernel_table().set_route(RouteEntry{t.b.addr(), t.b.addr(), "wlan0", 1, {}});
+  t.a.kernel_table().set_route(RouteEntry{t.b.addr(), t.b.addr(), 1, {}});
   Addr used = kNoAddr;
   ForwardingEngine::Hooks hooks;
   hooks.on_route_used = [&](Addr d) { used = d; };

@@ -79,7 +79,7 @@ TEST(Traffic, CbrFlowDeliversAtConfiguredRate) {
   SimWorld world(2);
   world.full_mesh();
   world.node(0).kernel_table().set_route(
-      net::RouteEntry{world.addr(1), world.addr(1), "wlan0", 1, {}});
+      net::RouteEntry{world.addr(1), world.addr(1), 1, {}});
 
   CbrFlow flow(world.node(0), world.addr(1), msec(100), 256);
   DeliverySink sink(world.node(1));
