@@ -301,11 +301,6 @@ MprState* mpr_state(core::ManetProtocolCf& cf) {
   return dynamic_cast<MprState*>(cf.state_component());
 }
 
-MprState* mpr_state(core::Manetkit& kit) {
-  core::ManetProtocolCf* cf = kit.protocol("mpr");
-  return cf == nullptr ? nullptr : mpr_state(*cf);
-}
-
 void recompute_mprs(core::ManetProtocolCf& cf) {
   auto lock = cf.quiesce();
   recompute_mprs(cf.context());

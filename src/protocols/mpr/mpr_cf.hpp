@@ -44,10 +44,6 @@ void mpr_add_flood_type(core::Manetkit& kit, core::ManetProtocolCf& mpr_cf,
 /// S element access.
 MprState* mpr_state(core::ManetProtocolCf& cf);
 
-/// The S element of `kit`'s deployed "mpr" CF, looked up now (so a
-/// restarted MPR CF is the live one); null while MPR is not deployed.
-MprState* mpr_state(core::Manetkit& kit);
-
 /// Recomputes the MPR set via the CF's current IMprCalculator plug-in and
 /// emits MPR_CHANGE if it changed. Exposed for variant code and tests.
 void recompute_mprs(core::ManetProtocolCf& cf);

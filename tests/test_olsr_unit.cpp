@@ -240,7 +240,7 @@ TEST(RouteCalc, HopSearchMatchesDijkstraOracle) {
       const bool drop = round > 0 && coin(50);
       for (Node* node : {&hop, &oracle}) {
         auto lock = node->olsr->quiesce();
-        MprState& nbr = *mpr_state(node->world.kit(0));
+        MprState& nbr = *mpr_state(*node->world.kit(0).protocol("mpr"));
         OlsrState& st = *olsr_state(*node->olsr);
         for (std::uint32_t i = 1; i <= pool_size; ++i) {
           nbr.set_symmetric(net::addr_for_index(i), false);
@@ -273,9 +273,9 @@ TEST(RouteCalc, HopSearchMatchesDijkstraOracle) {
       for (const auto& e : hop.world.node(0).kernel_table().entries()) {
         installed[e.dest] = {e.next_hop, e.metric};
       }
-      ASSERT_EQ(installed, reference_routes(self,
-                                            *mpr_state(hop.world.kit(0)),
-                                            *olsr_state(*hop.olsr)))
+      const MprState& nbr = *mpr_state(*hop.world.kit(0).protocol("mpr"));
+      ASSERT_EQ(installed,
+                reference_routes(self, nbr, *olsr_state(*hop.olsr)))
           << "seed " << seed << " round " << round;
       routes += installed.size();
     }
@@ -431,7 +431,7 @@ TEST(RouteCalcMemo, SilentTwoHopChangeSeenOnNextTcRefresh) {
 
   // Node 1's HELLO now lists `far`: the table changes, no event fires.
   std::vector<net::Addr> via1{world.addr(0), world.addr(2), far};
-  mpr_state(world.kit(0))->set_two_hop(world.addr(1), via1);
+  mpr_state(*world.kit(0).protocol("mpr"))->set_two_hop(world.addr(1), via1);
   deliver_tc_refresh(world, 1, 0);
 
   EXPECT_EQ(st.topology_edges(), edges) << "the TC was a pure refresh";
@@ -524,7 +524,7 @@ TEST(RouteCalcMemo, DiffedInstallTouchesOnlyChangedRoutes) {
 
   const auto a = world.addrs();
   core::ManetProtocolCf& olsr = *world.kit(0).protocol("olsr");
-  MprState& nbr = *mpr_state(world.kit(0));
+  MprState& nbr = *mpr_state(*world.kit(0).protocol("mpr"));
   const auto& table = world.node(0).kernel_table();
   using Routes = std::map<net::Addr, std::pair<net::Addr, std::uint32_t>>;
   auto routes = [&] {
