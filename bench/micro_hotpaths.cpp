@@ -19,6 +19,7 @@
 #include "core/manetkit.hpp"
 #include "net/medium.hpp"
 #include "net/node.hpp"
+#include "net/payload_pool.hpp"
 #include "obs/journal.hpp"
 #include "protocols/dymo/dymo_cf.hpp"
 #include "protocols/dymo/multipath.hpp"
@@ -206,6 +207,52 @@ void BM_BroadcastFanout(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(received));
 }
 BENCHMARK(BM_BroadcastFanout)->Arg(2)->Arg(8)->Arg(32);
+
+// The System CF's receive path: one serialized DYMO RM (an 8-hop RREQ)
+// broadcast to k Manetkit nodes with DYMO deployed, copied into a fresh
+// pooled payload each op as a sender's serialization would leave it. The
+// first receiver decodes the payload; every other receiver raises RM_IN
+// over the same shared message, and each DYMO instance drops it as a
+// duplicate after the first op. run_hotpaths.sh holds /32 at zero
+// allocations per op.
+void BM_ControlRx(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  testbed::SimWorld world(k + 1);
+  net::SimNode& sender = world.node(0);
+  for (std::size_t i = 1; i <= k; ++i) {
+    world.medium().set_link(sender.addr(), world.node(i).addr(), true);
+    world.kit(i).deploy("dymo");
+  }
+  world.run_for(sec(1));
+
+  std::uint16_t seq = 2;
+  pbb::Message m = proto::rm::build_rreq(net::addr_for_index(300), seq,
+                                         net::addr_for_index(299),
+                                         proto::kDymoMsgHopLimit);
+  for (std::uint8_t hop = 1; hop <= 8; ++hop) {
+    m.hop_count = hop;
+    proto::rm::append_self(m, net::addr_for_index(300 + hop), seq);
+  }
+  std::vector<std::uint8_t> bytes;
+  const pbb::Message* one[1] = {&m};
+  pbb::serialize_msgs_into(one, bytes);
+  auto broadcast = [&] {
+    auto buf = net::acquire_payload();
+    buf->assign(bytes.begin(), bytes.end());
+    sender.send_control(net::PayloadPtr(std::move(buf)));
+    world.run_for(msec(1));  // past the frame's air time
+  };
+  // Warm-up past every periodic cycle (HELLOs, buffer sweeps, duplicate
+  // expiry and the relays it re-enables) so the pools hold their shapes.
+  for (int i = 0; i < 12000; ++i) broadcast();
+
+  AllocWindow window;
+  for (auto _ : state) broadcast();
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(window.sample()), benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(k));
+}
+BENCHMARK(BM_ControlRx)->Arg(1)->Arg(8)->Arg(32);
 
 // Same fan-out with the trace journal attached: every tx/rx appends a record
 // into the preallocated ring, so the overhead budget (ISSUE 3) is a mutex'd

@@ -17,7 +17,9 @@
 # learn path at zero allocations per op, both for a same-info refresh
 # (BM_DymoLearn/0) and for a learn that replaces every route (/1). A sixth
 # holds the Framework Manager's binding derivation on a warm composition
-# (BM_Rebind) at zero allocations per op.
+# (BM_Rebind) at zero allocations per op. A seventh holds the System CF's
+# receive path, one RM broadcast decoded once for 32 DYMO receivers
+# (BM_ControlRx/32), at zero allocations per op.
 #
 # The report records its provenance: the build type and compiler of the
 # bench binary, the git SHA of the checkout, the host's CPU count, and the
@@ -159,8 +161,12 @@ report = {
             "the none-vs-checkpoint reconverge_us gap is the replication "
             "layer's crash-recovery win. "
             "BM_PacketBBParseInto/{2,8,32} times parse_into on one reused "
-            "scratch packet, the path the System CF runs per received frame "
-            "(BM_PacketBBParse keeps the allocating parse for its baseline). "
+            "scratch packet (BM_PacketBBParse keeps the allocating parse for "
+            "its baseline). "
+            "BM_ControlRx/{1,8,32} broadcasts one serialized 8-hop DYMO RREQ "
+            "to k Manetkit nodes running DYMO: the payload is decoded once "
+            "and its messages shared by all k receivers, each of which drops "
+            "it as a duplicate (gated at zero allocations per op on /32). "
             "BM_SchedulerHoldBurst/{0,1} advances one sim-second of DYMO-style "
             "hold bursts (750 timers armed at exactly now + 5 s every 250 ms, "
             "~15k pending) on the timer wheel (/0) and the ordered-map oracle "
@@ -295,4 +301,16 @@ if rebind.get("allocs_per_op") != 0.0:
           "allocs/op (want 0)", file=sys.stderr)
     sys.exit(1)
 print("rebind gate: BM_Rebind at 0 allocs per op")
+
+# Receive gate: one broadcast payload is decoded once, into pooled messages
+# its receivers share, so delivering it to 32 receivers allocates nothing.
+rx = by_name.get("BM_ControlRx/32")
+if rx is None:
+    print("error: BM_ControlRx/32 missing from run", file=sys.stderr)
+    sys.exit(1)
+if rx.get("allocs_per_op") != 0.0:
+    print(f"error: BM_ControlRx/32 measured {rx.get('allocs_per_op')} "
+          "allocs/op (want 0)", file=sys.stderr)
+    sys.exit(1)
+print("receive gate: BM_ControlRx/32 at 0 allocs per op")
 EOF

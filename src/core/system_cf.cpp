@@ -181,19 +181,17 @@ void SystemCf::init_routing_env() {
 void SystemCf::register_message(std::uint8_t msg_type,
                                 const std::string& base_name) {
   auto lock = quiesce();
-  auto it = msg_registry_.find(msg_type);
-  if (it != msg_registry_.end()) {
-    MK_ENSURE(it->second.base == base_name,
+  if (msg_type >= msg_registry_.size()) msg_registry_.resize(msg_type + 1u);
+  MsgBinding& binding = msg_registry_[msg_type];
+  if (binding.in != ev::kInvalidEventType) {
+    MK_ENSURE(binding.base == base_name,
               "message type " + std::to_string(msg_type) +
-                  " already registered as " + it->second.base);
+                  " already registered as " + binding.base);
     return;
   }
-  MsgBinding binding;
   binding.base = base_name;
   binding.in = ev::etype(base_name + "_IN");
   binding.out = ev::etype(base_name + "_OUT");
-  out_to_type_[binding.out] = msg_type;
-  msg_registry_.emplace(msg_type, std::move(binding));
   refresh_tuple();
 }
 
@@ -271,7 +269,8 @@ ISysState& SystemCf::sys_state() { return *state_; }
 
 void SystemCf::refresh_tuple() {
   ev::EventTuple t;
-  for (const auto& [_, binding] : msg_registry_) {
+  for (const MsgBinding& binding : msg_registry_) {
+    if (binding.in == ev::kInvalidEventType) continue;
     ev::EventTuple::add(t.provided, binding.in);
     ev::EventTuple::add(t.required, binding.out);
   }
@@ -298,7 +297,7 @@ void SystemCf::deliver(const ev::Event& event) {
         static_cast<net::Addr>(event.attr(ev::IntAttr::dest)));
     return;
   }
-  if (out_to_type_.find(event.type()) != out_to_type_.end()) {
+  if (tuple_.requires_type(event.type())) {  // a registered *_OUT
     transmit(event);
     return;
   }
@@ -397,38 +396,40 @@ void SystemCf::emit(ev::Event event) {
 void SystemCf::on_control_frame(const net::Frame& frame) {
   frames_received_->inc();
   if (linkq_timer_ != nullptr) ++frames_from_[frame.tx];
-  // Parse into the member scratch: nested vectors are slot-filled, so a
-  // steady stream of same-shaped frames parses with zero allocations.
-  auto parsed = pbb::parse_into(frame.payload_view(), parse_scratch_);
+  // One decode per payload: the first receiver of a broadcast parses it
+  // into pooled messages, and every later receiver of the same payload gets
+  // those same immutable handles.
+  pbb::DecodeMemo& memo = node_.medium().decode_memo();
+  const Result<bool>& parsed = memo.decode(frame.payload);
   if (!parsed) {
     parse_errors_->inc();
     MK_WARN("system", "dropping malformed packet from ",
             pbb::addr_to_string(frame.tx), ": ", parsed.error());
     return;
   }
+  const pbb::SharedPacket& packet = memo.packet();
   if (tlv_observer_ != nullptr) {
-    for (const pbb::Tlv& t : parse_scratch_.tlvs) tlv_observer_(t, frame.tx);
+    for (const pbb::Tlv& t : packet.tlvs) tlv_observer_(t, frame.tx);
   }
-  for (auto& msg : parse_scratch_.messages) {
-    auto it = msg_registry_.find(msg.type);
-    if (it == msg_registry_.end()) continue;  // no protocol interested
-
-    ev::Event e(it->second.in);
+  for (const ev::MsgPtr& msg : packet.messages) {
+    const std::uint8_t type = msg->type;
+    if (type >= msg_registry_.size() ||
+        msg_registry_[type].in == ev::kInvalidEventType) {
+      continue;  // no protocol interested
+    }
+    // Every receiver, and every protocol the Framework Manager fans this
+    // event out to, sees the same immutable pbb::Message.
+    ev::Event e(msg_registry_[type].in);
     e.from = frame.tx;
-    // One shared (pool-recycled) message per RX: every protocol the
-    // Framework Manager fans this event out to sees the same immutable
-    // pbb::Message. Copy-assign keeps the parse scratch warm for the next
-    // frame and fills the recycled slot's warm buffers in place.
-    auto owned = pbb::acquire_message();
-    *owned = msg;
-    e.set_msg(ev::MsgPtr(std::move(owned)));
+    e.set_msg(msg);
 
     if (profiling_) {
       auto t0 = std::chrono::steady_clock::now();
       emit(std::move(e));
       if (manager_ != nullptr) manager_->drain();
       auto t1 = std::chrono::steady_clock::now();
-      processing_times_[it->second.base].add(
+      // Indexed afresh: a handler may have grown the registry.
+      processing_times_[msg_registry_[type].base].add(
           std::chrono::duration<double, std::milli>(t1 - t0).count());
     } else {
       emit(std::move(e));

@@ -8,7 +8,12 @@
 //     network-device listing (ISysState).
 //   * F element (SysForward)  — send/receive primitives: outgoing *_OUT
 //     events are framed (PacketBB) and transmitted; incoming frames are
-//     parsed by the Demux and raised as *_IN events.
+//     parsed by the Demux and raised as *_IN events. A broadcast's payload
+//     is decoded once, by its first receiver, through the medium's
+//     pbb::DecodeMemo; every receiver raises its *_IN events over the same
+//     immutable message handles (Event::mutable_msg copies on write).
+//     Reception counts, parse-error counts and warnings, the packet-TLV
+//     observer and the message-type demux stay per receiver.
 //   * NetLink plug-in          — Netfilter-style packet filtering: buffers
 //     route-less data packets and raises NO_ROUTE / ROUTE_UPDATE /
 //     SEND_ROUTE_ERR; re-injects on ROUTE_FOUND (§5.2).
@@ -184,14 +189,15 @@ class SystemCf : public oc::ComponentFramework, public CfsUnit {
   FrameworkManager* manager_ = nullptr;
   ev::EventTuple tuple_;
 
-  // message registry: msg type <-> event ids
+  // Message registry, indexed by PacketBB message type and sized to the
+  // largest registered one; an unregistered type's `in` is invalid. The
+  // registered *_OUT ids are tuple_.required's (ROUTE_FOUND aside).
   struct MsgBinding {
     std::string base;
-    ev::EventTypeId in;
-    ev::EventTypeId out;
+    ev::EventTypeId in = ev::kInvalidEventType;
+    ev::EventTypeId out = ev::kInvalidEventType;
   };
-  std::map<std::uint8_t, MsgBinding> msg_registry_;
-  std::map<ev::EventTypeId, std::uint8_t> out_to_type_;
+  std::vector<MsgBinding> msg_registry_;
 
   NetLinkComponent* netlink_ = nullptr;
   const ev::EventTypeId route_found_ = ev::etype(ev::types::ROUTE_FOUND);
@@ -210,8 +216,7 @@ class SystemCf : public oc::ComponentFramework, public CfsUnit {
   PacketTlvProvider tlv_provider_;
   PacketTlvObserver tlv_observer_;
 
-  // RX/TX scratch, reused across frames (allocation-free steady state).
-  pbb::Packet parse_scratch_;
+  // TX scratch, reused across packets (allocation-free steady state).
   std::vector<const pbb::Message*> msg_ptr_scratch_;
   std::vector<pbb::Tlv> pkt_tlv_scratch_;
 

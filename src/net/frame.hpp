@@ -11,7 +11,10 @@
 // scheduler event (a fault verdict that delays or duplicates a receiver
 // takes one copy per delivery instead), and every copy points at the single
 // serialized buffer the sender produced (O(1) payload allocations per
-// transmission instead of O(k)). Receivers only ever read it.
+// transmission instead of O(k)). Receivers only ever read it, and they
+// decode it once between them: the first receiver's System CF parses the
+// buffer through the medium's pbb::DecodeMemo, keyed by the buffer's
+// identity, and the others share the resulting immutable messages.
 #pragma once
 
 #include <cstdint>

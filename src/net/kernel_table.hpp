@@ -3,11 +3,13 @@
 // kernel route-table manipulation API).
 //
 // Host routes only (a deliberate, uniform simplification — see DESIGN.md):
-// each entry maps a destination address to a next hop.
+// each entry maps a destination address to a next hop. The entries live in
+// one address-sorted vector: the data plane's per-packet lookup is a binary
+// search over contiguous memory, and iteration (dests_via, entries, the
+// journal records of clear) runs in address order.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -61,7 +63,7 @@ class KernelRouteTable {
   void set_journal(obs::Journal* journal, Addr self, Scheduler* clock);
 
  private:
-  std::map<Addr, RouteEntry> routes_;
+  std::vector<RouteEntry> routes_;  // sorted by dest
   std::uint64_t generation_ = 0;
   obs::Journal* journal_ = nullptr;
   Addr self_ = kNoAddr;

@@ -11,29 +11,53 @@ namespace mk::net {
 namespace {
 /// Serialisation delay per wire byte: ~8 Mbit/s effective.
 constexpr Duration kPerByteDelay = usec(1);
+
+/// First station whose address is not below `a`.
+template <class Stations>
+auto station_lower_bound(Stations& stations, Addr a) {
+  return std::lower_bound(
+      stations.begin(), stations.end(), a,
+      [](const auto& s, Addr key) { return s.addr < key; });
+}
 }  // namespace
 
 SimMedium::SimMedium(Scheduler& sched, std::uint64_t seed)
     : sched_(sched), rng_(seed) {}
 
+const SimMedium::Station* SimMedium::find_station(Addr a) const {
+  auto it = station_lower_bound(stations_, a);
+  return it != stations_.end() && it->addr == a ? &*it : nullptr;
+}
+
+SimMedium::Station& SimMedium::station(Addr a) {
+  auto it = station_lower_bound(stations_, a);
+  if (it == stations_.end() || it->addr != a) {
+    it = stations_.insert(it, Station{a, nullptr, {}});
+  }
+  return *it;
+}
+
 void SimMedium::attach(NetworkDevice& device) {
   MK_ASSERT(device.medium_ == nullptr, "device already attached");
-  auto [_, inserted] = devices_.emplace(device.addr(), &device);
-  MK_ASSERT(inserted, "duplicate device address");
+  Station& s = station(device.addr());
+  MK_ASSERT(s.device == nullptr, "duplicate device address");
+  s.device = &device;
   device.medium_ = this;
 }
 
 void SimMedium::detach(Addr addr) {
-  auto it = devices_.find(addr);
-  if (it == devices_.end()) return;
-  it->second->medium_ = nullptr;
-  devices_.erase(it);
+  auto it = station_lower_bound(stations_, addr);
+  if (it == stations_.end() || it->addr != addr || it->device == nullptr) {
+    return;
+  }
+  it->device->medium_ = nullptr;
+  it->device = nullptr;
 }
 
 void SimMedium::set_link(Addr a, Addr b, bool up, bool symmetric) {
   MK_ASSERT(a != b);
   auto apply = [&](Addr from, Addr to) {
-    std::vector<Addr>& nbrs = adjacency_[from];
+    std::vector<Addr>& nbrs = station(from).neighbors;
     auto it = std::lower_bound(nbrs.begin(), nbrs.end(), to);
     bool was = it != nbrs.end() && *it == to;
     if (up && !was) {
@@ -56,15 +80,19 @@ void SimMedium::set_link(Addr a, Addr b, bool up, bool symmetric) {
 }
 
 bool SimMedium::has_link(Addr from, Addr to) const {
-  auto it = adjacency_.find(from);
-  if (it == adjacency_.end()) return false;
-  return std::binary_search(it->second.begin(), it->second.end(), to);
+  const Station* s = find_station(from);
+  return s != nullptr &&
+         std::binary_search(s->neighbors.begin(), s->neighbors.end(), to);
 }
 
 void SimMedium::clear_links() {
-  // Emit down-notifications so observers stay consistent.
-  auto old = adjacency_;
-  adjacency_.clear();
+  // Take every link down first, then notify in address order, so observers
+  // already see the cleared topology.
+  std::vector<std::pair<Addr, std::vector<Addr>>> old;
+  for (Station& s : stations_) {
+    if (!s.neighbors.empty()) old.emplace_back(s.addr, std::move(s.neighbors));
+    s.neighbors.clear();
+  }
   for (const auto& [from, tos] : old) {
     for (Addr to : tos) {
       link_flips_.inc();
@@ -78,9 +106,9 @@ void SimMedium::clear_links() {
 }
 
 std::span<const Addr> SimMedium::neighbors_of(Addr a) const {
-  auto it = adjacency_.find(a);
-  if (it == adjacency_.end()) return {};
-  return it->second;
+  const Station* s = find_station(a);
+  if (s == nullptr) return {};
+  return s->neighbors;
 }
 
 void SimMedium::set_clock_drift(Addr node, double factor) {
@@ -304,8 +332,9 @@ void SimMedium::deliver_now(const Frame& frame, Addr to) {
                   obs::DropReason::kLinkLost);
     return;
   }
-  auto it = devices_.find(to);
-  if (it == devices_.end() || !it->second->is_up()) {
+  const Station* rx = find_station(to);
+  NetworkDevice* device = rx != nullptr ? rx->device : nullptr;
+  if (device == nullptr || !device->is_up()) {
     dropped_node_down_.inc();
     journal_frame(obs::RecordKind::kFrameDrop, to, frame.tx, frame,
                   obs::DropReason::kNodeDown);
@@ -313,7 +342,7 @@ void SimMedium::deliver_now(const Frame& frame, Addr to) {
   }
   journal_frame(obs::RecordKind::kFrameRx, to, frame.tx, frame);
   try {
-    it->second->receive(frame);
+    device->receive(frame);
   } catch (...) {
     if (!sched_.trap_fault(std::current_exception())) throw;
   }

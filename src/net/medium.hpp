@@ -23,6 +23,7 @@
 #include "net/frame.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "packetbb/message_pool.hpp"
 #include "util/rng.hpp"
 #include "util/scheduler.hpp"
 
@@ -136,6 +137,13 @@ class SimMedium {
   /// overhead beyond one branch per event.
   void set_journal(obs::Journal* journal) { journal_ = journal; }
 
+  // -- receive-side decode -----------------------------------------------------
+  /// This world's one-entry PacketBB decode memo: every System CF on the
+  /// medium decodes its control frames through it, so the receivers of one
+  /// broadcast share one parse (see core::SystemCf). The medium only keeps
+  /// it; it never parses a payload itself.
+  pbb::DecodeMemo& decode_memo() { return decode_memo_; }
+
  private:
   // In-flight deliveries: a frame and the receivers it reaches at one
   // deadline — every surviving neighbour of a broadcast, or the one
@@ -179,13 +187,24 @@ class SimMedium {
                      const Frame& frame, obs::DropReason reason = {}) const;
   std::uint64_t payload_hash(const Frame& frame) const;
 
+  // One station per address that was ever attached or linked: its device
+  // (null once detached, or if never attached) and its sorted neighbour
+  // list. Stations are kept in address order, so deliver_now and has_link
+  // each find theirs with one binary search over contiguous memory, and
+  // clear_links() walks them in a deterministic order. A station is never
+  // removed: links outlive a detach, as they always have.
+  struct Station {
+    Addr addr = kNoAddr;
+    NetworkDevice* device = nullptr;
+    std::vector<Addr> neighbors;  // sorted ascending
+  };
+  const Station* find_station(Addr a) const;
+  /// `a`'s station, inserted in address order if absent.
+  Station& station(Addr a);
+
   Scheduler& sched_;
   Rng rng_;
-  std::map<Addr, NetworkDevice*> devices_;
-  // Flat adjacency: per-node sorted vector, so has_link is a binary search
-  // and broadcast fan-out walks contiguous memory instead of a red-black
-  // tree. The outer map stays ordered for deterministic clear_links().
-  std::map<Addr, std::vector<Addr>> adjacency_;
+  std::vector<Station> stations_;  // sorted by addr
   std::vector<LinkObserver> link_observers_;
   // Broadcast snapshot buffer, recycled across transmissions so an armed
   // fault filter does not cost an allocation per broadcast. Moved out while
@@ -223,6 +242,7 @@ class SimMedium {
   // allocator reuses a freed buffer's address.
   mutable PayloadPtr hashed_payload_;
   mutable std::uint64_t hashed_payload_fnv_ = 0;
+  pbb::DecodeMemo decode_memo_;
 };
 
 }  // namespace mk::net

@@ -18,16 +18,13 @@ void ComponentFramework::add_integrity_rule(IntegrityRule rule) {
   rules_.push_back(std::move(rule));
 }
 
-std::vector<const Component*> ComponentFramework::current_members() const {
-  std::vector<const Component*> out;
-  out.reserve(members_.size());
-  for (const auto& [_, comp] : members_) out.push_back(comp.get());
-  return out;
-}
-
-void ComponentFramework::check_integrity(
-    const std::vector<const Component*>& members) const {
-  CfView view{members};
+template <class Edit>
+void ComponentFramework::check_integrity(Edit&& edit) {
+  if (rules_.empty()) return;
+  hypothetical_.clear();
+  for (const auto& [_, comp] : members_) hypothetical_.push_back(comp.get());
+  edit(hypothetical_);
+  CfView view{hypothetical_};
   for (const auto& rule : rules_) {
     std::string err;
     if (!rule(view, err)) {
@@ -40,9 +37,9 @@ void ComponentFramework::check_integrity(
 ComponentId ComponentFramework::insert(std::unique_ptr<Component> comp) {
   MK_ASSERT(comp != nullptr);
   std::scoped_lock lock(lock_);
-  auto hypothetical = current_members();
-  hypothetical.push_back(comp.get());
-  check_integrity(hypothetical);
+  check_integrity([&](std::vector<const Component*>& hypothetical) {
+    hypothetical.push_back(comp.get());
+  });
   ComponentId id = next_id_++;
   members_.emplace(id, std::move(comp));
   providers_.clear();
@@ -58,11 +55,9 @@ std::unique_ptr<Component> ComponentFramework::extract(ComponentId id) {
   if (it == members_.end()) {
     throw std::logic_error("no such member component");
   }
-  auto hypothetical = current_members();
-  hypothetical.erase(std::remove(hypothetical.begin(), hypothetical.end(),
-                                 it->second.get()),
-                     hypothetical.end());
-  check_integrity(hypothetical);
+  check_integrity([&](std::vector<const Component*>& hypothetical) {
+    std::erase(hypothetical, it->second.get());
+  });
   auto comp = std::move(it->second);
   members_.erase(it);
   providers_.clear();
@@ -80,11 +75,11 @@ ComponentId ComponentFramework::replace(ComponentId old_id,
   }
 
   // Validate the hypothetical composition with the replacement swapped in.
-  auto hypothetical = current_members();
-  std::replace(hypothetical.begin(), hypothetical.end(),
-               static_cast<const Component*>(it->second.get()),
-               static_cast<const Component*>(replacement.get()));
-  check_integrity(hypothetical);
+  check_integrity([&](std::vector<const Component*>& hypothetical) {
+    std::replace(hypothetical.begin(), hypothetical.end(),
+                 static_cast<const Component*>(it->second.get()),
+                 static_cast<const Component*>(replacement.get()));
+  });
 
   members_.erase(it);
   ComponentId new_id = next_id_++;

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <typeinfo>
@@ -35,10 +36,10 @@ inline constexpr ComponentId kNoComponent = 0;
 /// integrity rules for validation *before* a mutation is committed.
 class CfView {
  public:
-  explicit CfView(std::vector<const Component*> members)
-      : members_(std::move(members)) {}
+  explicit CfView(std::span<const Component* const> members)
+      : members_(members) {}
 
-  const std::vector<const Component*>& members() const { return members_; }
+  std::span<const Component* const> members() const { return members_; }
 
   /// Members that are, or provide, T: a component class or an interface.
   template <class T>
@@ -51,7 +52,7 @@ class CfView {
   }
 
  private:
-  std::vector<const Component*> members_;
+  std::span<const Component* const> members_;
 };
 
 /// Returns true if the composition is legal; on failure fill `err`.
@@ -127,8 +128,11 @@ class ComponentFramework : public Component {
   }
 
  private:
-  void check_integrity(const std::vector<const Component*>& members) const;
-  std::vector<const Component*> current_members() const;
+  /// Checks the rules against the current members as edited by `edit`
+  /// (which receives them in id order). The hypothetical list is built in a
+  /// reused buffer, and not at all when there are no rules.
+  template <class Edit>
+  void check_integrity(Edit&& edit);
 
   ComponentId next_id_ = 1;
   std::map<ComponentId, std::unique_ptr<Component>> members_;
@@ -136,6 +140,7 @@ class ComponentFramework : public Component {
   mutable std::vector<std::pair<const std::type_info*, void*>> providers_;
   std::atomic<std::uint64_t> composition_{0};
   std::vector<IntegrityRule> rules_;
+  std::vector<const Component*> hypothetical_;  // check_integrity's buffer
   mutable std::recursive_mutex lock_;
 };
 

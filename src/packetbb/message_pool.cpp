@@ -35,4 +35,15 @@ std::shared_ptr<Message> acquire_message() {
   return pool.acquire();
 }
 
+const Result<bool>& DecodeMemo::decode(const Payload& payload) {
+  if (payload != payload_ || payload == nullptr) {
+    payload_ = payload;
+    status_ = parse_shared(payload != nullptr
+                               ? std::span<const std::uint8_t>(*payload)
+                               : std::span<const std::uint8_t>{},
+                           packet_);
+  }
+  return status_;
+}
+
 }  // namespace mk::pbb

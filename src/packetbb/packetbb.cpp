@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "packetbb/message_pool.hpp"
 #include "util/assert.hpp"
 #include "util/bytebuffer.hpp"
 
@@ -289,70 +290,85 @@ Result<Packet> parse(std::span<const std::uint8_t> data) {
   return Result<Packet>::ok(std::move(p));
 }
 
+namespace {
+
+/// Reads the packet header and packet-level TLVs (slot-filled into `tlvs`);
+/// returns the message count that follows.
+std::uint8_t read_packet_head(ByteReader& r, std::uint8_t& version,
+                              std::optional<std::uint16_t>& seqnum,
+                              std::vector<Tlv>& tlvs) {
+  version = r.get_u8();
+  std::uint8_t pflags = r.get_u8();
+  seqnum.reset();
+  if (pflags & kPktFlagSeqnum) seqnum = r.get_u16();
+
+  std::uint8_t ntlvs = r.get_u8();
+  for (std::uint8_t i = 0; i < ntlvs; ++i) read_tlv_into(r, slot(tlvs, i));
+  trim(tlvs, ntlvs);
+  return r.get_u8();
+}
+
+/// Reads one message into `m`, overwriting every field: its nested vectors
+/// are slot-filled and trimmed, so a warm `m` of the same shape takes no
+/// allocation. Returns the error, or nullptr when the message is well formed.
+const char* read_message_into(ByteReader& r, Message& m) {
+  m.type = r.get_u8();
+  std::uint8_t flags = r.get_u8();
+  std::uint16_t size = r.get_u16();
+  ByteReader mr = r.slice(size);
+
+  m.originator.reset();
+  if (flags & kMsgFlagOrig) m.originator = mr.get_u32();
+  m.has_hops = (flags & kMsgFlagHops) != 0;
+  m.hop_limit = 0;
+  m.hop_count = 0;
+  if (m.has_hops) {
+    m.hop_limit = mr.get_u8();
+    m.hop_count = mr.get_u8();
+  }
+  m.seqnum.reset();
+  if (flags & kMsgFlagSeqnum) m.seqnum = mr.get_u16();
+
+  std::uint8_t mtlvs = mr.get_u8();
+  for (std::uint8_t j = 0; j < mtlvs; ++j) read_tlv_into(mr, slot(m.tlvs, j));
+  trim(m.tlvs, mtlvs);
+
+  std::uint8_t nblocks = mr.get_u8();
+  for (std::uint8_t j = 0; j < nblocks; ++j) {
+    AddressBlock& b = slot(m.addr_blocks, j);
+    std::uint8_t naddrs = mr.get_u8();
+    b.addrs.clear();  // trivial elements: capacity survives
+    for (std::uint8_t k = 0; k < naddrs; ++k) b.addrs.push_back(mr.get_u32());
+    std::uint8_t natlvs = mr.get_u8();
+    for (std::uint8_t k = 0; k < natlvs; ++k) {
+      AddressTlv& t = slot(b.tlvs, k);
+      t.type = mr.get_u8();
+      t.index_start = mr.get_u8();
+      t.index_stop = mr.get_u8();
+      std::uint16_t len = mr.get_u16();
+      auto view = mr.get_view(len);
+      t.value.assign(view.begin(), view.end());
+      if (!b.addrs.empty() &&
+          (t.index_start >= b.addrs.size() ||
+           t.index_stop >= b.addrs.size() || t.index_start > t.index_stop)) {
+        return "address tlv index out of range";
+      }
+    }
+    trim(b.tlvs, natlvs);
+  }
+  trim(m.addr_blocks, nblocks);
+  return mr.at_end() ? nullptr : "trailing bytes inside message";
+}
+
+}  // namespace
+
 Result<bool> parse_into(std::span<const std::uint8_t> data, Packet& out) {
   try {
     ByteReader r(data);
-    out.version = r.get_u8();
-    std::uint8_t pflags = r.get_u8();
-    out.seqnum.reset();
-    if (pflags & kPktFlagSeqnum) out.seqnum = r.get_u16();
-
-    std::uint8_t ntlvs = r.get_u8();
-    for (std::uint8_t i = 0; i < ntlvs; ++i) read_tlv_into(r, slot(out.tlvs, i));
-    trim(out.tlvs, ntlvs);
-
-    std::uint8_t nmsgs = r.get_u8();
+    std::uint8_t nmsgs = read_packet_head(r, out.version, out.seqnum, out.tlvs);
     for (std::uint8_t i = 0; i < nmsgs; ++i) {
-      Message& m = slot(out.messages, i);
-      m.type = r.get_u8();
-      std::uint8_t flags = r.get_u8();
-      std::uint16_t size = r.get_u16();
-      ByteReader mr = r.slice(size);
-
-      m.originator.reset();
-      if (flags & kMsgFlagOrig) m.originator = mr.get_u32();
-      m.has_hops = (flags & kMsgFlagHops) != 0;
-      m.hop_limit = 0;
-      m.hop_count = 0;
-      if (m.has_hops) {
-        m.hop_limit = mr.get_u8();
-        m.hop_count = mr.get_u8();
-      }
-      m.seqnum.reset();
-      if (flags & kMsgFlagSeqnum) m.seqnum = mr.get_u16();
-
-      std::uint8_t mtlvs = mr.get_u8();
-      for (std::uint8_t j = 0; j < mtlvs; ++j) {
-        read_tlv_into(mr, slot(m.tlvs, j));
-      }
-      trim(m.tlvs, mtlvs);
-
-      std::uint8_t nblocks = mr.get_u8();
-      for (std::uint8_t j = 0; j < nblocks; ++j) {
-        AddressBlock& b = slot(m.addr_blocks, j);
-        std::uint8_t naddrs = mr.get_u8();
-        b.addrs.clear();  // trivial elements: capacity survives
-        for (std::uint8_t k = 0; k < naddrs; ++k) b.addrs.push_back(mr.get_u32());
-        std::uint8_t natlvs = mr.get_u8();
-        for (std::uint8_t k = 0; k < natlvs; ++k) {
-          AddressTlv& t = slot(b.tlvs, k);
-          t.type = mr.get_u8();
-          t.index_start = mr.get_u8();
-          t.index_stop = mr.get_u8();
-          std::uint16_t len = mr.get_u16();
-          auto view = mr.get_view(len);
-          t.value.assign(view.begin(), view.end());
-          if (!b.addrs.empty() &&
-              (t.index_start >= b.addrs.size() ||
-               t.index_stop >= b.addrs.size() || t.index_start > t.index_stop)) {
-            return Result<bool>::fail("address tlv index out of range");
-          }
-        }
-        trim(b.tlvs, natlvs);
-      }
-      trim(m.addr_blocks, nblocks);
-      if (!mr.at_end()) {
-        return Result<bool>::fail("trailing bytes inside message");
+      if (const char* err = read_message_into(r, slot(out.messages, i))) {
+        return Result<bool>::fail(err);
       }
     }
     trim(out.messages, nmsgs);
@@ -362,6 +378,30 @@ Result<bool> parse_into(std::span<const std::uint8_t> data, Packet& out) {
     return Result<bool>::ok(true);
   } catch (const BufferUnderflow&) {
     return Result<bool>::fail("truncated packet");
+  }
+}
+
+Result<bool> parse_shared(std::span<const std::uint8_t> data,
+                          SharedPacket& out) {
+  out.messages.clear();  // the previous decode's handles go back to their owners
+  auto fail = [&out](const char* err) {
+    out.messages.clear();
+    return Result<bool>::fail(err);
+  };
+  try {
+    ByteReader r(data);
+    std::uint8_t version;
+    std::optional<std::uint16_t> seqnum;
+    std::uint8_t nmsgs = read_packet_head(r, version, seqnum, out.tlvs);
+    for (std::uint8_t i = 0; i < nmsgs; ++i) {
+      std::shared_ptr<Message> m = acquire_message();
+      if (const char* err = read_message_into(r, *m)) return fail(err);
+      out.messages.push_back(std::move(m));
+    }
+    if (!r.at_end()) return fail("trailing bytes after packet");
+    return Result<bool>::ok(true);
+  } catch (const BufferUnderflow&) {
+    return fail("truncated packet");
   }
 }
 

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -144,6 +145,20 @@ Result<Packet> parse(std::span<const std::uint8_t> data);
 /// packets into one scratch performs zero allocations. On failure `out` is
 /// left in an unspecified (but destructible/reusable) state.
 Result<bool> parse_into(std::span<const std::uint8_t> data, Packet& out);
+
+/// A received packet whose messages are shared immutable handles: what one
+/// decode of a broadcast hands to every receiver of it (see DecodeMemo in
+/// message_pool.hpp).
+struct SharedPacket {
+  std::vector<Tlv> tlvs;
+  std::vector<std::shared_ptr<const Message>> messages;
+};
+
+/// Like parse_into, but each message is parsed straight into its own pooled
+/// slot (acquire_message), so the result can be shared without a copy.
+/// `out.tlvs` is slot-filled; `out.messages` drops its old handles first and
+/// is left empty on failure.
+Result<bool> parse_shared(std::span<const std::uint8_t> data, SharedPacket& out);
 
 /// Address pretty-printer ("10.0.0.7" style).
 std::string addr_to_string(Addr a);

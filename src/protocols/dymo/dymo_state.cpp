@@ -43,18 +43,16 @@ RouteUpdate DymoState::update_route(net::Addr dest, std::uint16_t seq,
 }
 
 bool DymoState::check_duplicate(std::uint64_t key, TimePoint now) {
-  auto [it, inserted] = duplicates_.emplace(key, now);
-  if (!inserted) {
-    it->second = now;
-    return true;
-  }
-  return false;
+  auto [seen, inserted] = duplicates_.emplace(key);
+  *seen = now;
+  return !inserted;
 }
 
 std::vector<std::uint64_t> DymoState::duplicate_entries() const {
   std::vector<std::uint64_t> out;
   out.reserve(duplicates_.size());
-  for (const auto& [key, _] : duplicates_) out.push_back(key);
+  duplicates_.for_each([&](std::uint64_t key, TimePoint) { out.push_back(key); });
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -84,13 +82,14 @@ void DymoState::encode_state(std::vector<std::uint8_t>& out) const {
     }
   }
   // Keys order by kind first: the RREQ tuples end at the first RERR key.
-  auto rreq_end = duplicates_.lower_bound(dymo_dup_key(DupKind::kRerr, 0, 0));
-  w.put_u16(static_cast<std::uint16_t>(
-      std::distance(duplicates_.begin(), rreq_end)));
-  for (auto it = duplicates_.begin(); it != rreq_end; ++it) {
-    w.put_u32(static_cast<std::uint32_t>(it->first >> 16));
-    w.put_u16(static_cast<std::uint16_t>(it->first));
-    w.put_u64(static_cast<std::uint64_t>(it->second.us));
+  const std::vector<std::uint64_t> keys = duplicate_entries();
+  auto rreq_end = std::lower_bound(keys.begin(), keys.end(),
+                                   dymo_dup_key(DupKind::kRerr, 0, 0));
+  w.put_u16(static_cast<std::uint16_t>(std::distance(keys.begin(), rreq_end)));
+  for (auto it = keys.begin(); it != rreq_end; ++it) {
+    w.put_u32(static_cast<std::uint32_t>(*it >> 16));
+    w.put_u16(static_cast<std::uint16_t>(*it));
+    w.put_u64(static_cast<std::uint64_t>(duplicates_.find(*it)->us));
   }
   out = w.take();
 }
@@ -121,7 +120,8 @@ bool DymoState::decode_state(std::span<const std::uint8_t> blob) {
       net::Addr origin = r.get_u32();
       std::uint16_t seq = r.get_u16();
       TimePoint seen{static_cast<std::int64_t>(r.get_u64())};
-      duplicates_[dymo_dup_key(DupKind::kRreq, origin, seq)] = seen;
+      *duplicates_.emplace(dymo_dup_key(DupKind::kRreq, origin, seq)).first =
+          seen;
     }
   } catch (const BufferUnderflow&) {
     return false;

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -22,6 +21,7 @@
 #include "protocols/timing.hpp"
 #include "util/assert.hpp"
 #include "util/time.hpp"
+#include "util/u64_table.hpp"
 
 namespace mk::proto {
 
@@ -123,8 +123,8 @@ class DymoState : public ReactiveTable<DymoRoute> {
   // -- RREQ/RERR duplicate set (keys from dymo_dup_key) -------------------------
   bool check_duplicate(std::uint64_t key, TimePoint now);
   /// Removes one tuple (soft-state expiry); returns true if it was present.
-  bool drop_duplicate(std::uint64_t key) { return duplicates_.erase(key) > 0; }
-  /// All live tuples (expiry re-seeding).
+  bool drop_duplicate(std::uint64_t key) { return duplicates_.erase(key); }
+  /// All live tuples, in key order (expiry re-seeding).
   std::vector<std::uint64_t> duplicate_entries() const;
 
   std::string describe() const override;
@@ -141,7 +141,9 @@ class DymoState : public ReactiveTable<DymoRoute> {
 
  private:
   std::uint16_t rerr_seq_ = 1;
-  std::map<std::uint64_t, TimePoint> duplicates_;
+  // Last sighting per dymo_dup_key. Hash order never leaves the table:
+  // duplicate_entries and encode_state sort the keys.
+  U64Table<TimePoint> duplicates_;
 };
 
 /// Multipath S component: same tables, plus alternate link-disjoint paths.

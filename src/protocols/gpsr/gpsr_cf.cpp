@@ -108,7 +108,10 @@ class GreedyRouteHandler final : public core::EventHandler {
     if (auto* soft = ctx.soft()) {
       soft->touch_at(gpsr_sets::kActive, dest, deadline);
     }
-    ctx.metrics().counter("gpsr.greedy_installs").inc();
+    if (greedy_installs_ == nullptr) {
+      greedy_installs_ = &ctx.metrics().counter("gpsr.greedy_installs");
+    }
+    greedy_installs_->inc();
     return true;
   }
 
@@ -116,6 +119,7 @@ class GreedyRouteHandler final : public core::EventHandler {
   LocationService locate_;
   core::Manetkit& kit_;
   core::StateRef<NeighborTable> neighbors_;
+  obs::Counter* greedy_installs_ = nullptr;  // cached on first use
 };
 
 /// Re-evaluates greedy choices for active destinations (mobility!). Stale
@@ -168,12 +172,16 @@ class GpsrEventHandler final : public core::EventHandler {
       ctx.remove_route(dest);
       st.active_dests().erase(dest);
       if (soft != nullptr) soft->drop(gpsr_sets::kActive, dest);
-      ctx.metrics().counter("gpsr.routes_torn_down").inc();
+      if (torn_down_ == nullptr) {
+        torn_down_ = &ctx.metrics().counter("gpsr.routes_torn_down");
+      }
+      torn_down_->inc();
     }
   }
 
  private:
   const ev::EventTypeId route_update_ = ev::etype(ev::types::ROUTE_UPDATE);
+  obs::Counter* torn_down_ = nullptr;  // cached on first use
 };
 
 }  // namespace

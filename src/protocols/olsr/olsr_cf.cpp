@@ -37,7 +37,9 @@ namespace {
 /// bumping the ANSN when the advertised set changed. Shared by the periodic
 /// generator and the triggered path. Returns false when there is nothing to
 /// advertise (and nothing was previously advertised), or no MPR CF.
-bool emit_tc(core::ProtocolContext& ctx, core::StateRef<MprState>& mprs) {
+/// `tc_out` is the caller's cache of the "olsr.tc_out" counter.
+bool emit_tc(core::ProtocolContext& ctx, core::StateRef<MprState>& mprs,
+             obs::Counter*& tc_out) {
   OlsrState& st = ctx.state_as<OlsrState>();
   MprState* mpr = mprs.get();
   if (mpr == nullptr) return false;
@@ -51,7 +53,8 @@ bool emit_tc(core::ProtocolContext& ctx, core::StateRef<MprState>& mprs) {
   static const ev::EventTypeId kTcOut = ev::etype(ev::types::TC_OUT);
   ev::Event e(kTcOut);
   e.set_msg(tc::build(ctx.self(), st.next_msg_seq(), st.ansn(), selectors));
-  ctx.metrics().counter("olsr.tc_out").inc();
+  if (tc_out == nullptr) tc_out = &ctx.metrics().counter("olsr.tc_out");
+  tc_out->inc();
   ctx.emit(std::move(e));
   return true;
 }
@@ -73,9 +76,12 @@ class TcGenerator final : public core::PeriodicSource {
         mpr_(kit, "mpr") {}
 
  private:
-  void fire(core::ProtocolContext& ctx) override { emit_tc(ctx, mpr_); }
+  void fire(core::ProtocolContext& ctx) override {
+    emit_tc(ctx, mpr_, tc_out_);
+  }
 
   core::StateRef<MprState> mpr_;
+  obs::Counter* tc_out_ = nullptr;
 };
 
 /// Applies received Topology Change messages to the topology set.
@@ -146,9 +152,12 @@ class TopologyChangeHandler final : public core::EventHandler {
     recompute_routes(ctx);
     if (event.type() != mpr_change_) return;
     if (ctx.now() - last_triggered_ >= kMinTriggeredGap) {
-      if (emit_tc(ctx, mpr_)) {
+      if (emit_tc(ctx, mpr_, tc_out_)) {
         last_triggered_ = ctx.now();
-        ctx.metrics().counter("olsr.triggered_tc").inc();
+        if (triggered_tc_ == nullptr) {
+          triggered_tc_ = &ctx.metrics().counter("olsr.triggered_tc");
+        }
+        triggered_tc_->inc();
       }
     }
     // Coalesced follow-up re-emission (safe: the protocol CF outlives its
@@ -156,7 +165,7 @@ class TopologyChangeHandler final : public core::EventHandler {
     core::ManetProtocolCf* proto = &ctx.protocol();
     reemit_.schedule(kReemitDelay, [this, proto] {
       auto lock = proto->quiesce();
-      emit_tc(proto->context(), mpr_);
+      emit_tc(proto->context(), mpr_, tc_out_);
     });
   }
 
@@ -165,6 +174,8 @@ class TopologyChangeHandler final : public core::EventHandler {
   const ev::EventTypeId mpr_change_ = ev::etype(ev::types::MPR_CHANGE);
   TimePoint last_triggered_{-10'000'000};
   OneShotTimer reemit_;
+  obs::Counter* tc_out_ = nullptr;  // cached on first use
+  obs::Counter* triggered_tc_ = nullptr;
 };
 
 }  // namespace

@@ -52,7 +52,10 @@ class ZoneReHandler final : public ReHandler {
     ev::Event out(rm_out_);
     out.set_msg(std::move(rrep));
     out.set_attr(ev::IntAttr::unicast_to, event.from);
-    ctx.metrics().counter("zrp.proxy_replies").inc();
+    if (proxy_replies_ == nullptr) {
+      proxy_replies_ = &ctx.metrics().counter("zrp.proxy_replies");
+    }
+    proxy_replies_->inc();
     ctx.emit(std::move(out));
     MK_DEBUG("zrp", "bordercast termination: answering for ",
              pbb::addr_to_string(target), " at distance ", int{dist});
@@ -61,6 +64,7 @@ class ZoneReHandler final : public ReHandler {
 
  private:
   core::StateRef<NeighborTable> neighbors_;
+  obs::Counter* proxy_replies_ = nullptr;  // cached on first use
 };
 
 /// NO_ROUTE short-circuit: in-zone destinations are served proactively.
@@ -77,12 +81,16 @@ class ZoneNoRouteHandler final : public NoRouteHandler {
     if (dist == 0) return false;
     ctx.set_route(dest, hop, dist);
     emit_route_found(ctx, dest);
-    ctx.metrics().counter("zrp.zone_hits").inc();
+    if (zone_hits_ == nullptr) {
+      zone_hits_ = &ctx.metrics().counter("zrp.zone_hits");
+    }
+    zone_hits_->inc();
     return true;
   }
 
  private:
   core::StateRef<NeighborTable> neighbors_;
+  obs::Counter* zone_hits_ = nullptr;  // cached on first use
 };
 
 /// IARP: keeps kernel routes for every zone member installed and fresh.

@@ -3,12 +3,16 @@
 // accumulation, multipath state.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "net/medium.hpp"
 #include "net/node.hpp"
 #include "protocols/dymo/dymo_cf.hpp"
 #include "protocols/aodv/aodv_state.hpp"
 #include "protocols/dymo/dymo_state.hpp"
 #include "testbed/world.hpp"
+#include "util/bytebuffer.hpp"
+#include "util/rng.hpp"
 #include "util/scheduler.hpp"
 
 namespace mk::proto {
@@ -264,6 +268,49 @@ TEST(DymoState, CodecCarriesRreqTuplesButNotRerrOnes) {
 
   blob.pop_back();  // truncated
   EXPECT_FALSE(copy.decode_state(blob));
+}
+
+// The duplicate set is a hash table; its codec and its expiry re-seeding
+// must still see the keys in the order the ordered map gave them.
+TEST(DymoState, DuplicateCodecMatchesOrderedMap) {
+  DymoState st;
+  std::map<std::uint64_t, TimePoint> oracle;
+  Rng rng(4242);
+  for (int i = 0; i < 300; ++i) {
+    const auto kind = rng.bernoulli(0.5) ? DupKind::kRreq : DupKind::kRerr;
+    const auto origin = static_cast<net::Addr>(rng.uniform_int(1, 30));
+    const auto seq = static_cast<std::uint16_t>(rng.uniform_int(0, 40));
+    const std::uint64_t key = dymo_dup_key(kind, origin, seq);
+    const TimePoint now{i * 1000};
+    EXPECT_EQ(st.check_duplicate(key, now), oracle.count(key) > 0);
+    oracle[key] = now;
+    if (rng.bernoulli(0.1)) {
+      const std::uint64_t gone = dymo_dup_key(
+          kind, static_cast<net::Addr>(rng.uniform_int(1, 30)), seq);
+      EXPECT_EQ(st.drop_duplicate(gone), oracle.erase(gone) > 0);
+    }
+  }
+
+  // The codec as it read over the ordered map: an empty route table, then
+  // the RREQ tuples in key order.
+  ByteWriter w;
+  w.put_u8(1);
+  w.put_u16(st.own_seq());
+  w.put_u16(0);
+  auto rreq_end = oracle.lower_bound(dymo_dup_key(DupKind::kRerr, 0, 0));
+  w.put_u16(static_cast<std::uint16_t>(std::distance(oracle.begin(), rreq_end)));
+  for (auto it = oracle.begin(); it != rreq_end; ++it) {
+    w.put_u32(static_cast<std::uint32_t>(it->first >> 16));
+    w.put_u16(static_cast<std::uint16_t>(it->first));
+    w.put_u64(static_cast<std::uint64_t>(it->second.us));
+  }
+  std::vector<std::uint8_t> blob;
+  st.encode_state(blob);
+  EXPECT_EQ(blob, w.take());
+
+  std::vector<std::uint64_t> keys;
+  for (const auto& [key, _] : oracle) keys.push_back(key);
+  EXPECT_EQ(st.duplicate_entries(), keys);
 }
 
 TEST(DymoLearn, RouteSetDeadlineFollowsTheRouteEntry) {

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <stdexcept>
 
 #include "net/medium.hpp"
 #include "net/node.hpp"
 #include "net/topology.hpp"
+#include "util/rng.hpp"
 
 namespace mk::net {
 namespace {
@@ -303,6 +305,84 @@ TEST(KernelTable, IdenticalReinstallIsNoOp) {
   EXPECT_EQ(table.generation(), gen + 1);
   EXPECT_EQ(journal.total(), records + 1);
   EXPECT_EQ(table.lookup(10)->metric, 3u);
+}
+
+// The flat table against the ordered map it replaced: every answer, every
+// journal record (kind, order, fields) and every generation bump must match
+// over a seeded mix of installs, reinstalls, removals and clears.
+TEST(KernelRouteTable, MatchesMapOracle) {
+  SimScheduler sched;
+  obs::Journal journal;
+  KernelRouteTable table;
+  table.set_journal(&journal, 7, &sched);
+
+  std::map<Addr, RouteEntry> oracle;
+  std::vector<obs::Record> want;
+  std::uint64_t want_gen = table.generation();
+  auto record = [&](obs::RecordKind kind, Addr dest, Addr hop,
+                    std::uint32_t metric) {
+    want.push_back({kind, 7, sched.now().us, dest, hop, metric});
+  };
+
+  Rng rng(20261020);
+  for (int step = 0; step < 4000; ++step) {
+    sched.run_for(usec(10));
+    const auto dest = static_cast<Addr>(rng.uniform_int(1, 48));
+    const auto hop = static_cast<Addr>(rng.uniform_int(100, 105));
+    const int op = static_cast<int>(rng.uniform_int(0, 99));
+    if (op < 55) {
+      const auto metric = static_cast<std::uint32_t>(rng.uniform_int(1, 3));
+      table.set_route(RouteEntry{dest, hop, metric, sched.now()});
+      auto it = oracle.find(dest);
+      if (it == oracle.end() || it->second.next_hop != hop ||
+          it->second.metric != metric) {
+        oracle[dest] = RouteEntry{dest, hop, metric, sched.now()};
+        ++want_gen;
+        record(obs::RecordKind::kRouteAdd, dest, hop, metric);
+      }
+    } else if (op < 85) {
+      const bool had = oracle.erase(dest) > 0;
+      EXPECT_EQ(table.remove_route(dest), had);
+      if (had) {
+        ++want_gen;
+        record(obs::RecordKind::kRouteDel, dest, 0, 0);
+      }
+    } else if (op < 99) {
+      std::vector<Addr> via;
+      for (const auto& [d, e] : oracle) {
+        if (e.next_hop == hop) via.push_back(d);
+      }
+      EXPECT_EQ(table.dests_via(hop), via) << "step " << step;
+    } else {
+      if (!oracle.empty()) ++want_gen;
+      for (const auto& [d, _] : oracle) {
+        record(obs::RecordKind::kRouteDel, d, 0, 0);
+      }
+      oracle.clear();
+      table.clear();
+    }
+    ASSERT_EQ(table.generation(), want_gen) << "step " << step;
+    ASSERT_EQ(table.size(), oracle.size()) << "step " << step;
+
+    auto got = table.lookup(dest);
+    auto it = oracle.find(dest);
+    ASSERT_EQ(got.has_value(), it != oracle.end()) << "step " << step;
+    if (got) {
+      EXPECT_EQ(got->next_hop, it->second.next_hop);
+      EXPECT_EQ(got->metric, it->second.metric);
+      EXPECT_EQ(got->installed_at, it->second.installed_at);
+    }
+  }
+
+  std::vector<RouteEntry> entries = table.entries();
+  ASSERT_EQ(entries.size(), oracle.size());
+  auto it = oracle.begin();
+  for (const RouteEntry& e : entries) {
+    EXPECT_EQ(e.dest, it->first) << "entries() must run in address order";
+    EXPECT_EQ(e.next_hop, it->second.next_hop);
+    ++it;
+  }
+  EXPECT_EQ(journal.snapshot(), want);
 }
 
 TEST(Forwarding, DeliversLocallyAcrossTwoHops) {

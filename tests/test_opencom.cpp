@@ -41,7 +41,8 @@ TEST(Component, InterfaceMetaModel) {
 TEST(Cf, ViewCountsMembersByTypeAndInterface) {
   Greeter g1, g2;
   Component plain("Plain");
-  CfView view({&g1, &plain, &g2});
+  const Component* members[] = {&g1, &plain, &g2};
+  CfView view(members);
   EXPECT_EQ(view.count<IGreeter>(), 2u);
   EXPECT_EQ(view.count<Greeter>(), 2u);
   EXPECT_EQ(view.count<IBogus>(), 0u);

@@ -2,10 +2,17 @@
 // shared frame payload buffers, and single-allocation PacketBB serialization.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <memory>
+#include <vector>
+
 #include "core/manetkit.hpp"
 #include "net/medium.hpp"
 #include "net/node.hpp"
+#include "net/payload_pool.hpp"
 #include "packetbb/packetbb.hpp"
+#include "util/mem.hpp"
 #include "util/rng.hpp"
 #include "util/scheduler.hpp"
 
@@ -178,6 +185,179 @@ TEST(SharedPayload, PayloadViewIsEmptyWhenUnset) {
   net::Frame f;
   EXPECT_EQ(f.payload_size(), 0u);
   EXPECT_TRUE(f.payload_view().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Shared received messages: one decode per broadcast payload
+// ---------------------------------------------------------------------------
+
+constexpr std::uint8_t kRxType = 77;
+
+/// One bare sender and k Manetkit receivers in its range. Each receiver
+/// registers kRxType as "ZRX" and deploys a protocol whose handler passes
+/// every ZRX_IN event to `on_rx` with the receiver's index (on the CF's own
+/// thread when `dedicated`).
+struct RxWorld {
+  using OnRx = std::function<void(std::size_t receiver, const ev::Event&)>;
+
+  class RxHandler final : public core::EventHandler {
+   public:
+    RxHandler(RxWorld& world, std::size_t index)
+        : core::EventHandler("test.RxHandler", {"ZRX_IN"}),
+          world_(world),
+          index_(index) {}
+    void handle(const ev::Event& event, core::ProtocolContext&) override {
+      world_.on_rx(index_, event);
+    }
+
+   private:
+    RxWorld& world_;
+    std::size_t index_;
+  };
+
+  SimScheduler sched;
+  net::SimMedium medium{sched};
+  net::SimNode sender{0, medium, sched};
+  std::vector<std::unique_ptr<net::SimNode>> nodes;
+  std::vector<std::unique_ptr<core::Manetkit>> kits;
+  std::vector<core::ManetProtocolCf*> cfs;
+  OnRx on_rx = [](std::size_t, const ev::Event&) {};
+
+  explicit RxWorld(std::size_t k, bool dedicated = false) {
+    for (std::uint32_t i = 0; i < k; ++i) {
+      nodes.push_back(std::make_unique<net::SimNode>(i + 1, medium, sched));
+      medium.set_link(sender.addr(), nodes.back()->addr(), true);
+      kits.push_back(std::make_unique<core::Manetkit>(*nodes.back()));
+      core::Manetkit& kit = *kits.back();
+      kit.system().register_message(kRxType, "ZRX");
+      kit.register_protocol("rx", 20, [this, i](core::Manetkit& kt) {
+        auto cf = std::make_unique<core::ManetProtocolCf>(
+            "rx", kt.scheduler(), kt.self(), &kt.system().sys_state());
+        cf->add_handler(std::make_unique<RxHandler>(*this, i));
+        cf->declare_events({"ZRX_IN"}, {});
+        return cf;
+      });
+      cfs.push_back(kit.deploy("rx"));
+      if (dedicated) cfs.back()->enable_dedicated_thread();
+    }
+  }
+  ~RxWorld() {
+    for (core::ManetProtocolCf* cf : cfs) cf->disable_dedicated_thread();
+  }
+
+  /// Serializes `pkt` into a pooled payload, broadcasts it and runs the
+  /// world until every receiver has it.
+  void broadcast(const pbb::Packet& pkt) {
+    auto buf = net::acquire_payload();
+    pbb::serialize_into(pkt, *buf);
+    sender.send_control(net::PayloadPtr(std::move(buf)));
+    sched.run_all();
+    for (auto& kit : kits) kit->manager().drain();
+  }
+};
+
+pbb::Packet rx_packet() {
+  pbb::Packet pkt;
+  pkt.tlvs.push_back(pbb::Tlv::u8(9, 1));
+  pkt.messages.push_back(sample_msg(kRxType));
+  return pkt;
+}
+
+TEST(SystemRx, BroadcastReceiversShareOneDecode) {
+  constexpr std::size_t kReceivers = 4;
+  RxWorld w(kReceivers);
+  std::vector<ev::MsgPtr> seen(kReceivers);
+  std::vector<int> hop_limit(kReceivers, -1);
+  std::vector<int> tlvs(kReceivers, 0);
+  for (std::size_t i = 0; i < kReceivers; ++i) {
+    w.kits[i]->system().set_packet_tlv_observer(
+        [&tlvs, i](const pbb::Tlv&, net::Addr) { ++tlvs[i]; });
+  }
+  w.on_rx = [&](std::size_t i, const ev::Event& e) {
+    seen[i] = e.shared_msg();
+    hop_limit[i] = e.msg()->hop_limit;
+    if (i == 0) {  // the first receiver edits its own copy
+      ev::Event mine = e;
+      mine.mutable_msg().hop_limit = 0;
+      EXPECT_NE(mine.msg(), e.msg()) << "a shared message must be cloned";
+    }
+  };
+
+  w.broadcast(rx_packet());
+  for (std::size_t i = 0; i < kReceivers; ++i) {
+    ASSERT_NE(seen[i], nullptr) << "receiver " << i;
+    EXPECT_EQ(seen[i].get(), seen[0].get())
+        << "receiver " << i << " got its own decode";
+    EXPECT_EQ(hop_limit[i], 16) << "receiver " << i << " saw another's edit";
+    EXPECT_EQ(tlvs[i], 1) << "packet TLV observer runs once per receiver";
+    EXPECT_EQ(w.kits[i]->system().frames_received(), 1u);
+  }
+  EXPECT_EQ(*seen[0], sample_msg(kRxType));
+
+  // A malformed payload fails every receiver's parse, and each counts it.
+  std::vector<std::uint64_t> errors;
+  for (auto& kit : w.kits) errors.push_back(kit->system().parse_errors());
+  w.sender.send_control(net::make_payload(net::PayloadBuffer{0xFF, 0x00}));
+  w.sched.run_all();
+  for (std::size_t i = 0; i < kReceivers; ++i) {
+    EXPECT_EQ(w.kits[i]->system().parse_errors(), errors[i] + 1);
+    EXPECT_EQ(w.kits[i]->system().frames_received(), 2u);
+    EXPECT_EQ(tlvs[i], 1);
+  }
+}
+
+// The payload pool hands a released buffer to the next transmission, at the
+// same address: a decode cached under that address alone would hand B's
+// receivers A's messages.
+TEST(SystemRx, RecycledPayloadIsDecodedAfresh) {
+  mem::BackendGuard backend(mem::MemBackend::kPool);
+  RxWorld w(3);
+  std::vector<std::uint16_t> seqs;
+  w.on_rx = [&](std::size_t, const ev::Event& e) {
+    seqs.push_back(*e.msg()->seqnum);
+  };
+
+  pbb::Packet a = rx_packet();
+  w.broadcast(a);
+  pbb::Packet b = a;
+  b.messages[0].seqnum = 100;
+  w.broadcast(b);
+  EXPECT_EQ(seqs, (std::vector<std::uint16_t>{99, 99, 99, 100, 100, 100}));
+}
+
+// Receivers whose protocol runs on a dedicated thread share one decoded
+// message across threads; each edits a copy-on-write clone while the
+// others read the original.
+TEST(Concurrency, SharedRxMessageUnderDedicatedThread) {
+  constexpr std::size_t kReceivers = 4;
+  constexpr int kRounds = 200;
+  RxWorld w(kReceivers, /*dedicated=*/true);
+  std::atomic<int> handled{0};
+  std::atomic<int> corrupted{0};
+  w.on_rx = [&](std::size_t i, const ev::Event& e) {
+    const std::uint16_t seq = *e.msg()->seqnum;
+    ev::Event mine = e;
+    pbb::Message& own = mine.mutable_msg();
+    own.hop_limit = static_cast<std::uint8_t>(i + 1);
+    own.seqnum = static_cast<std::uint16_t>(seq + 1);
+    if (e.msg()->hop_limit != 16 || *e.msg()->seqnum != seq ||
+        mine.msg() == e.msg()) {
+      ++corrupted;
+    }
+    ++handled;
+  };
+
+  pbb::Packet pkt = rx_packet();
+  for (int round = 0; round < kRounds; ++round) {
+    pkt.messages[0].seqnum = static_cast<std::uint16_t>(round);
+    auto buf = net::acquire_payload();
+    pbb::serialize_into(pkt, *buf);
+    w.sender.send_control(net::PayloadPtr(std::move(buf)));
+    w.sched.run_all();  // threads may still be busy with earlier rounds
+  }
+  for (auto& kit : w.kits) kit->manager().drain();
+  EXPECT_EQ(handled.load(), static_cast<int>(kReceivers) * kRounds);
+  EXPECT_EQ(corrupted.load(), 0);
 }
 
 // ---------------------------------------------------------------------------
